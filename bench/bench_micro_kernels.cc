@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
@@ -434,10 +435,9 @@ BENCHMARK(BM_ClientBatchPerCallPack);
 }  // namespace
 }  // namespace fats
 
-// Custom main instead of BENCHMARK_MAIN(): strips --threads=N before
-// google-benchmark parses argv, and records the build type + worker count
-// in the run context so tools/bench_check can reject baselines recorded
-// from debug builds or mismatched thread counts.
+// Strips --threads=N before google-benchmark parses argv and records the
+// worker count in the run context, so tools/bench_check can reject
+// baselines recorded with a mismatched thread count.
 int main(int argc, char** argv) {
   int out = 1;  // argv[0] stays
   for (int i = 1; i < argc; ++i) {
@@ -448,17 +448,6 @@ int main(int argc, char** argv) {
     }
     argv[out++] = argv[i];
   }
-  argc = out;
-#ifdef NDEBUG
-  benchmark::AddCustomContext("fats_build_type", "release");
-#else
-  benchmark::AddCustomContext("fats_build_type", "debug");
-#endif
-  benchmark::AddCustomContext("fats_threads",
-                              std::to_string(fats::g_bench_threads));
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return fats::bench::RunBenchmarks(
+      out, argv, {{"fats_threads", std::to_string(fats::g_bench_threads)}});
 }

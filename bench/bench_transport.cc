@@ -155,19 +155,6 @@ BENCHMARK(BM_FatsTrainOverWire)->Arg(0)->Arg(1)
 }  // namespace
 }  // namespace fats
 
-// Custom main (not BENCHMARK_MAIN) so the run context records this
-// binary's own build type as "fats_build_type" — bench_check keys the
-// debug-build refusal on it, and the library_build_type fallback reports
-// the benchmark *library's* build, not ours.
 int main(int argc, char** argv) {
-#ifdef NDEBUG
-  benchmark::AddCustomContext("fats_build_type", "release");
-#else
-  benchmark::AddCustomContext("fats_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return fats::bench::RunBenchmarks(argc, argv);
 }

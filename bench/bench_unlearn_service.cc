@@ -206,4 +206,6 @@ BENCHMARK(BM_FlushWindow)->Arg(1)->Arg(16)->Arg(512)
 }  // namespace
 }  // namespace fats
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return fats::bench::RunBenchmarks(argc, argv);
+}

@@ -1,13 +1,18 @@
 // Shared helpers for the paper-reproduction bench harness.
 //
 // Every bench prints a human-readable table to stdout plus machine-readable
-// CSV rows prefixed with "# CSV," so results survive interleaving.
+// CSV rows prefixed with "# CSV," so results survive interleaving. The
+// google-benchmark binaries share one main body, RunBenchmarks().
 
 #ifndef FATS_BENCH_BENCH_UTIL_H_
 #define FATS_BENCH_BENCH_UTIL_H_
 
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/fats_config.h"
 #include "core/fats_trainer.h"
@@ -74,6 +79,30 @@ inline void PrintPaperTable2() {
   for (const std::string& name : ScaledProfileNames()) {
     std::printf("  %s\n", ScaledProfile(name).value().ToString().c_str());
   }
+}
+
+/// The main body of a google-benchmark binary, used instead of
+/// BENCHMARK_MAIN() so the run context records this binary's own build type
+/// as "fats_build_type": bench_check refuses baselines from debug builds,
+/// and the library_build_type fallback reports the benchmark *library's*
+/// build, not ours. `extra_context` adds further context pairs.
+inline int RunBenchmarks(
+    int argc, char** argv,
+    const std::vector<std::pair<std::string, std::string>>& extra_context =
+        {}) {
+#ifdef NDEBUG
+  benchmark::AddCustomContext("fats_build_type", "release");
+#else
+  benchmark::AddCustomContext("fats_build_type", "debug");
+#endif
+  for (const auto& [key, value] : extra_context) {
+    benchmark::AddCustomContext(key, value);
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 }  // namespace bench

@@ -97,9 +97,62 @@ void FatsTrainer::TrainUntil(int64_t t_end) {
   Run(trained_through_ + 1, t_end);
 }
 
-void FatsTrainer::Run(int64_t t0, int64_t t_end) {
-  const int64_t t_max = t_end;
+std::vector<int64_t> FatsTrainer::DrawClientSelection(int64_t round) const {
+  StreamId id;
+  id.purpose = RngPurpose::kClientSampling;
+  id.generation = generation_;
+  id.round = static_cast<uint64_t>(round);
+  RngStream stream(config_.seed, id);
+  return ServerRuntime::SampleClientsWithReplacement(*data_, k_, &stream);
+}
+
+Result<std::vector<int64_t>> FatsTrainer::DrawMinibatch(int64_t t,
+                                                        int64_t client) const {
+  const int64_t batch_size =
+      std::min<int64_t>(b_, data_->num_active_samples(client));
+  if (batch_size <= 0) {
+    return Status::FailedPrecondition(
+        "client has no active samples left to draw a mini-batch");
+  }
+  StreamId id;
+  id.purpose = RngPurpose::kMinibatchSampling;
+  id.generation = generation_;
+  id.round = static_cast<uint64_t>((t - 1) / config_.local_iters_e + 1);
+  id.client = static_cast<uint64_t>(client);
+  id.iteration = static_cast<uint64_t>(t);
+  RngStream stream(config_.seed, id);
+  return ClientRuntime(data_, model_.get())
+      .SampleMinibatch(client, batch_size, &stream);
+}
+
+Status FatsTrainer::RedrawMinibatch(int64_t t, int64_t client) {
+  FATS_ASSIGN_OR_RETURN(std::vector<int64_t> batch, DrawMinibatch(t, client));
+  if (sink_ != nullptr) sink_->OnMinibatch(t, client, batch);
+  store_.SaveMinibatch(t, client, std::move(batch));
+  return Status::OK();
+}
+
+Status FatsTrainer::RedrawRound(int64_t round, int64_t t_last) {
   const int64_t e = config_.local_iters_e;
+  std::vector<int64_t> selection = DrawClientSelection(round);
+  const std::vector<int64_t> participants = UniqueClients(selection);
+  if (sink_ != nullptr) sink_->OnClientSelection(round, selection);
+  store_.SaveClientSelection(round, std::move(selection));
+  for (int64_t t = (round - 1) * e + 1; t <= std::min(round * e, t_last);
+       ++t) {
+    for (int64_t client : participants) {
+      FATS_RETURN_NOT_OK(RedrawMinibatch(t, client));
+    }
+  }
+  return Status::OK();
+}
+
+void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
+  const int64_t e = config_.local_iters_e;
+  // The one difference between the pass kinds: a run pass draws the
+  // round's selection and the iteration's mini-batches and records them, a
+  // replay pass loads them from the store.
+  const bool draw = pass == TrainPassKind::kRun;
   FATS_CHECK(t0 >= 1 && t0 <= config_.total_iters_t())
       << "t0 out of range: " << t0;
   FATS_CHECK(t_end >= t0 && t_end <= config_.total_iters_t())
@@ -138,21 +191,23 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
   int64_t loss_count = resume_loss_count_;
   resume_loss_sum_ = 0.0;
   resume_loss_count_ = 0;
-  for (int64_t t = t0; t <= t_max; ++t) {
+  for (int64_t t = t0; t <= t_end; ++t) {
     const int64_t r = (t - 1) / e + 1;
-    if (t == (r - 1) * e + 1) {
-      // STEP 1: round start — sample the client multiset and broadcast the
+    const bool round_start = t == (r - 1) * e + 1;
+    if (round_start) {
+      // STEP 1: round start — the client multiset, then a broadcast of the
       // latest global model.
-      StreamId sel_id;
-      sel_id.purpose = RngPurpose::kClientSampling;
-      sel_id.generation = generation_;
-      sel_id.round = static_cast<uint64_t>(r);
-      RngStream sel_stream(config_.seed, sel_id);
-      selection =
-          ServerRuntime::SampleClientsWithReplacement(*data_, k_, &sel_stream);
-      store_.SaveClientSelection(r, selection);
-      if (sink_ != nullptr) sink_->OnClientSelection(r, selection);
-      FATS_FAILPOINT("trainer.round.start");
+      if (draw) {
+        selection = DrawClientSelection(r);
+        store_.SaveClientSelection(r, selection);
+        if (sink_ != nullptr) sink_->OnClientSelection(r, selection);
+        FATS_FAILPOINT("trainer.round.start");
+      } else {
+        const std::vector<int64_t>* stored = store_.GetClientSelection(r);
+        FATS_CHECK(stored != nullptr)
+            << "replay missing selection for round " << r;
+        selection = *stored;
+      }
 
       const Tensor* global = store_.GetGlobalModel(r - 1);
       FATS_CHECK(global != nullptr)
@@ -160,7 +215,9 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
       // Broadcast θ^(r−1) over the wire: one encoding, one delivery per
       // selection slot. Each participant starts from the *decoded* payload
       // (bitwise the broadcast bytes), so every downlink byte the ledger
-      // charges really crossed the transport.
+      // charges really crossed the transport. A replay re-broadcasts at the
+      // same addresses, so it reproduces the original ledger — retransmit
+      // counters included (the fault schedule is address-keyed).
       round_broadcast = std::make_unique<transport::EncodedModel>(*global);
       participants = UniqueClients(selection);
       local_params.clear();
@@ -176,34 +233,35 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
 
     // STEP 2: one local mini-batch SGD iteration per distinct participant,
     // executed by the client runner (parallel when num_threads > 1).
-    // Stream keys, batch sizes, and start-parameter pointers are frozen on
-    // the main thread in participant order before dispatch, and results
+    // Mini-batches, dropout counts, and start-parameter pointers are fixed
+    // on the main thread in participant order before dispatch, and results
     // are committed in that same order, so the schedule — draws, store
     // contents, float accumulation — is bit-identical to serial.
     const size_t n_part = participants.size();
     struct LocalStep {
-      std::vector<int64_t> batch;
       Tensor params;
       double loss = 0.0;
     };
     std::vector<LocalStep> steps(n_part);
-    std::vector<uint64_t> stream_keys(n_part);
-    std::vector<int64_t> batch_sizes(n_part);
+    std::vector<std::vector<int64_t>> drawn(draw ? n_part : 0);
+    std::vector<const std::vector<int64_t>*> batches(n_part);
     std::vector<int64_t> dropped(n_part, 0);
     std::vector<const Tensor*> start_params(n_part);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
-      StreamId batch_id;
-      batch_id.purpose = RngPurpose::kMinibatchSampling;
-      batch_id.generation = generation_;
-      batch_id.round = static_cast<uint64_t>(r);
-      batch_id.client = static_cast<uint64_t>(client);
-      batch_id.iteration = static_cast<uint64_t>(t);
-      stream_keys[i] = DeriveStreamKey(config_.seed, batch_id);
-      batch_sizes[i] =
-          std::min<int64_t>(b_, data_->num_active_samples(client));
-      FATS_CHECK_GT(batch_sizes[i], 0)
-          << "client " << client << " has no active samples";
+      if (draw) {
+        Result<std::vector<int64_t>> batch = DrawMinibatch(t, client);
+        FATS_CHECK(batch.ok()) << "client " << client << ": "
+                               << batch.status().ToString();
+        drawn[i] = std::move(batch).value();
+        batches[i] = &drawn[i];
+      } else {
+        batches[i] = store_.GetMinibatch(t, client);
+        FATS_CHECK(batches[i] != nullptr)
+            << "replay missing mini-batch (" << t << ", " << client << ")";
+      }
+      // The availability schedule is a pure function of (round, iteration,
+      // client), so a replay charges the same retries as the original pass.
       if (availability_.enabled()) {
         dropped[i] = availability_.DroppedAttempts(r, t, client);
       }
@@ -216,26 +274,22 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
     // start from diverged per-client weights, so the pack is cleared before
     // their dispatch. Bit-identical either way (gemm::SgemmPackedB).
     const bool share_round_pack =
-        fused_round_pack_ && n_part > 0 && t == (r - 1) * e + 1;
+        fused_round_pack_ && n_part > 0 && round_start;
     if (share_round_pack) {
       runner_.SetSharedWeights(*start_params[0]);
     }
     runner_.ForEachClient(
         static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
           const size_t s = static_cast<size_t>(i);
-          const int64_t client = participants[s];
           // A dropped attempt discards the client's work; the retry
-          // re-executes the whole local step from the same frozen stream
-          // key, so the surviving attempt's draws and model bits are
-          // identical to a first-try success.
+          // re-executes the whole local step on the same mini-batch, so the
+          // surviving attempt's model bits are identical to a first-try
+          // success.
           for (int64_t attempt = 0; attempt <= dropped[s]; ++attempt) {
             m->SetParameters(*start_params[s]);
-            RngStream batch_stream(stream_keys[s]);
             ClientRuntime runtime(data_, m);
-            steps[s].batch =
-                runtime.SampleMinibatch(client, batch_sizes[s], &batch_stream);
-            steps[s].loss =
-                runtime.Step(client, steps[s].batch, config_.learning_rate);
+            steps[s].loss = runtime.Step(participants[s], *batches[s],
+                                         config_.learning_rate);
             steps[s].params = m->GetParameters();
           }
         });
@@ -261,8 +315,10 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
         }
         dropout_retries_ += dropped[i];
       }
-      if (sink_ != nullptr) sink_->OnMinibatch(t, client, steps[i].batch);
-      store_.SaveMinibatch(t, client, std::move(steps[i].batch));
+      if (draw) {
+        if (sink_ != nullptr) sink_->OnMinibatch(t, client, drawn[i]);
+        store_.SaveMinibatch(t, client, std::move(drawn[i]));
+      }
       loss_sum += steps[i].loss;
       ++loss_count;
       ++local_iterations_executed_;
@@ -314,165 +370,11 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
       FATS_FAILPOINT("trainer.round.end");
     }
     FATS_FAILPOINT("trainer.iter.commit");
-    NotifyIterationComplete(t, t_max, TrainPassKind::kRun, loss_sum,
-                            loss_count);
+    NotifyIterationComplete(t, t_end, pass, loss_sum, loss_count);
   }
-  trained_through_ = std::max(trained_through_, t_max);
+  trained_through_ = std::max(trained_through_, t_end);
   // Leave the model holding the latest completed round's global parameters.
-  const Tensor* final_global = store_.GetGlobalModel(t_max / e);
-  if (final_global != nullptr) model_->SetParameters(*final_global);
-}
-
-void FatsTrainer::ReplayFrom(int64_t t0, int64_t t_end) {
-  const int64_t t_max = t_end;
-  const int64_t e = config_.local_iters_e;
-  FATS_CHECK(t0 >= 1 && t0 <= config_.total_iters_t())
-      << "t0 out of range: " << t0;
-  FATS_CHECK(t_end >= t0 && t_end <= config_.total_iters_t())
-      << "t_end out of range: " << t_end;
-
-  std::vector<int64_t> selection;
-  std::vector<int64_t> participants;
-  std::map<int64_t, Tensor> local_params;
-
-  const int64_t r0 = (t0 - 1) / e + 1;
-  const int64_t r0_start = (r0 - 1) * e + 1;
-  if (t0 != r0_start) {
-    const std::vector<int64_t>* stored = store_.GetClientSelection(r0);
-    FATS_CHECK(stored != nullptr) << "replay requires stored selection";
-    selection = *stored;
-    participants = UniqueClients(selection);
-    for (int64_t client : participants) {
-      const Tensor* theta = store_.GetLocalModel(t0 - 1, client);
-      FATS_CHECK(theta != nullptr)
-          << "replay missing local model (" << t0 - 1 << ", " << client
-          << ")";
-      local_params[client] = *theta;
-    }
-  }
-
-  // Consume-once recovery seed, mirroring Run (see comment there).
-  double loss_sum = resume_loss_sum_;
-  int64_t loss_count = resume_loss_count_;
-  resume_loss_sum_ = 0.0;
-  resume_loss_count_ = 0;
-  for (int64_t t = t0; t <= t_max; ++t) {
-    const int64_t r = (t - 1) / e + 1;
-    if (t == (r - 1) * e + 1) {
-      const std::vector<int64_t>* stored = store_.GetClientSelection(r);
-      FATS_CHECK(stored != nullptr)
-          << "replay missing selection for round " << r;
-      selection = *stored;
-      const Tensor* global = store_.GetGlobalModel(r - 1);
-      FATS_CHECK(global != nullptr)
-          << "replay missing global model for round " << r - 1;
-      // Replay re-broadcasts over the wire at the same addresses as Run,
-      // so a replayed pass reproduces the original ledger — retransmit
-      // counters included (the fault schedule is address-keyed).
-      const transport::EncodedModel broadcast(*global);
-      participants = UniqueClients(selection);
-      local_params.clear();
-      for (size_t slot = 0; slot < selection.size(); ++slot) {
-        const int64_t client = selection[slot];
-        local_params[client] =
-            TransferModel(transport::Direction::kDownlink, r, t, client,
-                          static_cast<uint32_t>(slot), broadcast);
-      }
-      loss_sum = 0.0;
-      loss_count = 0;
-    }
-
-    // Replay executes the stored mini-batches (no sampling), so the only
-    // frozen inputs are the batch pointers and start parameters; results
-    // commit in participant order exactly as in Run.
-    const size_t n_part = participants.size();
-    struct ReplayStep {
-      Tensor params;
-      double loss = 0.0;
-    };
-    std::vector<ReplayStep> steps(n_part);
-    std::vector<const std::vector<int64_t>*> batches(n_part);
-    std::vector<const Tensor*> start_params(n_part);
-    for (size_t i = 0; i < n_part; ++i) {
-      const int64_t client = participants[i];
-      batches[i] = store_.GetMinibatch(t, client);
-      FATS_CHECK(batches[i] != nullptr)
-          << "replay missing mini-batch (" << t << ", " << client << ")";
-      start_params[i] = &local_params.at(client);
-    }
-    // Same fused round-start pack as in Run: replay re-executes the exact
-    // schedule, so round starts have the identical all-participants-equal
-    // invariant. Keeping both passes on the same code path matters less
-    // for speed than for symmetry — but replay loops dominate unlearning
-    // cost, so they benefit the most.
-    const bool share_round_pack =
-        fused_round_pack_ && n_part > 0 && t == (r - 1) * e + 1;
-    if (share_round_pack) {
-      runner_.SetSharedWeights(*start_params[0]);
-    }
-    runner_.ForEachClient(
-        static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
-          const size_t s = static_cast<size_t>(i);
-          m->SetParameters(*start_params[s]);
-          ClientRuntime runtime(data_, m);
-          steps[s].loss = runtime.Step(participants[s], *batches[s],
-                                       config_.learning_rate);
-          steps[s].params = m->GetParameters();
-        });
-    if (share_round_pack) runner_.ClearSharedWeights();
-    for (size_t i = 0; i < n_part; ++i) {
-      const int64_t client = participants[i];
-      loss_sum += steps[i].loss;
-      ++loss_count;
-      ++local_iterations_executed_;
-      local_params[client] = std::move(steps[i].params);
-      store_.SaveLocalModel(t, client, local_params[client]);
-      if (sink_ != nullptr) sink_->OnLocalModel(t, client, local_params[client]);
-    }
-
-    if (t % e == 0) {
-      // Same wire order and reduction tree as the forward pass: replay must
-      // re-create the aggregate bit for bit.
-      std::vector<Tensor> slot_uploads;
-      slot_uploads.reserve(selection.size());
-      std::map<int64_t, transport::EncodedModel> uploads;
-      for (size_t slot = 0; slot < selection.size(); ++slot) {
-        const int64_t client = selection[slot];
-        auto it = uploads.find(client);
-        if (it == uploads.end()) {
-          it = uploads
-                   .emplace(client,
-                            transport::EncodedModel(local_params[client]))
-                   .first;
-        }
-        slot_uploads.push_back(TransferModel(transport::Direction::kUplink, r,
-                                             t, client,
-                                             static_cast<uint32_t>(slot),
-                                             it->second));
-      }
-      Tensor aggregate = state::TreeAggregate(slot_uploads, runner_.pool());
-      aggregate *= 1.0f / static_cast<float>(selection.size());
-      store_.SaveGlobalModel(r, aggregate);
-      comm_stats_.RecordRound();
-      model_->SetParameters(aggregate);
-      if (sink_ != nullptr) sink_->OnGlobalModel(r, aggregate);
-
-      RoundRecord record;
-      record.round = r;
-      record.test_accuracy = EvaluateTestAccuracy();
-      record.mean_local_loss =
-          loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
-      record.recomputation = recomputation_mode_;
-      log_.Append(record);
-      if (sink_ != nullptr) sink_->OnRoundRecord(record);
-      FATS_FAILPOINT("trainer.round.end");
-    }
-    FATS_FAILPOINT("trainer.iter.commit");
-    NotifyIterationComplete(t, t_max, TrainPassKind::kReplay, loss_sum,
-                            loss_count);
-  }
-  trained_through_ = std::max(trained_through_, t_max);
-  const Tensor* final_global = store_.GetGlobalModel(t_max / e);
+  const Tensor* final_global = store_.GetGlobalModel(t_end / e);
   if (final_global != nullptr) model_->SetParameters(*final_global);
 }
 

@@ -11,11 +11,21 @@
 // P^(t), B_k^(t), θ_k^(t), θ^(t) (the save(·) calls of Algorithm 1), plus
 // the earliest-use dictionaries for O(1) verification.
 //
-// Run(t0) implements the general entry point FATS(t0, T, E, η, ρ_S, ρ_C):
-// t0 = 1 is fresh training; a mid-round t0 reloads P^(t0) and the local
-// models θ_k^(t0−1) from the store (lines 3–5). Re-computation after a
-// deletion = BumpGeneration() + store truncation + Run(t_S): the generation
-// field makes every stream drawn in the suffix independent of the original
+// One round loop, RunPass(t0, t_end, pass), implements the general entry
+// point FATS(t0, T, E, η, ρ_S, ρ_C) for both pass kinds. They differ only
+// in where the sampling history comes from: a kRun pass (Run) draws each
+// round's selection and each iteration's mini-batches fresh and records
+// them; a kReplay pass (ReplayFrom) loads them from the store. Mid-round
+// entry, broadcast, local steps, the availability schedule, upload,
+// aggregation and the round record are the same code for both.
+//
+// The trainer is the only owner of the FATS sampling stream keys. Sample-
+// level unlearning keeps the stored selections, re-draws the affected
+// batches with RedrawMinibatch and replays (the SU_r transport of
+// Theorem 1's proof). Client-level unlearning truncates the store, bumps
+// the generation and re-draws the history from the changed measure, either
+// by Run(t_C) or with RedrawRound followed by one replay. The generation
+// field makes every stream drawn after a bump independent of the original
 // run, which realizes the fresh part of the coupling in Theorem 1, while
 // the untouched prefix realizes the reused part.
 
@@ -38,6 +48,7 @@
 #include "nn/model_zoo.h"
 #include "transport/reliable_channel.h"
 #include "transport/transport.h"
+#include "util/status.h"
 
 namespace fats {
 
@@ -60,27 +71,34 @@ class FatsTrainer {
   ///   trainer.TrainUntil(T);        // continue on the reduced data
   void TrainUntil(int64_t t_end);
 
-  /// Runs iterations [t0, t_end] (Algorithm 1); the two-argument form
-  /// supports pausing mid-training (e.g. to serve an unlearning request at
-  /// time t_u and then continue on the reduced data). t0 must be in [1, T]
-  /// and t_end in [t0, T]. If t0 is not a round start, the round's client
-  /// selection and the local models at t0−1 are loaded from the store.
-  /// Client selections and mini-batches for [t0, t_end] are drawn fresh
-  /// (used by client-level re-computation, where the selection measure
-  /// itself changed).
-  void Run(int64_t t0) { Run(t0, config_.total_iters_t()); }
-  void Run(int64_t t0, int64_t t_end);
+  /// Runs iterations [t0, t_end] (Algorithm 1) as one pass of kind `pass`.
+  /// t0 must be in [1, T] and t_end in [t0, T]. If t0 is not a round start,
+  /// the round's client selection and the local models at t0−1 are loaded
+  /// from the store. A kRun pass draws the client selections and
+  /// mini-batches of [t0, t_end] at the current generation and records
+  /// them; a kReplay pass loads them from the store and recomputes only the
+  /// model trajectory. Crash recovery resumes an interrupted pass through
+  /// this entry point with the pass kind the journal recorded.
+  void RunPass(int64_t t0, int64_t t_end, TrainPassKind pass);
 
-  /// Deterministically re-executes iterations [t0, t_end] against the
-  /// *stored* sampling history: client selections and mini-batches are
-  /// loaded from the store (which sample-level unlearning has partially
-  /// substituted), and only the model trajectory is recomputed. This
-  /// realizes the SU_r transport of Theorem 1's proof: the selection
-  /// history ν is unaffected by a sample deletion and must be reused, not
-  /// redrawn — redrawing it would bias the selection marginal and break
-  /// exactness.
+  /// A kRun pass: fresh training, or client-level re-computation, where the
+  /// selection measure itself changed. The two-argument form supports
+  /// pausing mid-training (e.g. to serve an unlearning request at time t_u
+  /// and then continue on the reduced data).
+  void Run(int64_t t0) { Run(t0, config_.total_iters_t()); }
+  void Run(int64_t t0, int64_t t_end) {
+    RunPass(t0, t_end, TrainPassKind::kRun);
+  }
+
+  /// A kReplay pass against the *stored* sampling history (which sample-
+  /// level unlearning has partially re-drawn). This realizes the SU_r
+  /// transport of Theorem 1's proof: the selection history ν is unaffected
+  /// by a sample deletion and must be reused, not redrawn — redrawing it
+  /// would bias the selection marginal and break exactness.
   void ReplayFrom(int64_t t0) { ReplayFrom(t0, trained_through_); }
-  void ReplayFrom(int64_t t0, int64_t t_end);
+  void ReplayFrom(int64_t t0, int64_t t_end) {
+    RunPass(t0, t_end, TrainPassKind::kReplay);
+  }
 
   /// Highest iteration executed so far (0 before training). Unlearning
   /// requests issued mid-training re-compute only up to this point;
@@ -124,21 +142,19 @@ class FatsTrainer {
     if (sink_ != nullptr) sink_->OnTruncate(from_iter);
   }
 
-  /// Replaces the stored mini-batch for (t, client) (sample-level
+  /// Re-draws the recorded mini-batch of (t, client) from the client's
+  /// current active set at the current generation (sample-level
   /// unlearning's substitution step), notifying the event sink.
-  void SubstituteMinibatch(int64_t t, int64_t client,
-                           std::vector<int64_t> indices) {
-    if (sink_ != nullptr) sink_->OnMinibatch(t, client, indices);
-    store_.SaveMinibatch(t, client, std::move(indices));
-  }
+  /// FailedPrecondition when the client has no active sample left.
+  Status RedrawMinibatch(int64_t t, int64_t client);
 
-  /// Records the client multiset for `round` (the coalesced client-removal
-  /// path pre-draws selections exactly as Run would), notifying the event
-  /// sink so the durable record stays consistent.
-  void RecordClientSelection(int64_t round, std::vector<int64_t> multiset) {
-    if (sink_ != nullptr) sink_->OnClientSelection(round, multiset);
-    store_.SaveClientSelection(round, std::move(multiset));
-  }
+  /// Re-draws round `round`'s client selection, then every participant's
+  /// mini-batches for the round's iterations up to `t_last`, at the current
+  /// generation — the history a kRun pass would record, without computing
+  /// any model (client-level unlearning's redraw step). Notifies the event
+  /// sink in the order a kRun pass does. FailedPrecondition when a
+  /// participant has no active sample left.
+  Status RedrawRound(int64_t round, int64_t t_last);
 
   /// Unlearning-operation brackets, forwarded to the sink. Everything
   /// between Begin and End is atomic under crash recovery.
@@ -170,7 +186,7 @@ class FatsTrainer {
   void set_trained_through(int64_t t) { trained_through_ = t; }
   /// Rounds executed while this flag is set are marked in the log.
   void set_recomputation_mode(bool on) { recomputation_mode_ = on; }
-  /// Seeds the round-loss accumulator for the next Run/ReplayFrom entry
+  /// Seeds the round-loss accumulator for the next RunPass entry
   /// (consumed once, then reset). Used by crash recovery when resuming a
   /// pass mid-round so the re-executed round's mean_local_loss still
   /// includes the iterations committed before the crash.
@@ -217,6 +233,13 @@ class FatsTrainer {
   std::vector<int64_t> UniqueClients(
       const std::vector<int64_t>& multiset) const;
 
+  /// The two FATS sampling draws, keyed by (seed, generation, round,
+  /// client, iteration) at the current generation: round `round`'s client
+  /// multiset, and client `client`'s size-min(b, active) mini-batch at
+  /// iteration `t` (FailedPrecondition when it has no active sample).
+  std::vector<int64_t> DrawClientSelection(int64_t round) const;
+  Result<std::vector<int64_t>> DrawMinibatch(int64_t t, int64_t client) const;
+
   ModelSpec spec_;
   FatsConfig config_;
   FederatedDataset* data_;
@@ -233,7 +256,7 @@ class FatsTrainer {
   int64_t dropout_retries_ = 0;
   int64_t transport_forced_deliveries_ = 0;
   // One-shot round-loss accumulator seed, set by SeedRoundLossAccumulator
-  // and consumed at the next Run/ReplayFrom entry.
+  // and consumed at the next RunPass entry.
   double resume_loss_sum_ = 0.0;
   int64_t resume_loss_count_ = 0;
   TrainEventSink* sink_ = nullptr;

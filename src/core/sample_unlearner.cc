@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "fl/client.h"
 #include "util/stopwatch.h"
 
 namespace fats {
@@ -111,27 +110,10 @@ Result<UnlearningOutcome> SampleUnlearner::UnlearnBatch(
   // deleted sample's posting list empties out and its key disappears; no
   // index rebuild is ever needed.
   trainer_->BumpGeneration();
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
   int64_t t_first_substituted = -1;
   for (const auto& [client, iters] : affected_iters) {
     for (int64_t t : iters) {
-      StreamId id;
-      id.purpose = RngPurpose::kMinibatchSampling;
-      id.generation = trainer_->generation();
-      id.round = static_cast<uint64_t>((t - 1) / e + 1);
-      id.client = static_cast<uint64_t>(client);
-      id.iteration = static_cast<uint64_t>(t);
-      RngStream stream(trainer_->config().seed, id);
-      const int64_t batch_size = std::min<int64_t>(
-          trainer_->b(), trainer_->data()->num_active_samples(client));
-      if (batch_size <= 0) {
-        // Unreachable after the emptiness pre-check; kept as defense in
-        // depth so a future caller bug degrades to an error, not an abort.
-        return Status::FailedPrecondition(
-            "client has no active samples left to draw a substitute batch");
-      }
-      trainer_->SubstituteMinibatch(
-          t, client, runtime.SampleMinibatch(client, batch_size, &stream));
+      FATS_RETURN_NOT_OK(trainer_->RedrawMinibatch(t, client));
       t_first_substituted = (t_first_substituted == -1)
                                 ? t
                                 : std::min(t_first_substituted, t);

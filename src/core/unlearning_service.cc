@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fl/client.h"
-#include "fl/server.h"
 #include "util/stopwatch.h"
 
 namespace fats {
@@ -87,22 +85,6 @@ UnlearningService::Triage UnlearningService::TriageRequest(
   return triage;
 }
 
-std::vector<int64_t> UnlearningService::UniqueClients(
-    const std::vector<int64_t>& multiset) const {
-  std::vector<uint8_t> seen(
-      static_cast<size_t>(trainer_->data()->num_clients()), 0);
-  std::vector<int64_t> unique;
-  unique.reserve(multiset.size());
-  for (int64_t k : multiset) {
-    uint8_t& flag = seen[static_cast<size_t>(k)];
-    if (flag == 0) {
-      flag = 1;
-      unique.push_back(k);
-    }
-  }
-  return unique;
-}
-
 Result<int64_t> UnlearningService::ApplySampleDeletion(
     const SampleRef& target, int64_t t_max, ServiceFlushStats* stats) {
   FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
@@ -122,26 +104,8 @@ Result<int64_t> UnlearningService::ApplySampleDeletion(
   trainer_->BumpGeneration();
   if (uses.empty()) return -1;
 
-  const int64_t e = trainer_->config().local_iters_e;
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
   for (int64_t t : uses) {
-    StreamId id;
-    id.purpose = RngPurpose::kMinibatchSampling;
-    id.generation = trainer_->generation();
-    id.round = static_cast<uint64_t>((t - 1) / e + 1);
-    id.client = static_cast<uint64_t>(target.client);
-    id.iteration = static_cast<uint64_t>(t);
-    RngStream stream(trainer_->config().seed, id);
-    const int64_t batch_size = std::min<int64_t>(
-        trainer_->b(), trainer_->data()->num_active_samples(target.client));
-    if (batch_size <= 0) {
-      // Unreachable after Submit-time validation; defense in depth.
-      return Status::FailedPrecondition(
-          "client has no active samples left to draw a substitute batch");
-    }
-    trainer_->SubstituteMinibatch(
-        t, target.client,
-        runtime.SampleMinibatch(target.client, batch_size, &stream));
+    FATS_RETURN_NOT_OK(trainer_->RedrawMinibatch(t, target.client));
   }
   stats->substituted_batches += static_cast<int64_t>(uses.size());
   stats->sequential_replayed_iterations += t_max - uses.front() + 1;
@@ -162,41 +126,11 @@ Result<int64_t> UnlearningService::ApplyClientRemoval(
   trainer_->TruncateStoreFromIteration(t_restart);
   trainer_->BumpGeneration();
 
-  // Redraw the truncated rounds' sampling history exactly as
-  // FatsTrainer::Run would — same stream addresses, same active-set state —
-  // but without computing any model. The single coalesced replay at the end
-  // of Flush supplies the model trajectory.
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
+  // Redraw the truncated rounds' sampling history from the changed measure
+  // without computing any model. The single coalesced replay at the end of
+  // Flush supplies the model trajectory.
   for (int64_t r = r_actual; r <= r_last; ++r) {
-    StreamId sel_id;
-    sel_id.purpose = RngPurpose::kClientSampling;
-    sel_id.generation = trainer_->generation();
-    sel_id.round = static_cast<uint64_t>(r);
-    RngStream sel_stream(trainer_->config().seed, sel_id);
-    std::vector<int64_t> selection = ServerRuntime::SampleClientsWithReplacement(
-        *trainer_->data(), trainer_->K(), &sel_stream);
-    const std::vector<int64_t> participants = UniqueClients(selection);
-    trainer_->RecordClientSelection(r, std::move(selection));
-    const int64_t t_round_end = std::min(r * e, t_max);
-    for (int64_t t = (r - 1) * e + 1; t <= t_round_end; ++t) {
-      for (int64_t client : participants) {
-        StreamId batch_id;
-        batch_id.purpose = RngPurpose::kMinibatchSampling;
-        batch_id.generation = trainer_->generation();
-        batch_id.round = static_cast<uint64_t>(r);
-        batch_id.client = static_cast<uint64_t>(client);
-        batch_id.iteration = static_cast<uint64_t>(t);
-        RngStream stream(trainer_->config().seed, batch_id);
-        const int64_t batch_size = std::min<int64_t>(
-            trainer_->b(), trainer_->data()->num_active_samples(client));
-        if (batch_size <= 0) {
-          return Status::FailedPrecondition(
-              "client has no active samples left to draw a batch");
-        }
-        trainer_->SubstituteMinibatch(
-            t, client, runtime.SampleMinibatch(client, batch_size, &stream));
-      }
-    }
+    FATS_RETURN_NOT_OK(trainer_->RedrawRound(r, t_max));
   }
   stats->redrawn_rounds += r_last - r_actual + 1;
   stats->sequential_replayed_iterations += t_max - t_restart + 1;

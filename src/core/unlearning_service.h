@@ -10,16 +10,17 @@
 // replay, from the earliest iteration any pending request affected.
 //
 // Why one replay is exact: every history rewrite a request induces is
-// model-independent. A sample deletion substitutes the affected recorded
-// mini-batches with fresh draws keyed by (seed, generation, round, client,
-// iteration) and the reduced active set; a client removal truncates the
-// store and redraws client selections and mini-batches for the truncated
-// rounds with the same stream keys Run would use. Neither consults model
-// parameters. Processing the queue in order therefore produces bit-for-bit
-// the same final sampling history as running the unlearners sequentially —
-// and the final model is a deterministic function of that history, computed
-// by a single ReplayFrom(earliest affected iteration) instead of one replay
-// per request. (Communication counters differ: that saving is the point.)
+// model-independent, and the trainer performs it. A sample deletion re-draws
+// the affected recorded mini-batches (FatsTrainer::RedrawMinibatch) from the
+// reduced active set; a client removal truncates the store and re-draws the
+// truncated rounds' selections and mini-batches (FatsTrainer::RedrawRound)
+// from the changed measure. The service builds no stream key and computes
+// no batch size; neither rewrite consults model parameters. Processing the
+// queue in order therefore produces bit-for-bit the same final sampling
+// history as running the unlearners sequentially — and the final model is a
+// deterministic function of that history, computed by a single
+// ReplayFrom(earliest affected iteration) instead of one replay per request.
+// (Communication counters differ: that saving is the point.)
 //
 // Queue semantics: Submit validates against the *pending* state — the
 // dataset as it will be once the queue flushes — so a request that would
@@ -142,21 +143,15 @@ class UnlearningService {
     }
   };
 
-  /// First-occurrence-order unique clients of a selection multiset
-  /// (mirrors FatsTrainer::UniqueClients; the order fixes the reduction
-  /// order during replay).
-  std::vector<int64_t> UniqueClients(const std::vector<int64_t>& multiset) const;
-
   /// Applies one sample deletion: removes the sample, bumps the
-  /// generation, substitutes every affected recorded batch via the
-  /// inverted index. Returns the first substituted iteration or -1.
+  /// generation, re-draws every affected recorded batch found via the
+  /// inverted index. Returns the first re-drawn iteration or -1.
   Result<int64_t> ApplySampleDeletion(const SampleRef& target,
                                       int64_t t_max, ServiceFlushStats* stats);
 
   /// Applies one client removal: removes the client; when it participated,
-  /// truncates the store, bumps the generation, and redraws the truncated
-  /// rounds' selections and mini-batches exactly as Run would. Returns the
-  /// restart iteration or -1.
+  /// truncates the store, bumps the generation, and re-draws the truncated
+  /// rounds' history round by round. Returns the restart iteration or -1.
   Result<int64_t> ApplyClientRemoval(int64_t target, int64_t t_max,
                                      ServiceFlushStats* stats);
 

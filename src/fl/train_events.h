@@ -21,9 +21,10 @@
 
 namespace fats {
 
-/// Which trainer entry point a pass runs under. Recovery must resume an
-/// interrupted pass through the same entry point: Run redraws sampling from
-/// streams, ReplayFrom consumes the stored history.
+/// Where a trainer pass (FatsTrainer::RunPass) takes its sampling history
+/// from. Recovery must resume an interrupted pass with the same kind: kRun
+/// draws the history from streams and records it, kReplay consumes the
+/// stored history.
 enum class TrainPassKind : uint8_t {
   kRun = 0,
   kReplay = 1,
@@ -35,7 +36,7 @@ enum class TrainPassKind : uint8_t {
 /// every draw is a pure function of its stream key).
 struct IterationMark {
   int64_t iteration = 0;       // t just committed
-  int64_t pass_end = 0;        // t_end of the enclosing Run/ReplayFrom
+  int64_t pass_end = 0;        // t_end of the enclosing RunPass
   int64_t trained_through = 0; // trainer progress marker after this commit
   uint64_t generation = 0;
   TrainPassKind pass = TrainPassKind::kRun;
@@ -66,7 +67,7 @@ class TrainEventSink {
   /// P^(r) saved for round r.
   virtual void OnClientSelection(int64_t round,
                                  const std::vector<int64_t>& selection) = 0;
-  /// B_k^(t) saved (drawn by Run or substituted by sample unlearning).
+  /// B_k^(t) saved (drawn by a kRun pass or re-drawn by unlearning).
   virtual void OnMinibatch(int64_t iteration, int64_t client,
                            const std::vector<int64_t>& indices) = 0;
   /// θ_k^(t) saved.

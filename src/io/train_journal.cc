@@ -409,11 +409,7 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
     // The interrupted pass may stop mid-round; restore its partial loss
     // accumulator so the re-executed round's mean_local_loss matches.
     trainer->SeedRoundLossAccumulator(m.round_loss_sum, m.round_loss_count);
-    if (m.pass == TrainPassKind::kReplay) {
-      trainer->ReplayFrom(m.iteration + 1, m.pass_end);
-    } else {
-      trainer->Run(m.iteration + 1, m.pass_end);
-    }
+    trainer->RunPass(m.iteration + 1, m.pass_end, m.pass);
     trainer->set_recomputation_mode(false);
   }
   FATS_RETURN_NOT_OK(session->status_);

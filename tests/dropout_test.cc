@@ -196,6 +196,11 @@ TEST(DropoutTest, UnlearningOnDroppedRunMatchesNoDropout) {
 
   SampleUnlearner du(dropped.trainer.get());
   SampleUnlearner cu(clean.trainer.get());
+  const int64_t retries_before = dropped.trainer->dropout_retries();
+  const int64_t dropped_down_before =
+      dropped.trainer->comm_stats().downlink_bytes();
+  const int64_t clean_down_before =
+      clean.trainer->comm_stats().downlink_bytes();
   Result<UnlearningOutcome> doc = du.Unlearn(target, kTotal);
   Result<UnlearningOutcome> coc = cu.Unlearn(target, kTotal);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
@@ -207,6 +212,11 @@ TEST(DropoutTest, UnlearningOnDroppedRunMatchesNoDropout) {
   // the unlearned models match bit for bit.
   EXPECT_TRUE(dropped.trainer->global_params().BitwiseEquals(
       clean.trainer->global_params()));
+  // The replay charges the schedule's retries and their re-broadcasts.
+  EXPECT_GT(dropped.trainer->dropout_retries(), retries_before);
+  EXPECT_GT(dropped.trainer->comm_stats().downlink_bytes() -
+                dropped_down_before,
+            clean.trainer->comm_stats().downlink_bytes() - clean_down_before);
 }
 
 TEST(DropoutTest, DifferentAvailabilitySeedsStillConverge) {

@@ -247,6 +247,74 @@ TEST(AnalyzeRngSharedStream, SuppressionDowngrades) {
   EXPECT_TRUE(HasRule(r, kRuleRngSharedStream, /*suppressed=*/true));
 }
 
+// --- Rule fixtures: sampling-key-owner ---
+
+TEST(AnalyzeSamplingKeyOwner, SamplingPurposeInCoreFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/unlearning_service.cc",
+      "void F(uint64_t seed, uint64_t generation) {\n"
+      "  StreamId id;\n"
+      "  id.purpose = RngPurpose::kMinibatchSampling;\n"
+      "  id.generation = generation;\n"
+      "  RngStream stream(seed, id);\n"
+      "}\n"
+      "StreamId G() { return MakeId(RngPurpose::kClientSampling); }\n");
+  EXPECT_EQ(ActiveRules(r),
+            (std::vector<std::string>{kRuleSamplingKeyOwner,
+                                      kRuleSamplingKeyOwner}));
+}
+
+TEST(AnalyzeSamplingKeyOwner, RedrawWrappersAndOtherPurposesAreClean) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/sample_unlearner.cc",
+      "Status F(FatsTrainer* trainer, uint64_t seed) {\n"
+      "  FATS_RETURN_NOT_OK(trainer->RedrawMinibatch(t, k));\n"
+      "  FATS_RETURN_NOT_OK(trainer->RedrawRound(r, t_max));\n"
+      "  StreamId id;\n"
+      "  id.purpose = RngPurpose::kModelInit;\n"
+      "  RngStream stream(seed, id);\n"
+      "  return Status::OK();\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+}
+
+TEST(AnalyzeSamplingKeyOwner, TrainerItselfIsExempt) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/fats_trainer.cc",
+      "std::vector<int64_t> FatsTrainer::DrawClientSelection(int64_t r) {\n"
+      "  StreamId id;\n"
+      "  id.purpose = RngPurpose::kClientSampling;\n"
+      "  RngStream stream(config_.seed, id);\n"
+      "  return Sample(&stream);\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+}
+
+TEST(AnalyzeSamplingKeyOwner, OutsideCoreIsExempt) {
+  // FedAvg and FR² draw under their own key semantics (local-step index,
+  // round offset, selection without replacement).
+  for (const char* path : {"src/fl/fedavg.cc", "src/baselines/fr2.cc"}) {
+    const AnalysisResult r = AnalyzeOne(
+        path,
+        "void F(StreamId* id) {\n"
+        "  id->purpose = RngPurpose::kClientSampling;\n"
+        "  id->purpose = RngPurpose::kMinibatchSampling;\n"
+        "}\n");
+    EXPECT_TRUE(ActiveRules(r).empty()) << path;
+  }
+}
+
+TEST(AnalyzeSamplingKeyOwner, SuppressionDowngrades) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/x.cc",
+      "void F(StreamId* id) {\n"
+      "  id->purpose = RngPurpose::kMinibatchSampling;  "
+      "// fats-lint: allow(sampling-key-owner)\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+  EXPECT_TRUE(HasRule(r, kRuleSamplingKeyOwner, /*suppressed=*/true));
+}
+
 // --- Rule fixtures: rng-unordered-draw ---
 // (src/data paths: the legacy unordered-iteration rule is scoped to
 // core/fl/baselines, so only the analyzer rule is in play here.)
@@ -584,7 +652,7 @@ TEST(AnalyzeStoreMutation, WrapperCallsAndReadsAreClean) {
       "src/core/unlearning_service.cc",
       "void G(FatsTrainer* trainer) {\n"
       "  trainer->TruncateStoreFromIteration(1);\n"
-      "  trainer->SubstituteMinibatch(t, k, batch);\n"
+      "  FATS_RETURN_NOT_OK(trainer->RedrawMinibatch(t, k));\n"
       "  const auto* b = trainer->store().GetMinibatch(t, k);\n"
       "  int64_t first = trainer->store().EarliestSampleUse(ref);\n"
       "}\n");

@@ -56,7 +56,7 @@ TEST(LazyDatasetTest, MatchesEagerBitwiseForEveryTaskKind) {
   // One profile per generator family: simulated-LDA image, natural-partition
   // image, and text. The cache holds 3 of 8 shards, so this walk also
   // exercises evict + regenerate, not just first touch.
-  for (const std::string& base : {"mnist", "femnist", "shakespeare"}) {
+  for (const char* base : {"mnist", "femnist", "shakespeare"}) {
     const DatasetProfile p = TinyProfile(base);
     const FederatedDataset eager = BuildFederatedData(p, 3);
     LazyDatasetOptions options;

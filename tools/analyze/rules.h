@@ -14,6 +14,13 @@
 //                      Per-task streams must be constructed inside the task
 //                      from pre-derived keys (slot-indexed receivers are
 //                      exempt for that reason).
+//   sampling-key-owner (src/core only) RngPurpose::kClientSampling or
+//                      kMinibatchSampling named outside fats_trainer.*: the
+//                      trainer is the one owner of the FATS sampling stream
+//                      keys (DrawClientSelection / DrawMinibatch), and core
+//                      code re-draws history through RedrawMinibatch /
+//                      RedrawRound — a second copy of the key derivation can
+//                      drift from the one the round loop uses.
 //   rng-unordered-draw an RNG draw (or stream construction) inside a loop
 //                      over an unordered container: hash order decides the
 //                      draw order, so two runs consume the stream
@@ -82,6 +89,7 @@ namespace fats::analyze {
 inline constexpr const char kRuleRngRawKey[] = "rng-raw-key";
 inline constexpr const char kRuleRngSharedStream[] = "rng-shared-stream";
 inline constexpr const char kRuleRngUnorderedDraw[] = "rng-unordered-draw";
+inline constexpr const char kRuleSamplingKeyOwner[] = "sampling-key-owner";
 inline constexpr const char kRuleNondetReduction[] = "nondet-reduction";
 inline constexpr const char kRuleFailpointGap[] = "failpoint-gap";
 inline constexpr const char kRuleDiscardedStatus[] = "discarded-status";

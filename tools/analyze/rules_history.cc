@@ -94,14 +94,18 @@ void CheckHistoryResidency(const FileModel& model,
           IsPunct(tokens, after + 1, "{"))) {
       continue;
     }
-    AddFinding(model, kRuleResidentHistory, name.line,
-               "'" + std::string(name.text) +
-                   "' keeps one resident index list per record; per-record "
-                   "history in src/fl must live in a state::HistoryLog "
-                   "(compressed blocks, segment spill — DESIGN.md §7.8) so "
-                   "RSS stays bounded at M=10^6 clients. If this is an O(1) "
-                   "triage index, suppress with "
-                   "// fats-lint: allow(resident-history)",
+    // Sequential appends: gcc 12 -O3 reports a false -Wrestrict on a
+    // "literal" + std::string chain (GCC bug 105651).
+    std::string message = "'";
+    message += name.text;
+    message +=
+        "' keeps one resident index list per record; per-record "
+        "history in src/fl must live in a state::HistoryLog "
+        "(compressed blocks, segment spill — DESIGN.md §7.8) so "
+        "RSS stays bounded at M=10^6 clients. If this is an O(1) "
+        "triage index, suppress with "
+        "// fats-lint: allow(resident-history)";
+    AddFinding(model, kRuleResidentHistory, name.line, std::move(message),
                findings);
     i = after;
   }

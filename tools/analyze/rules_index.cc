@@ -29,8 +29,8 @@ const std::set<std::string_view>& NotAReturnType() {
 
 std::vector<std::string> AnalyzerRules() {
   return {kRuleRngRawKey,      kRuleRngSharedStream,     kRuleRngUnorderedDraw,
-          kRuleNondetReduction, kRuleFailpointGap,       kRuleDiscardedStatus,
-          kRuleLayerOrder,     kRuleLayerCycle,
+          kRuleSamplingKeyOwner, kRuleNondetReduction,   kRuleFailpointGap,
+          kRuleDiscardedStatus, kRuleLayerOrder,         kRuleLayerCycle,
           kRuleStoreMutationBypass, kRuleRawWire, kRuleTileOverlap,
           kRuleResidentHistory};
 }

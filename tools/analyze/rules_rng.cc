@@ -1,5 +1,5 @@
 // RNG stream discipline (rule family 1): rng-raw-key, rng-shared-stream,
-// rng-unordered-draw.  See rules.h for the catalog.
+// sampling-key-owner, rng-unordered-draw.  See rules.h for the catalog.
 
 #include <algorithm>
 
@@ -135,6 +135,33 @@ void CheckSharedStreams(const FileModel& model,
   }
 }
 
+// Reports the FATS sampling purposes named in src/core outside the trainer.
+// FedAvg (src/fl) and FR² (src/baselines) draw under their own key
+// semantics and are out of scope.
+void CheckSamplingKeyOwner(const FileModel& model,
+                           std::vector<lint::Finding>* findings) {
+  const std::string& path = model.source->path;
+  if (path.find("src/core/") == std::string::npos ||
+      path.find("fats_trainer") != std::string::npos) {
+    return;
+  }
+  for (const Token& token : model.tokens) {
+    if (token.kind != TokKind::kIdent) continue;
+    if (token.text != "kClientSampling" &&
+        token.text != "kMinibatchSampling") {
+      continue;
+    }
+    std::string message = "FATS sampling stream key (RngPurpose::";
+    message += token.text;
+    message +=
+        ") built outside FatsTrainer: the trainer owns the selection and "
+        "mini-batch keys; re-draw history through "
+        "FatsTrainer::RedrawMinibatch / RedrawRound instead";
+    AddFinding(model, kRuleSamplingKeyOwner, token.line, std::move(message),
+               findings);
+  }
+}
+
 // Reports draws (or stream constructions) inside unordered-container loops.
 void CheckUnorderedDraws(const FileModel& model,
                          std::vector<lint::Finding>* findings) {
@@ -166,6 +193,7 @@ void CheckRngDiscipline(const FileModel& model,
                         std::vector<lint::Finding>* findings) {
   CheckRawKeys(model, findings);
   CheckSharedStreams(model, findings);
+  CheckSamplingKeyOwner(model, findings);
   CheckUnorderedDraws(model, findings);
 }
 

@@ -2,7 +2,7 @@
 // trainer's StateStore keeps inverted participation indices (sample ->
 // use-iterations, client -> participation-rounds) maintained incrementally
 // by its own Save*/Truncate methods, and the trainer wraps those in
-// SubstituteMinibatch / RecordClientSelection / TruncateStoreFromIteration
+// RedrawMinibatch / RedrawRound / TruncateStoreFromIteration
 // so the durable event sink sees every history rewrite.  Core code that
 // grabs the store and mutates it directly —
 //
@@ -63,8 +63,8 @@ void CheckStoreMutation(const FileModel& model,
                "direct StateStore mutation '" + std::string(tokens[i].text) +
                    "' bypasses the trainer's event sink and the store's "
                    "incremental index maintenance contract; call the "
-                   "trainer's wrapper (SubstituteMinibatch / "
-                   "RecordClientSelection / TruncateStoreFromIteration) "
+                   "trainer's wrapper (RedrawMinibatch / RedrawRound / "
+                   "TruncateStoreFromIteration) "
                    "instead",
                findings);
   }

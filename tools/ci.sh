@@ -106,6 +106,11 @@ if [[ "$PRESET" == "release" ]]; then
   else
     echo "bench gate: no BENCH_state.json baseline; ran benchmarks only"
   fi
+  # End-to-end harness smoke: builds e2ebench/ and runs all three workloads
+  # at tiny sizes in both modes. Its traced mode drives a TimingSink that
+  # relies on the trainer's per-pass event order, and every run must
+  # reproduce its recorded work ledger.
+  python3 e2ebench/smoke.py
 else
   echo "bench gate: skipped (preset $PRESET; benches run on release only)"
 fi
