@@ -1,6 +1,7 @@
-// Benchmarks (google-benchmark) for the fault-tolerant transport: frame
-// codec throughput, reliable-channel delivery under increasing loss, and
-// the end-to-end cost of putting a FATS training round on the wire.
+// Benchmarks (google-benchmark) for the fault-tolerant transport: CRC-32
+// and frame codec throughput, reliable-channel delivery under increasing
+// loss, and the end-to-end cost of putting a FATS training round on the
+// wire.
 //
 // Feeds the bench-regression smoke: tools/ci.sh runs this binary with
 // --benchmark_out=BENCH_transport_current.json and tools/bench_check
@@ -27,6 +28,7 @@
 #include "transport/reliable_channel.h"
 #include "transport/transport.h"
 #include "transport/wire_format.h"
+#include "util/crc32.h"
 
 namespace fats {
 namespace {
@@ -81,6 +83,23 @@ void BM_FrameDecode(benchmark::State& state) {
                           static_cast<int64_t>(frame.size()));
 }
 BENCHMARK(BM_FrameDecode)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+
+// The checksum every frame, journal record and spill block pays, at a
+// frame header (44 B), the million-client model payload (4,120 B) and a
+// spill-block-sized buffer (64 KiB).
+void BM_Crc32(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::string bytes(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<char>((i * 131u + 7u) & 0xFFu);
+  }
+  for (auto _ : state) {
+    uint32_t crc = Crc32(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(len));
+}
+BENCHMARK(BM_Crc32)->Arg(44)->Arg(4120)->Arg(65536);
 
 // One logical model delivery per iteration at drop rates 0% / 5% / 20%.
 // The fault schedule is a pure function of the address, so the sweep is

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   FlagParser flags;
   int64_t* clients = flags.AddInt("clients", 1000000, "federation size M");
   int64_t* rounds = flags.AddInt("rounds", 3, "training rounds R");
-  int64_t* threads = flags.AddInt("threads", 2, "worker threads");
+  int64_t* threads = flags.AddInt("threads", 1, "worker threads");
   int64_t* rss_cap_mb = flags.AddInt(
       "rss-cap-mb", 512,
       "fail (exit 1) if peak RSS exceeds this many MiB; 0 disables");

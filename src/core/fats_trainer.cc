@@ -1,6 +1,7 @@
 #include "core/fats_trainer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "fl/client.h"
 #include "fl/server.h"
@@ -9,6 +10,34 @@
 #include "util/logging.h"
 
 namespace fats {
+namespace {
+
+// Unique clients of the multiset in first-occurrence order, in O(K log K)
+// and independent of M: sort (client, slot) pairs, keep the lowest slot of
+// each client, then emit in slot order. The output order is load-bearing —
+// it fixes the reduction order, so it is part of the determinism contract.
+std::vector<int64_t> UniqueClients(const std::vector<int64_t>& multiset) {
+  std::vector<std::pair<int64_t, size_t>> by_client;
+  by_client.reserve(multiset.size());
+  for (size_t slot = 0; slot < multiset.size(); ++slot) {
+    by_client.emplace_back(multiset[slot], slot);
+  }
+  std::sort(by_client.begin(), by_client.end());
+  std::vector<uint8_t> first(multiset.size(), 0);
+  for (size_t j = 0; j < by_client.size(); ++j) {
+    if (j == 0 || by_client[j].first != by_client[j - 1].first) {
+      first[by_client[j].second] = 1;
+    }
+  }
+  std::vector<int64_t> unique;
+  unique.reserve(multiset.size());
+  for (size_t slot = 0; slot < multiset.size(); ++slot) {
+    if (first[slot] != 0) unique.push_back(multiset[slot]);
+  }
+  return unique;
+}
+
+}  // namespace
 
 FatsTrainer::FatsTrainer(const ModelSpec& spec, const FatsConfig& config,
                          FederatedDataset* data)
@@ -63,25 +92,6 @@ Tensor FatsTrainer::TransferModel(transport::Direction direction,
                                 delivered->retransmit_bytes);
   if (delivered->forced) ++transport_forced_deliveries_;
   return std::move(delivered->params);
-}
-
-std::vector<int64_t> FatsTrainer::UniqueClients(
-    const std::vector<int64_t>& multiset) const {
-  // First-occurrence-order dedup with a seen-flag vector: O(K + M) where
-  // the old std::find scan was O(K²). The output order is load-bearing —
-  // it fixes the reduction order, so parallel and serial runs aggregate in
-  // the same sequence.
-  std::vector<uint8_t> seen(static_cast<size_t>(data_->num_clients()), 0);
-  std::vector<int64_t> unique;
-  unique.reserve(multiset.size());
-  for (int64_t k : multiset) {
-    uint8_t& flag = seen[static_cast<size_t>(k)];
-    if (flag == 0) {
-      flag = 1;
-      unique.push_back(k);
-    }
-  }
-  return unique;
 }
 
 void FatsTrainer::Train() { TrainUntil(config_.total_iters_t()); }

@@ -227,12 +227,6 @@ class FatsTrainer {
                        int64_t iteration, int64_t client, uint32_t seq,
                        const transport::EncodedModel& model);
 
-  /// Unique clients of the multiset, preserving first-occurrence order
-  /// (the output order drives the reduction order, so it is part of the
-  /// determinism contract).
-  std::vector<int64_t> UniqueClients(
-      const std::vector<int64_t>& multiset) const;
-
   /// The two FATS sampling draws, keyed by (seed, generation, round,
   /// client, iteration) at the current generation: round `round`'s client
   /// multiset, and client `client`'s size-min(b, active) mini-batch at

@@ -6,14 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/train_journal.h"
+#include "rng/philox.h"
 #include "test_workloads.h"
 #include "util/failpoint.h"
 
@@ -37,6 +40,35 @@ void WriteFile(const std::string& path, const std::string& contents) {
 
 constexpr int64_t kHeaderBytes = 12;  // "FATSJRN1" + u32 version
 
+// The byte-at-a-time table loop that the production slicing-by-16 loop
+// replaced: the oracle every Crc32 output must match bit for bit, so
+// journal, wire and spill checksums written by older builds still verify.
+uint32_t ReferenceCrc32(const unsigned char* bytes, size_t len, uint32_t seed) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      table[i] = crc;
+    }
+    return table;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> PhiloxBytes(size_t len, uint64_t key) {
+  PhiloxEngine engine(key);
+  std::vector<unsigned char> bytes(len);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(engine());
+  return bytes;
+}
+
 TEST(Crc32Test, KnownVectors) {
   // The IEEE reflected CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
@@ -44,12 +76,37 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32("a", 1), 0xE8B7BE43u);
 }
 
+TEST(Crc32Test, MatchesByteAtATimeOracleAtEveryLengthOffsetAndSeed) {
+  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kMaxOffset = 15;
+  const std::vector<unsigned char> buffer =
+      PhiloxBytes(kMaxLen + kMaxOffset, 0xC5C32u);
+  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+    for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      // Exact-size copies so an overrun past `len` is an ASan report.
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const std::vector<unsigned char> slice(
+            buffer.begin() + static_cast<std::ptrdiff_t>(offset),
+            buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
+        ASSERT_EQ(Crc32(slice.data(), len, seed),
+                  ReferenceCrc32(slice.data(), len, seed))
+            << "len " << len << " offset " << offset << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Crc32Test, ChainsAcrossCalls) {
-  const char* data = "the quick brown fox";
-  const size_t len = std::strlen(data);
-  const uint32_t whole = Crc32(data, len);
-  const uint32_t part = Crc32(data + 5, len - 5, Crc32(data, 5));
-  EXPECT_EQ(whole, part);
+  // Every split point of one model-sized (4,120-byte) frame.
+  const std::vector<unsigned char> frame = PhiloxBytes(4120, 0xF4A3Eu);
+  const uint32_t whole = Crc32(frame.data(), frame.size());
+  ASSERT_EQ(whole, ReferenceCrc32(frame.data(), frame.size(), 0));
+  for (size_t k = 0; k <= frame.size(); ++k) {
+    ASSERT_EQ(Crc32(frame.data() + k, frame.size() - k,
+                    Crc32(frame.data(), k)),
+              whole)
+        << "split at " << k;
+  }
 }
 
 TEST(JournalTest, CreateWritesHeaderOnly) {

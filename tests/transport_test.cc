@@ -14,6 +14,8 @@
 #include "transport/transport.h"
 #include "transport/wire_format.h"
 #include "tensor/tensor.h"
+#include "util/crc32.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace fats {
@@ -104,6 +106,55 @@ TEST(WireFormatTest, BitFlipAnywhereInPayloadIsRejectedByCrc) {
     EXPECT_FALSE(back.ok()) << "flip in payload byte " << byte;
     EXPECT_EQ(back.status().code(), StatusCode::kIoError);
   }
+}
+
+// Golden frame: the exact bytes EncodeFrame produces for one fixed message
+// with a 4,120-byte payload (the million-client model size). The header
+// CRC field and a CRC over the whole frame were recorded from the
+// byte-at-a-time CRC-32 and agree with zlib's crc32. Any change to the wire
+// layout or to the checksum output fails here, which is the proof that
+// frames, journal records and spill blocks written by older builds still
+// verify.
+TEST(WireFormatTest, GoldenFrameBytesArePinned) {
+  WireMessage m;
+  m.type = MessageType::kModelBroadcast;
+  m.round = 0x0102030405060708ull;
+  m.iteration = 4242;
+  m.client = 999983;
+  m.seq = 5;
+  m.payload.resize(4120);
+  for (size_t i = 0; i < m.payload.size(); ++i) {
+    m.payload[i] = static_cast<char>((i * 131u + (i >> 8) * 7u + 11u) & 0xFFu);
+  }
+  const std::string frame = transport::EncodeFrame(m);
+  ASSERT_EQ(frame.size(), 44u + 4120u);
+
+  std::string header_hex;
+  for (size_t i = 0; i < 44; ++i) {
+    header_hex += StrFormat("%02x", static_cast<unsigned char>(frame[i]));
+  }
+  EXPECT_EQ(header_hex,
+            "46575231" "01" "01" "0000"          // magic, version, type, flags
+            "0807060504030201"                   // round
+            "9210000000000000"                   // iteration
+            "2f420f0000000000"                   // client
+            "05000000" "18100000" "a318c4cb");   // seq, length, payload CRC
+  uint32_t header_crc = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    const auto byte = static_cast<unsigned char>(frame[40 + i]);
+    header_crc |= static_cast<uint32_t>(byte) << (8 * i);
+  }
+  EXPECT_EQ(header_crc, 0xCBC418A3u);
+  EXPECT_EQ(Crc32(frame.data(), frame.size()), 0xEE2F9962u);
+
+  Result<WireMessage> back = transport::DecodeFrame(frame);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->payload, m.payload);
+  std::string flipped = frame;
+  flipped[44 + 2059] ^= 0x04;
+  Result<WireMessage> rejected = transport::DecodeFrame(flipped);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kIoError);
 }
 
 TEST(WireFormatTest, ModelPayloadIsBitExact) {
