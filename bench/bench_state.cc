@@ -202,7 +202,7 @@ BENCHMARK(BM_TreeAggregate)->Arg(1)->Arg(4);
 void BM_LazyShardMaterialize(benchmark::State& state) {
   DatasetProfile profile = ScaledProfile("mnist").value();
   profile.clients_m = 64;
-  profile.samples_per_client_n = 32;
+  profile.samples_per_client_n = state.range(0);
   profile.test_size = 16;
   LazyDatasetOptions options;
   options.shard_cache_capacity = 8;
@@ -214,7 +214,11 @@ void BM_LazyShardMaterialize(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * profile.clients_m);
 }
-BENCHMARK(BM_LazyShardMaterialize)->Unit(benchmark::kMillisecond);
+// Arg is the shard size N: 8 is the million_clients shard shape, where any
+// per-shard fixed cost (a generator rebuilt per shard, say) stands out; 32
+// weighs the per-sample draws.
+BENCHMARK(BM_LazyShardMaterialize)->Arg(8)->Arg(32)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace fats

@@ -204,20 +204,21 @@ InMemoryDataset GenerateClientHoldout(const DatasetProfile& profile,
       SyntheticImageConfig cfg = profile.image;
       cfg.seed = SplitMix64(cfg.seed ^ seed);
       SyntheticImageGenerator gen(cfg);
-      std::vector<std::vector<double>> proportions = DrawLdaClassProportions(
-          profile.clients_m, cfg.num_classes, profile.dirichlet_beta,
-          cfg.seed + 1);
-      return gen.Generate(n, proportions[static_cast<size_t>(client)],
-                          /*style_client=*/-1, holdout_stream);
+      return gen.Generate(
+          n,
+          DrawLdaClassProportionsFor(client, cfg.num_classes,
+                                     profile.dirichlet_beta, cfg.seed + 1),
+          /*style_client=*/-1, holdout_stream);
     }
     case TaskKind::kImageNatural: {
       SyntheticImageConfig cfg = profile.image;
       cfg.seed = SplitMix64(cfg.seed ^ seed);
       SyntheticImageGenerator gen(cfg);
-      std::vector<std::vector<double>> proportions = DrawLdaClassProportions(
-          profile.clients_m, cfg.num_classes, /*beta=*/2.0, cfg.seed + 1);
-      return gen.Generate(n, proportions[static_cast<size_t>(client)],
-                          /*style_client=*/client, holdout_stream);
+      return gen.Generate(
+          n,
+          DrawLdaClassProportionsFor(client, cfg.num_classes, /*beta=*/2.0,
+                                     cfg.seed + 1),
+          /*style_client=*/client, holdout_stream);
     }
     case TaskKind::kText: {
       SyntheticTextConfig cfg = profile.text;
@@ -332,27 +333,27 @@ FederatedDataset BuildLazyFederatedData(const DatasetProfile& profile,
   InMemoryDataset test;
   FederatedDataset::ShardGenerator generator;
 
-  // Each branch captures the derived config by value and regenerates client
-  // k's shard exactly as the corresponding BuildFederatedData loop body
-  // does: the generator object is deterministic in its config, per-client
-  // LDA proportions come from per-client keyed streams, and the sample
-  // stream seed is a pure function of k. Lazy shards are therefore bitwise
-  // identical to the eager build's.
+  // Each branch builds its generator once, uses it for the test set, and
+  // captures it by value; the lambda regenerates client k's shard exactly as
+  // the corresponding BuildFederatedData loop body does: the generator is
+  // deterministic in its config, per-client LDA proportions come from
+  // per-client keyed streams, and the sample stream seed is a pure function
+  // of k. Lazy shards are therefore bitwise identical to the eager build's,
+  // and a shard costs only its LDA row and its N x d sample draws.
   switch (profile.task) {
     case TaskKind::kImageSimulated: {
       SyntheticImageConfig cfg = profile.image;
       cfg.seed = SplitMix64(cfg.seed ^ seed);
       const double beta = profile.dirichlet_beta;
-      generator = [cfg, n, beta](int64_t k) {
-        SyntheticImageGenerator gen(cfg);
+      const SyntheticImageGenerator gen(cfg);
+      generator = [gen, n, beta](int64_t k) {
         return gen.Generate(
             n,
-            DrawLdaClassProportionsFor(k, cfg.num_classes, beta,
-                                       cfg.seed + 1),
+            DrawLdaClassProportionsFor(k, gen.config().num_classes, beta,
+                                       gen.config().seed + 1),
             /*style_client=*/-1,
             /*sample_stream_seed=*/static_cast<uint64_t>(k) + 1000);
       };
-      SyntheticImageGenerator gen(cfg);
       test = gen.Generate(profile.test_size, /*class_probs=*/{},
                           /*style_client=*/-1, /*sample_stream_seed=*/1);
       break;
@@ -360,16 +361,15 @@ FederatedDataset BuildLazyFederatedData(const DatasetProfile& profile,
     case TaskKind::kImageNatural: {
       SyntheticImageConfig cfg = profile.image;
       cfg.seed = SplitMix64(cfg.seed ^ seed);
-      generator = [cfg, n](int64_t k) {
-        SyntheticImageGenerator gen(cfg);
+      const SyntheticImageGenerator gen(cfg);
+      generator = [gen, n](int64_t k) {
         return gen.Generate(
             n,
-            DrawLdaClassProportionsFor(k, cfg.num_classes, /*beta=*/2.0,
-                                       cfg.seed + 1),
+            DrawLdaClassProportionsFor(k, gen.config().num_classes,
+                                       /*beta=*/2.0, gen.config().seed + 1),
             /*style_client=*/k,
             /*sample_stream_seed=*/static_cast<uint64_t>(k) + 1000);
       };
-      SyntheticImageGenerator gen(cfg);
       const int64_t test_clients = std::min<int64_t>(m, 40);
       const int64_t per_client =
           std::max<int64_t>(1, profile.test_size / test_clients);
@@ -385,11 +385,10 @@ FederatedDataset BuildLazyFederatedData(const DatasetProfile& profile,
     case TaskKind::kText: {
       SyntheticTextConfig cfg = profile.text;
       cfg.seed = SplitMix64(cfg.seed ^ seed);
-      generator = [cfg, n](int64_t k) {
-        SyntheticTextGenerator gen(cfg);
+      const SyntheticTextGenerator gen(cfg);
+      generator = [gen, n](int64_t k) {
         return gen.Generate(n, k, static_cast<uint64_t>(k) + 1000);
       };
-      SyntheticTextGenerator gen(cfg);
       const int64_t test_clients = std::min<int64_t>(m, 40);
       const int64_t per_client =
           std::max<int64_t>(1, profile.test_size / test_clients);

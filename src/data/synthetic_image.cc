@@ -25,24 +25,35 @@ std::vector<float> SyntheticImageGenerator::StyledPrototype(
     int64_t c, int64_t style_client) const {
   FATS_CHECK(c >= 0 && c < config_.num_classes);
   const int64_t d = config_.feature_dim;
-  std::vector<float> proto(
-      prototypes_.begin() + c * d, prototypes_.begin() + (c + 1) * d);
-  if (style_client < 0 || config_.style_strength == 0.0) return proto;
+  const std::vector<float> all = StyledPrototypes(style_client);
+  return std::vector<float>(all.begin() + c * d, all.begin() + (c + 1) * d);
+}
+
+std::vector<float> SyntheticImageGenerator::StyledPrototypes(
+    int64_t style_client) const {
+  std::vector<float> protos = prototypes_;
+  if (style_client < 0 || config_.style_strength == 0.0) return protos;
   // Client-specific warp: a deterministic shift and coordinate rescale drawn
-  // from the client's own style stream (same for all classes of the client).
+  // once from the client's own style stream and applied to every class.
   StreamId id;
   id.purpose = RngPurpose::kDataGeneration;
   id.client = static_cast<uint64_t>(style_client);
   id.iteration = 1;  // style sub-stream
   RngStream rng(config_.seed, id);
   const double s = config_.style_strength;
-  for (int64_t j = 0; j < d; ++j) {
-    const double shift = s * rng.NextGaussian();
-    const double scale = 1.0 + s * 0.5 * rng.NextGaussian();
-    proto[static_cast<size_t>(j)] =
-        static_cast<float>(proto[static_cast<size_t>(j)] * scale + shift);
+  std::vector<double> shift(static_cast<size_t>(config_.feature_dim));
+  std::vector<double> scale(shift.size());
+  for (size_t j = 0; j < shift.size(); ++j) {
+    shift[j] = s * rng.NextGaussian();
+    scale[j] = 1.0 + s * 0.5 * rng.NextGaussian();
   }
-  return proto;
+  for (size_t row = 0; row < protos.size(); row += shift.size()) {
+    for (size_t j = 0; j < shift.size(); ++j) {
+      protos[row + j] =
+          static_cast<float>(protos[row + j] * scale[j] + shift[j]);
+    }
+  }
+  return protos;
 }
 
 InMemoryDataset SyntheticImageGenerator::Generate(
@@ -67,19 +78,14 @@ InMemoryDataset SyntheticImageGenerator::Generate(
   Tensor features({std::max<int64_t>(n, 1), d});
   std::vector<int64_t> labels;
   labels.reserve(static_cast<size_t>(n));
-  // Cache the styled prototypes once.
-  std::vector<std::vector<float>> styled;
-  styled.reserve(static_cast<size_t>(config_.num_classes));
-  for (int64_t c = 0; c < config_.num_classes; ++c) {
-    styled.push_back(StyledPrototype(c, style_client));
-  }
+  const std::vector<float> styled = StyledPrototypes(style_client);
   for (int64_t i = 0; i < n; ++i) {
     const int64_t c = SampleCategorical(probs, &rng);
     labels.push_back(c);
-    const std::vector<float>& proto = styled[static_cast<size_t>(c)];
+    const float* proto = styled.data() + c * d;
     float* row = features.data() + i * d;
     for (int64_t j = 0; j < d; ++j) {
-      row[j] = proto[static_cast<size_t>(j)] +
+      row[j] = proto[j] +
                static_cast<float>(config_.noise_stddev * rng.NextGaussian());
     }
   }

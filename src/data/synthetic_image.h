@@ -53,6 +53,11 @@ class SyntheticImageGenerator {
   std::vector<float> StyledPrototype(int64_t c, int64_t style_client) const;
 
  private:
+  /// All class prototypes, (num_classes x feature_dim) row-major, under the
+  /// style warp of `style_client`. The warp is drawn once per call and
+  /// applied to every class.
+  std::vector<float> StyledPrototypes(int64_t style_client) const;
+
   SyntheticImageConfig config_;
   std::vector<float> prototypes_;  // (num_classes x feature_dim)
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/sample_unlearner.h"
 #include "data/federated_dataset.h"
 #include "data/paper_configs.h"
+#include "util/crc32.h"
 
 namespace fats {
 namespace {
@@ -73,6 +75,67 @@ TEST(LazyDatasetTest, MatchesEagerBitwiseForEveryTaskKind) {
         lazy.client_data(0).features()));
     EXPECT_EQ(lazy.shard_generations(), 9);
   }
+}
+
+// CRC-32 of a dataset's feature bytes and of its label bytes.
+struct DataPin {
+  uint32_t features;
+  uint32_t labels;
+};
+
+DataPin PinOf(const InMemoryDataset& ds) {
+  return {Crc32(ds.features().data(),
+                static_cast<size_t>(ds.features().size()) * sizeof(float)),
+          Crc32(ds.labels().data(), ds.labels().size() * sizeof(int64_t))};
+}
+
+std::string Hex(uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x", v);
+  return buf;
+}
+
+void ExpectPin(const InMemoryDataset& ds, DataPin want,
+               const std::string& what) {
+  const DataPin got = PinOf(ds);
+  EXPECT_EQ(Hex(got.features), Hex(want.features)) << what << " features";
+  EXPECT_EQ(Hex(got.labels), Hex(want.labels)) << what << " labels";
+}
+
+// Golden digests of synthesized data, recorded before any change to the
+// generators. The lazy-vs-eager test above cannot catch a change that moves
+// both builds together; these pins can. A generator optimization must keep
+// every pin; a deliberate change of the synthetic data must re-record them.
+TEST(LazyDatasetTest, SynthesizedDataMatchesGoldenPins) {
+  struct ShardPin {
+    const char* base;
+    int64_t client;  // -1 pins the global test set
+    DataPin pin;
+  };
+  const ShardPin pins[] = {
+      {"mnist", 0, {0xd268606cu, 0x5a980595u}},
+      {"mnist", 7, {0x7dbc8bf5u, 0x697c2d6fu}},
+      {"femnist", 3, {0xefb7636du, 0x362b2eafu}},
+      {"femnist", -1, {0xfe224139u, 0x31dd6f6au}},
+      {"shakespeare", 5, {0x53b76107u, 0xeacac235u}},
+  };
+  for (const ShardPin& pin : pins) {
+    const DatasetProfile p = TinyProfile(pin.base);
+    const FederatedDataset eager = BuildFederatedData(p, 3);
+    const FederatedDataset lazy = BuildLazyFederatedData(p, 3);
+    for (const FederatedDataset* data : {&eager, &lazy}) {
+      const std::string what = std::string(pin.base) +
+                               (data->lazy() ? " lazy" : " eager") +
+                               " client " + std::to_string(pin.client);
+      ExpectPin(pin.client < 0 ? data->global_test()
+                               : data->client_data(pin.client),
+                pin.pin, what);
+    }
+  }
+  ExpectPin(GenerateClientHoldout(TinyProfile("mnist"), 3, /*client=*/6, 12),
+            {0xf350d3bfu, 0xbc8905fbu}, "mnist holdout");
+  ExpectPin(GenerateClientHoldout(TinyProfile("femnist"), 3, /*client=*/2, 12),
+            {0x5d4b6bcfu, 0x3d9e168eu}, "femnist holdout");
 }
 
 TEST(LazyDatasetTest, RegenerationIsDeterministic) {

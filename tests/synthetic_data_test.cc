@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "data/synthetic_image.h"
@@ -91,6 +92,32 @@ TEST(SyntheticImageTest, StyleWarpShiftsPrototypes) {
   }
   EXPECT_GT(diff_a, 0.1);   // warp moves the prototype
   EXPECT_GT(diff_ab, 0.1);  // different clients get different warps
+}
+
+TEST(SyntheticImageTest, NoiselessRowsAreTheStyledPrototypes) {
+  // With no within-class noise every row Generate emits for a warped client
+  // is that client's styled prototype of the row's label, bit for bit: the
+  // rows and the public hook share one warp.
+  SyntheticImageConfig config = ImageConfig();
+  config.noise_stddev = 0.0;
+  config.style_strength = 0.4;
+  SyntheticImageGenerator gen(config);
+  const size_t row_bytes =
+      static_cast<size_t>(config.feature_dim) * sizeof(float);
+  for (int64_t client : {0, 3, 17}) {
+    InMemoryDataset ds = gen.Generate(64, {}, client, 9);
+    std::vector<bool> seen(static_cast<size_t>(config.num_classes), false);
+    for (int64_t i = 0; i < ds.size(); ++i) {
+      const int64_t label = ds.label(i);
+      seen[static_cast<size_t>(label)] = true;
+      const std::vector<float> proto = gen.StyledPrototype(label, client);
+      EXPECT_EQ(std::memcmp(ds.features().data() + i * config.feature_dim,
+                            proto.data(), row_bytes),
+                0)
+          << "client " << client << " row " << i;
+    }
+    for (bool s : seen) EXPECT_TRUE(s) << "every class should appear";
+  }
 }
 
 TEST(SyntheticImageTest, ZeroStyleStrengthIsNoop) {
