@@ -5,7 +5,7 @@
 // sampling-history distribution in a tiny instance (M=3, N=3, K=1, b=1,
 // R=2, E=1):
 //
-//   replay  — this library's SampleUnlearner: keep the client-selection
+//   replay  — this library's UnlearningService: keep the client-selection
 //             history, substitute only the target client's offending
 //             mini-batches with fresh draws from ξ(N−1,b), deterministically
 //             replay the models. This is the SU_r transport from the
@@ -31,7 +31,7 @@
 
 #include "bench_util.h"
 #include "core/compact_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -162,8 +162,12 @@ std::string RunUnlearn(Transport transport, uint64_t seed,
   trainer.Train();
   switch (transport) {
     case Transport::kReplay: {
-      SampleUnlearner unlearner(&trainer);
-      FATS_CHECK(unlearner.Unlearn(target, config.total_iters_t()).ok());
+      UnlearningService service(&trainer);
+      FATS_CHECK(service
+                     .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                      .sample = target,
+                                      .request_iter = config.total_iters_t()}})
+                     .ok());
       break;
     }
     case Transport::kRerun: {

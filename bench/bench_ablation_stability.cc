@@ -10,10 +10,8 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
 #include "core/tv_stability.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -70,14 +68,16 @@ int main(int argc, char** argv) {
       id.purpose = RngPurpose::kGeneric;
       id.iteration = static_cast<uint64_t>(trial);
       RngStream rng(14, id);
-      SampleUnlearner unlearner(&trainer);
-      UnlearningOutcome outcome =
-          unlearner
-              .Unlearn(PickRandomActiveSamples(data, 1, &rng)[0],
-                       config.total_iters_t())
+      UnlearningService service(&trainer);
+      const ServiceFlushStats stats =
+          service
+              .ExecuteStream(
+                  {{.kind = UnlearningRequest::Kind::kSample,
+                    .sample = PickRandomActiveSamples(data, 1, &rng)[0],
+                    .request_iter = config.total_iters_t()}})
               .value();
-      if (outcome.recomputed) ++recomputes;
-      steps += static_cast<double>(outcome.recomputed_iterations);
+      recomputes += static_cast<int>(stats.triggered_requests);
+      steps += static_cast<double>(stats.recomputed_iterations);
     }
     const double freq = static_cast<double>(recomputes) / *trials;
     const double theory = ExpectedUnlearningTimeSteps(
@@ -112,14 +112,16 @@ int main(int argc, char** argv) {
       id.purpose = RngPurpose::kGeneric;
       id.iteration = static_cast<uint64_t>(trial);
       RngStream rng(15, id);
-      ClientUnlearner unlearner(&trainer);
-      UnlearningOutcome outcome =
-          unlearner
-              .Unlearn(PickRandomActiveClients(data, 1, &rng)[0],
-                       config.total_iters_t())
+      UnlearningService service(&trainer);
+      const ServiceFlushStats stats =
+          service
+              .ExecuteStream(
+                  {{.kind = UnlearningRequest::Kind::kClient,
+                    .client = PickRandomActiveClients(data, 1, &rng)[0],
+                    .request_iter = config.total_iters_t()}})
               .value();
-      if (outcome.recomputed) ++recomputes;
-      steps += static_cast<double>(outcome.recomputed_iterations);
+      recomputes += static_cast<int>(stats.triggered_requests);
+      steps += static_cast<double>(stats.recomputed_iterations);
     }
     const double freq = static_cast<double>(recomputes) / *trials;
     const double theory = ExpectedUnlearningTimeSteps(

@@ -17,7 +17,7 @@
 #include "baselines/fr2.h"
 #include "baselines/frs.h"
 #include "bench_util.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "metrics/unlearning_metrics.h"
 #include "util/flags.h"
 
@@ -29,7 +29,7 @@ using bench::FedAvgOptionsFromProfile;
 struct ScenarioResult {
   TrainLog log;
   size_t request_index = 0;  // first post-unlearning record
-  int64_t recomputed_rounds = 0;
+  int64_t replayed_rounds = 0;
 };
 
 /// The round at which the unlearning request is issued: ~60% into
@@ -49,26 +49,29 @@ ScenarioResult RunFats(const DatasetProfile& profile, bool client_level,
   trainer.TrainUntil(t_issue);
   ScenarioResult result;
   result.request_index = trainer.log().records().size();
-  UnlearningExecutor executor(&trainer);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(seed + 500, id);
-  UnlearningSummary summary;
+  // The batch is simultaneous: one flush, one replay.
+  std::vector<UnlearningRequest> requests;
   if (client_level) {
-    summary = executor
-                  .ExecuteClientBatch(
-                      PickRandomActiveClients(data, num_requests, &rng),
-                      t_issue)
-                  .value();
+    for (int64_t client : PickRandomActiveClients(data, num_requests, &rng)) {
+      requests.push_back({.kind = UnlearningRequest::Kind::kClient,
+                          .client = client,
+                          .request_iter = t_issue});
+    }
   } else {
-    summary = executor
-                  .ExecuteSampleBatch(
-                      PickRandomActiveSamples(data, num_requests, &rng),
-                      t_issue)
-                  .value();
+    for (const SampleRef& sample :
+         PickRandomActiveSamples(data, num_requests, &rng)) {
+      requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                          .sample = sample,
+                          .request_iter = t_issue});
+    }
   }
+  UnlearningService service(&trainer);
+  const ServiceFlushStats stats = service.ExecuteStream(requests).value();
   trainer.TrainUntil(config.total_iters_t());
-  result.recomputed_rounds = summary.total_recomputed_rounds;
+  result.replayed_rounds = stats.replayed_rounds;
   result.log = trainer.log();
   return result;
 }
@@ -85,7 +88,7 @@ ScenarioResult RunFrs(const DatasetProfile& profile, bool client_level,
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(seed + 500, id);
   FrsUnlearner unlearner(&trainer, &data);
-  UnlearningOutcome outcome =
+  const ServiceFlushStats stats =
       client_level
           ? unlearner
                 .UnlearnClients(PickRandomActiveClients(data, num_requests,
@@ -97,7 +100,7 @@ ScenarioResult RunFrs(const DatasetProfile& profile, bool client_level,
                                                         &rng),
                                 profile.rounds_r)
                 .value();
-  result.recomputed_rounds = outcome.recomputed_rounds;
+  result.replayed_rounds = stats.replayed_rounds;
   result.log = trainer.log();
   return result;
 }
@@ -116,7 +119,7 @@ ScenarioResult RunFr2(const DatasetProfile& profile, bool client_level,
   Fr2Options options;
   options.recovery_rounds = std::max<int64_t>(2, profile.rounds_r / 4);
   Fr2Unlearner unlearner(&trainer, &data, options);
-  UnlearningOutcome outcome =
+  const ServiceFlushStats stats =
       client_level
           ? unlearner
                 .UnlearnClients(
@@ -126,7 +129,7 @@ ScenarioResult RunFr2(const DatasetProfile& profile, bool client_level,
                 .UnlearnSamples(
                     PickRandomActiveSamples(data, num_requests, &rng))
                 .value();
-  result.recomputed_rounds = outcome.recomputed_rounds;
+  result.replayed_rounds = stats.replayed_rounds;
   // After the approximate recovery, FR2 resumes normal training for the
   // remaining budget.
   trainer.RunRounds(profile.rounds_r - IssueRound(profile));
@@ -144,7 +147,7 @@ void EmitScenario(CsvWriter* csv, const std::string& dataset,
       "recover in %lld, final %.3f\n",
       method.c_str(), scenario.c_str(), recovery.accuracy_before,
       recovery.accuracy_after_drop, recovery.accuracy_drop,
-      static_cast<long long>(result.recomputed_rounds),
+      static_cast<long long>(result.replayed_rounds),
       static_cast<long long>(recovery.rounds_to_recover),
       recovery.final_accuracy);
   const auto& records = result.log.records();

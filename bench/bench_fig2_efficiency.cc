@@ -15,9 +15,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/sample_unlearner.h"
-#include "core/client_unlearner.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -60,21 +58,19 @@ double MeanUnlearningSteps(const DatasetProfile& profile,
     id.purpose = RngPurpose::kGeneric;
     id.iteration = static_cast<uint64_t>(trial);
     RngStream rng(55, id);
-    if (client_level) {
-      ClientUnlearner unlearner(&trainer);
-      const int64_t target = PickRandomActiveClients(data, 1, &rng)[0];
-      total_steps += static_cast<double>(
-          unlearner.Unlearn(target, config.total_iters_t())
-              .value()
-              .recomputed_iterations);
-    } else {
-      SampleUnlearner unlearner(&trainer);
-      const SampleRef target = PickRandomActiveSamples(data, 1, &rng)[0];
-      total_steps += static_cast<double>(
-          unlearner.Unlearn(target, config.total_iters_t())
-              .value()
-              .recomputed_iterations);
-    }
+    const UnlearningRequest request =
+        client_level
+            ? UnlearningRequest{.kind = UnlearningRequest::Kind::kClient,
+                                .client = PickRandomActiveClients(data, 1,
+                                                                  &rng)[0],
+                                .request_iter = config.total_iters_t()}
+            : UnlearningRequest{.kind = UnlearningRequest::Kind::kSample,
+                                .sample = PickRandomActiveSamples(data, 1,
+                                                                  &rng)[0],
+                                .request_iter = config.total_iters_t()};
+    UnlearningService service(&trainer);
+    total_steps += static_cast<double>(
+        service.ExecuteStream({request}).value().recomputed_iterations);
   }
   return total_steps / trials;
 }

@@ -13,8 +13,8 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/unlearning_executor.h"
 #include "core/tv_stability.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -91,24 +91,21 @@ int main(int argc, char** argv) {
           RngStream rng(77, id);
           std::vector<int64_t> targets =
               PickRandomActiveClients(data, w, &rng);
-          UnlearningExecutor executor(&trainer);
           std::vector<UnlearningRequest> stream;
           for (int64_t target : targets) {
-            UnlearningRequest request;
-            request.kind = UnlearningRequest::Kind::kClient;
-            request.client = target;
-            request.request_iter = config.total_iters_t();
-            stream.push_back(request);
+            stream.push_back({.kind = UnlearningRequest::Kind::kClient,
+                              .client = target,
+                              .request_iter = config.total_iters_t()});
           }
-          const UnlearningSummary summary =
-              executor.ExecuteStream(stream).value();
+          // Window 1: the requests arrive one at a time (Figure 3).
+          UnlearningService service(&trainer);
+          const ServiceFlushStats stats =
+              service.ExecuteStream(stream, /*coalesce_window=*/1).value();
           // Triggered work (Theorem 3's quantity) and replayed work (what the
           // machine actually recomputed, including untriggered rewrites) are
           // tracked separately; reporting only the former under-counted w.
-          total_steps +=
-              static_cast<double>(summary.total_recomputed_iterations);
-          replayed_steps +=
-              static_cast<double>(summary.total_replayed_iterations);
+          total_steps += static_cast<double>(stats.recomputed_iterations);
+          replayed_steps += static_cast<double>(stats.replayed_iterations);
         }
         const double mean_steps = total_steps / *trials;
         const double mean_replayed = replayed_steps / *trials;

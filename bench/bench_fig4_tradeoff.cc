@@ -11,9 +11,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -51,23 +49,19 @@ TradeoffPoint MeasurePoint(const DatasetProfile& profile, double rho_s,
     id.purpose = RngPurpose::kGeneric;
     id.iteration = static_cast<uint64_t>(trial);
     RngStream rng(33, id);
-    if (client_level) {
-      ClientUnlearner unlearner(&trainer);
-      point.unlearning_steps += static_cast<double>(
-          unlearner
-              .Unlearn(PickRandomActiveClients(data, 1, &rng)[0],
-                       config.total_iters_t())
-              .value()
-              .recomputed_iterations);
-    } else {
-      SampleUnlearner unlearner(&trainer);
-      point.unlearning_steps += static_cast<double>(
-          unlearner
-              .Unlearn(PickRandomActiveSamples(data, 1, &rng)[0],
-                       config.total_iters_t())
-              .value()
-              .recomputed_iterations);
-    }
+    const UnlearningRequest request =
+        client_level
+            ? UnlearningRequest{.kind = UnlearningRequest::Kind::kClient,
+                                .client = PickRandomActiveClients(data, 1,
+                                                                  &rng)[0],
+                                .request_iter = config.total_iters_t()}
+            : UnlearningRequest{.kind = UnlearningRequest::Kind::kSample,
+                                .sample = PickRandomActiveSamples(data, 1,
+                                                                  &rng)[0],
+                                .request_iter = config.total_iters_t()};
+    UnlearningService service(&trainer);
+    point.unlearning_steps += static_cast<double>(
+        service.ExecuteStream({request}).value().recomputed_iterations);
   }
   point.accuracy /= trials;
   point.unlearning_steps /= trials;

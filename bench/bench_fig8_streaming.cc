@@ -13,7 +13,7 @@
 #include "baselines/fr2.h"
 #include "baselines/frs.h"
 #include "bench_util.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -90,33 +90,37 @@ int main(int argc, char** argv) {
       config.seed = static_cast<uint64_t>(*seed);
       FatsTrainer trainer(profile.model, config, &data);
       trainer.Train();
-      UnlearningExecutor executor(&trainer);
+      UnlearningService service(&trainer);
       int64_t total_rounds = 0;
       std::string line =
           StrFormat("  FATS: start %.3f |", trainer.EvaluateTestAccuracy());
       for (int64_t i = 0; i < *pairs; ++i) {
-        UnlearningRequest sample_request;
-        sample_request.kind = UnlearningRequest::Kind::kSample;
-        sample_request.sample = plan.samples[static_cast<size_t>(i)];
-        sample_request.request_iter = config.total_iters_t();
-        UnlearningSummary s1 =
-            executor.ExecuteStream({sample_request}).value();
-        total_rounds += s1.total_recomputed_rounds;
+        const ServiceFlushStats s1 =
+            service
+                .ExecuteStream(
+                    {{.kind = UnlearningRequest::Kind::kSample,
+                      .sample = plan.samples[static_cast<size_t>(i)],
+                      .request_iter = config.total_iters_t()}},
+                    /*coalesce_window=*/1)
+                .value();
+        total_rounds += s1.recomputed_rounds;
         line += StrFormat(" s:%.3f", trainer.EvaluateTestAccuracy());
         csv.WriteRow({name, "FATS", std::to_string(2 * i), "sample",
                       FormatDouble(trainer.EvaluateTestAccuracy(), 4),
-                      std::to_string(s1.total_recomputed_rounds)});
-        UnlearningRequest client_request;
-        client_request.kind = UnlearningRequest::Kind::kClient;
-        client_request.client = plan.clients[static_cast<size_t>(i)];
-        client_request.request_iter = config.total_iters_t();
-        UnlearningSummary s2 =
-            executor.ExecuteStream({client_request}).value();
-        total_rounds += s2.total_recomputed_rounds;
+                      std::to_string(s1.recomputed_rounds)});
+        const ServiceFlushStats s2 =
+            service
+                .ExecuteStream(
+                    {{.kind = UnlearningRequest::Kind::kClient,
+                      .client = plan.clients[static_cast<size_t>(i)],
+                      .request_iter = config.total_iters_t()}},
+                    /*coalesce_window=*/1)
+                .value();
+        total_rounds += s2.recomputed_rounds;
         line += StrFormat(" c:%.3f", trainer.EvaluateTestAccuracy());
         csv.WriteRow({name, "FATS", std::to_string(2 * i + 1), "client",
                       FormatDouble(trainer.EvaluateTestAccuracy(), 4),
-                      std::to_string(s2.total_recomputed_rounds)});
+                      std::to_string(s2.recomputed_rounds)});
       }
       std::printf("%s | recomputed %lld rounds total\n", line.c_str(),
                   static_cast<long long>(total_rounds));

@@ -18,7 +18,7 @@
 #include "baselines/fr2.h"
 #include "baselines/frs.h"
 #include "bench_util.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -62,9 +62,15 @@ AttackRow AttackFats(const DatasetProfile& profile,
   config.seed = seed;
   FatsTrainer trainer(profile.model, config, &data);
   trainer.Train();
-  UnlearningExecutor executor(&trainer);
-  FATS_CHECK(executor.ExecuteSampleBatch(targets, config.total_iters_t())
-                 .ok());
+  // The targets are deleted simultaneously: one flush, one replay.
+  std::vector<UnlearningRequest> requests;
+  for (const SampleRef& target : targets) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                        .sample = target,
+                        .request_iter = config.total_iters_t()});
+  }
+  UnlearningService service(&trainer);
+  FATS_CHECK(service.ExecuteStream(requests).ok());
   AttackRow row;
   row.result = RunMembershipInference(trainer.model(), member_pool,
                                       nonmember_pool, mia)

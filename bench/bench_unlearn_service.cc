@@ -134,7 +134,7 @@ BENCHMARK(BM_TriageScan)->Arg(8)->Arg(32)->Arg(128);
 // 10^5 queued sample deletions (250 clients x 400 of their 500 samples),
 // submitted with O(1) validation and flushed as ONE transactional batch
 // with at most one replay. Counters report the coalescing factor
-// (requests per flush) and the replay amortization (iterations a
+// (requests per replay) and the replay amortization (iterations a
 // sequential pass would have replayed vs what the flush replayed).
 void BM_ServiceStream100k(benchmark::State& state) {
   for (auto _ : state) {
@@ -155,17 +155,16 @@ void BM_ServiceStream100k(benchmark::State& state) {
     }
     UnlearningService service(t->trainer.get());
     state.ResumeTiming();
-    ServiceSummary summary = service.ExecuteStream(requests).value();
-    state.counters["requests"] =
-        static_cast<double>(summary.totals.requests);
-    state.counters["flushes"] = static_cast<double>(summary.flushes);
+    const ServiceFlushStats stats = service.ExecuteStream(requests).value();
+    state.counters["requests"] = static_cast<double>(stats.requests);
+    state.counters["replays"] = static_cast<double>(stats.replays);
     state.counters["coalescing_factor"] =
-        static_cast<double>(summary.totals.requests) /
-        static_cast<double>(std::max<int64_t>(1, summary.flushes));
+        static_cast<double>(stats.requests) /
+        static_cast<double>(std::max<int64_t>(1, stats.replays));
     state.counters["replayed_iters"] =
-        static_cast<double>(summary.totals.replayed_iterations);
+        static_cast<double>(stats.replayed_iterations);
     state.counters["sequential_replayed_iters"] =
-        static_cast<double>(summary.totals.sequential_replayed_iterations);
+        static_cast<double>(stats.sequential_replayed_iterations);
   }
   state.SetItemsProcessed(state.iterations() * 250 * 400);
 }
@@ -193,10 +192,11 @@ void BM_FlushWindow(benchmark::State& state) {
     }
     UnlearningService service(t->trainer.get());
     state.ResumeTiming();
-    ServiceSummary summary = service.ExecuteStream(requests, window).value();
-    state.counters["flushes"] = static_cast<double>(summary.flushes);
+    const ServiceFlushStats stats =
+        service.ExecuteStream(requests, window).value();
+    state.counters["replays"] = static_cast<double>(stats.replays);
     state.counters["replayed_iters"] =
-        static_cast<double>(summary.totals.replayed_iterations);
+        static_cast<double>(stats.replayed_iterations);
   }
   state.SetItemsProcessed(state.iterations() * 512);
 }

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 #include "io/checkpoint.h"
 
@@ -50,15 +50,17 @@ int main() {
     if (!loaded.ok()) return 1;
 
     // A user requests erasure of a record that was used before the restart.
-    SampleUnlearner unlearner(&trainer);
-    UnlearningOutcome outcome =
-        unlearner.Unlearn({/*client=*/2, /*index=*/5},
-                          trainer.trained_through())
+    UnlearningService service(&trainer);
+    const ServiceFlushStats stats =
+        service
+            .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                             .sample = {/*client=*/2, /*index=*/5},
+                             .request_iter = trainer.trained_through()}})
             .value();
     std::printf("process 2: unlearn (client 2, sample 5): recomputed=%s "
                 "(%lld iterations)\n",
-                outcome.recomputed ? "yes" : "no",
-                static_cast<long long>(outcome.recomputed_iterations));
+                stats.triggered_requests > 0 ? "yes" : "no",
+                static_cast<long long>(stats.recomputed_iterations));
 
     // Finish the remaining rounds on the reduced data.
     trainer.TrainUntil(config.total_iters_t());

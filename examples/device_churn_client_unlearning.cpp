@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "core/client_unlearner.h"
 #include "core/fats_trainer.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 using namespace fats;  // NOLINT: example brevity
@@ -42,7 +42,7 @@ int main() {
   const int64_t frs_bytes_per_departure =
       2 * frs_rounds * trainer.K() * model_bytes;
 
-  ClientUnlearner unlearner(&trainer);
+  UnlearningService service(&trainer);
   int64_t total_fats_rounds = 0;
   std::printf("%8s %12s %10s %10s %14s\n", "device", "participated",
               "recompute", "rounds", "accuracy");
@@ -51,14 +51,18 @@ int main() {
     const int64_t comm_rounds_before = trainer.comm_stats().rounds();
     const bool participated =
         trainer.store().EarliestClientRound(device) >= 1;
-    UnlearningOutcome outcome =
-        unlearner.Unlearn(device, config.total_iters_t()).value();
-    total_fats_rounds += outcome.recomputed_rounds;
+    const ServiceFlushStats stats =
+        service
+            .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                             .client = device,
+                             .request_iter = config.total_iters_t()}})
+            .value();
+    total_fats_rounds += stats.recomputed_rounds;
     std::printf("%8lld %12s %10s %10lld %14.3f\n",
                 static_cast<long long>(device),
                 participated ? "yes" : "no",
-                outcome.recomputed ? "yes" : "no",
-                static_cast<long long>(outcome.recomputed_rounds),
+                stats.triggered_requests > 0 ? "yes" : "no",
+                static_cast<long long>(stats.recomputed_rounds),
                 trainer.EvaluateTestAccuracy());
     (void)comm_rounds_before;
   }

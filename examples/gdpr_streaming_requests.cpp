@@ -2,14 +2,14 @@
 // deletion requests - some for single records, some for whole users - and
 // must honour each one exactly, while continuing to serve the model.
 //
-// Demonstrates UnlearningExecutor::ExecuteStream on a mixed request
+// Demonstrates UnlearningService::ExecuteStream on a mixed request
 // sequence (the Appendix A.5 streaming setting) and prints the accuracy
 // trajectory across requests plus the aggregate unlearning bill.
 
 #include <cstdio>
 
-#include "core/unlearning_executor.h"
 #include "core/tv_stability.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 using namespace fats;  // NOLINT: example brevity
@@ -41,37 +41,31 @@ int main() {
     bool owned = false;
     for (int64_t k : clients) owned = owned || samples[i].client == k;
     if (owned) continue;
-    UnlearningRequest request;
-    request.kind = UnlearningRequest::Kind::kSample;
-    request.sample = samples[i];
-    request.request_iter = config.total_iters_t();
-    stream.push_back(request);
+    stream.push_back({.kind = UnlearningRequest::Kind::kSample,
+                      .sample = samples[i],
+                      .request_iter = config.total_iters_t()});
   }
   for (int64_t k : clients) {
-    UnlearningRequest request;
-    request.kind = UnlearningRequest::Kind::kClient;
-    request.client = k;
-    request.request_iter = config.total_iters_t();
-    stream.push_back(request);
+    stream.push_back({.kind = UnlearningRequest::Kind::kClient,
+                      .client = k,
+                      .request_iter = config.total_iters_t()});
   }
 
   std::printf("processing %zu streaming requests...\n\n", stream.size());
-  UnlearningExecutor executor(&trainer);
+  UnlearningService service(&trainer);
   std::printf("%6s %8s %10s %10s %10s\n", "req", "kind", "recompute",
               "rounds", "accuracy");
-  UnlearningSummary total;
+  ServiceFlushStats total;
   for (size_t i = 0; i < stream.size(); ++i) {
-    UnlearningSummary one = executor.ExecuteStream({stream[i]}).value();
-    total.requests += one.requests;
-    total.recomputations += one.recomputations;
-    total.total_recomputed_iterations += one.total_recomputed_iterations;
-    total.total_recomputed_rounds += one.total_recomputed_rounds;
+    const ServiceFlushStats one =
+        service.ExecuteStream({stream[i]}, /*coalesce_window=*/1).value();
+    total.Accumulate(one);
     std::printf("%6zu %8s %10s %10lld %10.3f\n", i + 1,
                 stream[i].kind == UnlearningRequest::Kind::kSample
                     ? "sample"
                     : "client",
-                one.recomputations > 0 ? "yes" : "no",
-                static_cast<long long>(one.total_recomputed_rounds),
+                one.triggered_requests > 0 ? "yes" : "no",
+                static_cast<long long>(one.recomputed_rounds),
                 trainer.EvaluateTestAccuracy());
   }
 
@@ -79,10 +73,10 @@ int main() {
   const double rho_c = ClientLevelStabilityBound(config);
   std::printf("\nsummary: %lld/%lld requests needed re-computation "
               "(theory: <= rho per request, rho_s=%.2f rho_c=%.2f)\n",
-              static_cast<long long>(total.recomputations),
+              static_cast<long long>(total.triggered_requests),
               static_cast<long long>(total.requests), rho_s, rho_c);
   std::printf("total re-computed rounds: %lld (FRS would pay %lld)\n",
-              static_cast<long long>(total.total_recomputed_rounds),
+              static_cast<long long>(total.recomputed_rounds),
               static_cast<long long>(profile.rounds_r *
                                      static_cast<int64_t>(stream.size())));
   std::printf("final accuracy: %.3f with %lld of %lld clients remaining\n",

@@ -14,7 +14,7 @@
 #include "attack/mia.h"
 #include "baselines/fr2.h"
 #include "baselines/frs.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 using namespace fats;  // NOLINT: example brevity
@@ -60,12 +60,18 @@ int main() {
   fats.Train();
   const double fats_acc_before = fats.EvaluateTestAccuracy();
   Batch member_pool = GatherTargets(fats_data, withdrawals);
-  SampleUnlearner su(&fats);
-  UnlearningOutcome fats_cost =
-      su.UnlearnBatch(withdrawals, config.total_iters_t()).value();
+  // The withdrawals arrive together: one flush, one replay.
+  std::vector<UnlearningRequest> requests;
+  for (const SampleRef& withdrawal : withdrawals) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                        .sample = withdrawal,
+                        .request_iter = config.total_iters_t()});
+  }
+  UnlearningService service(&fats);
+  const ServiceFlushStats fats_cost = service.ExecuteStream(requests).value();
   std::printf("FATS-SU : acc %.3f -> %.3f | recomputed %lld/%lld rounds\n",
               fats_acc_before, fats.EvaluateTestAccuracy(),
-              static_cast<long long>(fats_cost.recomputed_rounds),
+              static_cast<long long>(fats_cost.replayed_rounds),
               static_cast<long long>(profile.rounds_r));
 
   // ---------------- FRS ----------------
@@ -80,11 +86,11 @@ int main() {
   frs_trainer.RunRounds(profile.rounds_r);
   const double frs_acc_before = frs_trainer.EvaluateTestAccuracy();
   FrsUnlearner frs(&frs_trainer, &frs_data);
-  UnlearningOutcome frs_cost =
+  const ServiceFlushStats frs_cost =
       frs.UnlearnSamples(withdrawals, profile.rounds_r).value();
   std::printf("FRS     : acc %.3f -> %.3f | recomputed %lld/%lld rounds\n",
               frs_acc_before, frs_trainer.EvaluateTestAccuracy(),
-              static_cast<long long>(frs_cost.recomputed_rounds),
+              static_cast<long long>(frs_cost.replayed_rounds),
               static_cast<long long>(profile.rounds_r));
 
   // ---------------- FR2 ----------------
@@ -95,10 +101,10 @@ int main() {
   Fr2Options fr2_options;
   fr2_options.recovery_rounds = 3;
   Fr2Unlearner fr2(&fr2_trainer, &fr2_data, fr2_options);
-  UnlearningOutcome fr2_cost = fr2.UnlearnSamples(withdrawals).value();
+  const ServiceFlushStats fr2_cost = fr2.UnlearnSamples(withdrawals).value();
   std::printf("FR2     : acc %.3f -> %.3f | recovery %lld rounds (approx.)\n",
               fr2_acc_before, fr2_trainer.EvaluateTestAccuracy(),
-              static_cast<long long>(fr2_cost.recomputed_rounds));
+              static_cast<long long>(fr2_cost.replayed_rounds));
 
   // ---------------- Audit: membership inference ----------------
   // Fresh never-seen records from the same clinic's distribution, so the

@@ -31,7 +31,7 @@
 #include <string>
 
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 #include "util/flags.h"
 
@@ -141,20 +141,22 @@ int main(int argc, char** argv) {
     }
   }
   if (target.client >= 0) {
-    SampleUnlearner unlearner(&trainer);
-    Result<UnlearningOutcome> outcome =
-        unlearner.Unlearn(target, config.total_iters_t());
-    if (!outcome.ok()) {
+    UnlearningService service(&trainer);
+    Result<ServiceFlushStats> stats =
+        service.ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                .sample = target,
+                                .request_iter = config.total_iters_t()}});
+    if (!stats.ok()) {
       std::fprintf(stderr, "unlearning failed: %s\n",
-                   outcome.status().ToString().c_str());
+                   stats.status().ToString().c_str());
       return 1;
     }
     std::printf("\nFATS-SU on (client %lld, sample %lld): recomputed=%s, "
                 "%lld of %lld iterations replayed\n",
                 static_cast<long long>(target.client),
                 static_cast<long long>(target.index),
-                outcome->recomputed ? "yes" : "no",
-                static_cast<long long>(outcome->recomputed_iterations),
+                stats->triggered_requests > 0 ? "yes" : "no",
+                static_cast<long long>(stats->recomputed_iterations),
                 static_cast<long long>(config.total_iters_t()));
   }
 

@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/client_unlearner.h"
 #include "core/fats_trainer.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 using namespace fats;  // NOLINT: example brevity
@@ -68,11 +68,18 @@ int main() {
               trainer.EvaluateTestAccuracy());
 
   // ---- detection is out of scope; removal is exact ----
-  ClientUnlearner unlearner(&trainer);
-  UnlearningOutcome outcome =
-      unlearner.UnlearnBatch(attackers, config.total_iters_t()).value();
+  // The coalition is removed as one simultaneous batch: one flush, one
+  // replay.
+  std::vector<UnlearningRequest> requests;
+  for (int64_t attacker : attackers) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kClient,
+                        .client = attacker,
+                        .request_iter = config.total_iters_t()});
+  }
+  UnlearningService service(&trainer);
+  const ServiceFlushStats stats = service.ExecuteStream(requests).value();
   std::printf("FATS-CU removal     : recomputed %lld/%lld rounds\n",
-              static_cast<long long>(outcome.recomputed_rounds),
+              static_cast<long long>(stats.replayed_rounds),
               static_cast<long long>(profile.rounds_r));
   std::printf("after exact removal : accuracy %.3f  (federation: %lld of "
               "%lld clients remain)\n",

@@ -7,10 +7,9 @@
 
 #include <cstdio>
 
-#include "core/client_unlearner.h"
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
 #include "core/tv_stability.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 using namespace fats;  // NOLINT: example brevity
@@ -44,15 +43,16 @@ int main() {
 
   // 4. Sample-level unlearning (FATS-SU). Verification is an O(1) lookup;
   //    re-computation happens only if the sample ever hit a mini-batch.
-  SampleRef target_sample{/*client=*/3, /*index=*/7};
-  SampleUnlearner sample_unlearner(&trainer);
-  UnlearningOutcome su =
-      sample_unlearner.Unlearn(target_sample, config.total_iters_t()).value();
+  UnlearningService service(&trainer);
+  FATS_CHECK_OK(service.Submit({.kind = UnlearningRequest::Kind::kSample,
+                                .sample = {/*client=*/3, /*index=*/7},
+                                .request_iter = config.total_iters_t()}));
+  const ServiceFlushStats su = service.Flush().value();
   std::printf("\nFATS-SU on sample (client 3, index 7): recomputed=%s",
-              su.recomputed ? "yes" : "no");
-  if (su.recomputed) {
+              su.triggered_requests > 0 ? "yes" : "no");
+  if (su.triggered_requests > 0) {
     std::printf(" from iteration %lld (%lld of %lld iterations, %lld rounds)",
-                static_cast<long long>(su.restart_iteration),
+                static_cast<long long>(su.replay_start_iteration),
                 static_cast<long long>(su.recomputed_iterations),
                 static_cast<long long>(config.total_iters_t()),
                 static_cast<long long>(su.recomputed_rounds));
@@ -62,12 +62,12 @@ int main() {
 
   // 5. Client-level unlearning (FATS-CU): a device exercises its right to
   //    be forgotten entirely.
-  ClientUnlearner client_unlearner(&trainer);
-  UnlearningOutcome cu =
-      client_unlearner.Unlearn(/*target_client=*/5, config.total_iters_t())
-          .value();
+  FATS_CHECK_OK(service.Submit({.kind = UnlearningRequest::Kind::kClient,
+                                .client = 5,
+                                .request_iter = config.total_iters_t()}));
+  const ServiceFlushStats cu = service.Flush().value();
   std::printf("\nFATS-CU on client 5: recomputed=%s, rounds re-run=%lld\n",
-              cu.recomputed ? "yes" : "no",
+              cu.triggered_requests > 0 ? "yes" : "no",
               static_cast<long long>(cu.recomputed_rounds));
   std::printf("  accuracy after unlearning: %.3f\n",
               trainer.EvaluateTestAccuracy());

@@ -9,23 +9,27 @@
 
 namespace fats {
 
-Result<UnlearningOutcome> Fr2Unlearner::UnlearnSamples(
+Result<ServiceFlushStats> Fr2Unlearner::UnlearnSamples(
     const std::vector<SampleRef>& targets) {
   for (const SampleRef& target : targets) {
     FATS_RETURN_NOT_OK(data_->RemoveSample(target));
   }
-  return Recover();
+  ServiceFlushStats stats = Recover(static_cast<int64_t>(targets.size()));
+  stats.sample_requests = stats.requests;
+  return stats;
 }
 
-Result<UnlearningOutcome> Fr2Unlearner::UnlearnClients(
+Result<ServiceFlushStats> Fr2Unlearner::UnlearnClients(
     const std::vector<int64_t>& targets) {
   for (int64_t target : targets) {
     FATS_RETURN_NOT_OK(data_->RemoveClient(target));
   }
-  return Recover();
+  ServiceFlushStats stats = Recover(static_cast<int64_t>(targets.size()));
+  stats.client_requests = stats.requests;
+  return stats;
 }
 
-Result<UnlearningOutcome> Fr2Unlearner::Recover() {
+ServiceFlushStats Fr2Unlearner::Recover(int64_t requests) {
   Stopwatch timer;
   trainer_->BumpGeneration();
   trainer_->set_recomputation_mode(true);
@@ -34,14 +38,18 @@ Result<UnlearningOutcome> Fr2Unlearner::Recover() {
   }
   trainer_->set_recomputation_mode(false);
 
-  UnlearningOutcome outcome;
-  outcome.recomputed = true;
-  outcome.restart_iteration = -1;  // continues from the deployed model
-  outcome.recomputed_rounds = options_.recovery_rounds;
-  outcome.recomputed_iterations =
+  ServiceFlushStats stats;
+  stats.requests = requests;
+  stats.triggered_requests = requests;
+  stats.recomputed_rounds = options_.recovery_rounds;
+  stats.recomputed_iterations =
       options_.recovery_rounds * trainer_->options().local_iters_e;
-  outcome.wall_seconds = timer.ElapsedSeconds();
-  return outcome;
+  // Continues from the deployed model: recovery work, but no replay of the
+  // recorded history.
+  stats.replayed_rounds = stats.recomputed_rounds;
+  stats.replayed_iterations = stats.recomputed_iterations;
+  stats.wall_seconds = timer.ElapsedSeconds();
+  return stats;
 }
 
 void Fr2Unlearner::RecoveryRound(int64_t round) {

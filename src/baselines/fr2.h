@@ -7,7 +7,10 @@
 // their remaining data (the diagonal FIM approximates the Hessian used by
 // the paper's AdaHessian variant; momentum stabilizes utility). This is
 // cheap but *not* exact: the deleted data's influence is only attenuated,
-// which is what the Table 1 membership-inference bench probes.
+// which is what the Table 1 membership-inference bench probes. Its cost
+// reports as ServiceFlushStats: the recovery rounds are replayed work with
+// no replay start (replay_start_iteration = -1), since nothing is rebuilt
+// from the recorded history.
 
 #ifndef FATS_BASELINES_FR2_H_
 #define FATS_BASELINES_FR2_H_
@@ -15,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/federated_dataset.h"
 #include "fl/fedavg.h"
 #include "util/status.h"
@@ -44,13 +47,15 @@ class Fr2Unlearner {
                const Fr2Options& options)
       : trainer_(trainer), data_(data), options_(options) {}
 
-  Result<UnlearningOutcome> UnlearnSamples(
+  Result<ServiceFlushStats> UnlearnSamples(
       const std::vector<SampleRef>& targets);
-  Result<UnlearningOutcome> UnlearnClients(
+  Result<ServiceFlushStats> UnlearnClients(
       const std::vector<int64_t>& targets);
 
  private:
-  Result<UnlearningOutcome> Recover();
+  /// Runs the recovery rounds and reports the cost of `requests` deletions,
+  /// every one of which triggered the recovery.
+  ServiceFlushStats Recover(int64_t requests);
   /// One FR² recovery round: K clients take E preconditioned-momentum steps
   /// from the global model; the server averages.
   void RecoveryRound(int64_t round);

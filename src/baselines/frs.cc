@@ -5,23 +5,30 @@
 
 namespace fats {
 
-Result<UnlearningOutcome> FrsUnlearner::UnlearnSamples(
+Result<ServiceFlushStats> FrsUnlearner::UnlearnSamples(
     const std::vector<SampleRef>& targets, int64_t retrain_rounds) {
   for (const SampleRef& target : targets) {
     FATS_RETURN_NOT_OK(data_->RemoveSample(target));
   }
-  return Retrain(retrain_rounds);
+  ServiceFlushStats stats =
+      Retrain(retrain_rounds, static_cast<int64_t>(targets.size()));
+  stats.sample_requests = stats.requests;
+  return stats;
 }
 
-Result<UnlearningOutcome> FrsUnlearner::UnlearnClients(
+Result<ServiceFlushStats> FrsUnlearner::UnlearnClients(
     const std::vector<int64_t>& targets, int64_t retrain_rounds) {
   for (int64_t target : targets) {
     FATS_RETURN_NOT_OK(data_->RemoveClient(target));
   }
-  return Retrain(retrain_rounds);
+  ServiceFlushStats stats =
+      Retrain(retrain_rounds, static_cast<int64_t>(targets.size()));
+  stats.client_requests = stats.requests;
+  return stats;
 }
 
-Result<UnlearningOutcome> FrsUnlearner::Retrain(int64_t retrain_rounds) {
+ServiceFlushStats FrsUnlearner::Retrain(int64_t retrain_rounds,
+                                        int64_t requests) {
   Stopwatch timer;
   // Fresh initialization and fresh randomness: a from-scratch run on the
   // reduced data.
@@ -32,14 +39,18 @@ Result<UnlearningOutcome> FrsUnlearner::Retrain(int64_t retrain_rounds) {
   trainer_->RunRounds(retrain_rounds);
   trainer_->set_recomputation_mode(false);
 
-  UnlearningOutcome outcome;
-  outcome.recomputed = true;
-  outcome.restart_iteration = 1;
-  outcome.recomputed_rounds = retrain_rounds;
-  outcome.recomputed_iterations =
+  ServiceFlushStats stats;
+  stats.requests = requests;
+  stats.triggered_requests = requests;
+  stats.recomputed_rounds = retrain_rounds;
+  stats.recomputed_iterations =
       retrain_rounds * trainer_->options().local_iters_e;
-  outcome.wall_seconds = timer.ElapsedSeconds();
-  return outcome;
+  stats.replays = 1;
+  stats.replay_start_iteration = 1;
+  stats.replayed_rounds = stats.recomputed_rounds;
+  stats.replayed_iterations = stats.recomputed_iterations;
+  stats.wall_seconds = timer.ElapsedSeconds();
+  return stats;
 }
 
 }  // namespace fats

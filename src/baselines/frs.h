@@ -3,7 +3,8 @@
 // The trivially exact unlearning method: delete the targets, re-initialize
 // the model, and retrain FedAvg for the full R rounds on the remaining data.
 // Maximal communication and computation cost; the benches use it as the
-// upper anchor that FATS is compared against.
+// upper anchor that FATS is compared against. A retrain reports as one
+// replay from iteration 1 in ServiceFlushStats.
 
 #ifndef FATS_BASELINES_FRS_H_
 #define FATS_BASELINES_FRS_H_
@@ -11,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/federated_dataset.h"
 #include "fl/fedavg.h"
 #include "util/status.h"
@@ -27,15 +28,17 @@ class FrsUnlearner {
 
   /// Deletes the samples and retrains from scratch for `retrain_rounds`
   /// rounds (pass the original R for the paper's protocol).
-  Result<UnlearningOutcome> UnlearnSamples(
+  Result<ServiceFlushStats> UnlearnSamples(
       const std::vector<SampleRef>& targets, int64_t retrain_rounds);
 
   /// Deletes the clients and retrains from scratch.
-  Result<UnlearningOutcome> UnlearnClients(const std::vector<int64_t>& targets,
+  Result<ServiceFlushStats> UnlearnClients(const std::vector<int64_t>& targets,
                                            int64_t retrain_rounds);
 
  private:
-  Result<UnlearningOutcome> Retrain(int64_t retrain_rounds);
+  /// Retrains and reports the cost of `requests` deletions, every one of
+  /// which triggered the retrain.
+  ServiceFlushStats Retrain(int64_t retrain_rounds, int64_t requests);
 
   FedAvgTrainer* trainer_;
   FederatedDataset* data_;

@@ -48,7 +48,7 @@ void CompactUnlearner::RebuildIndexFromStore() {
   }
 }
 
-Result<UnlearningOutcome> CompactUnlearner::RetrainFromScratch() {
+Result<ServiceFlushStats> CompactUnlearner::RetrainFromScratch() {
   const FatsConfig& config = trainer_->config();
   const int64_t t_max = trainer_->trained_through();
   trainer_->TruncateStoreFromIteration(1);
@@ -58,16 +58,19 @@ Result<UnlearningOutcome> CompactUnlearner::RetrainFromScratch() {
   trainer_->set_recomputation_mode(false);
   RebuildIndexFromStore();
 
-  UnlearningOutcome outcome;
-  outcome.recomputed = true;
-  outcome.restart_iteration = 1;
-  outcome.recomputed_iterations = t_max;
-  outcome.recomputed_rounds = (t_max + config.local_iters_e - 1) /
-                              config.local_iters_e;
-  return outcome;
+  ServiceFlushStats stats;
+  stats.triggered_requests = 1;
+  stats.recomputed_iterations = t_max;
+  stats.recomputed_rounds =
+      (t_max + config.local_iters_e - 1) / config.local_iters_e;
+  stats.replays = 1;
+  stats.replay_start_iteration = 1;
+  stats.replayed_iterations = stats.recomputed_iterations;
+  stats.replayed_rounds = stats.recomputed_rounds;
+  return stats;
 }
 
-Result<UnlearningOutcome> CompactUnlearner::UnlearnClient(
+Result<ServiceFlushStats> CompactUnlearner::UnlearnClient(
     int64_t target, int64_t request_iter) {
   Stopwatch timer;
   if (request_iter < 1 || request_iter > trainer_->trained_through()) {
@@ -81,17 +84,17 @@ Result<UnlearningOutcome> CompactUnlearner::UnlearnClient(
   }
   const bool participated = index_.ClientParticipated(target);
   FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(target));
-  if (!participated) {
-    UnlearningOutcome outcome;
-    outcome.wall_seconds = timer.ElapsedSeconds();
-    return outcome;
+  ServiceFlushStats stats;
+  if (participated) {
+    FATS_ASSIGN_OR_RETURN(stats, RetrainFromScratch());
   }
-  FATS_ASSIGN_OR_RETURN(UnlearningOutcome outcome, RetrainFromScratch());
-  outcome.wall_seconds = timer.ElapsedSeconds();
-  return outcome;
+  stats.requests = 1;
+  stats.client_requests = 1;
+  stats.wall_seconds = timer.ElapsedSeconds();
+  return stats;
 }
 
-Result<UnlearningOutcome> CompactUnlearner::UnlearnSample(
+Result<ServiceFlushStats> CompactUnlearner::UnlearnSample(
     const SampleRef& target, int64_t request_iter) {
   Stopwatch timer;
   if (request_iter < 1 || request_iter > trainer_->trained_through()) {
@@ -102,14 +105,14 @@ Result<UnlearningOutcome> CompactUnlearner::UnlearnSample(
   }
   const bool used = index_.SampleUsed(target.client, target.index);
   FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
-  if (!used) {
-    UnlearningOutcome outcome;
-    outcome.wall_seconds = timer.ElapsedSeconds();
-    return outcome;
+  ServiceFlushStats stats;
+  if (used) {
+    FATS_ASSIGN_OR_RETURN(stats, RetrainFromScratch());
   }
-  FATS_ASSIGN_OR_RETURN(UnlearningOutcome outcome, RetrainFromScratch());
-  outcome.wall_seconds = timer.ElapsedSeconds();
-  return outcome;
+  stats.requests = 1;
+  stats.sample_requests = 1;
+  stats.wall_seconds = timer.ElapsedSeconds();
+  return stats;
 }
 
 }  // namespace fats

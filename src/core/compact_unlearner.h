@@ -19,7 +19,10 @@
 //     (P(k_u selected | no use) < P(k_u selected)); a from-scratch retrain
 //     cannot repair that conditioning. The residual TV gap is O(ρ_S²).
 //     Exact sample-level unlearning needs the per-batch transport of
-//     SampleUnlearner, which requires the full state store.
+//     UnlearningService, which requires the full state store.
+//
+// Both calls report cost as ServiceFlushStats for one request: a hit is a
+// full retrain, `replays = 1` from `replay_start_iteration = 1`.
 
 #ifndef FATS_CORE_COMPACT_UNLEARNER_H_
 #define FATS_CORE_COMPACT_UNLEARNER_H_
@@ -27,7 +30,7 @@
 #include <cstdint>
 
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "fl/state_store.h"
 #include "util/status.h"
 
@@ -41,12 +44,12 @@ class CompactUnlearner {
   explicit CompactUnlearner(FatsTrainer* trainer);
 
   /// Client-level unlearning: exact.
-  Result<UnlearningOutcome> UnlearnClient(int64_t target,
+  Result<ServiceFlushStats> UnlearnClient(int64_t target,
                                           int64_t request_iter);
 
   /// Sample-level unlearning: full retrain on a hit; exact up to an
   /// O(ρ_S²) TV residual (see the header comment).
-  Result<UnlearningOutcome> UnlearnSample(const SampleRef& target,
+  Result<ServiceFlushStats> UnlearnSample(const SampleRef& target,
                                           int64_t request_iter);
 
   const CompactParticipationIndex& index() const { return index_; }
@@ -57,7 +60,7 @@ class CompactUnlearner {
   /// Wipes all recorded history and retrains from the initial model on the
   /// (already reduced) dataset with fresh randomness, then rebuilds the
   /// participation bits.
-  Result<UnlearningOutcome> RetrainFromScratch();
+  Result<ServiceFlushStats> RetrainFromScratch();
   void RebuildIndexFromStore();
 
   FatsTrainer* trainer_;

@@ -19,12 +19,13 @@
 // entry, broadcast, local steps, the availability schedule, upload,
 // aggregation and the round record are the same code for both.
 //
-// The trainer is the only owner of the FATS sampling stream keys. Sample-
-// level unlearning keeps the stored selections, re-draws the affected
-// batches with RedrawMinibatch and replays (the SU_r transport of
-// Theorem 1's proof). Client-level unlearning truncates the store, bumps
-// the generation and re-draws the history from the changed measure, either
-// by Run(t_C) or with RedrawRound followed by one replay. The generation
+// The trainer is the only owner of the FATS sampling stream keys; the one
+// unlearning implementation (core/unlearning_service.h) rewrites history
+// only through it. Sample-level unlearning keeps the stored selections,
+// re-draws the affected batches with RedrawMinibatch and replays (the SU_r
+// transport of Theorem 1's proof). Client-level unlearning truncates the
+// store, bumps the generation, re-draws the truncated rounds from the
+// changed measure with RedrawRound and replays. The generation
 // field makes every stream drawn after a bump independent of the original
 // run, which realizes the fresh part of the coupling in Theorem 1, while
 // the untouched prefix realizes the reused part.
@@ -55,7 +56,7 @@ namespace fats {
 class FatsTrainer {
  public:
   /// `data` is borrowed and must outlive the trainer. Deletions are applied
-  /// to `data` externally (by the unlearners) between runs.
+  /// to `data` externally (by UnlearningService) between runs.
   FatsTrainer(const ModelSpec& spec, const FatsConfig& config,
               FederatedDataset* data);
 
@@ -66,9 +67,10 @@ class FatsTrainer {
   /// Incremental training: continues from wherever training previously
   /// stopped up to iteration `t_end` (inclusive). The first call records
   /// the initial model. Used to issue unlearning requests mid-training:
-  ///   trainer.TrainUntil(t_u);      // train to the request time
-  ///   unlearner.Unlearn(..., t_u);  // exact unlearning of the prefix
-  ///   trainer.TrainUntil(T);        // continue on the reduced data
+  ///   trainer.TrainUntil(t_u);  // train to the request time
+  ///   service.Submit(request);   // request_iter = t_u
+  ///   service.Flush();           // exact unlearning of the prefix
+  ///   trainer.TrainUntil(T);     // continue on the reduced data
   void TrainUntil(int64_t t_end);
 
   /// Runs iterations [t0, t_end] (Algorithm 1) as one pass of kind `pass`.
@@ -135,7 +137,7 @@ class FatsTrainer {
   TrainEventSink* event_sink() { return sink_; }
 
   /// Truncates the store from `from_iter` onward (client-level unlearning),
-  /// notifying the event sink. Unlearners must use this instead of mutating
+  /// notifying the event sink. Unlearning must use this instead of mutating
   /// store() directly so the durable record stays consistent.
   void TruncateStoreFromIteration(int64_t from_iter) {
     store_.TruncateFromIteration(from_iter, config_.local_iters_e);
@@ -199,11 +201,6 @@ class FatsTrainer {
   int64_t local_iterations_executed() const {
     return local_iterations_executed_;
   }
-
-  /// Executes per-round client updates; parallel when config.num_threads
-  /// exceeds 1, bit-identical to serial either way. Exposed so unlearners
-  /// that re-run local client work share the trainer's pool and replicas.
-  ParallelClientRunner* client_runner() { return &runner_; }
 
   /// Fused round-start batching (on by default): at every round-start
   /// iteration — where all participants provably start their local step

@@ -1,98 +1,10 @@
-// Request-stream driver on top of FATS-SU / FATS-CU.
-//
-// Handles the evaluation scenarios of §6: batches of simultaneous requests
-// (Figure 1), request-count sweeps (Figure 3), and streaming sequences of
-// interleaved sample/client deletions (Figure 8 / Appendix A.5). Also
-// provides random target pickers used by every bench.
+// Forwarding header: the request type and target pickers live in
+// core/unlearning_service.h. Kept so code that includes this path by name
+// still builds; new code includes the service header.
 
 #ifndef FATS_CORE_UNLEARNING_EXECUTOR_H_
 #define FATS_CORE_UNLEARNING_EXECUTOR_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "core/client_unlearner.h"
-#include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
-#include "rng/rng_stream.h"
-#include "util/status.h"
-
-namespace fats {
-
-/// A single entry of a streaming unlearning workload.
-struct UnlearningRequest {
-  enum class Kind { kSample, kClient };
-  Kind kind = Kind::kSample;
-  SampleRef sample;       // when kind == kSample
-  int64_t client = -1;    // when kind == kClient
-  int64_t request_iter = 0;  // t_u
-};
-
-/// Aggregate cost over a processed request sequence. `recomputations` /
-/// `total_recomputed_*` are the Theorem 3 triggered quantities; `replays` /
-/// `total_replayed_*` count recomputation actually performed (see
-/// UnlearningOutcome for why they can differ).
-struct UnlearningSummary {
-  int64_t requests = 0;
-  int64_t recomputations = 0;
-  int64_t total_recomputed_iterations = 0;
-  int64_t total_recomputed_rounds = 0;
-  int64_t replays = 0;
-  int64_t total_replayed_iterations = 0;
-  int64_t total_replayed_rounds = 0;
-  double total_wall_seconds = 0.0;
-
-  void Add(const UnlearningOutcome& outcome) {
-    ++requests;
-    if (outcome.recomputed) ++recomputations;
-    total_recomputed_iterations += outcome.recomputed_iterations;
-    total_recomputed_rounds += outcome.recomputed_rounds;
-    if (outcome.replayed_iterations > 0) ++replays;
-    total_replayed_iterations += outcome.replayed_iterations;
-    total_replayed_rounds += outcome.replayed_rounds;
-    total_wall_seconds += outcome.wall_seconds;
-  }
-
-  double MeanRecomputedIterations() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(total_recomputed_iterations) /
-                               static_cast<double>(requests);
-  }
-};
-
-class UnlearningExecutor {
- public:
-  explicit UnlearningExecutor(FatsTrainer* trainer)
-      : trainer_(trainer),
-        sample_unlearner_(trainer),
-        client_unlearner_(trainer) {}
-
-  /// Processes the requests one at a time in order (streaming semantics).
-  Result<UnlearningSummary> ExecuteStream(
-      const std::vector<UnlearningRequest>& requests);
-
-  /// Processes `targets` as one simultaneous batch (Figure 1 semantics).
-  Result<UnlearningSummary> ExecuteSampleBatch(
-      const std::vector<SampleRef>& targets, int64_t request_iter);
-  Result<UnlearningSummary> ExecuteClientBatch(
-      const std::vector<int64_t>& targets, int64_t request_iter);
-
-  FatsTrainer* trainer() { return trainer_; }
-
- private:
-  FatsTrainer* trainer_;
-  SampleUnlearner sample_unlearner_;
-  ClientUnlearner client_unlearner_;
-};
-
-/// Draws `w` distinct random active samples across active clients.
-std::vector<SampleRef> PickRandomActiveSamples(const FederatedDataset& data,
-                                               int64_t w, RngStream* rng);
-
-/// Draws `w` distinct random active clients.
-std::vector<int64_t> PickRandomActiveClients(const FederatedDataset& data,
-                                             int64_t w, RngStream* rng);
-
-}  // namespace fats
+#include "core/unlearning_service.h"
 
 #endif  // FATS_CORE_UNLEARNING_EXECUTOR_H_

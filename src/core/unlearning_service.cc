@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "rng/sampling.h"
+#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace fats {
@@ -98,9 +100,9 @@ Result<int64_t> UnlearningService::ApplySampleDeletion(
     uses = *posted;
   }
 
-  // Sequential processing bumps the generation once per request whether or
-  // not any batch is affected (SampleUnlearner does); mirror that exactly —
-  // later requests' draw keys depend on it.
+  // Every sample deletion bumps the generation, whether or not any batch is
+  // affected, so a flushed queue draws exactly what one flush per request
+  // would — later requests' draw keys depend on it.
   trainer_->BumpGeneration();
   if (uses.empty()) return -1;
 
@@ -137,11 +139,20 @@ Result<int64_t> UnlearningService::ApplyClientRemoval(
   return t_restart;
 }
 
+void UnlearningService::ClearPending() {
+  queue_.clear();
+  pending_samples_.clear();
+  pending_clients_.clear();
+  pending_sample_counts_.clear();
+}
+
 Result<ServiceFlushStats> UnlearningService::Flush() {
   ServiceFlushStats stats;
   if (queue_.empty()) return stats;
   Stopwatch timer;
   const int64_t t_max = trainer_->trained_through();
+  const int64_t e = trainer_->config().local_iters_e;
+  const int64_t r_last = (t_max + e - 1) / e;
 
   // One durable-journal bracket around every mutation of the whole queue:
   // a crash mid-flush rolls the entire batch back, never half of it.
@@ -154,7 +165,15 @@ Result<ServiceFlushStats> UnlearningService::Flush() {
   int64_t min_restart = -1;
   for (const UnlearningRequest& request : queue_) {
     ++stats.requests;
-    if (TriageRequest(request).triggers) ++stats.triggered_requests;
+    // Triage sees the history as the earlier requests left it, exactly as
+    // it would one request at a time.
+    const Triage triage = TriageRequest(request);
+    if (triage.triggers) {
+      ++stats.triggered_requests;
+      stats.recomputed_iterations += t_max - triage.restart_iteration + 1;
+      stats.recomputed_rounds +=
+          r_last - (triage.restart_iteration - 1) / e;
+    }
     int64_t restart = -1;
     if (request.kind == UnlearningRequest::Kind::kSample) {
       ++stats.sample_requests;
@@ -170,43 +189,95 @@ Result<ServiceFlushStats> UnlearningService::Flush() {
                                         : std::min(min_restart, restart);
     }
   }
-  queue_.clear();
-  pending_samples_.clear();
-  pending_clients_.clear();
-  pending_sample_counts_.clear();
+  ClearPending();
 
   if (min_restart != -1) {
     // The whole queue's history rewrites are in place; one replay from the
     // earliest affected iteration recomputes the model trajectory that
-    // sequential processing would have rebuilt once per request.
+    // sequential processing would have rebuilt once per request. The
+    // replay inherits the trainer's parallel client runner (config
+    // num_threads), which is bit-identical to the serial schedule.
     trainer_->set_recomputation_mode(true);
     trainer_->ReplayFrom(min_restart);
     trainer_->set_recomputation_mode(false);
     stats.replays = 1;
     stats.replay_start_iteration = min_restart;
     stats.replayed_iterations = t_max - min_restart + 1;
+    stats.replayed_rounds = r_last - (min_restart - 1) / e;
   }
   stats.wall_seconds = timer.ElapsedSeconds();
   return stats;
 }
 
-Result<ServiceSummary> UnlearningService::ExecuteStream(
+Result<ServiceFlushStats> UnlearningService::ExecuteStream(
     const std::vector<UnlearningRequest>& requests, int64_t coalesce_window) {
-  ServiceSummary summary;
+  ServiceFlushStats totals;
   for (const UnlearningRequest& request : requests) {
-    FATS_RETURN_NOT_OK(Submit(request));
+    if (Status status = Submit(request); !status.ok()) {
+      // Reject the unflushed window whole: nothing of it may linger in the
+      // queue for a later Flush to apply.
+      ClearPending();
+      return status;
+    }
     if (coalesce_window > 0 && pending() >= coalesce_window) {
       FATS_ASSIGN_OR_RETURN(ServiceFlushStats stats, Flush());
-      ++summary.flushes;
-      summary.totals.Accumulate(stats);
+      totals.Accumulate(stats);
     }
   }
   if (pending() > 0) {
     FATS_ASSIGN_OR_RETURN(ServiceFlushStats stats, Flush());
-    ++summary.flushes;
-    summary.totals.Accumulate(stats);
+    totals.Accumulate(stats);
   }
-  return summary;
+  return totals;
+}
+
+std::vector<SampleRef> PickRandomActiveSamples(const FederatedDataset& data,
+                                               int64_t w, RngStream* rng) {
+  // Enumerate active (client, sample) pairs implicitly: draw a client
+  // weighted by its active sample count, then a uniform active sample; keep
+  // distinct picks.
+  std::vector<SampleRef> picks;
+  FATS_CHECK_GT(data.num_active_clients(), 0);
+  const std::vector<int64_t>& clients = data.active_clients();
+  std::vector<double> weights;
+  weights.reserve(clients.size());
+  for (int64_t k : clients) {
+    weights.push_back(static_cast<double>(data.num_active_samples(k)));
+  }
+  int64_t guard = 0;
+  while (static_cast<int64_t>(picks.size()) < w) {
+    FATS_CHECK_LT(++guard, 100000) << "not enough active samples to pick";
+    const int64_t ci = SampleCategorical(weights, rng);
+    const int64_t client = clients[static_cast<size_t>(ci)];
+    const std::vector<int64_t>& active = data.active_sample_indices(client);
+    if (active.empty()) continue;
+    SampleRef ref;
+    ref.client = client;
+    ref.index = active[static_cast<size_t>(rng->UniformInt(active.size()))];
+    bool duplicate = false;
+    for (const SampleRef& existing : picks) {
+      if (existing == ref) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (!duplicate) picks.push_back(ref);
+  }
+  return picks;
+}
+
+std::vector<int64_t> PickRandomActiveClients(const FederatedDataset& data,
+                                             int64_t w, RngStream* rng) {
+  const std::vector<int64_t>& clients = data.active_clients();
+  FATS_CHECK_LE(w, static_cast<int64_t>(clients.size()));
+  std::vector<int64_t> positions =
+      SampleWithoutReplacement(static_cast<int64_t>(clients.size()), w, rng);
+  std::vector<int64_t> picks;
+  picks.reserve(positions.size());
+  for (int64_t pos : positions) {
+    picks.push_back(clients[static_cast<size_t>(pos)]);
+  }
+  return picks;
 }
 
 }  // namespace fats

@@ -1,24 +1,28 @@
-// Long-lived unlearning request service on top of FATS-SU / FATS-CU.
+// FATS-SU / FATS-CU exact unlearning (Algorithms 2 and 3) as a request
+// service: the one implementation of both.
 //
-// The unlearners process one request (or one simultaneous batch) at a time,
-// paying a model replay per request. This service amortizes Theorem 3
-// across a whole queue: deletion requests are validated and triaged in O(1)
-// against the StateStore's inverted participation index at Submit time,
-// then Flush applies every pending dataset mutation and history rewrite
-// transactionally — in queue order, with per-request generation bumps
-// mirroring sequential processing exactly — and performs at most ONE model
-// replay, from the earliest iteration any pending request affected.
+// Deletion requests are validated and triaged in O(1) against the
+// StateStore's inverted participation index at Submit time; Flush then
+// applies every pending dataset mutation and history rewrite
+// transactionally — in queue order, with a generation bump per request —
+// and performs at most ONE model replay, from the earliest iteration any
+// pending request affected. A single request is a one-element queue; a
+// simultaneous batch is a queue flushed once; a streaming workload is
+// ExecuteStream with a coalescing window.
 //
 // Why one replay is exact: every history rewrite a request induces is
 // model-independent, and the trainer performs it. A sample deletion re-draws
 // the affected recorded mini-batches (FatsTrainer::RedrawMinibatch) from the
-// reduced active set; a client removal truncates the store and re-draws the
+// reduced active set and keeps the selection history — the per-batch SU_r
+// transport of Theorem 1's proof (re-drawing the selections too would
+// condition the kept prefix on "the target was not used" and bias the
+// selection marginal). A client removal truncates the store and re-draws the
 // truncated rounds' selections and mini-batches (FatsTrainer::RedrawRound)
-// from the changed measure. The service builds no stream key and computes
-// no batch size; neither rewrite consults model parameters. Processing the
-// queue in order therefore produces bit-for-bit the same final sampling
-// history as running the unlearners sequentially — and the final model is a
-// deterministic function of that history, computed by a single
+// from the changed measure ν(M−1, K). The service builds no stream key and
+// computes no batch size; neither rewrite consults model parameters.
+// Processing the queue in order therefore produces bit-for-bit the same
+// final sampling history as flushing after every request — and the final
+// model is a deterministic function of that history, computed by a single
 // ReplayFrom(earliest affected iteration) instead of one replay per request.
 // (Communication counters differ: that saving is the point.)
 //
@@ -28,6 +32,9 @@
 // that empties a client or the federation) is rejected up front and the
 // flush itself cannot half-apply. The caller must not mutate the dataset
 // or trainer history between Submit and Flush except through this service.
+//
+// By Lemma 1 the probability that a request triggers re-computation is at
+// most min{ρ_S, 1} (sample) or min{ρ_C, 1} (client) per request.
 
 #ifndef FATS_CORE_UNLEARNING_SERVICE_H_
 #define FATS_CORE_UNLEARNING_SERVICE_H_
@@ -38,12 +45,33 @@
 #include <vector>
 
 #include "core/fats_trainer.h"
-#include "core/unlearning_executor.h"
+#include "data/federated_dataset.h"
+#include "rng/rng_stream.h"
 #include "util/status.h"
 
 namespace fats {
 
-/// Aggregate cost of one coalesced Flush (and, summed, of a stream).
+/// A single deletion request: one sample (kSample) or one client (kClient),
+/// issued at time step t_u = request_iter.
+struct UnlearningRequest {
+  enum class Kind { kSample, kClient };
+  Kind kind = Kind::kSample;
+  SampleRef sample = {};     // when kind == kSample
+  int64_t client = -1;       // when kind == kClient
+  int64_t request_iter = 0;  // t_u
+};
+
+/// What unlearning cost: one Flush, a whole stream (summed with
+/// Accumulate), or one call of a rival scheme (CompactUnlearner, FRS, FR²).
+///
+/// Two cost families. The `recomputed_*` fields are the Theorem 3
+/// quantities — the span attributable to the Algorithm 2/3 *trigger*
+/// (earliest participation at or before request_iter), summed over the
+/// triggered requests. The `replay*` fields count the recomputation actually
+/// performed, which can differ: a sample whose only recorded uses fall after
+/// request_iter does not trigger, yet its batches are still substituted and
+/// the model still replayed; and one coalesced replay serves many triggered
+/// requests. Reports of total work done must read `replayed_*`.
 struct ServiceFlushStats {
   int64_t requests = 0;
   int64_t sample_requests = 0;
@@ -51,6 +79,10 @@ struct ServiceFlushStats {
   /// Requests whose earliest recorded participation was at or before their
   /// request_iter (the Algorithm 2/3 trigger — the Theorem 3 quantity).
   int64_t triggered_requests = 0;
+  /// Σ over triggered requests of T − t_trigger + 1 and of the rounds that
+  /// span covers (Theorem 3's unlearning time in steps and rounds).
+  int64_t recomputed_iterations = 0;
+  int64_t recomputed_rounds = 0;
   /// Recorded mini-batches substituted with fresh reduced-measure draws.
   int64_t substituted_batches = 0;
   /// Rounds whose selection + mini-batches were redrawn after a client
@@ -60,32 +92,37 @@ struct ServiceFlushStats {
   int64_t replays = 0;
   /// First iteration of the single coalesced replay (-1 when replays == 0).
   int64_t replay_start_iteration = -1;
-  /// Iterations the coalesced replay actually re-executed.
+  /// Iterations / rounds the replay actually re-executed.
   int64_t replayed_iterations = 0;
+  int64_t replayed_rounds = 0;
   /// What the same queue would have replayed processed one request at a
   /// time (sum of per-request replay spans). The coalescing factor is
   /// sequential_replayed_iterations / replayed_iterations.
   int64_t sequential_replayed_iterations = 0;
   double wall_seconds = 0.0;
 
+  /// Sums `other` into this; replay_start_iteration becomes the earliest
+  /// start of either.
   void Accumulate(const ServiceFlushStats& other) {
     requests += other.requests;
     sample_requests += other.sample_requests;
     client_requests += other.client_requests;
     triggered_requests += other.triggered_requests;
+    recomputed_iterations += other.recomputed_iterations;
+    recomputed_rounds += other.recomputed_rounds;
     substituted_batches += other.substituted_batches;
     redrawn_rounds += other.redrawn_rounds;
     replays += other.replays;
+    if (other.replay_start_iteration != -1 &&
+        (replay_start_iteration == -1 ||
+         other.replay_start_iteration < replay_start_iteration)) {
+      replay_start_iteration = other.replay_start_iteration;
+    }
     replayed_iterations += other.replayed_iterations;
+    replayed_rounds += other.replayed_rounds;
     sequential_replayed_iterations += other.sequential_replayed_iterations;
     wall_seconds += other.wall_seconds;
   }
-};
-
-/// A stream executed through the service: per-flush totals plus flush count.
-struct ServiceSummary {
-  int64_t flushes = 0;
-  ServiceFlushStats totals;
 };
 
 class UnlearningService {
@@ -121,16 +158,20 @@ class UnlearningService {
   /// Drains the queue: applies every pending mutation and history rewrite
   /// in submit order inside one durable-journal bracket, then replays the
   /// model once from the earliest affected iteration. A model replayed by
-  /// Flush is bitwise-identical to processing the same requests one at a
-  /// time through SampleUnlearner / ClientUnlearner. No-op on an empty
-  /// queue.
+  /// Flush is bitwise-identical to flushing after every single request.
+  /// No-op on an empty queue.
   Result<ServiceFlushStats> Flush();
 
   /// Submits every request in order, flushing whenever `coalesce_window`
-  /// requests are pending (coalesce_window <= 0: one flush at the end).
-  /// Streaming forgetting policies — e.g. the SIFU-style P9/P70 client
-  /// departure sequences — are this with the policy's request order.
-  Result<ServiceSummary> ExecuteStream(
+  /// requests are pending (coalesce_window <= 0: one flush at the end — a
+  /// simultaneous batch). Returns the accumulated stats of every flush
+  /// (`replays` counts the flushes that replayed). Window 1 processes the
+  /// requests one at a time (streaming semantics). A request Submit rejects
+  /// fails the call and discards the window it would have joined; windows
+  /// flushed before it stay applied. Streaming forgetting policies — e.g.
+  /// the SIFU-style P9/P70 client departure sequences — are this with the
+  /// policy's request order.
+  Result<ServiceFlushStats> ExecuteStream(
       const std::vector<UnlearningRequest>& requests,
       int64_t coalesce_window = 0);
 
@@ -155,6 +196,9 @@ class UnlearningService {
   Result<int64_t> ApplyClientRemoval(int64_t target, int64_t t_max,
                                      ServiceFlushStats* stats);
 
+  /// Empties the queue and the pending-state overlays.
+  void ClearPending();
+
   FatsTrainer* trainer_;
   std::vector<UnlearningRequest> queue_;
 
@@ -163,6 +207,14 @@ class UnlearningService {
   std::unordered_set<int64_t> pending_clients_;
   std::unordered_map<int64_t, int64_t> pending_sample_counts_;
 };
+
+/// Draws `w` distinct random active samples across active clients.
+std::vector<SampleRef> PickRandomActiveSamples(const FederatedDataset& data,
+                                               int64_t w, RngStream* rng);
+
+/// Draws `w` distinct random active clients.
+std::vector<int64_t> PickRandomActiveClients(const FederatedDataset& data,
+                                             int64_t w, RngStream* rng);
 
 }  // namespace fats
 

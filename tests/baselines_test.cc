@@ -23,10 +23,10 @@ TEST(FrsTest, SampleUnlearnRetrainsFromScratch) {
   trainer.RunRounds(8);
   const Tensor deployed = trainer.global_params();
   FrsUnlearner unlearner(&trainer, &data);
-  Result<UnlearningOutcome> outcome =
+  Result<ServiceFlushStats> outcome =
       unlearner.UnlearnSamples({{0, 1}, {2, 5}}, /*retrain_rounds=*/8);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->recomputed);
+  EXPECT_GT(outcome->triggered_requests, 0);
   EXPECT_EQ(outcome->recomputed_rounds, 8);
   EXPECT_FALSE(data.sample_active(0, 1));
   EXPECT_FALSE(data.sample_active(2, 5));
@@ -41,7 +41,7 @@ TEST(FrsTest, ClientUnlearnRemovesClient) {
   FedAvgTrainer trainer(TinyModelSpec(), SmallOptions(), &data);
   trainer.RunRounds(5);
   FrsUnlearner unlearner(&trainer, &data);
-  Result<UnlearningOutcome> outcome =
+  Result<ServiceFlushStats> outcome =
       unlearner.UnlearnClients({3}, /*retrain_rounds=*/5);
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(data.client_active(3));
@@ -73,7 +73,7 @@ TEST(Fr2Test, RecoveryRunsConfiguredRounds) {
   Fr2Options options;
   options.recovery_rounds = 3;
   Fr2Unlearner unlearner(&trainer, &data, options);
-  Result<UnlearningOutcome> outcome = unlearner.UnlearnSamples({{1, 2}});
+  Result<ServiceFlushStats> outcome = unlearner.UnlearnSamples({{1, 2}});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->recomputed_rounds, 3);
   EXPECT_FALSE(data.sample_active(1, 2));
@@ -117,8 +117,8 @@ TEST(Fr2Test, IsCheaperThanFrsInRounds) {
   Fr2Options options;
   options.recovery_rounds = 2;
   Fr2Unlearner fr2(&fr2_trainer, &data_fr2, options);
-  UnlearningOutcome frs_outcome = frs.UnlearnSamples({{0, 0}}, 10).value();
-  UnlearningOutcome fr2_outcome = fr2.UnlearnSamples({{0, 0}}).value();
+  ServiceFlushStats frs_outcome = frs.UnlearnSamples({{0, 0}}, 10).value();
+  ServiceFlushStats fr2_outcome = fr2.UnlearnSamples({{0, 0}}).value();
   EXPECT_LT(fr2_outcome.recomputed_rounds, frs_outcome.recomputed_rounds);
 }
 

@@ -6,7 +6,7 @@
 
 #include <set>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 namespace fats {
@@ -88,12 +88,15 @@ TEST(CentralLdaTest, UnlearningWorksOnUnequalShards) {
   for (int64_t k = 1; k < data.num_clients(); ++k) {
     if (data.samples_of(k) < data.samples_of(smallest)) smallest = k;
   }
-  SampleUnlearner unlearner(&trainer);
+  UnlearningService service(&trainer);
   // Delete samples from the smallest shard one at a time until one remains.
   while (data.num_active_samples(smallest) > 1) {
     const int64_t index = data.active_sample_indices(smallest)[0];
-    ASSERT_TRUE(
-        unlearner.Unlearn({smallest, index}, config.total_iters_t()).ok());
+    ASSERT_TRUE(service
+                    .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                     .sample = {smallest, index},
+                                     .request_iter = config.total_iters_t()}})
+                    .ok());
   }
   EXPECT_EQ(data.num_active_samples(smallest), 1);
 }

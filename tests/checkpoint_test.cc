@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -114,10 +113,12 @@ TEST(CheckpointTest, RestoredTrainerServesExactUnlearning) {
     }
   }
   ASSERT_GE(target.client, 0);
-  SampleUnlearner original_unlearner(original.trainer.get());
-  ASSERT_TRUE(original_unlearner
-                  .Unlearn(target, original.config.total_iters_t())
-                  .ok());
+  const UnlearningRequest request = {
+      .kind = UnlearningRequest::Kind::kSample,
+      .sample = target,
+      .request_iter = original.config.total_iters_t()};
+  UnlearningService original_service(original.trainer.get());
+  ASSERT_TRUE(original_service.ExecuteStream({request}).ok());
 
   // Restore into a fresh environment and unlearn the same target: the
   // entire pipeline is deterministic, so the results must agree bit-for-bit.
@@ -127,10 +128,8 @@ TEST(CheckpointTest, RestoredTrainerServesExactUnlearning) {
   restored_env.trainer = std::make_unique<FatsTrainer>(
       TinyModelSpec(), restored_env.config, &restored_env.data);
   ASSERT_TRUE(LoadTrainerCheckpoint(path, restored_env.trainer.get()).ok());
-  SampleUnlearner restored_unlearner(restored_env.trainer.get());
-  ASSERT_TRUE(restored_unlearner
-                  .Unlearn(target, restored_env.config.total_iters_t())
-                  .ok());
+  UnlearningService restored_service(restored_env.trainer.get());
+  ASSERT_TRUE(restored_service.ExecuteStream({request}).ok());
   EXPECT_TRUE(restored_env.trainer->global_params().BitwiseEquals(
       original.trainer->global_params()));
 }

@@ -57,9 +57,9 @@ TEST(CompactUnlearnerTest, NonParticipantClientIsFree) {
   }
   ASSERT_GE(target, 0) << "all clients participated; enlarge M";
   const Tensor before = t.trainer->global_params();
-  UnlearningOutcome outcome =
+  ServiceFlushStats outcome =
       unlearner.UnlearnClient(target, t.config.total_iters_t()).value();
-  EXPECT_FALSE(outcome.recomputed);
+  EXPECT_EQ(outcome.triggered_requests, 0);
   EXPECT_TRUE(t.trainer->global_params().BitwiseEquals(before));
   EXPECT_FALSE(t.data.client_active(target));
 }
@@ -75,9 +75,9 @@ TEST(CompactUnlearnerTest, ParticipantClientCausesFullRetrain) {
     }
   }
   ASSERT_GE(target, 0);
-  UnlearningOutcome outcome =
+  ServiceFlushStats outcome =
       unlearner.UnlearnClient(target, t.config.total_iters_t()).value();
-  EXPECT_TRUE(outcome.recomputed);
+  EXPECT_GT(outcome.triggered_requests, 0);
   EXPECT_EQ(outcome.recomputed_rounds, t.config.rounds_r);
   EXPECT_EQ(outcome.recomputed_iterations, t.config.total_iters_t());
   // The retrained history never selects the removed client.
@@ -97,9 +97,9 @@ TEST(CompactUnlearnerTest, UsedSampleCausesFullRetrain) {
     }
   }
   ASSERT_GE(target.client, 0);
-  UnlearningOutcome outcome =
+  ServiceFlushStats outcome =
       unlearner.UnlearnSample(target, t.config.total_iters_t()).value();
-  EXPECT_TRUE(outcome.recomputed);
+  EXPECT_GT(outcome.triggered_requests, 0);
   EXPECT_EQ(outcome.recomputed_rounds, t.config.rounds_r);
   EXPECT_FALSE(t.data.sample_active(target.client, target.index));
   EXPECT_FALSE(unlearner.index().SampleUsed(target.client, target.index));
@@ -119,9 +119,9 @@ TEST(CompactUnlearnerTest, UnusedSampleIsFree) {
   }
   ASSERT_GE(target.client, 0) << "every sample used; enlarge the workload";
   const Tensor before = t.trainer->global_params();
-  UnlearningOutcome outcome =
+  ServiceFlushStats outcome =
       unlearner.UnlearnSample(target, t.config.total_iters_t()).value();
-  EXPECT_FALSE(outcome.recomputed);
+  EXPECT_EQ(outcome.triggered_requests, 0);
   EXPECT_TRUE(t.trainer->global_params().BitwiseEquals(before));
 }
 

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "core/tv_stability.h"
 #include "test_workloads.h"
 
@@ -118,8 +118,12 @@ TEST(ConvergenceTest, UnlearnedModelPreservesErrorRegime) {
     }
   }
   ASSERT_GE(target.client, 0);
-  SampleUnlearner unlearner(&trainer);
-  ASSERT_TRUE(unlearner.Unlearn(target, config.total_iters_t()).ok());
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(service
+                  .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                   .sample = target,
+                                   .request_iter = config.total_iters_t()}})
+                  .ok());
   const double after = GlobalSquaredGradNorm(&trainer);
   EXPECT_LT(after, 10.0 * before + 0.5);
 }

@@ -2,7 +2,8 @@
 // at different hit counts, plus torn journal writes), recover from the
 // checkpoint + journal, and require the recovered run to be bit-identical
 // to an uninterrupted one — model, training log, and communication ledger —
-// and for subsequent unlearning to match exactly.
+// and for a subsequent unlearning flush (a sample deletion and a client
+// removal, coalesced into one replay) to match exactly.
 //
 // Children are forked (num_threads stays 1, so the process is single-
 // threaded and fork-safe) and die via std::_Exit inside the failpoint, so
@@ -24,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "io/train_journal.h"
 #include "test_workloads.h"
 #include "util/failpoint.h"
@@ -98,9 +99,12 @@ struct Reference {
   Tensor trained;
   std::string trained_log_csv;
   CommSnapshot trained_comm;
-  SampleRef target;  // a sample training actually used -> recomputation
+  // One flush: a sample training actually used, then a participating
+  // client that does not own it — both force re-computation, and the client
+  // removal re-draws rounds (RedrawRound) inside the journal bracket.
+  std::vector<UnlearningRequest> requests;
   Tensor unlearned;
-  UnlearningOutcome outcome;
+  ServiceFlushStats stats;
 };
 
 // First sample with a recorded use, so unlearning it forces re-computation.
@@ -115,6 +119,23 @@ SampleRef PickUsedSample(const FatsTrainer& trainer) {
   return {0, 0};
 }
 
+// First participating client other than `skip`.
+int64_t PickParticipatingClient(const FatsTrainer& trainer, int64_t skip) {
+  for (int64_t client = 0; client < 5; ++client) {
+    if (client != skip && trainer.store().EarliestClientRound(client) > 0) {
+      return client;
+    }
+  }
+  return -1;
+}
+
+// Flushes the reference requests through a fresh service on `trainer`.
+Result<ServiceFlushStats> FlushReferenceRequests(FatsTrainer* trainer,
+                                                 const Reference& ref) {
+  UnlearningService service(trainer);
+  return service.ExecuteStream(ref.requests);
+}
+
 const Reference& GetReference() {
   static const Reference* kRef = [] {
     auto* ref = new Reference();
@@ -124,12 +145,18 @@ const Reference& GetReference() {
     ref->trained = env.trainer->global_params();
     ref->trained_log_csv = env.trainer->log().ToCsv();
     ref->trained_comm = Snapshot(env.trainer.get());
-    ref->target = PickUsedSample(*env.trainer);
-    SampleUnlearner unlearner(env.trainer.get());
-    Result<UnlearningOutcome> outcome =
-        unlearner.Unlearn(ref->target, kTotal);
-    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ref->outcome = *outcome;
+    const SampleRef sample = PickUsedSample(*env.trainer);
+    ref->requests = {
+        {.kind = UnlearningRequest::Kind::kSample,
+         .sample = sample,
+         .request_iter = kTotal},
+        {.kind = UnlearningRequest::Kind::kClient,
+         .client = PickParticipatingClient(*env.trainer, sample.client),
+         .request_iter = kTotal}};
+    Result<ServiceFlushStats> stats =
+        FlushReferenceRequests(env.trainer.get(), *ref);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    ref->stats = *stats;
     ref->unlearned = env.trainer->global_params();
     return ref;
   }();
@@ -195,12 +222,13 @@ void ExpectRecoversExactly(const std::string& ckpt, const std::string& jrn,
   EXPECT_EQ(comm.retransmit_bytes, ref.trained_comm.retransmit_bytes)
       << label;
 
-  SampleUnlearner unlearner(env.trainer.get());
-  Result<UnlearningOutcome> outcome = unlearner.Unlearn(ref.target, kTotal);
-  ASSERT_TRUE(outcome.ok()) << label << ": " << outcome.status().ToString();
-  EXPECT_EQ(outcome->recomputed, ref.outcome.recomputed) << label;
-  EXPECT_EQ(outcome->restart_iteration, ref.outcome.restart_iteration)
+  Result<ServiceFlushStats> stats =
+      FlushReferenceRequests(env.trainer.get(), ref);
+  ASSERT_TRUE(stats.ok()) << label << ": " << stats.status().ToString();
+  EXPECT_EQ(stats->triggered_requests, ref.stats.triggered_requests) << label;
+  EXPECT_EQ(stats->replay_start_iteration, ref.stats.replay_start_iteration)
       << label;
+  EXPECT_EQ(stats->redrawn_rounds, ref.stats.redrawn_rounds) << label;
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned))
       << label << ": unlearning after recovery differs";
 }
@@ -362,34 +390,37 @@ TEST(CrashMatrixTest, SpillTierCrashWindowsRecoverBitExactly) {
 
 TEST(CrashMatrixTest, CrashMidUnlearningRollsBackAtomically) {
   const Reference& ref = GetReference();
-  // The fixed target must trigger re-computation for this test to bite.
-  ASSERT_TRUE(ref.outcome.recomputed);
+  // Both fixed targets must trigger re-computation, and the client removal
+  // must re-draw rounds, for this test to bite.
+  ASSERT_NE(ref.requests[1].client, -1);
+  ASSERT_EQ(ref.stats.triggered_requests, 2);
+  ASSERT_GT(ref.stats.redrawn_rounds, 0);
+  ASSERT_EQ(ref.stats.replays, 1);
 
-  // Training commits `kTotal` iterations, so hit kTotal+1 lands on the
-  // first committed iteration of the unlearning re-computation — inside
-  // the open kOpBegin bracket.
+  // Training commits `kTotal` iterations, and the flush's history rewrites
+  // (batch substitution, store truncation, round re-draws) commit none, so
+  // hit kTotal+1 lands on the first committed iteration of the coalesced
+  // replay — after both requests' rewrites, inside the open kOpBegin
+  // bracket.
   const std::string spec =
       "trainer.iter.commit:" + std::to_string(kTotal + 1) + ":crash";
   const std::string ckpt = TempPath("cm_unlearn.ckpt");
   const std::string jrn = TempPath("cm_unlearn.jrn");
   RemoveDurableFiles(ckpt, jrn);
-  const SampleRef target = ref.target;
   const int code = ForkAndReap([&] {
     Env env = MakeEnv(spec);
     Result<std::unique_ptr<DurableTrainingSession>> session =
         DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
     if (!session.ok()) return 90;
     env.trainer->TrainUntil(kTotal);
-    SampleUnlearner unlearner(env.trainer.get());
-    Result<UnlearningOutcome> outcome = unlearner.Unlearn(target, kTotal);
-    return outcome.ok() ? 0 : 93;
+    return FlushReferenceRequests(env.trainer.get(), ref).ok() ? 0 : 93;
   });
   ASSERT_EQ(code, failpoint::kCrashExitCode)
-      << "crash was expected inside the re-computation";
+      << "crash was expected inside the coalesced replay";
 
-  // The half-done operation must roll back to the pre-unlearning state
-  // (matching the not-yet-committed data-side deletion), and re-running the
-  // request must then match the uninterrupted unlearning bit for bit.
+  // The half-done flush must roll back both requests to the pre-unlearning
+  // state (matching the not-yet-committed data-side deletions), and
+  // re-flushing them must then match the uninterrupted flush bit for bit.
   Env env = MakeEnv();
   Result<std::unique_ptr<DurableTrainingSession>> session =
       DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
@@ -397,10 +428,17 @@ TEST(CrashMatrixTest, CrashMidUnlearningRollsBackAtomically) {
   EXPECT_EQ(env.trainer->trained_through(), kTotal);
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.trained))
       << "open unlearning bracket was not rolled back";
+  EXPECT_EQ(env.trainer->log().ToCsv(), ref.trained_log_csv)
+      << "rolled-back flush left log records behind";
+  const int64_t removed = ref.requests[1].client;
+  EXPECT_GE(env.trainer->store().EarliestClientRound(removed), 1)
+      << "the client removal's truncation was not rolled back";
 
-  SampleUnlearner unlearner(env.trainer.get());
-  Result<UnlearningOutcome> outcome = unlearner.Unlearn(ref.target, kTotal);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  Result<ServiceFlushStats> stats =
+      FlushReferenceRequests(env.trainer.get(), ref);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->redrawn_rounds, ref.stats.redrawn_rounds);
+  EXPECT_EQ(stats->replay_start_iteration, ref.stats.replay_start_iteration);
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned));
 }
 

@@ -10,7 +10,7 @@
 #include <memory>
 #include <string>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "fl/availability.h"
 #include "test_workloads.h"
 
@@ -194,20 +194,23 @@ TEST(DropoutTest, UnlearningOnDroppedRunMatchesNoDropout) {
   }
   ASSERT_TRUE(found);
 
-  SampleUnlearner du(dropped.trainer.get());
-  SampleUnlearner cu(clean.trainer.get());
+  const UnlearningRequest request = {.kind = UnlearningRequest::Kind::kSample,
+                                     .sample = target,
+                                     .request_iter = kTotal};
+  UnlearningService dropped_service(dropped.trainer.get());
+  UnlearningService clean_service(clean.trainer.get());
   const int64_t retries_before = dropped.trainer->dropout_retries();
   const int64_t dropped_down_before =
       dropped.trainer->comm_stats().downlink_bytes();
   const int64_t clean_down_before =
       clean.trainer->comm_stats().downlink_bytes();
-  Result<UnlearningOutcome> doc = du.Unlearn(target, kTotal);
-  Result<UnlearningOutcome> coc = cu.Unlearn(target, kTotal);
+  Result<ServiceFlushStats> doc = dropped_service.ExecuteStream({request});
+  Result<ServiceFlushStats> coc = clean_service.ExecuteStream({request});
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   ASSERT_TRUE(coc.ok()) << coc.status().ToString();
-  EXPECT_TRUE(doc->recomputed);
-  EXPECT_EQ(doc->recomputed, coc->recomputed);
-  EXPECT_EQ(doc->restart_iteration, coc->restart_iteration);
+  EXPECT_EQ(doc->triggered_requests, 1);
+  EXPECT_EQ(doc->triggered_requests, coc->triggered_requests);
+  EXPECT_EQ(doc->replay_start_iteration, coc->replay_start_iteration);
   // The recomputation runs under the same availability schedule, so even
   // the unlearned models match bit for bit.
   EXPECT_TRUE(dropped.trainer->global_params().BitwiseEquals(

@@ -1,13 +1,14 @@
-// Edge-case coverage across the trainer / unlearner stack.
+// Edge-case coverage across the trainer / unlearning stack.
 
 #include <gtest/gtest.h>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
 namespace {
+
+using Kind = UnlearningRequest::Kind;
 
 TEST(EdgeCaseTest, SingleIterationRounds) {
   // E = 1: every iteration is a full round.
@@ -55,10 +56,14 @@ TEST(EdgeCaseTest, UnlearnShrinksBelowBatchSize) {
   EXPECT_EQ(config.DeriveB(), 4);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  SampleUnlearner unlearner(&trainer);
+  UnlearningService service(&trainer);
   // Delete three of client 0's four samples, one at a time.
   for (int64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(unlearner.Unlearn({0, i}, config.total_iters_t()).ok())
+    ASSERT_TRUE(service
+                    .ExecuteStream({{.kind = Kind::kSample,
+                                     .sample = {0, i},
+                                     .request_iter = config.total_iters_t()}})
+                    .ok())
         << "deletion " << i;
   }
   EXPECT_EQ(data.num_active_samples(0), 1);
@@ -81,10 +86,15 @@ TEST(EdgeCaseTest, UnlearnClientsUntilKExceedsActive) {
   ASSERT_GE(k, 2);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  ClientUnlearner unlearner(&trainer);
-  ASSERT_TRUE(unlearner.Unlearn(0, config.total_iters_t()).ok());
-  ASSERT_TRUE(unlearner.Unlearn(1, config.total_iters_t()).ok());
-  ASSERT_TRUE(unlearner.Unlearn(2, config.total_iters_t()).ok());
+  const int64_t t = config.total_iters_t();
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(service
+                  .ExecuteStream(
+                      {{.kind = Kind::kClient, .client = 0, .request_iter = t},
+                       {.kind = Kind::kClient, .client = 1, .request_iter = t},
+                       {.kind = Kind::kClient, .client = 2, .request_iter = t}},
+                      /*coalesce_window=*/1)
+                  .ok());
   EXPECT_EQ(data.num_active_clients(), 1);
   // The recomputed history only references the surviving client.
   for (int64_t r = 1; r <= config.rounds_r; ++r) {
@@ -100,11 +110,16 @@ TEST(EdgeCaseTest, SampleThenClientUnlearningCompose) {
   FatsConfig config = TinyFatsConfig(8, 8, 4, 2);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  SampleUnlearner sample_unlearner(&trainer);
-  ClientUnlearner client_unlearner(&trainer);
-  ASSERT_TRUE(sample_unlearner.Unlearn({1, 0}, config.total_iters_t()).ok());
-  ASSERT_TRUE(client_unlearner.Unlearn(2, config.total_iters_t()).ok());
-  ASSERT_TRUE(sample_unlearner.Unlearn({3, 4}, config.total_iters_t()).ok());
+  const int64_t t_max = config.total_iters_t();
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(
+      service
+          .ExecuteStream(
+              {{.kind = Kind::kSample, .sample = {1, 0}, .request_iter = t_max},
+               {.kind = Kind::kClient, .client = 2, .request_iter = t_max},
+               {.kind = Kind::kSample, .sample = {3, 4}, .request_iter = t_max}},
+              /*coalesce_window=*/1)
+          .ok());
   EXPECT_FALSE(data.sample_active(1, 0));
   EXPECT_FALSE(data.client_active(2));
   EXPECT_FALSE(data.sample_active(3, 4));
@@ -131,10 +146,18 @@ TEST(EdgeCaseTest, UnlearningSampleOfRemovedClientFails) {
   FatsConfig config = TinyFatsConfig(6, 8, 3, 2);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  ClientUnlearner client_unlearner(&trainer);
-  ASSERT_TRUE(client_unlearner.Unlearn(1, config.total_iters_t()).ok());
-  SampleUnlearner sample_unlearner(&trainer);
-  EXPECT_FALSE(sample_unlearner.Unlearn({1, 0}, config.total_iters_t()).ok());
+  const int64_t t = config.total_iters_t();
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(service
+                  .ExecuteStream({{.kind = Kind::kClient,
+                                   .client = 1,
+                                   .request_iter = t}})
+                  .ok());
+  EXPECT_FALSE(service
+                   .ExecuteStream({{.kind = Kind::kSample,
+                                    .sample = {1, 0},
+                                    .request_iter = t}})
+                   .ok());
 }
 
 TEST(EdgeCaseTest, TinyFederationOfTwoClients) {
@@ -143,8 +166,12 @@ TEST(EdgeCaseTest, TinyFederationOfTwoClients) {
   ASSERT_TRUE(config.Validate().ok());
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  ClientUnlearner unlearner(&trainer);
-  ASSERT_TRUE(unlearner.Unlearn(0, config.total_iters_t()).ok());
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(service
+                  .ExecuteStream({{.kind = Kind::kClient,
+                                   .client = 0,
+                                   .request_iter = config.total_iters_t()}})
+                  .ok());
   EXPECT_EQ(data.num_active_clients(), 1);
   EXPECT_GE(trainer.EvaluateTestAccuracy(), 0.0);
 }
@@ -154,9 +181,13 @@ TEST(EdgeCaseTest, RequestAtIterationOne) {
   FatsConfig config = TinyFatsConfig(6, 8, 3, 2);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.Train();
-  SampleUnlearner unlearner(&trainer);
+  UnlearningService service(&trainer);
   // request_iter = 1 is the smallest legal request time.
-  EXPECT_TRUE(unlearner.Unlearn({0, 0}, 1).ok());
+  EXPECT_TRUE(service
+                  .ExecuteStream({{.kind = Kind::kSample,
+                                   .sample = {0, 0},
+                                   .request_iter = 1}})
+                  .ok());
 }
 
 }  // namespace

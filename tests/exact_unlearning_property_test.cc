@@ -15,8 +15,7 @@
 #include <memory>
 #include <string>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -143,8 +142,12 @@ TEST(ExactUnlearningTest, SampleLevelDistributionMatchesFreshRetrain) {
       FatsConfig config = TinyDiscreteConfig(seed);
       FatsTrainer trainer(TinyModelSpec(), config, &data);
       trainer.Train();
-      SampleUnlearner unlearner(&trainer);
-      ASSERT_TRUE(unlearner.Unlearn(target, config.total_iters_t()).ok());
+      UnlearningService service(&trainer);
+      ASSERT_TRUE(service
+                      .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                       .sample = target,
+                                       .request_iter = config.total_iters_t()}})
+                      .ok());
       unlearned_counts[EncodeHistory(trainer)]++;
     }
   }
@@ -170,8 +173,12 @@ TEST(ExactUnlearningTest, ClientLevelDistributionMatchesFreshRetrain) {
       FatsConfig config = TinyDiscreteConfig(seed);
       FatsTrainer trainer(TinyModelSpec(), config, &data);
       trainer.Train();
-      ClientUnlearner unlearner(&trainer);
-      ASSERT_TRUE(unlearner.Unlearn(target, config.total_iters_t()).ok());
+      UnlearningService service(&trainer);
+      ASSERT_TRUE(service
+                      .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                                       .client = target,
+                                       .request_iter = config.total_iters_t()}})
+                      .ok());
       unlearned_counts[EncodeHistory(trainer)]++;
     }
   }
@@ -186,8 +193,12 @@ TEST(ExactUnlearningTest, UnlearnedHistoryNeverContainsTarget) {
     FatsConfig config = TinyDiscreteConfig(seed);
     FatsTrainer trainer(TinyModelSpec(), config, &data);
     trainer.Train();
-    ClientUnlearner unlearner(&trainer);
-    ASSERT_TRUE(unlearner.Unlearn(0, config.total_iters_t()).ok());
+    UnlearningService service(&trainer);
+    ASSERT_TRUE(service
+                    .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                                     .client = 0,
+                                     .request_iter = config.total_iters_t()}})
+                    .ok());
     const std::string history = EncodeHistory(trainer);
     for (int64_t r = 1; r <= kRounds; ++r) {
       const std::vector<int64_t>* selection =
@@ -211,8 +222,12 @@ TEST(ExactUnlearningTest, NoOpUnlearningPreservesStateBitExactly) {
     if (trainer.store().EarliestSampleUse(target) != -1) continue;
     const Tensor params = trainer.global_params();
     const std::string history = EncodeHistory(trainer);
-    SampleUnlearner unlearner(&trainer);
-    ASSERT_TRUE(unlearner.Unlearn(target, config.total_iters_t()).ok());
+    UnlearningService service(&trainer);
+    ASSERT_TRUE(service
+                    .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                     .sample = target,
+                                     .request_iter = config.total_iters_t()}})
+                    .ok());
     EXPECT_TRUE(trainer.global_params().BitwiseEquals(params));
     EXPECT_EQ(EncodeHistory(trainer), history);
     ++checked;

@@ -266,7 +266,7 @@ TEST(AnalyzeSamplingKeyOwner, SamplingPurposeInCoreFires) {
 
 TEST(AnalyzeSamplingKeyOwner, RedrawWrappersAndOtherPurposesAreClean) {
   const AnalysisResult r = AnalyzeOne(
-      "src/core/sample_unlearner.cc",
+      "src/core/unlearning_service.cc",
       "Status F(FatsTrainer* trainer, uint64_t seed) {\n"
       "  FATS_RETURN_NOT_OK(trainer->RedrawMinibatch(t, k));\n"
       "  FATS_RETURN_NOT_OK(trainer->RedrawRound(r, t_max));\n"
@@ -684,6 +684,53 @@ TEST(AnalyzeStoreMutation, SuppressionDowngrades) {
       "}\n");
   EXPECT_TRUE(ActiveRules(r).empty());
   EXPECT_TRUE(HasRule(r, kRuleStoreMutationBypass, /*suppressed=*/true));
+}
+
+// --- Rule fixtures: unlearn-owner ---
+
+TEST(AnalyzeUnlearnOwner, RewriteCallInBenchFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "bench/bench_x.cc",
+      "void F(FatsTrainer* trainer) {\n"
+      "  trainer->NotifyUnlearnBegin();\n"
+      "  FATS_CHECK_OK(trainer->RedrawMinibatch(t, k));\n"
+      "  FATS_CHECK_OK(trainer->RedrawRound(r, t_max));\n"
+      "}\n");
+  EXPECT_EQ(ActiveRules(r),
+            (std::vector<std::string>{kRuleUnlearnOwner, kRuleUnlearnOwner,
+                                      kRuleUnlearnOwner}));
+}
+
+TEST(AnalyzeUnlearnOwner, RewriteCallInOtherCoreFileFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/compact_unlearner.cc",
+      "void F(FatsTrainer* trainer) { trainer->RedrawRound(1, 3); }\n");
+  EXPECT_TRUE(HasRule(r, kRuleUnlearnOwner));
+}
+
+TEST(AnalyzeUnlearnOwner, ServiceAndTrainerAreExempt) {
+  const std::string body =
+      "Status F(FatsTrainer* trainer) {\n"
+      "  trainer->NotifyUnlearnBegin();\n"
+      "  FATS_RETURN_NOT_OK(trainer->RedrawMinibatch(t, k));\n"
+      "  return trainer->RedrawRound(r, t_max);\n"
+      "}\n";
+  for (const char* path :
+       {"src/core/unlearning_service.cc", "src/core/fats_trainer.cc",
+        "src/core/fats_trainer.h"}) {
+    EXPECT_FALSE(HasRule(AnalyzeOne(path, body), kRuleUnlearnOwner)) << path;
+  }
+}
+
+TEST(AnalyzeUnlearnOwner, SuppressionDowngrades) {
+  const AnalysisResult r = AnalyzeOne(
+      "examples/x.cpp",
+      "void F(FatsTrainer* trainer) {\n"
+      "  trainer->NotifyUnlearnBegin();  "
+      "// fats-lint: allow(unlearn-owner)\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+  EXPECT_TRUE(HasRule(r, kRuleUnlearnOwner, /*suppressed=*/true));
 }
 
 // --- Rule fixtures: raw-wire ---

@@ -5,7 +5,7 @@
 
 #include "baselines/fr2.h"
 #include "baselines/frs.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 #include "metrics/unlearning_metrics.h"
 
@@ -33,16 +33,20 @@ TEST(IntegrationTest, FullFatsPipelineSampleLevel) {
   EXPECT_GT(acc, 0.3) << "model failed to learn the scaled task";
 
   const size_t pre_request_records = trainer.log().records().size();
-  UnlearningExecutor executor(&trainer);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(5, id);
-  std::vector<SampleRef> targets = PickRandomActiveSamples(data, 5, &rng);
-  UnlearningSummary summary =
-      executor.ExecuteSampleBatch(targets, config.total_iters_t()).value();
-  EXPECT_EQ(summary.requests, 5);
+  std::vector<UnlearningRequest> requests;
+  for (const SampleRef& target : PickRandomActiveSamples(data, 5, &rng)) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                        .sample = target,
+                        .request_iter = config.total_iters_t()});
+  }
+  UnlearningService service(&trainer);
+  const ServiceFlushStats stats = service.ExecuteStream(requests).value();
+  EXPECT_EQ(stats.requests, 5);
   // FATS re-computation, when triggered, is at most a full retrain.
-  EXPECT_LE(summary.total_recomputed_rounds, profile.rounds_r);
+  EXPECT_LE(stats.replayed_rounds, profile.rounds_r);
   RecoveryMetrics recovery =
       AnalyzeRecovery(trainer.log(), pre_request_records);
   EXPECT_LT(recovery.accuracy_drop, 0.6);
@@ -56,13 +60,18 @@ TEST(IntegrationTest, FatsBeatsFrsOnUnlearningCost) {
   config.seed = 22;
   FatsTrainer fats(profile.model, config, &fats_data);
   fats.Train();
-  UnlearningExecutor executor(&fats);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(6, id);
   std::vector<int64_t> targets = PickRandomActiveClients(fats_data, 2, &rng);
-  UnlearningSummary fats_cost =
-      executor.ExecuteClientBatch(targets, config.total_iters_t()).value();
+  std::vector<UnlearningRequest> requests;
+  for (int64_t target : targets) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kClient,
+                        .client = target,
+                        .request_iter = config.total_iters_t()});
+  }
+  UnlearningService service(&fats);
+  const ServiceFlushStats fats_cost = service.ExecuteStream(requests).value();
 
   // --- FRS on the same workload ---
   FederatedDataset frs_data = BuildFederatedData(profile, 1);
@@ -75,13 +84,13 @@ TEST(IntegrationTest, FatsBeatsFrsOnUnlearningCost) {
   FedAvgTrainer fedavg(profile.model, options, &frs_data);
   fedavg.RunRounds(profile.rounds_r);
   FrsUnlearner frs(&fedavg, &frs_data);
-  UnlearningOutcome frs_cost =
+  const ServiceFlushStats frs_cost =
       frs.UnlearnClients(targets, profile.rounds_r).value();
 
   // FRS always pays the full R rounds; FATS pays at most that and usually
   // less (≤ because the earliest participation may be round 1).
-  EXPECT_EQ(frs_cost.recomputed_rounds, profile.rounds_r);
-  EXPECT_LE(fats_cost.total_recomputed_rounds, frs_cost.recomputed_rounds);
+  EXPECT_EQ(frs_cost.replayed_rounds, profile.rounds_r);
+  EXPECT_LE(fats_cost.replayed_rounds, frs_cost.replayed_rounds);
 }
 
 TEST(IntegrationTest, Fr2PipelineRuns) {
@@ -98,8 +107,10 @@ TEST(IntegrationTest, Fr2PipelineRuns) {
   Fr2Options fr2_options;
   fr2_options.recovery_rounds = 2;
   Fr2Unlearner fr2(&trainer, &data, fr2_options);
-  UnlearningOutcome outcome = fr2.UnlearnSamples({{0, 0}, {1, 1}}).value();
-  EXPECT_EQ(outcome.recomputed_rounds, 2);
+  const ServiceFlushStats stats = fr2.UnlearnSamples({{0, 0}, {1, 1}}).value();
+  EXPECT_EQ(stats.recomputed_rounds, 2);
+  EXPECT_EQ(stats.replayed_rounds, 2);
+  EXPECT_EQ(stats.replay_start_iteration, -1);
   EXPECT_GT(trainer.EvaluateTestAccuracy(), 0.1);
 }
 
@@ -111,9 +122,13 @@ TEST(IntegrationTest, WholePipelineIsDeterministic) {
     config.seed = 31;
     FatsTrainer trainer(profile.model, config, &data);
     trainer.Train();
-    SampleUnlearner unlearner(&trainer);
+    UnlearningService service(&trainer);
     // Deterministic target.
-    EXPECT_TRUE(unlearner.Unlearn({0, 0}, config.total_iters_t()).ok());
+    EXPECT_TRUE(service
+                    .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                     .sample = {0, 0},
+                                     .request_iter = config.total_iters_t()}})
+                    .ok());
     return trainer.global_params();
   };
   Tensor a = run_pipeline();
@@ -139,8 +154,12 @@ TEST(IntegrationTest, TextProfileEndToEnd) {
   trainer.Train();
   EXPECT_EQ(trainer.log().records().size(),
             static_cast<size_t>(profile.rounds_r));
-  ClientUnlearner unlearner(&trainer);
-  EXPECT_TRUE(unlearner.Unlearn(0, config.total_iters_t()).ok());
+  UnlearningService service(&trainer);
+  EXPECT_TRUE(service
+                  .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                                   .client = 0,
+                                   .request_iter = config.total_iters_t()}})
+                  .ok());
   EXPECT_FALSE(data.client_active(0));
 }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/federated_dataset.h"
 #include "data/paper_configs.h"
 #include "util/crc32.h"
@@ -200,15 +200,21 @@ TEST(LazyDatasetTest, TrainerOnLazyDataIsBitIdenticalToEager) {
   }
 
   // Unlearning replays re-read minibatches through the lazy gather path.
-  const std::vector<SampleRef> targets = {{0, 0}, {2, 2}};
   const int64_t t_max = trainer_e.trained_through();
-  SampleUnlearner unlearner_e(&trainer_e);
-  SampleUnlearner unlearner_l(&trainer_l);
-  auto outcome_e = unlearner_e.UnlearnBatch(targets, t_max);
-  auto outcome_l = unlearner_l.UnlearnBatch(targets, t_max);
+  const std::vector<UnlearningRequest> requests = {
+      {.kind = UnlearningRequest::Kind::kSample,
+       .sample = {0, 0},
+       .request_iter = t_max},
+      {.kind = UnlearningRequest::Kind::kSample,
+       .sample = {2, 2},
+       .request_iter = t_max}};
+  UnlearningService service_e(&trainer_e);
+  UnlearningService service_l(&trainer_l);
+  auto outcome_e = service_e.ExecuteStream(requests);
+  auto outcome_l = service_l.ExecuteStream(requests);
   ASSERT_TRUE(outcome_e.ok()) << outcome_e.status().message();
   ASSERT_TRUE(outcome_l.ok()) << outcome_l.status().message();
-  EXPECT_EQ(outcome_e->recomputed, outcome_l->recomputed);
+  EXPECT_EQ(outcome_e->triggered_requests, outcome_l->triggered_requests);
   EXPECT_TRUE(
       trainer_e.global_params().BitwiseEquals(trainer_l.global_params()));
 }

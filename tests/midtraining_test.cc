@@ -7,8 +7,7 @@
 #include <map>
 #include <string>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -71,11 +70,16 @@ TEST(MidTrainingTest, SampleUnlearnThenContinue) {
     }
   }
   ASSERT_GE(target.client, 0);
-  SampleUnlearner unlearner(&trainer);
-  UnlearningOutcome outcome = unlearner.Unlearn(target, t_u).value();
-  EXPECT_TRUE(outcome.recomputed);
+  UnlearningService service(&trainer);
+  const ServiceFlushStats stats =
+      service
+          .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                           .sample = target,
+                           .request_iter = t_u}})
+          .value();
+  EXPECT_EQ(stats.triggered_requests, 1);
   // The re-computation horizon is the executed prefix, not T.
-  EXPECT_LE(outcome.recomputed_iterations, t_u);
+  EXPECT_LE(stats.recomputed_iterations, t_u);
   EXPECT_EQ(trainer.trained_through(), t_u);
   // Continue training to completion on the reduced data.
   trainer.TrainUntil(config.total_iters_t());
@@ -99,10 +103,15 @@ TEST(MidTrainingTest, ClientUnlearnThenContinue) {
     }
   }
   ASSERT_GE(target, 0);
-  ClientUnlearner unlearner(&trainer);
-  UnlearningOutcome outcome = unlearner.Unlearn(target, t_u).value();
-  EXPECT_TRUE(outcome.recomputed);
-  EXPECT_LE(outcome.recomputed_iterations, t_u);
+  UnlearningService service(&trainer);
+  const ServiceFlushStats stats =
+      service
+          .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                           .client = target,
+                           .request_iter = t_u}})
+          .value();
+  EXPECT_EQ(stats.triggered_requests, 1);
+  EXPECT_LE(stats.recomputed_iterations, t_u);
   trainer.TrainUntil(config.total_iters_t());
   // The continued training never selects the removed client.
   EXPECT_EQ(trainer.store().EarliestClientRound(target), -1);
@@ -113,9 +122,13 @@ TEST(MidTrainingTest, RequestBeyondTrainedPrefixRejected) {
   FatsConfig config = TinyFatsConfig(6, 10, 4, 3);
   FatsTrainer trainer(TinyModelSpec(), config, &data);
   trainer.TrainUntil(6);
-  SampleUnlearner unlearner(&trainer);
+  UnlearningService service(&trainer);
   // request_iter = 9 > trained_through = 6.
-  EXPECT_FALSE(unlearner.Unlearn({0, 0}, 9).ok());
+  EXPECT_FALSE(service
+                   .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                    .sample = {0, 0},
+                                    .request_iter = 9}})
+                   .ok());
 }
 
 // The recursive Definition-1 scenario: unlearn mid-training, continue to T;
@@ -185,8 +198,12 @@ TEST(MidTrainingTest, ExactnessOfUnlearnThenContinue) {
       FatsConfig config = make_config(90000 + static_cast<uint64_t>(trial));
       FatsTrainer trainer(TinyModelSpec(), config, &data);
       trainer.TrainUntil(t_u);
-      SampleUnlearner unlearner(&trainer);
-      ASSERT_TRUE(unlearner.Unlearn(target, t_u).ok());
+      UnlearningService service(&trainer);
+      ASSERT_TRUE(service
+                      .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                                       .sample = target,
+                                       .request_iter = t_u}})
+                      .ok());
       trainer.TrainUntil(config.total_iters_t());
       unlearned_counts[encode(trainer)]++;
     }

@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "baselines/fr2.h"
-#include "core/client_unlearner.h"
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "fl/fedavg.h"
 #include "test_workloads.h"
 
@@ -35,6 +34,18 @@ TrainerRun MakeRun(int64_t num_threads) {
   run.trainer =
       std::make_unique<FatsTrainer>(TinyModelSpec(), run.config, &run.data);
   return run;
+}
+
+/// Simultaneous deletions of `targets`, all issued at `request_iter`.
+std::vector<UnlearningRequest> SampleRequests(
+    const std::vector<SampleRef>& targets, int64_t request_iter) {
+  std::vector<UnlearningRequest> requests;
+  for (const SampleRef& target : targets) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                        .sample = target,
+                        .request_iter = request_iter});
+  }
+  return requests;
 }
 
 void ExpectIdenticalState(FatsTrainer* serial, FatsTrainer* parallel) {
@@ -113,12 +124,12 @@ TEST(ParallelExactnessTest, FusedRoundPackIsBitIdentical) {
     unpacked.trainer->Train();
     ExpectIdenticalState(unpacked.trainer.get(), packed.trainer.get());
 
-    const std::vector<SampleRef> targets = {{0, 0}, {2, 2}};
-    const int64_t t_max = packed.trainer->trained_through();
-    SampleUnlearner unlearner_p(packed.trainer.get());
-    SampleUnlearner unlearner_u(unpacked.trainer.get());
-    auto outcome_p = unlearner_p.UnlearnBatch(targets, t_max);
-    auto outcome_u = unlearner_u.UnlearnBatch(targets, t_max);
+    const std::vector<UnlearningRequest> requests =
+        SampleRequests({{0, 0}, {2, 2}}, packed.trainer->trained_through());
+    UnlearningService service_p(packed.trainer.get());
+    UnlearningService service_u(unpacked.trainer.get());
+    auto outcome_p = service_p.ExecuteStream(requests);
+    auto outcome_u = service_u.ExecuteStream(requests);
     ASSERT_TRUE(outcome_p.ok()) << outcome_p.status().message();
     ASSERT_TRUE(outcome_u.ok()) << outcome_u.status().message();
     ExpectIdenticalState(unpacked.trainer.get(), packed.trainer.get());
@@ -133,16 +144,18 @@ TEST(ParallelExactnessTest, SampleUnlearningReplayIsBitIdentical) {
 
   // Unlearn a spread of samples so at least one recorded minibatch is hit
   // and ReplayFrom's parallel path executes.
-  const std::vector<SampleRef> targets = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  const int64_t t_max = serial.trainer->trained_through();
-  SampleUnlearner unlearner_s(serial.trainer.get());
-  SampleUnlearner unlearner_p(parallel.trainer.get());
-  auto outcome_s = unlearner_s.UnlearnBatch(targets, t_max);
-  auto outcome_p = unlearner_p.UnlearnBatch(targets, t_max);
+  const std::vector<UnlearningRequest> requests =
+      SampleRequests({{0, 0}, {1, 1}, {2, 2}, {3, 3}},
+                     serial.trainer->trained_through());
+  UnlearningService service_s(serial.trainer.get());
+  UnlearningService service_p(parallel.trainer.get());
+  auto outcome_s = service_s.ExecuteStream(requests);
+  auto outcome_p = service_p.ExecuteStream(requests);
   ASSERT_TRUE(outcome_s.ok()) << outcome_s.status().message();
   ASSERT_TRUE(outcome_p.ok()) << outcome_p.status().message();
-  EXPECT_EQ(outcome_s->recomputed, outcome_p->recomputed);
-  EXPECT_EQ(outcome_s->restart_iteration, outcome_p->restart_iteration);
+  EXPECT_EQ(outcome_s->triggered_requests, outcome_p->triggered_requests);
+  EXPECT_EQ(outcome_s->replay_start_iteration,
+            outcome_p->replay_start_iteration);
   ExpectIdenticalState(serial.trainer.get(), parallel.trainer.get());
 }
 
@@ -159,15 +172,18 @@ TEST(ParallelExactnessTest, ClientUnlearningRerunIsBitIdentical) {
   ASSERT_FALSE(first_selection->empty());
   const int64_t target = first_selection->front();
 
-  const int64_t t_max = serial.trainer->trained_through();
-  ClientUnlearner unlearner_s(serial.trainer.get());
-  ClientUnlearner unlearner_p(parallel.trainer.get());
-  auto outcome_s = unlearner_s.Unlearn(target, t_max);
-  auto outcome_p = unlearner_p.Unlearn(target, t_max);
+  const UnlearningRequest request = {
+      .kind = UnlearningRequest::Kind::kClient,
+      .client = target,
+      .request_iter = serial.trainer->trained_through()};
+  UnlearningService service_s(serial.trainer.get());
+  UnlearningService service_p(parallel.trainer.get());
+  auto outcome_s = service_s.ExecuteStream({request});
+  auto outcome_p = service_p.ExecuteStream({request});
   ASSERT_TRUE(outcome_s.ok()) << outcome_s.status().message();
   ASSERT_TRUE(outcome_p.ok()) << outcome_p.status().message();
-  ASSERT_TRUE(outcome_s->recomputed);
-  EXPECT_EQ(outcome_s->recomputed, outcome_p->recomputed);
+  ASSERT_EQ(outcome_s->triggered_requests, 1);
+  EXPECT_EQ(outcome_s->triggered_requests, outcome_p->triggered_requests);
   ExpectIdenticalState(serial.trainer.get(), parallel.trainer.get());
 }
 

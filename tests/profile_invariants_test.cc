@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 
 namespace fats {
@@ -74,16 +72,19 @@ TEST_P(ProfileInvariantsTest, ServesBothUnlearningLevels) {
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(9, id);
-  SampleUnlearner sample_unlearner(&trainer);
-  ASSERT_TRUE(sample_unlearner
-                  .Unlearn(PickRandomActiveSamples(data, 1, &rng)[0],
-                           config.total_iters_t())
+  UnlearningService service(&trainer);
+  ASSERT_TRUE(service
+                  .ExecuteStream(
+                      {{.kind = UnlearningRequest::Kind::kSample,
+                        .sample = PickRandomActiveSamples(data, 1, &rng)[0],
+                        .request_iter = config.total_iters_t()}})
                   .ok())
       << GetParam();
-  ClientUnlearner client_unlearner(&trainer);
-  ASSERT_TRUE(client_unlearner
-                  .Unlearn(PickRandomActiveClients(data, 1, &rng)[0],
-                           config.total_iters_t())
+  ASSERT_TRUE(service
+                  .ExecuteStream(
+                      {{.kind = UnlearningRequest::Kind::kClient,
+                        .client = PickRandomActiveClients(data, 1, &rng)[0],
+                        .request_iter = config.total_iters_t()}})
                   .ok())
       << GetParam();
   // Post-unlearning state never references deleted data.

@@ -6,9 +6,8 @@
 
 #include <cmath>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
 #include "core/tv_stability.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -49,10 +48,14 @@ TEST_P(StabilityGridTest, SampleRecomputationFrequencyBoundedByRhoS) {
     SampleRef target{
         static_cast<int64_t>(rng.UniformInt(kClients)),
         static_cast<int64_t>(rng.UniformInt(kSamples))};
-    SampleUnlearner unlearner(&trainer);
-    UnlearningOutcome outcome =
-        unlearner.Unlearn(target, config.total_iters_t()).value();
-    if (outcome.recomputed) ++recomputations;
+    UnlearningService service(&trainer);
+    recomputations += static_cast<int>(
+        service
+            .ExecuteStream({{.kind = UnlearningRequest::Kind::kSample,
+                             .sample = target,
+                             .request_iter = config.total_iters_t()}})
+            .value()
+            .triggered_requests);
   }
   const double frequency = static_cast<double>(recomputations) / trials;
   const double stderr_bound = std::sqrt(bound * (1 - bound) / trials);
@@ -79,10 +82,14 @@ TEST_P(StabilityGridTest, ClientRecomputationFrequencyBoundedByRhoC) {
     id.iteration = static_cast<uint64_t>(trial);
     RngStream rng(888, id);
     const int64_t target = static_cast<int64_t>(rng.UniformInt(kClients));
-    ClientUnlearner unlearner(&trainer);
-    UnlearningOutcome outcome =
-        unlearner.Unlearn(target, config.total_iters_t()).value();
-    if (outcome.recomputed) ++recomputations;
+    UnlearningService service(&trainer);
+    recomputations += static_cast<int>(
+        service
+            .ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                             .client = target,
+                             .request_iter = config.total_iters_t()}})
+            .value()
+            .triggered_requests);
   }
   const double frequency = static_cast<double>(recomputations) / trials;
   const double stderr_bound = std::sqrt(bound * (1 - bound) / trials);

@@ -16,9 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "core/client_unlearner.h"
 #include "core/fats_trainer.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -146,16 +145,23 @@ TEST(StateExactnessTest, SampleUnlearningReplayIsBitIdentical) {
 
   // A spread of targets so the truncation point lands in cold history and
   // the replay substitutes minibatches inside reopened blocks.
-  const std::vector<SampleRef> targets = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
   const int64_t t_max = resident.trainer->trained_through();
-  SampleUnlearner unlearner_r(resident.trainer.get());
-  SampleUnlearner unlearner_t(tiered.trainer.get());
-  auto outcome_r = unlearner_r.UnlearnBatch(targets, t_max);
-  auto outcome_t = unlearner_t.UnlearnBatch(targets, t_max);
+  std::vector<UnlearningRequest> requests;
+  for (const SampleRef& target :
+       std::vector<SampleRef>{{0, 0}, {1, 1}, {2, 2}, {3, 3}}) {
+    requests.push_back({.kind = UnlearningRequest::Kind::kSample,
+                        .sample = target,
+                        .request_iter = t_max});
+  }
+  UnlearningService service_r(resident.trainer.get());
+  UnlearningService service_t(tiered.trainer.get());
+  auto outcome_r = service_r.ExecuteStream(requests);
+  auto outcome_t = service_t.ExecuteStream(requests);
   ASSERT_TRUE(outcome_r.ok()) << outcome_r.status().message();
   ASSERT_TRUE(outcome_t.ok()) << outcome_t.status().message();
-  EXPECT_EQ(outcome_r->recomputed, outcome_t->recomputed);
-  EXPECT_EQ(outcome_r->restart_iteration, outcome_t->restart_iteration);
+  EXPECT_EQ(outcome_r->triggered_requests, outcome_t->triggered_requests);
+  EXPECT_EQ(outcome_r->replay_start_iteration,
+            outcome_t->replay_start_iteration);
   ExpectIdenticalState(resident.trainer.get(), tiered.trainer.get());
 }
 
@@ -171,15 +177,18 @@ TEST(StateExactnessTest, ClientUnlearningRerunIsBitIdentical) {
   ASSERT_FALSE(first_selection->empty());
   const int64_t target = first_selection->front();
 
-  const int64_t t_max = resident.trainer->trained_through();
-  ClientUnlearner unlearner_r(resident.trainer.get());
-  ClientUnlearner unlearner_t(tiered.trainer.get());
-  auto outcome_r = unlearner_r.Unlearn(target, t_max);
-  auto outcome_t = unlearner_t.Unlearn(target, t_max);
+  const UnlearningRequest request = {
+      .kind = UnlearningRequest::Kind::kClient,
+      .client = target,
+      .request_iter = resident.trainer->trained_through()};
+  UnlearningService service_r(resident.trainer.get());
+  UnlearningService service_t(tiered.trainer.get());
+  auto outcome_r = service_r.ExecuteStream({request});
+  auto outcome_t = service_t.ExecuteStream({request});
   ASSERT_TRUE(outcome_r.ok()) << outcome_r.status().message();
   ASSERT_TRUE(outcome_t.ok()) << outcome_t.status().message();
-  ASSERT_TRUE(outcome_r->recomputed);
-  EXPECT_EQ(outcome_r->recomputed, outcome_t->recomputed);
+  ASSERT_EQ(outcome_r->triggered_requests, 1);
+  EXPECT_EQ(outcome_r->triggered_requests, outcome_t->triggered_requests);
   ExpectIdenticalState(resident.trainer.get(), tiered.trainer.get());
 }
 

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "core/unlearning_executor.h"
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -58,7 +58,7 @@ void ExpectConsistentState(const Trained& t) {
 
 TEST(StreamingMidTrainingTest, InterleavedSampleAndClientRequests) {
   Trained t = MakeEnv();
-  UnlearningExecutor executor(t.trainer.get());
+  UnlearningService service(t.trainer.get());
 
   t.trainer->TrainUntil(6);  // rounds 1-2
   {
@@ -69,7 +69,7 @@ TEST(StreamingMidTrainingTest, InterleavedSampleAndClientRequests) {
     request.kind = UnlearningRequest::Kind::kSample;
     request.sample = PickRandomActiveSamples(t.data, 1, &rng)[0];
     request.request_iter = t.trainer->trained_through();
-    ASSERT_TRUE(executor.ExecuteStream({request}).ok());
+    ASSERT_TRUE(service.ExecuteStream({request}).ok());
   }
   ExpectConsistentState(t);
 
@@ -83,7 +83,7 @@ TEST(StreamingMidTrainingTest, InterleavedSampleAndClientRequests) {
     request.kind = UnlearningRequest::Kind::kClient;
     request.client = PickRandomActiveClients(t.data, 1, &rng)[0];
     request.request_iter = t.trainer->trained_through();
-    ASSERT_TRUE(executor.ExecuteStream({request}).ok());
+    ASSERT_TRUE(service.ExecuteStream({request}).ok());
   }
   ExpectConsistentState(t);
 
@@ -97,7 +97,7 @@ TEST(StreamingMidTrainingTest, InterleavedSampleAndClientRequests) {
 
 TEST(StreamingMidTrainingTest, ManySmallInterleavings) {
   Trained t = MakeEnv(16, 8, 8, 2);
-  UnlearningExecutor executor(t.trainer.get());
+  UnlearningService service(t.trainer.get());
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(9, id);
@@ -112,7 +112,7 @@ TEST(StreamingMidTrainingTest, ManySmallInterleavings) {
       request.sample = PickRandomActiveSamples(t.data, 1, &rng)[0];
     }
     request.request_iter = t.trainer->trained_through();
-    ASSERT_TRUE(executor.ExecuteStream({request}).ok()) << "round " << r;
+    ASSERT_TRUE(service.ExecuteStream({request}).ok()) << "round " << r;
     ExpectConsistentState(t);
   }
   EXPECT_EQ(t.trainer->trained_through(), t.config.total_iters_t());
@@ -121,13 +121,13 @@ TEST(StreamingMidTrainingTest, ManySmallInterleavings) {
 TEST(StreamingMidTrainingTest, DeterministicInterleavedPipeline) {
   auto run = []() {
     Trained t = MakeEnv();
-    UnlearningExecutor executor(t.trainer.get());
+    UnlearningService service(t.trainer.get());
     t.trainer->TrainUntil(6);
     UnlearningRequest request;
     request.kind = UnlearningRequest::Kind::kSample;
     request.sample = {2, 3};
     request.request_iter = 6;
-    FATS_CHECK(executor.ExecuteStream({request}).ok());
+    FATS_CHECK(service.ExecuteStream({request}).ok());
     t.trainer->TrainUntil(t.config.total_iters_t());
     return t.trainer->global_params();
   };

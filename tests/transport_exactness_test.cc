@@ -14,7 +14,7 @@
 #include <memory>
 #include <string>
 
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "fl/fedavg.h"
 #include "io/train_journal.h"
 #include "test_workloads.h"
@@ -174,15 +174,18 @@ TEST(TransportExactnessTest, UnlearningOverTheLossyWireMatchesClean) {
   }
   ASSERT_TRUE(found);
 
-  SampleUnlearner fu(faulty.trainer.get());
-  SampleUnlearner cu(clean.trainer.get());
-  Result<UnlearningOutcome> foc = fu.Unlearn(target, kTotal);
-  Result<UnlearningOutcome> coc = cu.Unlearn(target, kTotal);
+  const UnlearningRequest request = {.kind = UnlearningRequest::Kind::kSample,
+                                     .sample = target,
+                                     .request_iter = kTotal};
+  UnlearningService faulty_service(faulty.trainer.get());
+  UnlearningService clean_service(clean.trainer.get());
+  Result<ServiceFlushStats> foc = faulty_service.ExecuteStream({request});
+  Result<ServiceFlushStats> coc = clean_service.ExecuteStream({request});
   ASSERT_TRUE(foc.ok()) << foc.status().ToString();
   ASSERT_TRUE(coc.ok()) << coc.status().ToString();
-  EXPECT_TRUE(foc->recomputed);
-  EXPECT_EQ(foc->recomputed, coc->recomputed);
-  EXPECT_EQ(foc->restart_iteration, coc->restart_iteration);
+  EXPECT_EQ(foc->triggered_requests, 1);
+  EXPECT_EQ(foc->triggered_requests, coc->triggered_requests);
+  EXPECT_EQ(foc->replay_start_iteration, coc->replay_start_iteration);
   EXPECT_TRUE(faulty.trainer->global_params().BitwiseEquals(
       clean.trainer->global_params()));
 }

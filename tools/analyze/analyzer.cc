@@ -75,6 +75,7 @@ AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
     CheckFailpointCoverage(model, &result.findings);
     CheckStatusDiscipline(model, result.index, &result.findings);
     CheckStoreMutation(model, &result.findings);
+    CheckUnlearnOwner(model, &result.findings);
     CheckWireDiscipline(model, &result.findings);
     CheckTileOwnership(model, &result.findings);
     CheckHistoryResidency(model, &result.findings);

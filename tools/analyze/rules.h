@@ -51,6 +51,12 @@
 //                      store from src/core outside fats_trainer itself: the
 //                      mutation skips the durable event sink and must go
 //                      through the trainer's wrapper API instead.
+//   unlearn-owner      a call to RedrawMinibatch(, RedrawRound( or
+//                      NotifyUnlearnBegin( in src, tools, bench or examples
+//                      outside src/core/unlearning_service.cc and
+//                      src/core/fats_trainer.*: UnlearningService is the one
+//                      FATS-SU / FATS-CU implementation, and a second caller
+//                      of its history rewrites is a second implementation.
 //   raw-wire           a frame codec (EncodeFrame/Decode*Payload/...), ring
 //                      buffer primitive (PushFrame/PopFrame), or POSIX
 //                      socket call outside src/transport within src/core,
@@ -97,6 +103,7 @@ inline constexpr const char kRuleLayerOrder[] = "layer-order";
 inline constexpr const char kRuleLayerCycle[] = "layer-cycle";
 inline constexpr const char kRuleStoreMutationBypass[] =
     "store-mutation-bypass";
+inline constexpr const char kRuleUnlearnOwner[] = "unlearn-owner";
 inline constexpr const char kRuleRawWire[] = "raw-wire";
 inline constexpr const char kRuleTileOverlap[] = "tile-overlap";
 inline constexpr const char kRuleResidentHistory[] = "resident-history";
@@ -137,6 +144,8 @@ void CheckStatusDiscipline(const FileModel& model, const AnalysisIndex& index,
                            std::vector<lint::Finding>* findings);
 void CheckStoreMutation(const FileModel& model,
                         std::vector<lint::Finding>* findings);
+void CheckUnlearnOwner(const FileModel& model,
+                       std::vector<lint::Finding>* findings);
 void CheckWireDiscipline(const FileModel& model,
                          std::vector<lint::Finding>* findings);
 void CheckTileOwnership(const FileModel& model,

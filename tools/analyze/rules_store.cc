@@ -1,4 +1,7 @@
-// Store-mutation discipline (rule family 6): store-mutation-bypass.  The
+// Store-mutation discipline (rule family 6): store-mutation-bypass and
+// unlearn-owner.
+//
+// store-mutation-bypass.  The
 // trainer's StateStore keeps inverted participation indices (sample ->
 // use-iterations, client -> participation-rounds) maintained incrementally
 // by its own Save*/Truncate methods, and the trainer wraps those in
@@ -15,6 +18,14 @@
 // (src/core/fats_trainer.*); everything else in src/core must go through
 // the trainer's wrappers.  Reads (GetMinibatch, EarliestSampleUse, ...)
 // are exempt.
+//
+// unlearn-owner.  The history rewrites of exact unlearning — re-drawing a
+// recorded mini-batch or a whole round, and the durable-journal bracket
+// around them — have one caller: UnlearningService.  A call to
+// RedrawMinibatch( / RedrawRound( / NotifyUnlearnBegin( anywhere else in
+// the scanned trees (src, tools, bench, examples) is a second unlearning
+// implementation growing back, and fires.  The trainer, which defines
+// them, is exempt too.
 
 #include "analyze/rules.h"
 #include "analyze/rules_util.h"
@@ -47,7 +58,38 @@ bool InScope(const std::string& path) {
   return path.find("fats_trainer") == std::string::npos;
 }
 
+// The trainer-side entry points only the unlearning service may call.
+const std::set<std::string_view>& UnlearnRewrites() {
+  static const auto* kSet = new std::set<std::string_view>{
+      "RedrawMinibatch", "RedrawRound", "NotifyUnlearnBegin"};
+  return *kSet;
+}
+
+bool OwnsUnlearning(const std::string& path) {
+  return path.find("src/core/unlearning_service.cc") != std::string::npos ||
+         path.find("src/core/fats_trainer.") != std::string::npos;
+}
+
 }  // namespace
+
+void CheckUnlearnOwner(const FileModel& model,
+                       std::vector<lint::Finding>* findings) {
+  if (OwnsUnlearning(model.source->path)) return;
+  const std::vector<Token>& tokens = model.tokens;
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].kind != TokKind::kIdent || !IsPunct(tokens, i + 1, "(")) {
+      continue;
+    }
+    if (UnlearnRewrites().count(tokens[i].text) == 0) continue;
+    std::string message = "unlearning history rewrite '";
+    message += tokens[i].text;
+    message +=
+        "' called outside UnlearningService: submit an UnlearningRequest to "
+        "the service instead of re-implementing FATS-SU / FATS-CU";
+    AddFinding(model, kRuleUnlearnOwner, tokens[i].line, std::move(message),
+               findings);
+  }
+}
 
 void CheckStoreMutation(const FileModel& model,
                         std::vector<lint::Finding>* findings) {

@@ -24,8 +24,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/client_unlearner.h"
-#include "core/sample_unlearner.h"
+#include "core/unlearning_service.h"
 #include "data/paper_configs.h"
 #include "io/checkpoint.h"
 #include "io/train_journal.h"
@@ -219,34 +218,31 @@ Status RunUnlearn(const CliOptions& options, bool client_level) {
     FATS_RETURN_NOT_OK(LoadTrainerCheckpoint(options.checkpoint, &trainer));
   }
 
-  UnlearningOutcome outcome;
-  if (client_level) {
-    ClientUnlearner unlearner(&trainer);
-    FATS_ASSIGN_OR_RETURN(
-        outcome,
-        unlearner.Unlearn(options.client, trainer.trained_through()));
-    FATS_RETURN_NOT_OK(AppendDeletion(
-        DeletionJournalPath(options.checkpoint),
-        "client " + std::to_string(options.client)));
-  } else {
-    SampleUnlearner unlearner(&trainer);
-    FATS_ASSIGN_OR_RETURN(
-        outcome, unlearner.Unlearn({options.client, options.index},
-                                   trainer.trained_through()));
-    FATS_RETURN_NOT_OK(AppendDeletion(
-        DeletionJournalPath(options.checkpoint),
-        "sample " + std::to_string(options.client) + " " +
-            std::to_string(options.index)));
-  }
+  UnlearningService service(&trainer);
+  FATS_RETURN_NOT_OK(service.Submit(
+      client_level
+          ? UnlearningRequest{.kind = UnlearningRequest::Kind::kClient,
+                              .client = options.client,
+                              .request_iter = trainer.trained_through()}
+          : UnlearningRequest{.kind = UnlearningRequest::Kind::kSample,
+                              .sample = {options.client, options.index},
+                              .request_iter = trainer.trained_through()}));
+  FATS_ASSIGN_OR_RETURN(const ServiceFlushStats stats, service.Flush());
+  FATS_RETURN_NOT_OK(AppendDeletion(
+      DeletionJournalPath(options.checkpoint),
+      client_level ? "client " + std::to_string(options.client)
+                   : "sample " + std::to_string(options.client) + " " +
+                         std::to_string(options.index)));
+  const bool recomputed = stats.triggered_requests > 0;
   std::printf("unlearned %s: recomputed=%s", client_level ? "client"
                                                           : "sample",
-              outcome.recomputed ? "yes" : "no");
-  if (outcome.recomputed) {
+              recomputed ? "yes" : "no");
+  if (recomputed) {
     std::printf(" (%lld iterations from t=%lld, %lld rounds, %.3fs)",
-                static_cast<long long>(outcome.recomputed_iterations),
-                static_cast<long long>(outcome.restart_iteration),
-                static_cast<long long>(outcome.recomputed_rounds),
-                outcome.wall_seconds);
+                static_cast<long long>(stats.recomputed_iterations),
+                static_cast<long long>(stats.replay_start_iteration),
+                static_cast<long long>(stats.recomputed_rounds),
+                stats.wall_seconds);
   }
   std::printf("\n");
   PrintStatusLine(&trainer);
