@@ -2,24 +2,20 @@
 // underneath FATS: matmul, conv2d, LSTM step, Philox throughput, and the
 // samplers whose laws the unlearning proofs depend on.
 //
-// The GEMM / conv / step-latency cases feed the bench-regression smoke:
-// tools/ci.sh runs this binary with --benchmark_out=BENCH_kernels.json and
-// tools/bench_check compares the result against the checked-in baseline.
+// The GEMM / conv / step-latency cases feed the bench-regression gate:
+// tools/ci.sh runs this binary with
+// --benchmark_out=$BUILD_DIR/BENCH_kernels_current.json and tools/bench_check
+// compares that result against the checked-in BENCH_kernels.json baseline.
 // Speedup baselines are benchmarked here too: BM_ScalarIkjMatMul is the
 // pre-kernel scalar loop (the kernel this PR replaced) and
 // BM_ReferenceMatMul is the contract-defining triple loop.
 //
-// `--threads=N` (stripped before google-benchmark sees argv) sets the worker
-// count the *Parallel benchmarks run with; serial benchmarks ignore it. The
-// run context records it as "fats_threads" next to "fats_build_type", and
-// tools/bench_check refuses baselines recorded from debug builds.
+// The run context records "fats_build_type", and tools/bench_check refuses
+// baselines recorded from debug builds.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -33,13 +29,9 @@
 #include "rng/sampling.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
-#include "util/thread_pool.h"
 
 namespace fats {
 namespace {
-
-// Worker count for the *Parallel benchmarks, set by --threads=N in main.
-int64_t g_bench_threads = 2;
 
 void FillPattern(Tensor* t, int64_t modulus, float scale) {
   for (int64_t i = 0; i < t->size(); ++i) {
@@ -63,32 +55,6 @@ void BM_MatMul(benchmark::State& state) {
                           static_cast<int64_t>(sizeof(float)));
 }
 BENCHMARK(BM_MatMul)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-// BM_MatMul with a gemm::ParallelScope active: same kernel, same bits (the
-// fixed row-band ownership split — tests/kernel_contract_test.cc), wall
-// clock divided across --threads workers when the machine has the cores.
-// Sizes start at 128 because 64^3 sits below kParallelGemmMinFlops and
-// would silently measure the serial path.
-void BM_MatMulParallel(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  ThreadPool pool(g_bench_threads);
-  gemm::ParallelScope scope(&pool);
-  Tensor a({n, n});
-  Tensor b({n, n});
-  Tensor c({n, n});
-  FillPattern(&a, 7, 1.0f);
-  FillPattern(&b, 5, 1.0f);
-  for (auto _ : state) {
-    MatMulInto(a, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetBytesProcessed(state.iterations() * 3 * n * n *
-                          static_cast<int64_t>(sizeof(float)));
-}
-// UseRealTime: with a pool active the calling thread mostly waits, so its
-// CPU clock under-counts the work; wall time is the honest rate base.
-BENCHMARK(BM_MatMulParallel)->Arg(128)->Arg(256)->UseRealTime();
 
 // The scalar i-k-j loop that MatMul used before the blocked kernels — kept
 // here (minus its data-dependent zero skip) as the speedup baseline for the
@@ -338,36 +304,6 @@ void BM_ModelSgdStepMlp(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSgdStepMlp);
 
-// The MLP step with a parallel GEMM scope: batch 32 x (256 -> 128) clears
-// kParallelGemmMinFlops, so the forward/backward panels actually split
-// across workers. Items = the dominant GEMM MACs per step; bytes = the
-// parameter vector read+written by SgdStep.
-void BM_ModelSgdStepMlpParallel(benchmark::State& state) {
-  ModelSpec spec;
-  spec.kind = ModelKind::kMlp;
-  spec.input_dim = 256;
-  spec.hidden_dims = {128, 64};
-  spec.num_classes = 10;
-  Model model(spec, 3);
-  ThreadPool pool(g_bench_threads);
-  gemm::ParallelScope scope(&pool);
-  Tensor x({32, 256});
-  FillPattern(&x, 19, 0.01f);
-  std::vector<int64_t> y(32);
-  for (size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int64_t>(i % 10);
-  for (auto _ : state) {
-    double loss = model.ComputeLossAndGradients(x, y);
-    model.SgdStep(0.05);
-    benchmark::DoNotOptimize(loss);
-  }
-  const int64_t macs =
-      32 * (256 * 128 + 128 * 64 + 64 * 10);  // forward panels
-  state.SetItemsProcessed(state.iterations() * 2 * 3 * macs);  // fwd+dX+dW
-  state.SetBytesProcessed(state.iterations() * 2 * model.NumParameters() *
-                          static_cast<int64_t>(sizeof(float)));
-}
-BENCHMARK(BM_ModelSgdStepMlpParallel)->UseRealTime();
-
 // Fused cross-client batching: K replicas of the round model run one local
 // step each against a shared WeightPack (packed once per round) vs. each
 // replica re-packing inside every Forward/Backward. The pair is the
@@ -435,19 +371,6 @@ BENCHMARK(BM_ClientBatchPerCallPack);
 }  // namespace
 }  // namespace fats
 
-// Strips --threads=N before google-benchmark parses argv and records the
-// worker count in the run context, so tools/bench_check can reject
-// baselines recorded with a mismatched thread count.
 int main(int argc, char** argv) {
-  int out = 1;  // argv[0] stays
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      fats::g_bench_threads = std::strtol(argv[i] + 10, nullptr, 10);
-      if (fats::g_bench_threads < 1) fats::g_bench_threads = 1;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  return fats::bench::RunBenchmarks(
-      out, argv, {{"fats_threads", std::to_string(fats::g_bench_threads)}});
+  return fats::bench::RunBenchmarks(argc, argv);
 }

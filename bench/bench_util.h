@@ -11,8 +11,6 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/fats_config.h"
 #include "core/fats_trainer.h"
@@ -85,19 +83,13 @@ inline void PrintPaperTable2() {
 /// BENCHMARK_MAIN() so the run context records this binary's own build type
 /// as "fats_build_type": bench_check refuses baselines from debug builds,
 /// and the library_build_type fallback reports the benchmark *library's*
-/// build, not ours. `extra_context` adds further context pairs.
-inline int RunBenchmarks(
-    int argc, char** argv,
-    const std::vector<std::pair<std::string, std::string>>& extra_context =
-        {}) {
+/// build, not ours.
+inline int RunBenchmarks(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("fats_build_type", "release");
 #else
   benchmark::AddCustomContext("fats_build_type", "debug");
 #endif
-  for (const auto& [key, value] : extra_context) {
-    benchmark::AddCustomContext(key, value);
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -232,7 +232,6 @@ Status JournalWriter::Append(std::string_view payload) {
     status_ = Status::IoError("journal append failed: " + path_);
     return status_;
   }
-  if (mode_ == SyncMode::kEveryAppend) return Sync();
   return Status::OK();
 }
 

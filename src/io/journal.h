@@ -24,7 +24,7 @@
 // Durability discipline: Append pushes each frame to the OS with fflush
 // (surviving process death); Sync additionally fsyncs to the device
 // (surviving power loss). Callers choose the cadence — the training session
-// syncs at round boundaries by default. Segment creation goes through a
+// syncs at every round boundary. Segment creation goes through a
 // sibling `<path>.tmp` + rename so a torn header can never occupy the
 // journal path; SweepOrphanTmp removes the `.tmp` a crash may strand.
 //
@@ -87,10 +87,9 @@ Result<JournalScan> ScanJournal(const std::string& path);
 class JournalWriter {
  public:
   enum class SyncMode {
-    kNone,         // fflush per record only; callers Sync() explicitly
-    kEveryAppend,  // fsync after every record
-    kAsync,        // double-buffered batches on a writer thread; Sync() is
-                   // the swap + drain + fsync barrier (see header comment)
+    kNone,   // fflush per record only; callers Sync() explicitly
+    kAsync,  // double-buffered batches on a writer thread; Sync() is the
+             // swap + drain + fsync barrier (see header comment)
   };
 
   /// Creates a fresh, empty journal at `path` (header only), replacing any

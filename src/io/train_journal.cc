@@ -24,12 +24,9 @@ enum class Tag : uint8_t {
   kOpEnd = 11,          // unlearning operation committed
 };
 
-// sync_every_append wins over async_io: per-record fsync needs the record
-// on the FILE* before Append returns, which async buffering defers.
 JournalWriter::SyncMode ChosenSyncMode(const DurableOptions& options) {
-  if (options.sync_every_append) return JournalWriter::SyncMode::kEveryAppend;
-  if (options.async_io) return JournalWriter::SyncMode::kAsync;
-  return JournalWriter::SyncMode::kNone;
+  return options.async_io ? JournalWriter::SyncMode::kAsync
+                          : JournalWriter::SyncMode::kNone;
 }
 
 // ----- in-memory little-endian payload codec -----
@@ -536,12 +533,7 @@ void DurableTrainingSession::OnIterationComplete(const IterationMark& mark) {
   w.F64(mark.round_loss_sum);
   w.I64(mark.round_loss_count);
   AppendRecord(w.str());
-  const int64_t e = trainer_->config().local_iters_e;
-  if (mark.iteration % e == 0 && options_.sync_every_rounds > 0 &&
-      ++rounds_since_sync_ >= options_.sync_every_rounds) {
-    rounds_since_sync_ = 0;
-    SyncJournal();
-  }
+  if (mark.iteration % trainer_->config().local_iters_e == 0) SyncJournal();
 }
 
 void DurableTrainingSession::OnTruncate(int64_t from_iteration) {

@@ -33,8 +33,8 @@
 // the not-yet-committed data-side deletion.
 //
 // Durability cadence: every append is fflush'd (survives process death);
-// fsync (survives power loss) happens at round boundaries per
-// DurableOptions, on unlearning brackets, and on rotation. With
+// fsync (survives power loss) happens at every round boundary, on
+// unlearning brackets, and on rotation; this cadence is fixed. With
 // DurableOptions::async_io, appends land in an in-memory batch drained by a
 // background writer thread instead (JournalWriter::SyncMode::kAsync); the
 // fsync barriers above drain that batch first, and the commit-point replay
@@ -56,16 +56,10 @@
 namespace fats {
 
 struct DurableOptions {
-  /// fsync after every record (slow; survives power loss at any point).
-  bool sync_every_append = false;
-  /// fsync every N round boundaries (0 disables round-boundary syncs).
-  int64_t sync_every_rounds = 1;
   /// Buffer appends and flush them from a dedicated writer thread
   /// (JournalWriter::SyncMode::kAsync): the training thread never blocks on
   /// file I/O except at sync barriers. Recovery stays bitwise exact — a
   /// crash loses at most the unflushed tail, which replay re-executes.
-  /// Ignored when sync_every_append is set (per-record fsync implies
-  /// synchronous writes).
   bool async_io = false;
 };
 
@@ -139,7 +133,6 @@ class DurableTrainingSession : public TrainEventSink {
   uint64_t epoch_ = 0;
   int64_t replayed_records_ = 0;
   bool in_op_ = false;
-  int64_t rounds_since_sync_ = 0;
 };
 
 }  // namespace fats

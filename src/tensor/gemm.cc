@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FATS_GEMM_X86 1
@@ -14,12 +13,6 @@
 namespace fats {
 namespace gemm {
 namespace {
-
-// The pool installed by the innermost live ParallelScope on this thread.
-// Thread-local by design: pool worker threads never see the caller's scope,
-// so per-client GEMMs running inside ParallelFor tasks stay serial instead
-// of nesting pool-in-pool parallelism.
-thread_local ThreadPool* tls_parallel_pool = nullptr;
 
 // Register micro-tile: MR rows of A by NR columns of B. NR is two AVX2
 // vectors wide; the generic micro-kernel uses the same geometry so packed
@@ -271,14 +264,13 @@ inline void MicroKernel(int64_t kc, const float* ap, const float* bp, float* c,
 
 // Macro-kernel over one (ic, mc) row band of a (jc, pc) cache block: packs
 // the A band into per-thread scratch and runs the micro-tile loops. Writes
-// only C rows [ic, ic + mc) — the unit of parallel tile ownership, so two
-// calls on different bands never touch the same output element.
+// only C rows [ic, ic + mc).
 void MacroKernelRowBand(int64_t ic, int64_t mc, int64_t jc, int64_t nc,
                         int64_t pc, int64_t kc, const float* a, int64_t lda,
                         bool a_trans, const float* bp_block, float* c,
                         int64_t ldc, bool first) {
-  // Per-thread so concurrent band tasks never share, reused across calls so
-  // steady-state GEMMs allocate nothing (after each worker's first call).
+  // Per-thread so concurrent callers never share, reused across calls so
+  // steady-state GEMMs allocate nothing (after each thread's first call).
   thread_local std::vector<float> ap_buf;
   ap_buf.resize(static_cast<size_t>(RoundUp(mc, kMr) * kc));
   PackA(a, lda, a_trans, ic, pc, mc, kc, ap_buf.data());
@@ -294,38 +286,11 @@ void MacroKernelRowBand(int64_t ic, int64_t mc, int64_t jc, int64_t nc,
   }
 }
 
-// Work floor below which dispatching pool tasks costs more than it saves.
-// A pure function of the problem shape (never of load or schedule), so the
-// serial/parallel choice is deterministic — and both sides of the choice are
-// bit-identical anyway.
-constexpr int64_t kParallelGemmMinFlops = 1 << 18;
-
-inline bool ParallelWorthwhile(const ThreadPool* pool, int64_t m, int64_t n,
-                               int64_t k) {
-  return pool != nullptr && pool->num_threads() > 1 && m >= 2 * kMr &&
-         m * n * k >= kParallelGemmMinFlops;
-}
-
-// Rows per parallel band: ceil(m / workers) rounded up to the micro-tile
-// height so a band boundary never splits a kMr row panel. Pure function of
-// (m, workers); the band -> rows map is fixed before dispatch.
-inline int64_t ParallelBandRows(int64_t m, int64_t workers) {
-  const int64_t ideal = (m + workers - 1) / workers;
-  return std::max<int64_t>(kMr, RoundUp(ideal, kMr));
-}
-
 // Shared driver. a_trans/b_trans select the TN/NT storage interpretations;
 // packing absorbs the transpose, so one macro-kernel serves all variants.
 // When `packed` is non-null it supplies B's panels (b/ldb/b_trans unused);
 // the panel bytes are identical to what PackB would produce, so the packed
-// and packing paths are bit-identical. When a ParallelScope pool is active
-// and the shape clears the work floor, the m dimension is split into fixed
-// row bands and each band runs as one pool task: B panels are packed (or
-// resolved) once on the calling thread before dispatch, every task packs
-// its own A band into thread-local scratch, and each output element is
-// written by exactly the one task owning its band with its ascending-k
-// chain intact — no atomics, no cross-task reduction, bit-identical to the
-// serial loop.
+// and packing paths are bit-identical.
 void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
                  bool a_trans, const float* b, int64_t ldb, bool b_trans,
                  const PackedB* packed, float* c, int64_t ldc,
@@ -340,8 +305,6 @@ void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     return;
   }
   thread_local std::vector<float> bp_buf;
-  ThreadPool* pool = tls_parallel_pool;
-  const bool parallel = ParallelWorthwhile(pool, m, n, k);
   const int64_t num_pc_blocks = (k + kKc - 1) / kKc;
   for (int64_t jc = 0; jc < n; jc += kNc) {
     const int64_t nc = std::min(kNc, n - jc);
@@ -360,23 +323,9 @@ void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
       // The chain head: the first k-block starts accumulators at +0.0f
       // unless the caller asked to continue from C.
       const bool first = (pc == 0) && !accumulate;
-      if (!parallel) {
-        for (int64_t ic = 0; ic < m; ic += kMc) {
-          MacroKernelRowBand(ic, std::min(kMc, m - ic), jc, nc, pc, kc, a,
-                             lda, a_trans, bp_block, c, ldc, first);
-        }
-      } else {
-        const int64_t band_rows = ParallelBandRows(m, pool->num_threads());
-        const int64_t num_bands = (m + band_rows - 1) / band_rows;
-        pool->ParallelFor(num_bands, [&](int64_t band, int64_t /*worker*/) {
-          const int64_t row0 = band * band_rows;
-          const int64_t rows = std::min(band_rows, m - row0);
-          for (int64_t off = 0; off < rows; off += kMc) {
-            MacroKernelRowBand(row0 + off, std::min(kMc, rows - off), jc, nc,
-                               pc, kc, a, lda, a_trans, bp_block, c, ldc,
-                               first);
-          }
-        });
+      for (int64_t ic = 0; ic < m; ic += kMc) {
+        MacroKernelRowBand(ic, std::min(kMc, m - ic), jc, nc, pc, kc, a, lda,
+                           a_trans, bp_block, c, ldc, first);
       }
     }
   }
@@ -500,14 +449,7 @@ void SgemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
               /*packed=*/nullptr, c, ldc, accumulate);
 }
 
-// --- ParallelScope / prepacked B -------------------------------------------
-
-ParallelScope::ParallelScope(ThreadPool* pool) : previous_(tls_parallel_pool) {
-  tls_parallel_pool =
-      (pool != nullptr && pool->num_threads() > 1) ? pool : nullptr;
-}
-
-ParallelScope::~ParallelScope() { tls_parallel_pool = previous_; }
+// --- Prepacked B ----------------------------------------------------------
 
 void PackBMatrix(int64_t n, int64_t k, const float* b, int64_t ldb,
                  bool b_trans, PackedB* out) {

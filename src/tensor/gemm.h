@@ -17,13 +17,14 @@
 //   * results are bit-identical to the Reference* triple loops below (the
 //     canonical order that defines the contract),
 //   * results are independent of blocking parameters, ISA path (generic vs
-//     AVX2), thread count, and run-to-run,
+//     AVX2), the calling thread, and run-to-run,
 //   * NaN/Inf propagate exactly as in the reference (no data-dependent
 //     skips; see DESIGN.md §7.2).
 //
 // The kernels are reentrant: packing scratch is thread_local, so concurrent
-// calls from different ThreadPool workers never share buffers, and steady-
-// state calls perform no heap allocation.
+// calls from different threads (ParallelClientRunner workers training their
+// clients) never share buffers, and steady-state calls perform no heap
+// allocation.
 //
 // Leading dimensions (lda/ldb/ldc) are row strides of the *stored* matrix,
 // so strided sub-blocks of larger tensors can be used directly.
@@ -35,9 +36,6 @@
 #include <vector>
 
 namespace fats {
-
-class ThreadPool;
-
 namespace gemm {
 
 /// C (m x n) = [C if accumulate else 0] + A (m x k) @ B (k x n).
@@ -54,37 +52,6 @@ void SgemmNT(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void SgemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate);
-
-// --- Multi-threaded execution (DESIGN.md §7.6) -----------------------------
-//
-// While a ParallelScope is active on the calling thread, the Sgemm* drivers
-// split the m dimension into contiguous row bands — a *fixed tile-ownership
-// split*, a pure function of (m, num_threads) and never of the schedule —
-// and run each band's macro-kernel as a ThreadPool task. Every output
-// element is written by exactly one task, each element's ascending-k
-// accumulation chain stays inside that task (the k-block loop remains
-// serial), and there is no atomic accumulation or cross-task reduction, so
-// results are bit-identical to the single-threaded kernels at every thread
-// count. Below an internal work threshold calls run serially on the calling
-// thread — also bit-identical, so the threshold is performance-only.
-//
-// The scope is thread-local: it parallelizes GEMMs issued by the thread that
-// constructed it and is invisible to every other thread. In particular,
-// GEMMs issued from inside ThreadPool tasks (per-client training steps)
-// never nest pool-in-pool parallelism. Never construct a ParallelScope on a
-// worker thread of the pool it wraps: ParallelFor is not reentrant.
-class ParallelScope {
- public:
-  // A null pool (or one with num_threads() <= 1) disables parallel GEMM for
-  // the scope — convenient for --threads 1 call sites.
-  explicit ParallelScope(ThreadPool* pool);
-  ~ParallelScope();
-  ParallelScope(const ParallelScope&) = delete;
-  ParallelScope& operator=(const ParallelScope&) = delete;
-
- private:
-  ThreadPool* previous_;
-};
 
 // --- Prepacked B operands --------------------------------------------------
 //
@@ -118,8 +85,8 @@ void PackBMatrix(int64_t n, int64_t k, const float* b, int64_t ldb,
 
 /// C (m x n) = [C if accumulate else 0] + A (m x k) @ B, with B captured by
 /// PackBMatrix. Bit-identical to SgemmNN (b_trans=false at pack time) /
-/// SgemmNT (b_trans=true) on the original operand, on every dispatch path
-/// and thread count.
+/// SgemmNT (b_trans=true) on the original operand, on every dispatch path.
+/// Many threads may read one PackedB concurrently.
 void SgemmPackedB(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, const PackedB& b, float* c, int64_t ldc,
                   bool accumulate);

@@ -1,6 +1,6 @@
 // Reliable delivery over a lossy transport.
 //
-// ReliableChannel turns the unreliable frame lanes of a Transport into
+// ReliableChannel turns the unreliable frame lanes of a LocalTransport into
 // exactly-once message delivery: every logical send is framed
 // (wire_format.h), pushed, received, and validated; a frame the fault
 // model drops, truncates, or bit-flips is detected by the receiver (length
@@ -116,7 +116,7 @@ struct ChannelStats {
 class ReliableChannel {
  public:
   /// `transport` is borrowed and must outlive the channel.
-  ReliableChannel(Transport* transport, const TransportFaultSpec& spec)
+  ReliableChannel(LocalTransport* transport, const TransportFaultSpec& spec)
       : transport_(transport), faults_(spec) {}
 
   /// Delivers one message and returns what the receiver decoded. The
@@ -136,10 +136,9 @@ class ReliableChannel {
 
   const ChannelStats& stats() const { return stats_; }
   const TransportFaultSpec& fault_spec() const { return faults_.spec(); }
-  Transport* transport() { return transport_; }
 
  private:
-  Transport* transport_;
+  LocalTransport* transport_;
   TransportFaultModel faults_;
   ChannelStats stats_;
 };

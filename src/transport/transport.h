@@ -1,21 +1,16 @@
-// Transport abstraction: moving encoded frames between endpoints.
+// The wire: moving encoded frames between endpoints.
 //
-// A Transport owns two independent directed lanes — downlink (server ->
-// clients) and uplink (clients -> server) — and moves opaque encoded frames
-// (transport/wire_format.h) between them. It knows nothing about retries,
-// faults, or ledger accounting; that is the reliable channel's job
-// (transport/reliable_channel.h). The split is the seam for future
-// backends: a TCP or Unix-socket transport implements the same four
-// methods and everything above it (channel, trainers, exactness tests)
-// carries over unchanged.
+// LocalTransport owns two independent directed lanes — downlink (server ->
+// clients) and uplink (clients -> server) — each a bounded in-process ring
+// buffer of opaque encoded frames (transport/wire_format.h). It knows
+// nothing about retries, faults, or ledger accounting; that is the
+// reliable channel's job (transport/reliable_channel.h).
 //
-// LocalTransport is the first backend: a bounded in-process ring buffer per
-// lane. The training path uses the non-blocking PushFrame/PopFrame pair on
-// the main thread (the trainer is both producer and consumer, so blocking
+// The training path uses the non-blocking PushFrame/PopFrame pair on the
+// main thread (the trainer is both producer and consumer, so blocking
 // would deadlock); the blocking pair exists for genuinely concurrent
-// endpoints (exercised under tsan by transport_test) and for the
-// multi-process backends to come. All four are safe to call from any
-// thread.
+// endpoints (exercised under tsan by transport_test). All four are safe to
+// call from any thread.
 
 #ifndef FATS_TRANSPORT_TRANSPORT_H_
 #define FATS_TRANSPORT_TRANSPORT_H_
@@ -39,31 +34,22 @@ enum class Direction : uint8_t {
 
 const char* DirectionName(Direction direction);
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Enqueues one encoded frame. ResourceExhausted-style failure
-  /// (FailedPrecondition) when the lane is full.
-  virtual Status PushFrame(Direction direction, std::string_view frame) = 0;
-
-  /// Dequeues the oldest frame, or NotFound when the lane is empty (the
-  /// virtual-time analogue of a receive timeout).
-  virtual Result<std::string> PopFrame(Direction direction) = 0;
-
-  /// Frames currently queued on `direction`.
-  virtual int64_t PendingFrames(Direction direction) const = 0;
-};
-
 /// In-process bounded ring buffer, one ring per direction.
-class LocalTransport : public Transport {
+class LocalTransport {
  public:
   /// `capacity` frames per lane (>= 1).
   explicit LocalTransport(int64_t capacity = kDefaultCapacity);
 
-  Status PushFrame(Direction direction, std::string_view frame) override;
-  Result<std::string> PopFrame(Direction direction) override;
-  int64_t PendingFrames(Direction direction) const override;
+  /// Enqueues one encoded frame. ResourceExhausted-style failure
+  /// (FailedPrecondition) when the lane is full.
+  Status PushFrame(Direction direction, std::string_view frame);
+
+  /// Dequeues the oldest frame, or NotFound when the lane is empty (the
+  /// virtual-time analogue of a receive timeout).
+  Result<std::string> PopFrame(Direction direction);
+
+  /// Frames currently queued on `direction`.
+  int64_t PendingFrames(Direction direction) const;
 
   /// Blocking variants for concurrent endpoints: wait until space/a frame
   /// is available or `timeout_ms` elapses (FailedPrecondition / NotFound on

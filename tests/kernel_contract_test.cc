@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "rng/rng_stream.h"
@@ -182,138 +183,174 @@ TEST(KernelContract, EmptyKDimension) {
   for (float x : c) EXPECT_EQ(x, 0.0f);
 }
 
-// --- Multi-threaded execution (DESIGN.md §7.6) -----------------------------
+// --- Concurrent callers (DESIGN.md §7) -------------------------------------
 //
-// With a ParallelScope active, the drivers split the m dimension into fixed
-// row bands and run the bands as pool tasks. The contract is bitwise
-// identity to the serial kernels at every thread count: band boundaries
-// never touch any per-element ascending-k chain, and each element is owned
-// by exactly one task. The parallel path only engages above a work
-// threshold, so the shape list below includes shapes on both sides of it —
-// below-threshold shapes exercise the (bit-identical) serial fallback under
-// an active scope.
+// FATS runs in parallel across clients, not inside a GEMM:
+// ParallelClientRunner trains the sampled clients of a round on pool
+// workers, and every worker calls the serial kernels on its own operands.
+// With the fused round pack (num_threads > 1) all workers also read one
+// shared PackedB. The contract is that a call made on a worker, while the
+// other workers make theirs, is bitwise the single-threaded call. Packing
+// scratch is thread_local, so no worker sees another's buffers; each task
+// below writes only its own output. Under tsan these tests also race-check
+// that scratch.
 
-const Shape kParallelShapes[] = {
-    // Under the parallel work floor: scope active, serial fallback.
-    {6, 16, 8}, {13, 37, 7}, {64, 23, 48},
-    // Over the floor: genuine multi-band dispatch, including band counts
-    // that don't divide evenly and rectangular extremes.
-    {128, 64, 48}, {97, 128, 33}, {256, 16, 64}, {300, 40, 25},
-    {256, 256, 17}, {48, 96, 130},
+// Both sides of the small-GEMM threshold, prime tails, and row counts that
+// leave a partial macro-kernel row block.
+const Shape kConcurrentShapes[] = {
+    {6, 16, 8},    {13, 37, 7},   {64, 23, 48},  {128, 64, 48}, {97, 128, 33},
+    {256, 16, 64}, {300, 40, 25}, {256, 256, 17}, {48, 96, 130},
 };
+
+struct ConcurrentCase {
+  Shape s;
+  bool accumulate;
+  std::vector<float> a, b, bt, at, c0;  // bt is (n x k), at is (k x m)
+};
+
+std::vector<ConcurrentCase> MakeConcurrentCases(RngStream* rng) {
+  std::vector<ConcurrentCase> cases;
+  for (const Shape& s : kConcurrentShapes) {
+    for (bool accumulate : {false, true}) {
+      ConcurrentCase cc;
+      cc.s = s;
+      cc.accumulate = accumulate;
+      cc.a = RandomVec(s.m * s.k, rng);
+      cc.b = RandomVec(s.k * s.n, rng);
+      cc.bt = RandomVec(s.n * s.k, rng);
+      cc.at = RandomVec(s.k * s.m, rng);
+      cc.c0 = RandomVec(s.m * s.n, rng);
+      cases.push_back(std::move(cc));
+    }
+  }
+  return cases;
+}
+
+struct VariantOutputs {
+  std::vector<float> nn, nt, tn;
+};
+
+VariantOutputs RunAllVariants(const ConcurrentCase& cc) {
+  const Shape& s = cc.s;
+  VariantOutputs out{cc.c0, cc.c0, cc.c0};
+  gemm::SgemmNN(s.m, s.n, s.k, cc.a.data(), s.k, cc.b.data(), s.n,
+                out.nn.data(), s.n, cc.accumulate);
+  gemm::SgemmNT(s.m, s.n, s.k, cc.a.data(), s.k, cc.bt.data(), s.k,
+                out.nt.data(), s.n, cc.accumulate);
+  gemm::SgemmTN(s.m, s.n, s.k, cc.at.data(), s.m, cc.b.data(), s.n,
+                out.tn.data(), s.n, cc.accumulate);
+  return out;
+}
 
 class ParallelKernelContract : public ::testing::TestWithParam<int64_t> {};
 
+// One task per worker; each task walks every case, so workers sit in
+// different shapes (and resize their scratch) at the same time.
 TEST_P(ParallelKernelContract, AllVariantsBitwiseMatchSerial) {
   const int64_t threads = GetParam();
   ThreadPool pool(threads);
   RngStream rng(uint64_t{200} + static_cast<uint64_t>(threads));
-  for (const Shape& s : kParallelShapes) {
-    for (bool accumulate : {false, true}) {
-      const std::vector<float> a = RandomVec(s.m * s.k, &rng);
-      const std::vector<float> b = RandomVec(s.k * s.n, &rng);
-      const std::vector<float> bt = RandomVec(s.n * s.k, &rng);  // (n x k)
-      const std::vector<float> at = RandomVec(s.k * s.m, &rng);  // (k x m)
-      const std::vector<float> c0 = RandomVec(s.m * s.n, &rng);
+  const std::vector<ConcurrentCase> cases = MakeConcurrentCases(&rng);
+  std::vector<VariantOutputs> serial;
+  for (const ConcurrentCase& cc : cases) serial.push_back(RunAllVariants(cc));
 
-      std::vector<float> nn_serial = c0, nn_par = c0;
-      std::vector<float> nt_serial = c0, nt_par = c0;
-      std::vector<float> tn_serial = c0, tn_par = c0;
-      gemm::SgemmNN(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                    nn_serial.data(), s.n, accumulate);
-      gemm::SgemmNT(s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k,
-                    nt_serial.data(), s.n, accumulate);
-      gemm::SgemmTN(s.m, s.n, s.k, at.data(), s.m, b.data(), s.n,
-                    tn_serial.data(), s.n, accumulate);
-      {
-        gemm::ParallelScope scope(&pool);
-        gemm::SgemmNN(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                      nn_par.data(), s.n, accumulate);
-        gemm::SgemmNT(s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k,
-                      nt_par.data(), s.n, accumulate);
-        gemm::SgemmTN(s.m, s.n, s.k, at.data(), s.m, b.data(), s.n,
-                      tn_par.data(), s.n, accumulate);
-      }
-      EXPECT_TRUE(BitwiseEqual(nn_serial, nn_par))
-          << "NN threads=" << threads << " m=" << s.m << " n=" << s.n
-          << " k=" << s.k << " accumulate=" << accumulate;
-      EXPECT_TRUE(BitwiseEqual(nt_serial, nt_par))
-          << "NT threads=" << threads << " m=" << s.m << " n=" << s.n
-          << " k=" << s.k << " accumulate=" << accumulate;
-      EXPECT_TRUE(BitwiseEqual(tn_serial, tn_par))
-          << "TN threads=" << threads << " m=" << s.m << " n=" << s.n
-          << " k=" << s.k << " accumulate=" << accumulate;
+  std::vector<std::vector<VariantOutputs>> per_task(
+      static_cast<size_t>(threads));
+  pool.ParallelFor(threads, [&](int64_t task, int64_t /*worker*/) {
+    for (const ConcurrentCase& cc : cases) {
+      per_task[static_cast<size_t>(task)].push_back(RunAllVariants(cc));
+    }
+  });
+
+  for (int64_t task = 0; task < threads; ++task) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const Shape& s = cases[i].s;
+      const VariantOutputs& got = per_task[static_cast<size_t>(task)][i];
+      EXPECT_TRUE(BitwiseEqual(serial[i].nn, got.nn))
+          << "NN threads=" << threads << " task=" << task << " m=" << s.m
+          << " n=" << s.n << " k=" << s.k
+          << " accumulate=" << cases[i].accumulate;
+      EXPECT_TRUE(BitwiseEqual(serial[i].nt, got.nt))
+          << "NT threads=" << threads << " task=" << task << " m=" << s.m
+          << " n=" << s.n << " k=" << s.k
+          << " accumulate=" << cases[i].accumulate;
+      EXPECT_TRUE(BitwiseEqual(serial[i].tn, got.tn))
+          << "TN threads=" << threads << " task=" << task << " m=" << s.m
+          << " n=" << s.n << " k=" << s.k
+          << " accumulate=" << cases[i].accumulate;
     }
   }
 }
 
-// NaN/Inf must propagate identically when the work is split across bands:
-// the parallel split must not introduce (or mask) any data-dependent skip.
+// NaN/Inf must propagate identically on every worker: concurrency must not
+// introduce (or mask) any data-dependent skip.
 TEST_P(ParallelKernelContract, NonFinitePropagationMatchesSerial) {
   const int64_t threads = GetParam();
   ThreadPool pool(threads);
   RngStream rng(uint64_t{300} + static_cast<uint64_t>(threads));
-  const int64_t m = 128, n = 64, k = 48;  // over the parallel work floor
+  const int64_t m = 128, n = 64, k = 48;  // blocked (packing) path
   std::vector<float> a = RandomVec(m * k, &rng);
   std::vector<float> b = RandomVec(k * n, &rng);
   a[5] = std::nanf("");
-  a[static_cast<size_t>((m - 1) * k)] = INFINITY;  // last band's rows too
+  a[static_cast<size_t>((m - 1) * k)] = INFINITY;  // last row block too
   b[11] = -INFINITY;
   std::vector<float> c_serial(static_cast<size_t>(m * n), 0.0f);
-  std::vector<float> c_par = c_serial;
   gemm::SgemmNN(m, n, k, a.data(), k, b.data(), n, c_serial.data(), n, false);
-  {
-    gemm::ParallelScope scope(&pool);
-    gemm::SgemmNN(m, n, k, a.data(), k, b.data(), n, c_par.data(), n, false);
+
+  std::vector<std::vector<float>> c_par(static_cast<size_t>(threads),
+                                        std::vector<float>(c_serial.size()));
+  pool.ParallelFor(threads, [&](int64_t task, int64_t /*worker*/) {
+    gemm::SgemmNN(m, n, k, a.data(), k, b.data(), n,
+                  c_par[static_cast<size_t>(task)].data(), n, false);
+  });
+  for (int64_t task = 0; task < threads; ++task) {
+    const std::vector<float>& c = c_par[static_cast<size_t>(task)];
+    EXPECT_TRUE(BitwiseEqual(c_serial, c))
+        << "threads=" << threads << " task=" << task;
+    bool saw_nan = false;
+    for (float x : c) saw_nan |= std::isnan(x);
+    EXPECT_TRUE(saw_nan) << "task=" << task;
   }
-  EXPECT_TRUE(BitwiseEqual(c_serial, c_par)) << "threads=" << threads;
-  bool saw_nan = false;
-  for (float x : c_par) saw_nan |= std::isnan(x);
-  EXPECT_TRUE(saw_nan);
 }
 
-// Prepacked B must be bit-identical to packing inside the call, serial and
-// parallel, for both storage layouts — and repacking into the same PackedB
-// (the per-round reuse pattern) must behave like a fresh pack.
+// Prepacked B must be bit-identical to packing inside the call, for both
+// storage layouts, and repacking into the same PackedB (the per-round reuse
+// pattern) must behave like a fresh pack. Every worker then reads the one
+// shared pack concurrently, as the fused round pack does at
+// num_threads > 1, and must get the same bits.
 TEST_P(ParallelKernelContract, PackedBBitwiseMatchesUnpacked) {
   const int64_t threads = GetParam();
   ThreadPool pool(threads);
   RngStream rng(uint64_t{400} + static_cast<uint64_t>(threads));
   gemm::PackedB pack_nn;  // reused across shapes: exercises repacking
   gemm::PackedB pack_nt;
-  for (const Shape& s : kParallelShapes) {
-    for (bool accumulate : {false, true}) {
-      const std::vector<float> a = RandomVec(s.m * s.k, &rng);
-      const std::vector<float> b = RandomVec(s.k * s.n, &rng);   // (k x n)
-      const std::vector<float> bt = RandomVec(s.n * s.k, &rng);  // (n x k)
-      const std::vector<float> c0 = RandomVec(s.m * s.n, &rng);
-      gemm::PackBMatrix(s.n, s.k, b.data(), s.n, /*b_trans=*/false, &pack_nn);
-      gemm::PackBMatrix(s.n, s.k, bt.data(), s.k, /*b_trans=*/true, &pack_nt);
+  for (const ConcurrentCase& cc : MakeConcurrentCases(&rng)) {
+    const Shape& s = cc.s;
+    gemm::PackBMatrix(s.n, s.k, cc.b.data(), s.n, /*b_trans=*/false,
+                      &pack_nn);
+    gemm::PackBMatrix(s.n, s.k, cc.bt.data(), s.k, /*b_trans=*/true,
+                      &pack_nt);
+    const VariantOutputs unpacked = RunAllVariants(cc);
 
-      std::vector<float> nn = c0, nn_packed = c0, nn_packed_par = c0;
-      std::vector<float> nt = c0, nt_packed = c0;
-      gemm::SgemmNN(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, nn.data(),
-                    s.n, accumulate);
-      gemm::SgemmNT(s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k, nt.data(),
-                    s.n, accumulate);
-      gemm::SgemmPackedB(s.m, s.n, s.k, a.data(), s.k, pack_nn,
-                         nn_packed.data(), s.n, accumulate);
-      gemm::SgemmPackedB(s.m, s.n, s.k, a.data(), s.k, pack_nt,
-                         nt_packed.data(), s.n, accumulate);
-      {
-        gemm::ParallelScope scope(&pool);
-        gemm::SgemmPackedB(s.m, s.n, s.k, a.data(), s.k, pack_nn,
-                           nn_packed_par.data(), s.n, accumulate);
-      }
-      EXPECT_TRUE(BitwiseEqual(nn, nn_packed))
-          << "NN-packed m=" << s.m << " n=" << s.n << " k=" << s.k
-          << " accumulate=" << accumulate;
-      EXPECT_TRUE(BitwiseEqual(nt, nt_packed))
-          << "NT-packed m=" << s.m << " n=" << s.n << " k=" << s.k
-          << " accumulate=" << accumulate;
-      EXPECT_TRUE(BitwiseEqual(nn, nn_packed_par))
-          << "NN-packed-parallel threads=" << threads << " m=" << s.m
-          << " n=" << s.n << " k=" << s.k << " accumulate=" << accumulate;
+    std::vector<VariantOutputs> per_task(static_cast<size_t>(threads),
+                                         VariantOutputs{cc.c0, cc.c0, {}});
+    pool.ParallelFor(threads, [&](int64_t task, int64_t /*worker*/) {
+      VariantOutputs& out = per_task[static_cast<size_t>(task)];
+      gemm::SgemmPackedB(s.m, s.n, s.k, cc.a.data(), s.k, pack_nn,
+                         out.nn.data(), s.n, cc.accumulate);
+      gemm::SgemmPackedB(s.m, s.n, s.k, cc.a.data(), s.k, pack_nt,
+                         out.nt.data(), s.n, cc.accumulate);
+    });
+    for (int64_t task = 0; task < threads; ++task) {
+      const VariantOutputs& got = per_task[static_cast<size_t>(task)];
+      EXPECT_TRUE(BitwiseEqual(unpacked.nn, got.nn))
+          << "NN-packed threads=" << threads << " task=" << task
+          << " m=" << s.m << " n=" << s.n << " k=" << s.k
+          << " accumulate=" << cc.accumulate;
+      EXPECT_TRUE(BitwiseEqual(unpacked.nt, got.nt))
+          << "NT-packed threads=" << threads << " task=" << task
+          << " m=" << s.m << " n=" << s.n << " k=" << s.k
+          << " accumulate=" << cc.accumulate;
     }
   }
 }

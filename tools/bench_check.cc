@@ -5,12 +5,13 @@
 //   bench_check BASELINE.json CURRENT.json [--max-regress PCT]
 //
 // For every benchmark name present in both files it prints the baseline and
-// current real_time and the ratio. Without --max-regress the tool is a
-// smoke/report only (exit 0 as long as both files parse and share at least
-// one benchmark) — this is how tools/ci.sh runs it, so CI latency noise
-// cannot fail a build. With --max-regress PCT it exits 1 when any shared
-// benchmark got slower by more than PCT percent, which is the intended
-// gating mode once a pinned-hardware runner exists.
+// current real_time and the ratio. Rows only in the current run print as
+// "(new)"; baseline rows missing from the current run print as "(gone)".
+// Neither kind is gated. Without --max-regress the tool is report-only
+// (exit 0 as long as both files parse and share at least one benchmark).
+// With --max-regress PCT it exits 1 when any shared benchmark got slower by
+// more than PCT percent; tools/ci.sh's bench gate runs it this way with
+// --max-regress 75.
 //
 // Build-type gate (always on, both modes): a file whose run context records
 // a debug build is rejected with exit 2 — debug timings are meaningless as
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,10 +190,8 @@ int main(int argc, char** argv) {
                    input.role, input.path->c_str(), build_type.c_str());
       return 2;
     }
-    const std::string threads = ContextField(*input.text, "fats_threads");
-    std::printf("%s: build_type=%s threads=%s\n", input.role,
-                build_type.empty() ? "(unrecorded)" : build_type.c_str(),
-                threads.empty() ? "(unrecorded)" : threads.c_str());
+    std::printf("%s: build_type=%s\n", input.role,
+                build_type.empty() ? "(unrecorded)" : build_type.c_str());
   }
 
   std::vector<BenchEntry> baseline;
@@ -209,6 +209,8 @@ int main(int argc, char** argv) {
 
   std::map<std::string, BenchEntry> base_by_name;
   for (const BenchEntry& e : baseline) base_by_name[e.name] = e;
+  std::set<std::string> current_names;
+  for (const BenchEntry& e : current) current_names.insert(e.name);
 
   int shared = 0;
   int regressions = 0;
@@ -231,6 +233,12 @@ int main(int argc, char** argv) {
     std::printf("%-40s %12.1f%-2s %12.1f%-2s %7.2fx%s\n", cur.name.c_str(),
                 base.real_time, base.time_unit.c_str(), cur.real_time,
                 cur.time_unit.c_str(), ratio, regressed ? "  REGRESSED" : "");
+  }
+  for (const BenchEntry& base : baseline) {
+    if (current_names.count(base.name) == 0) {
+      std::printf("%-40s %12.1f%-2s %14s %8s\n", base.name.c_str(),
+                  base.real_time, base.time_unit.c_str(), "(gone)", "-");
+    }
   }
   if (shared == 0) {
     std::fprintf(stderr,

@@ -50,9 +50,7 @@ echo "=== [5/8] bench gate ==="
 # the blocked/SIMD path), not single-digit drift.
 BENCH_MAX_REGRESS_PCT="${BENCH_MAX_REGRESS_PCT:-75}"
 if [[ "$PRESET" == "release" ]]; then
-  # --threads=4 matches the thread count the checked-in baseline was
-  # recorded with (bench_check prints both contexts for the diff).
-  "$BUILD_DIR/bench/bench_micro_kernels" --threads=4 \
+  "$BUILD_DIR/bench/bench_micro_kernels" \
     --benchmark_min_time=0.01 \
     --benchmark_out="$BUILD_DIR/BENCH_kernels_current.json" \
     --benchmark_out_format=json > /dev/null
@@ -132,10 +130,11 @@ else
 fi
 
 echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
-# kernel_contract_test exercises the parallel GEMM at worker counts 1/2/4/7
-# (the ISSUE-8 bit-identity matrix) and crash_matrix_test exercises the
-# async journal's WriterThread handoff, so both are race-checked on every
-# preset, not just the full tsan leg. transport_test rides along for the
+# kernel_contract_test calls the serial GEMM kernels concurrently from 1/2/4/7
+# pool workers (the concurrent-caller contract: thread-local packing scratch,
+# one shared PackedB) and crash_matrix_test exercises the async journal's
+# WriterThread handoff, so both are race-checked on every preset, not just
+# the full tsan leg. transport_test rides along for the
 # LocalTransport blocking producer/consumer pair (the wire's only
 # cross-thread handoff). die_after_fork=0: the crash-matrix children
 # deliberately start a writer thread after fork (sanctioned — each child

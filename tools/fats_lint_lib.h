@@ -4,8 +4,9 @@
 // retraining replays the original run bit-identically.  That only holds if
 // every source of randomness flows through the Philox streams in src/rng/
 // and no hot path depends on unordered-container iteration order.  This
-// library implements the scanner behind tools/fats_lint.cc; it is a
-// library so tests/fats_lint_test.cc can drive it on known snippets.
+// library implements the token scanner that tools/fats_analyze.cc runs as
+// its first pass; it is a library so tests/fats_lint_test.cc can drive it
+// on known snippets.
 //
 // Rules (rule IDs are stable; they appear in reports and in suppression
 // comments):
