@@ -68,9 +68,14 @@ ScenarioResult RunFats(const DatasetProfile& profile, bool client_level,
                           .request_iter = t_issue});
     }
   }
+  // The flush replaces the stored models of the rounds it replays, so the
+  // pre-request curve is read now.
+  FillRoundAccuracy(&trainer, 0, result.request_index);
   UnlearningService service(&trainer);
   const ServiceFlushStats stats = service.ExecuteStream(requests).value();
   trainer.TrainUntil(config.total_iters_t());
+  FillRoundAccuracy(&trainer, result.request_index,
+                    trainer.log().records().size());
   result.replayed_rounds = stats.replayed_rounds;
   result.log = trainer.log();
   return result;

@@ -369,9 +369,10 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
       model_->SetParameters(aggregate);
       if (sink_ != nullptr) sink_->OnGlobalModel(r, aggregate);
 
+      // The record carries no test accuracy: evaluation is not part of
+      // Algorithm 1, and θ^(r) stays in the store for EvaluateRoundAccuracy.
       RoundRecord record;
       record.round = r;
-      record.test_accuracy = EvaluateTestAccuracy();
       record.mean_local_loss =
           loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
       record.recomputation = recomputation_mode_;
@@ -413,6 +414,18 @@ void FatsTrainer::NotifyIterationComplete(int64_t t, int64_t t_end,
 
 double FatsTrainer::EvaluateTestAccuracy() {
   return model_->EvaluateAccuracy(test_batch_.inputs, test_batch_.labels);
+}
+
+double FatsTrainer::EvaluateRoundAccuracy(int64_t round) {
+  const Tensor* global = store_.GetGlobalModel(round);
+  FATS_CHECK(global != nullptr) << "missing global model for round " << round;
+  // Borrow model_ for the forward and hand its parameters back bit for bit,
+  // so global_params() and EvaluateTestAccuracy() are unaffected.
+  const Tensor current = model_->GetParameters();
+  model_->SetParameters(*global);
+  const double accuracy = EvaluateTestAccuracy();
+  model_->SetParameters(current);
+  return accuracy;
 }
 
 }  // namespace fats

@@ -19,6 +19,15 @@
 // entry, broadcast, local steps, the availability schedule, upload,
 // aggregation and the round record are the same code for both.
 //
+// The round record a pass appends to the log (and journals) holds the
+// round, its mean local loss and whether it was re-computation. It holds no
+// test accuracy: evaluation is not part of Algorithm 1, and Theorem 3 does
+// not charge for it. The store keeps every round's global model θ^(r), so a
+// reader that wants round r's accuracy asks EvaluateRoundAccuracy(r). That
+// value is only valid while θ^(r) is on the current trajectory: once
+// unlearning replays round r, the stored model is the new one, so a reader
+// that wants the curve from before a request evaluates it before flushing.
+//
 // The trainer is the only owner of the FATS sampling stream keys; the one
 // unlearning implementation (core/unlearning_service.h) rewrites history
 // only through it. Sample-level unlearning keeps the stored selections,
@@ -107,7 +116,13 @@ class FatsTrainer {
   /// Run(trained_through()+1, ...) continues training afterwards.
   int64_t trained_through() const { return trained_through_; }
 
+  /// Test accuracy of the model the trainer holds (global_params()).
   double EvaluateTestAccuracy();
+
+  /// Test accuracy of the stored global model θ^(round), round in
+  /// [0, trained_through() / E]: the value the round loop used to record.
+  /// Leaves global_params() bitwise unchanged.
+  double EvaluateRoundAccuracy(int64_t round);
 
   Tensor global_params() { return model_->GetParameters(); }
 

@@ -13,6 +13,9 @@ namespace fats {
 
 struct RoundRecord {
   int64_t round = 0;          // global round counter (1-based)
+  /// FedAvg and FR² fill this inside their round loops. FATS leaves it at
+  /// 0.0 and readers fill it on read from the stored round model
+  /// (FatsTrainer::EvaluateRoundAccuracy).
   double test_accuracy = 0.0;
   double mean_local_loss = 0.0;
   /// True for rounds that were (re-)executed as part of unlearning
@@ -26,6 +29,9 @@ class TrainLog {
   const std::vector<RoundRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
   void Clear() { records_.clear(); }
+  void SetAccuracy(size_t index, double test_accuracy) {
+    records_[index].test_accuracy = test_accuracy;
+  }
 
   /// Latest recorded test accuracy (0 if none).
   double LastAccuracy() const {

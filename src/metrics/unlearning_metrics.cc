@@ -1,5 +1,7 @@
 #include "metrics/unlearning_metrics.h"
 
+#include "core/fats_trainer.h"
+
 namespace fats {
 
 RecoveryMetrics AnalyzeRecovery(const TrainLog& log, size_t request_index,
@@ -22,6 +24,13 @@ RecoveryMetrics AnalyzeRecovery(const TrainLog& log, size_t request_index,
       recovery_fraction * metrics.accuracy_before, request_index);
   metrics.final_accuracy = records.back().test_accuracy;
   return metrics;
+}
+
+void FillRoundAccuracy(FatsTrainer* trainer, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    trainer->mutable_log()->SetAccuracy(
+        i, trainer->EvaluateRoundAccuracy(trainer->log().records()[i].round));
+  }
 }
 
 }  // namespace fats

@@ -9,6 +9,8 @@
 
 namespace fats {
 
+class FatsTrainer;
+
 struct RecoveryMetrics {
   /// Test accuracy just before the unlearning request.
   double accuracy_before = 0.0;
@@ -24,9 +26,16 @@ struct RecoveryMetrics {
 };
 
 /// Analyzes a log whose records up to index `request_index` (exclusive) are
-/// pre-unlearning and whose remaining records are post-unlearning.
+/// pre-unlearning and whose remaining records are post-unlearning. A FATS
+/// log carries accuracies only once FillRoundAccuracy has filled them.
 RecoveryMetrics AnalyzeRecovery(const TrainLog& log, size_t request_index,
                                 double recovery_fraction = 0.98);
+
+/// Sets the test accuracy of records [begin, end) of the trainer's log to
+/// that of their stored round models (FatsTrainer::EvaluateRoundAccuracy).
+/// A stored model is replaced when unlearning replays its round, so fill
+/// the records from before a request before flushing it.
+void FillRoundAccuracy(FatsTrainer* trainer, size_t begin, size_t end);
 
 }  // namespace fats
 

@@ -214,6 +214,39 @@ TEST_F(CliTest, CrashFaultRecoversBitExactlyViaJournal) {
       << "recovered model must match the uninterrupted run: " << output;
 }
 
+TEST_F(CliTest, LogCsvLastAccuracyMatchesStatusLine) {
+  const std::string csv_path = Checkpoint() + ".csv";
+  std::remove(csv_path.c_str());
+  std::string output;
+  ASSERT_EQ(RunCli("train " + CommonFlags() + " --log_csv=" + csv_path,
+                   &output),
+            0)
+      << output;
+  const size_t pos = output.find("accuracy : ");
+  ASSERT_NE(pos, std::string::npos) << output;
+  const std::string status_accuracy = output.substr(pos + 11, 6);
+
+  // The last CSV row is the final round, whose stored global model is the
+  // model the status line evaluated.
+  std::ifstream in(csv_path);
+  std::string line, last;
+  int rows = 0;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    last = line;
+    ++rows;
+  }
+  ASSERT_EQ(rows, 7) << "header + one row per round";
+  const size_t comma = last.find(',');
+  ASSERT_NE(comma, std::string::npos) << last;
+  const double csv_accuracy = std::stod(last.substr(comma + 1));
+  EXPECT_GT(csv_accuracy, 0.0) << last;
+  char formatted[16];
+  std::snprintf(formatted, sizeof(formatted), "%.4f", csv_accuracy);
+  EXPECT_EQ(std::string(formatted), status_accuracy) << last;
+  std::remove(csv_path.c_str());
+}
+
 TEST_F(CliTest, DoubleDeletionRejected) {
   std::string output;
   ASSERT_EQ(RunCli("train " + CommonFlags(), &output), 0);

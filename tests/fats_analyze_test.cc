@@ -733,6 +733,82 @@ TEST(AnalyzeUnlearnOwner, SuppressionDowngrades) {
   EXPECT_TRUE(HasRule(r, kRuleUnlearnOwner, /*suppressed=*/true));
 }
 
+// --- Rule fixtures: eval-on-read ---
+
+TEST(AnalyzeEvalOnRead, EvaluationInRoundLoopFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/fats_trainer.cc",
+      "void FatsTrainer::RunPass(int64_t t0, int64_t t_end,\n"
+      "                          TrainPassKind pass) {\n"
+      "  for (int64_t t = t0; t <= t_end; ++t) {\n"
+      "    RoundRecord record;\n"
+      "    record.test_accuracy = EvaluateTestAccuracy();\n"
+      "    const double a = model_->EvaluateAccuracy(x, y);\n"
+      "    log_.Append(record);\n"
+      "  }\n"
+      "}\n");
+  EXPECT_EQ(ActiveRules(r), (std::vector<std::string>{kRuleEvalOnRead,
+                                                      kRuleEvalOnRead}));
+}
+
+TEST(AnalyzeEvalOnRead, OnReadCallInServiceOrIoFires) {
+  for (const char* path :
+       {"src/core/unlearning_service.cc", "src/io/train_journal.cc",
+        "src/state/history_log.cc", "src/transport/reliable_channel.cc"}) {
+    const AnalysisResult r = AnalyzeOne(
+        path,
+        "double F(FatsTrainer* trainer) {\n"
+        "  return trainer->EvaluateRoundAccuracy(3);\n"
+        "}\n");
+    EXPECT_TRUE(HasRule(r, kRuleEvalOnRead)) << path;
+  }
+}
+
+TEST(AnalyzeEvalOnRead, TrainerEvaluatorsAreExempt) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/fats_trainer.cc",
+      "double FatsTrainer::EvaluateTestAccuracy() {\n"
+      "  return model_->EvaluateAccuracy(test_batch_.inputs,\n"
+      "                                  test_batch_.labels);\n"
+      "}\n"
+      "double FatsTrainer::EvaluateRoundAccuracy(int64_t round) {\n"
+      "  model_->SetParameters(*store_.GetGlobalModel(round));\n"
+      "  return EvaluateTestAccuracy();\n"
+      "}\n");
+  EXPECT_FALSE(HasRule(r, kRuleEvalOnRead));
+  // Declarations are not calls.
+  EXPECT_FALSE(HasRule(AnalyzeOne("src/core/fats_trainer.h",
+                                  "class FatsTrainer {\n"
+                                  "  double EvaluateTestAccuracy();\n"
+                                  "  double EvaluateRoundAccuracy(int64_t r);\n"
+                                  "};\n"),
+                       kRuleEvalOnRead));
+}
+
+TEST(AnalyzeEvalOnRead, FedAvgAndBaselinesAreOutOfScope) {
+  const std::string body =
+      "void F() {\n"
+      "  record.test_accuracy = EvaluateTestAccuracy();\n"
+      "  record.test_accuracy = trainer_->EvaluateTestAccuracy();\n"
+      "}\n";
+  for (const char* path :
+       {"src/fl/fedavg.cc", "src/baselines/fr2.cc", "bench/bench_fig1.cc",
+        "tools/fats_cli.cc"}) {
+    EXPECT_FALSE(HasRule(AnalyzeOne(path, body), kRuleEvalOnRead)) << path;
+  }
+}
+
+TEST(AnalyzeEvalOnRead, SuppressionDowngrades) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/x.cc",
+      "double F(FatsTrainer* trainer) {\n"
+      "  return trainer->EvaluateTestAccuracy();  "
+      "// fats-lint: allow(eval-on-read)\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+  EXPECT_TRUE(HasRule(r, kRuleEvalOnRead, /*suppressed=*/true));
+}
+
 // --- Rule fixtures: raw-wire ---
 
 TEST(AnalyzeRawWire, FrameCodecInCoreFires) {
@@ -907,7 +983,7 @@ TEST(AnalyzeRules, AllRulesSupersetOfLegacy) {
   for (const char* rule :
        {kRuleRngRawKey, kRuleRngSharedStream, kRuleRngUnorderedDraw,
         kRuleNondetReduction, kRuleFailpointGap, kRuleDiscardedStatus,
-        kRuleLayerOrder, kRuleLayerCycle, kRuleTileOverlap,
+        kRuleLayerOrder, kRuleLayerCycle, kRuleEvalOnRead, kRuleTileOverlap,
         kRuleResidentHistory}) {
     EXPECT_NE(std::find(all.begin(), all.end(), rule), all.end()) << rule;
   }

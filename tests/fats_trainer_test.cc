@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -155,6 +159,93 @@ TEST(FatsTrainerTest, LocalIterationCounterTracksWork) {
   EXPECT_LE(trainer.local_iterations_executed(),
             trainer.K() * config.total_iters_t());
   EXPECT_GE(trainer.local_iterations_executed(), config.total_iters_t());
+}
+
+// Copies θ^(r) at every OnGlobalModel and files it under the round record
+// that follows, so models[i] is the global model behind log record i.
+class RoundModelCapture : public TrainEventSink {
+ public:
+  void OnClientSelection(int64_t, const std::vector<int64_t>&) override {}
+  void OnMinibatch(int64_t, int64_t, const std::vector<int64_t>&) override {}
+  void OnLocalModel(int64_t, int64_t, const Tensor&) override {}
+  void OnGlobalModel(int64_t, const Tensor& params) override {
+    pending_ = params;
+  }
+  void OnRoundRecord(const RoundRecord&) override {
+    models.push_back(pending_);
+  }
+  void OnIterationComplete(const IterationMark&) override {}
+  void OnTruncate(int64_t) override {}
+  void OnGenerationBump(uint64_t) override {}
+  void OnUnlearnBegin() override {}
+  void OnUnlearnEnd() override {}
+
+  std::vector<Tensor> models;
+
+ private:
+  Tensor pending_;
+};
+
+TEST(FatsTrainerTest, RoundAccuracyOnReadMatchesInLoopEvaluation) {
+  FederatedDataset data = TinyImageData(8, 12, /*classes=*/3);
+  const ModelSpec spec = TinyModelSpec(/*classes=*/3);
+  const FatsConfig config = TinyFatsConfig(8, 12, /*rounds=*/6, /*e=*/3);
+  FatsTrainer trainer(spec, config, &data);
+  RoundModelCapture capture;
+  trainer.set_event_sink(&capture);
+  const Batch test = data.global_test().AsBatch();
+  Model fresh(spec, config.seed);
+  std::set<double> seen;
+
+  // Fills the records not filled yet on read and checks each against the
+  // value the round loop used to compute: the captured θ^(r) evaluated on
+  // the fresh model. global_params() must not move.
+  size_t filled = 0;
+  auto fill_and_check = [&] {
+    ASSERT_EQ(capture.models.size(), trainer.log().records().size());
+    for (; filled < trainer.log().records().size(); ++filled) {
+      const Tensor before = trainer.global_params();
+      const double on_read = trainer.EvaluateRoundAccuracy(
+          trainer.log().records()[filled].round);
+      EXPECT_TRUE(trainer.global_params().BitwiseEquals(before)) << filled;
+      trainer.mutable_log()->SetAccuracy(filled, on_read);
+      seen.insert(on_read);
+      fresh.SetParameters(capture.models[filled]);
+      EXPECT_EQ(on_read, fresh.EvaluateAccuracy(test.inputs, test.labels))
+          << "record " << filled;
+    }
+  };
+
+  trainer.TrainUntil(9);
+  const int64_t client = trainer.store().GetClientSelection(1)->front();
+  const SampleRef sample{client,
+                         trainer.store().GetMinibatch(1, client)->front()};
+  const int64_t removed = trainer.store().GetClientSelection(2)->back();
+  UnlearningService service(&trainer);
+
+  // Records are valid for the current trajectory only: fill each block
+  // before the flush that replays its rounds.
+  fill_and_check();
+  Result<ServiceFlushStats> stats = service.ExecuteStream(
+      {{.kind = UnlearningRequest::Kind::kSample,
+        .sample = sample,
+        .request_iter = 9}});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->replays, 1);
+
+  fill_and_check();
+  stats = service.ExecuteStream({{.kind = UnlearningRequest::Kind::kClient,
+                                  .client = removed,
+                                  .request_iter = 9}});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->replays, 1);
+
+  trainer.TrainUntil(config.total_iters_t());
+  fill_and_check();
+  EXPECT_GT(trainer.log().records().size(), 6u);
+  // The curve must move, or evaluating the wrong round would go unseen.
+  EXPECT_GT(seen.size(), 2u);
+  EXPECT_EQ(trainer.log().LastAccuracy(), trainer.EvaluateTestAccuracy());
 }
 
 TEST(FatsTrainerDeathTest, MismatchedDatasetAborts) {

@@ -33,6 +33,8 @@ TEST(IntegrationTest, FullFatsPipelineSampleLevel) {
   EXPECT_GT(acc, 0.3) << "model failed to learn the scaled task";
 
   const size_t pre_request_records = trainer.log().records().size();
+  FillRoundAccuracy(&trainer, 0, pre_request_records);
+  EXPECT_EQ(trainer.log().LastAccuracy(), acc);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
   RngStream rng(5, id);
@@ -47,6 +49,8 @@ TEST(IntegrationTest, FullFatsPipelineSampleLevel) {
   EXPECT_EQ(stats.requests, 5);
   // FATS re-computation, when triggered, is at most a full retrain.
   EXPECT_LE(stats.replayed_rounds, profile.rounds_r);
+  FillRoundAccuracy(&trainer, pre_request_records,
+                    trainer.log().records().size());
   RecoveryMetrics recovery =
       AnalyzeRecovery(trainer.log(), pre_request_records);
   EXPECT_LT(recovery.accuracy_drop, 0.6);

@@ -88,9 +88,15 @@ void ExpectIdenticalState(FatsTrainer* serial, FatsTrainer* parallel) {
     EXPECT_EQ(log_a[i].round, log_b[i].round);
     // Exact double equality on purpose: losses must accumulate in the same
     // order, so even the last bit agrees.
-    EXPECT_EQ(log_a[i].test_accuracy, log_b[i].test_accuracy);
     EXPECT_EQ(log_a[i].mean_local_loss, log_b[i].mean_local_loss);
     EXPECT_EQ(log_a[i].recomputation, log_b[i].recomputation);
+  }
+  // Records carry no accuracy; every stored round model must evaluate to
+  // the same double on both trainers.
+  for (int64_t round : a.GlobalModelRounds()) {
+    EXPECT_EQ(serial->EvaluateRoundAccuracy(round),
+              parallel->EvaluateRoundAccuracy(round))
+        << "accuracy of round " << round;
   }
 
   EXPECT_EQ(serial->comm_stats().rounds(), parallel->comm_stats().rounds());

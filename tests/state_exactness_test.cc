@@ -99,9 +99,15 @@ void ExpectIdenticalState(FatsTrainer* resident, FatsTrainer* tiered) {
     EXPECT_EQ(log_a[i].round, log_b[i].round);
     // Exact double equality on purpose: the tier a record is read from must
     // not perturb a single bit of the replayed arithmetic.
-    EXPECT_EQ(log_a[i].test_accuracy, log_b[i].test_accuracy);
     EXPECT_EQ(log_a[i].mean_local_loss, log_b[i].mean_local_loss);
     EXPECT_EQ(log_a[i].recomputation, log_b[i].recomputation);
+  }
+  // Records carry no accuracy; every stored round model must evaluate to
+  // the same double on both trainers.
+  for (int64_t round : a.GlobalModelRounds()) {
+    EXPECT_EQ(resident->EvaluateRoundAccuracy(round),
+              tiered->EvaluateRoundAccuracy(round))
+        << "accuracy of round " << round;
   }
 
   EXPECT_EQ(resident->comm_stats().rounds(), tiered->comm_stats().rounds());

@@ -76,6 +76,7 @@ AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
     CheckStatusDiscipline(model, result.index, &result.findings);
     CheckStoreMutation(model, &result.findings);
     CheckUnlearnOwner(model, &result.findings);
+    CheckEvalOnRead(model, &result.findings);
     CheckWireDiscipline(model, &result.findings);
     CheckTileOwnership(model, &result.findings);
     CheckHistoryResidency(model, &result.findings);

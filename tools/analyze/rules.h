@@ -57,6 +57,13 @@
 //                      src/core/fats_trainer.*: UnlearningService is the one
 //                      FATS-SU / FATS-CU implementation, and a second caller
 //                      of its history rewrites is a second implementation.
+//   eval-on-read       a call to EvaluateAccuracy(, EvaluateTestAccuracy(
+//                      or EvaluateRoundAccuracy( in src/core, src/state,
+//                      src/transport or src/io outside the bodies of
+//                      FatsTrainer::EvaluateTestAccuracy and
+//                      FatsTrainer::EvaluateRoundAccuracy: FATS rounds record
+//                      no accuracy, and a reader evaluates a stored round
+//                      model on read, off the round and replay path.
 //   raw-wire           a frame codec (EncodeFrame/Decode*Payload/...), ring
 //                      buffer primitive (PushFrame/PopFrame), or POSIX
 //                      socket call outside src/transport within src/core,
@@ -104,6 +111,7 @@ inline constexpr const char kRuleLayerCycle[] = "layer-cycle";
 inline constexpr const char kRuleStoreMutationBypass[] =
     "store-mutation-bypass";
 inline constexpr const char kRuleUnlearnOwner[] = "unlearn-owner";
+inline constexpr const char kRuleEvalOnRead[] = "eval-on-read";
 inline constexpr const char kRuleRawWire[] = "raw-wire";
 inline constexpr const char kRuleTileOverlap[] = "tile-overlap";
 inline constexpr const char kRuleResidentHistory[] = "resident-history";
@@ -146,6 +154,8 @@ void CheckStoreMutation(const FileModel& model,
                         std::vector<lint::Finding>* findings);
 void CheckUnlearnOwner(const FileModel& model,
                        std::vector<lint::Finding>* findings);
+void CheckEvalOnRead(const FileModel& model,
+                     std::vector<lint::Finding>* findings);
 void CheckWireDiscipline(const FileModel& model,
                          std::vector<lint::Finding>* findings);
 void CheckTileOwnership(const FileModel& model,

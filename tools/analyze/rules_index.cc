@@ -31,8 +31,8 @@ std::vector<std::string> AnalyzerRules() {
   return {kRuleRngRawKey,      kRuleRngSharedStream,     kRuleRngUnorderedDraw,
           kRuleSamplingKeyOwner, kRuleNondetReduction,   kRuleFailpointGap,
           kRuleDiscardedStatus, kRuleLayerOrder,         kRuleLayerCycle,
-          kRuleStoreMutationBypass, kRuleUnlearnOwner, kRuleRawWire,
-          kRuleTileOverlap, kRuleResidentHistory};
+          kRuleStoreMutationBypass, kRuleUnlearnOwner, kRuleEvalOnRead,
+          kRuleRawWire, kRuleTileOverlap, kRuleResidentHistory};
 }
 
 void IndexFile(const FileModel& model, AnalysisIndex* index) {

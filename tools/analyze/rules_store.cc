@@ -1,5 +1,5 @@
-// Store-mutation discipline (rule family 6): store-mutation-bypass and
-// unlearn-owner.
+// Store discipline (rule family 6): store-mutation-bypass, unlearn-owner
+// and eval-on-read.
 //
 // store-mutation-bypass.  The
 // trainer's StateStore keeps inverted participation indices (sample ->
@@ -26,6 +26,20 @@
 // the scanned trees (src, tools, bench, examples) is a second unlearning
 // implementation growing back, and fires.  The trainer, which defines
 // them, is exempt too.
+//
+// eval-on-read.  Test-set evaluation is not part of Algorithm 1, and
+// Theorem 3 does not charge for it, yet one evaluation of the full test set
+// costs about as much as the rest of a small-batch round.  The round loop
+// therefore records no accuracy; the store keeps every global model θ^(r),
+// and a reader evaluates it on read through FatsTrainer::
+// EvaluateRoundAccuracy.  A call to EvaluateAccuracy( /
+// EvaluateTestAccuracy( / EvaluateRoundAccuracy( in the layers that train
+// and unlearn (src/core, src/state, src/transport, src/io) would put the
+// evaluation back on the round or replay path, and fires.  The bodies of
+// the two trainer evaluators are exempt.  FedAvg (src/fl) and FR²
+// (src/baselines) evaluate in their loops by design and are out of scope.
+
+#include <algorithm>
 
 #include "analyze/rules.h"
 #include "analyze/rules_util.h"
@@ -70,7 +84,67 @@ bool OwnsUnlearning(const std::string& path) {
          path.find("src/core/fats_trainer.") != std::string::npos;
 }
 
+bool InEvalScope(const std::string& path) {
+  for (const char* dir : {"src/core/", "src/state/", "src/transport/",
+                          "src/io/"}) {
+    if (path.find(dir) != std::string::npos) return true;
+  }
+  return false;
+}
+
+const std::set<std::string_view>& Evaluators() {
+  static const auto* kSet = new std::set<std::string_view>{
+      "EvaluateAccuracy", "EvaluateTestAccuracy", "EvaluateRoundAccuracy"};
+  return *kSet;
+}
+
+// True when the name at token `i` is declared or defined rather than called:
+// past any `Scope::` qualifiers it follows a type name (`double Name(`).
+bool AtDeclaration(const std::vector<Token>& tokens, size_t i) {
+  while (i >= 2 && IsPunct(tokens, i - 1, "::") &&
+         tokens[i - 2].kind == TokKind::kIdent) {
+    i -= 2;
+  }
+  if (i == 0 || tokens[i - 1].kind != TokKind::kIdent) return false;
+  const std::string_view prev = tokens[i - 1].text;
+  return prev != "return" && prev != "co_return" && prev != "case" &&
+         prev != "new";
+}
+
 }  // namespace
+
+void CheckEvalOnRead(const FileModel& model,
+                     std::vector<lint::Finding>* findings) {
+  if (!InEvalScope(model.source->path)) return;
+  std::vector<std::pair<size_t, size_t>> exempt;
+  for (const FunctionDef& fn : model.functions) {
+    if (fn.qualified == "FatsTrainer::EvaluateTestAccuracy" ||
+        fn.qualified == "FatsTrainer::EvaluateRoundAccuracy") {
+      exempt.emplace_back(fn.body_begin, fn.body_end);
+    }
+  }
+  const std::vector<Token>& tokens = model.tokens;
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].kind != TokKind::kIdent || !IsPunct(tokens, i + 1, "(")) {
+      continue;
+    }
+    if (Evaluators().count(tokens[i].text) == 0) continue;
+    if (AtDeclaration(tokens, i)) continue;
+    if (std::any_of(exempt.begin(), exempt.end(), [i](const auto& body) {
+          return i >= body.first && i < body.second;
+        })) {
+      continue;
+    }
+    std::string message = "test-set evaluation '";
+    message += tokens[i].text;
+    message +=
+        "' on the training/unlearning path: FATS rounds record no accuracy; "
+        "evaluate a stored round model on read with "
+        "FatsTrainer::EvaluateRoundAccuracy from the reader instead";
+    AddFinding(model, kRuleEvalOnRead, tokens[i].line, std::move(message),
+               findings);
+  }
+}
 
 void CheckUnlearnOwner(const FileModel& model,
                        std::vector<lint::Finding>* findings) {

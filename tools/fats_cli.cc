@@ -29,6 +29,7 @@
 #include "io/checkpoint.h"
 #include "io/train_journal.h"
 #include "metrics/gradient_diversity.h"
+#include "metrics/unlearning_metrics.h"
 #include "util/flags.h"
 
 namespace fats {
@@ -177,6 +178,7 @@ Status RunTrain(const CliOptions& options, bool resume) {
   }
   std::printf("checkpoint written to %s\n", options.checkpoint.c_str());
   if (!options.log_csv.empty()) {
+    FillRoundAccuracy(&trainer, 0, trainer.log().records().size());
     FATS_RETURN_NOT_OK(trainer.log().WriteCsvFile(options.log_csv));
     std::printf("round log written to %s\n", options.log_csv.c_str());
   }
@@ -314,7 +316,9 @@ int Main(int argc, char** argv) {
       "journal path; enables crash-exact journaled sessions (recovers "
       "automatically after a crash)");
   std::string* log_csv = flags.AddString(
-      "log_csv", "", "write the per-round training log as CSV here");
+      "log_csv", "",
+      "write the per-round training log as CSV here; its test_accuracy "
+      "column is the accuracy of each round's stored global model");
   std::string* fault_spec = flags.AddString(
       "fault_spec", "",
       "failpoint arming spec 'site:hit_count:action,...' "
