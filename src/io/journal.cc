@@ -15,9 +15,6 @@ constexpr uint32_t kVersion = 1;
 constexpr int64_t kHeaderBytes = 12;  // magic + u32 version
 // Sanity bound: a frame longer than this is corrupt, not large.
 constexpr uint32_t kMaxRecordBytes = uint32_t{1} << 30;
-// Async mode hands the active batch to the writer thread once it reaches
-// this size; Sync() hands over whatever accumulated regardless.
-constexpr size_t kAsyncBatchBytes = size_t{1} << 16;
 
 void PutU32(char* out, uint32_t value) {
   out[0] = static_cast<char>(value & 0xFF);
@@ -134,7 +131,7 @@ Status JournalWriter::Create(const std::string& path) {
 }
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenForAppend(
-    const std::string& path, int64_t valid_bytes, SyncMode mode) {
+    const std::string& path, int64_t valid_bytes) {
   if (valid_bytes < kHeaderBytes) {
     return Status::InvalidArgument(
         "journal append offset inside the header; Create a fresh segment");
@@ -149,12 +146,7 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenForAppend(
   if (file == nullptr) {
     return Status::IoError("cannot open journal for append: " + path);
   }
-  auto writer =
-      std::unique_ptr<JournalWriter>(new JournalWriter(file, path, mode));
-  if (mode == SyncMode::kAsync) {
-    writer->writer_ = std::make_unique<WriterThread>();
-  }
-  return writer;
+  return std::unique_ptr<JournalWriter>(new JournalWriter(file, path));
 }
 
 // Destructor cannot surface a Status; callers needing the sync result must
@@ -180,37 +172,6 @@ Status JournalWriter::Append(std::string_view payload) {
   PutU32(frame, static_cast<uint32_t>(payload.size()));
   PutU32(frame + 4, Crc32(payload.data(), payload.size()));
 
-  if (mode_ == SyncMode::kAsync) {
-    {
-      // Propagate a writer-side failure before buffering more work.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!async_status_.ok()) {
-        status_ = async_status_;
-        return status_;
-      }
-    }
-    if (triggered == failpoint::Triggered::kTornWrite) {
-      // Persist every already-buffered frame plus a deliberately torn
-      // record — full frame header, half the payload — then die like a
-      // crash would. Waiting out any in-flight flush first keeps the file
-      // in append order.
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        flush_done_cv_.wait(lock, [this] { return !flush_pending_; });
-      }
-      (void)std::fwrite(active_.data(), 1, active_.size(), file_);
-      (void)std::fwrite(frame, 1, sizeof(frame), file_);
-      (void)std::fwrite(payload.data(), 1, payload.size() / 2, file_);
-      (void)std::fflush(file_);
-      (void)::fsync(::fileno(file_));
-      std::_Exit(failpoint::kCrashExitCode);
-    }
-    active_.append(frame, sizeof(frame));
-    if (!payload.empty()) active_.append(payload.data(), payload.size());
-    if (active_.size() >= kAsyncBatchBytes) return SwapAndFlush();
-    return Status::OK();
-  }
-
   bool ok = std::fwrite(frame, 1, sizeof(frame), file_) == sizeof(frame);
   if (ok && triggered == failpoint::Triggered::kTornWrite) {
     // Persist a deliberately torn record — full frame header, half the
@@ -235,89 +196,11 @@ Status JournalWriter::Append(std::string_view payload) {
   return Status::OK();
 }
 
-Status JournalWriter::SwapAndFlush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Double buffering: at most one batch is in flight. Wait for it, so the
-  // writer thread owns `flushing_` exclusively whenever flush_pending_.
-  flush_done_cv_.wait(lock, [this] { return !flush_pending_; });
-  if (!async_status_.ok()) {
-    status_ = async_status_;
-    return status_;
-  }
-  if (active_.empty()) return Status::OK();
-  // Crash here loses the whole active batch — to recovery, identical to
-  // crashing before those Appends ran (the flush is the commit point).
-  static const bool registered = failpoint::RegisterSite("journal.swap_buffer");
-  (void)registered;
-  if (failpoint::AnyArmed() &&
-      failpoint::Evaluate("journal.swap_buffer") ==
-          failpoint::Triggered::kError) {
-    status_ =
-        Status::IoError("failpoint 'journal.swap_buffer' injected an error");
-    return status_;
-  }
-  active_.swap(flushing_);
-  flush_pending_ = true;
-  lock.unlock();
-  writer_->Post([this] { FlushBatchOnWriter(); });
-  return Status::OK();
-}
-
-void JournalWriter::FlushBatchOnWriter() {
-  // Runs on the writer thread. `flushing_` is read without mu_: the
-  // appending thread never touches it while flush_pending_ is true (the
-  // handoff protocol in the header). Crash window: the batch was swapped
-  // out but not yet written — recovery replays the shorter committed
-  // prefix.
-  static const bool registered = failpoint::RegisterSite("journal.async_flush");
-  (void)registered;
-  failpoint::Triggered triggered = failpoint::Triggered::kNone;
-  if (failpoint::AnyArmed()) {
-    triggered = failpoint::Evaluate("journal.async_flush");
-  }
-  if (triggered == failpoint::Triggered::kTornWrite) {
-    // Persist half the batch then die — a batch torn mid-write. The cut
-    // lands mid-frame, so recovery's CRC check discards the torn record.
-    (void)std::fwrite(flushing_.data(), 1, flushing_.size() / 2, file_);
-    (void)std::fflush(file_);
-    (void)::fsync(::fileno(file_));
-    std::_Exit(failpoint::kCrashExitCode);
-  }
-  Status flushed = Status::OK();
-  if (triggered == failpoint::Triggered::kError) {
-    flushed =
-        Status::IoError("failpoint 'journal.async_flush' injected an error");
-  } else {
-    const bool ok =
-        std::fwrite(flushing_.data(), 1, flushing_.size(), file_) ==
-            flushing_.size() &&
-        std::fflush(file_) == 0;
-    if (!ok) flushed = Status::IoError("journal async flush failed: " + path_);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!flushed.ok() && async_status_.ok()) async_status_ = flushed;
-  flushing_.clear();
-  flush_pending_ = false;
-  flush_done_cv_.notify_all();
-}
-
 Status JournalWriter::Sync() {
   if (!status_.ok()) return status_;
   if (file_ == nullptr) {
     status_ = Status::IoError("journal already closed: " + path_);
     return status_;
-  }
-  if (mode_ == SyncMode::kAsync) {
-    // Round-boundary barrier: hand over the buffered tail, wait until the
-    // writer pushed every batch into the FILE*, then fsync below.
-    Status swapped = SwapAndFlush();
-    if (!swapped.ok()) return swapped;
-    std::unique_lock<std::mutex> lock(mu_);
-    flush_done_cv_.wait(lock, [this] { return !flush_pending_; });
-    if (!async_status_.ok()) {
-      status_ = async_status_;
-      return status_;
-    }
   }
   FATS_FAILPOINT("journal.sync");
   Status synced = SyncFile(file_, path_);
@@ -327,18 +210,6 @@ Status JournalWriter::Sync() {
 
 Status JournalWriter::Close() {
   if (file_ == nullptr) return status_;
-  if (writer_ != nullptr) {
-    // Push the buffered tail out and join the writer thread: a closed
-    // writer leaves no background thread behind (fork-safety for the
-    // crash-matrix test, which forks between sessions).
-    if (status_.ok()) {
-      Status swapped = SwapAndFlush();
-      (void)swapped;  // latched into status_ on failure
-    }
-    writer_->Drain();
-    writer_.reset();
-    if (status_.ok() && !async_status_.ok()) status_ = async_status_;
-  }
   Status synced = status_.ok() ? SyncFile(file_, path_) : status_;
   if (std::fclose(file_) != 0 && synced.ok()) {
     synced = Status::IoError("journal close failed: " + path_);

@@ -28,19 +28,6 @@
 // sibling `<path>.tmp` + rename so a torn header can never occupy the
 // journal path; SweepOrphanTmp removes the `.tmp` a crash may strand.
 //
-// Async mode (SyncMode::kAsync, DESIGN.md §7.6): Append frames records into
-// an in-memory batch instead of the FILE*, and a dedicated WriterThread
-// flushes swapped-out batches in the background — double buffering, so the
-// appending thread never blocks on file I/O except at a Sync() barrier. The
-// commit point moves from "fflush returned" to "the batch holding the
-// record was flushed": a crash loses at most the buffered tail, which is
-// indistinguishable from crashing before those Appends ever ran, so
-// replay-from-committed-prefix recovery stays bitwise exact. Sync() is the
-// round-boundary barrier: swap + drain the writer + fsync. Two failpoint
-// sites cover the new crash windows — `journal.swap_buffer` (after appends
-// landed in the active buffer, before it is handed to the writer) and
-// `journal.async_flush` (batch swapped out, not yet written).
-//
 // This module performs the raw file writes for the durable path and is the
 // one place in src/{core,fl,io} sanctioned to do so (the `raw-io` lint rule
 // enforces that elsewhere).
@@ -48,18 +35,15 @@
 #ifndef FATS_IO_JOURNAL_H_
 #define FATS_IO_JOURNAL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/crc32.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fats {
 
@@ -86,12 +70,6 @@ Result<JournalScan> ScanJournal(const std::string& path);
 
 class JournalWriter {
  public:
-  enum class SyncMode {
-    kNone,   // fflush per record only; callers Sync() explicitly
-    kAsync,  // double-buffered batches on a writer thread; Sync() is the
-             // swap + drain + fsync barrier (see header comment)
-  };
-
   /// Creates a fresh, empty journal at `path` (header only), replacing any
   /// existing file, via tmp+rename with an fsync before the rename.
   static Status Create(const std::string& path);
@@ -99,58 +77,32 @@ class JournalWriter {
   /// Opens `path` for appending after `valid_bytes` (from ScanJournal),
   /// truncating any torn tail beyond it first.
   static Result<std::unique_ptr<JournalWriter>> OpenForAppend(
-      const std::string& path, int64_t valid_bytes, SyncMode mode);
+      const std::string& path, int64_t valid_bytes);
 
   ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Appends one framed record and hands it to the OS (fflush), or — in
-  /// async mode — to the in-memory batch (handed to the writer thread once
-  /// the batch fills or at the next Sync). The first failure latches into
-  /// status() and makes all later calls no-ops.
+  /// Appends one framed record and hands it to the OS (fflush). The first
+  /// failure latches into status() and makes all later calls no-ops.
   Status Append(std::string_view payload);
 
-  /// fsyncs the file to the device. In async mode this is the durability
-  /// barrier: hands the active batch to the writer, waits for every batch
-  /// to reach the FILE*, then fsyncs.
+  /// fsyncs the file to the device.
   Status Sync();
 
-  /// Flushes, syncs, and closes; in async mode also joins the writer
-  /// thread, so no background thread outlives a closed writer (fork-safety
-  /// for the crash matrix). Safe to call twice.
+  /// Flushes, syncs, and closes. Safe to call twice.
   Status Close();
 
   const Status& status() const { return status_; }
   const std::string& path() const { return path_; }
 
  private:
-  JournalWriter(std::FILE* file, std::string path, SyncMode mode)
-      : file_(file), path_(std::move(path)), mode_(mode) {}
-
-  // Hands the active batch to the writer thread (async mode). Waits for any
-  // in-flight flush first, so at most two batches exist: the one being
-  // appended to and the one being written.
-  Status SwapAndFlush();
-  // Runs on the writer thread: writes `flushing_` to the FILE* and fflushes.
-  void FlushBatchOnWriter();
+  JournalWriter(std::FILE* file, std::string path)
+      : file_(file), path_(std::move(path)) {}
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  SyncMode mode_;
   Status status_;
-
-  // Async double buffer (kAsync only). `active_` belongs to the appending
-  // thread; `flushing_` belongs to the writer thread while `flush_pending_`
-  // is true and is untouched by the appender in that window — that handoff
-  // protocol is why FlushBatchOnWriter reads it without holding `mu_`.
-  std::unique_ptr<WriterThread> writer_;
-  std::mutex mu_;
-  std::condition_variable flush_done_cv_;
-  std::string active_;
-  std::string flushing_;
-  bool flush_pending_ = false;   // guarded by mu_
-  Status async_status_;          // guarded by mu_; latched writer-side error
 };
 
 /// Removes the stale `<path>.tmp` a crash between tmp-write and rename may

@@ -24,11 +24,6 @@ enum class Tag : uint8_t {
   kOpEnd = 11,          // unlearning operation committed
 };
 
-JournalWriter::SyncMode ChosenSyncMode(const DurableOptions& options) {
-  return options.async_io ? JournalWriter::SyncMode::kAsync
-                          : JournalWriter::SyncMode::kNone;
-}
-
 // ----- in-memory little-endian payload codec -----
 
 class PayloadWriter {
@@ -194,9 +189,9 @@ struct Progress {
 
 Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
     const std::string& checkpoint_path, const std::string& journal_path,
-    FatsTrainer* trainer, const DurableOptions& options) {
-  std::unique_ptr<DurableTrainingSession> session(new DurableTrainingSession(
-      checkpoint_path, journal_path, trainer, options));
+    FatsTrainer* trainer, const DurableOptions&) {
+  std::unique_ptr<DurableTrainingSession> session(
+      new DurableTrainingSession(checkpoint_path, journal_path, trainer));
 
   // A crash can strand tmp files for either artifact; neither is ever
   // valid input.
@@ -394,8 +389,7 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
   // Re-open the segment for appending, dropping the uncommitted tail.
   FATS_ASSIGN_OR_RETURN(
       session->writer_,
-      JournalWriter::OpenForAppend(journal_path, commit_offset,
-                                   ChosenSyncMode(options)));
+      JournalWriter::OpenForAppend(journal_path, commit_offset));
 
   // Attach first, then finish any interrupted pass so the re-executed
   // iterations are journaled like the originals.
@@ -417,8 +411,10 @@ DurableTrainingSession::~DurableTrainingSession() {
   if (trainer_ != nullptr && trainer_->event_sink() == this) {
     trainer_->set_event_sink(nullptr);
   }
-  // Destructor cannot surface the close Status; Finish() is the checked
-  // path.  fats-lint: allow(discarded-status)
+  // Destructor cannot surface the close Status. Nothing durable is lost
+  // here: every round boundary, unlearning bracket and rotation has already
+  // fsynced, and status() holds the first earlier failure.
+  // fats-lint: allow(discarded-status)
   if (writer_ != nullptr) (void)writer_->Close();
 }
 
@@ -429,8 +425,7 @@ Status DurableTrainingSession::StartSegment() {
       JournalScan scan, ScanJournal(journal_path_));
   FATS_ASSIGN_OR_RETURN(
       writer_,
-      JournalWriter::OpenForAppend(journal_path_, scan.valid_bytes,
-                                   ChosenSyncMode(options_)));
+      JournalWriter::OpenForAppend(journal_path_, scan.valid_bytes));
   FATS_RETURN_NOT_OK(
       writer_->Append(BeginPayload(trainer_->config(), epoch_)));
   return writer_->Sync();

@@ -34,11 +34,7 @@
 //
 // Durability cadence: every append is fflush'd (survives process death);
 // fsync (survives power loss) happens at every round boundary, on
-// unlearning brackets, and on rotation; this cadence is fixed. With
-// DurableOptions::async_io, appends land in an in-memory batch drained by a
-// background writer thread instead (JournalWriter::SyncMode::kAsync); the
-// fsync barriers above drain that batch first, and the commit-point replay
-// rule makes the lost-buffered-tail crash case exact (DESIGN.md §7.6).
+// unlearning brackets, and on rotation; this cadence is fixed.
 
 #ifndef FATS_IO_TRAIN_JOURNAL_H_
 #define FATS_IO_TRAIN_JOURNAL_H_
@@ -55,13 +51,8 @@
 
 namespace fats {
 
-struct DurableOptions {
-  /// Buffer appends and flush them from a dedicated writer thread
-  /// (JournalWriter::SyncMode::kAsync): the training thread never blocks on
-  /// file I/O except at sync barriers. Recovery stays bitwise exact — a
-  /// crash loses at most the unflushed tail, which replay re-executes.
-  bool async_io = false;
-};
+// Empty; kept only because the end-to-end benchmark passes one to Open.
+struct DurableOptions {};
 
 class DurableTrainingSession : public TrainEventSink {
  public:
@@ -75,7 +66,7 @@ class DurableTrainingSession : public TrainEventSink {
   /// pass is finished).
   static Result<std::unique_ptr<DurableTrainingSession>> Open(
       const std::string& checkpoint_path, const std::string& journal_path,
-      FatsTrainer* trainer, const DurableOptions& options = {});
+      FatsTrainer* trainer, const DurableOptions& = {});
 
   ~DurableTrainingSession() override;
   DurableTrainingSession(const DurableTrainingSession&) = delete;
@@ -112,11 +103,10 @@ class DurableTrainingSession : public TrainEventSink {
 
  private:
   DurableTrainingSession(std::string checkpoint_path, std::string journal_path,
-                         FatsTrainer* trainer, const DurableOptions& options)
+                         FatsTrainer* trainer)
       : checkpoint_path_(std::move(checkpoint_path)),
         journal_path_(std::move(journal_path)),
-        trainer_(trainer),
-        options_(options) {}
+        trainer_(trainer) {}
 
   /// Starts a fresh segment at `epoch_` (Create + kBegin + sync).
   Status StartSegment();
@@ -127,7 +117,6 @@ class DurableTrainingSession : public TrainEventSink {
   std::string checkpoint_path_;
   std::string journal_path_;
   FatsTrainer* trainer_;
-  DurableOptions options_;
   std::unique_ptr<JournalWriter> writer_;
   Status status_;
   uint64_t epoch_ = 0;

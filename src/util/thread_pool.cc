@@ -42,56 +42,6 @@ void ThreadPool::ParallelFor(
   fn_ = nullptr;
 }
 
-WriterThread::WriterThread() {
-  // Started in the body, not the init list: thread_ is declared first in
-  // the class, so an init-list start would let Loop() lock mu_ while the
-  // mutex (and the rest of the members) are still being constructed.
-  thread_ = std::thread([this] { Loop(); });
-}
-
-WriterThread::~WriterThread() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  thread_.join();
-}
-
-void WriterThread::Post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void WriterThread::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
-}
-
-void WriterThread::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-    // Drain the queue even under shutdown: the destructor's contract is
-    // that every posted task runs before the thread exits.
-    if (queue_.empty()) {
-      if (shutdown_) return;
-      continue;
-    }
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    busy_ = true;
-    lock.unlock();
-    task();
-    lock.lock();
-    busy_ = false;
-    if (queue_.empty()) idle_cv_.notify_all();
-  }
-}
-
 void ThreadPool::WorkerLoop(int64_t worker) {
   uint64_t seen_epoch = 0;
   std::unique_lock<std::mutex> lock(mu_);

@@ -13,18 +13,12 @@
 //
 // With num_threads <= 1 no threads are ever created and ParallelFor runs
 // the tasks inline on the calling thread — the serial engine of record.
-//
-// The module also provides WriterThread, the sanctioned single-consumer
-// background-I/O primitive (async journal flushing). It is deliberately not
-// a second ParallelFor: exactly one dedicated thread drains posted tasks in
-// strict FIFO order, so an I/O pipeline keeps the byte order of its posts.
 
 #ifndef FATS_UTIL_THREAD_POOL_H_
 #define FATS_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -67,47 +61,6 @@ class ThreadPool {
   int64_t next_index_ = 0;
   int64_t completed_ = 0;
   uint64_t epoch_ = 0;
-  bool shutdown_ = false;
-};
-
-// A dedicated single-consumer task thread: Post enqueues a closure, the one
-// writer thread runs the queue strictly in post (FIFO) order, Drain blocks
-// until everything posted so far has finished. Built for moving durable I/O
-// off the training hot path: the poster keeps appending while the writer
-// flushes, and a Drain at a round boundary is the ordering barrier that
-// makes "everything before this point is on disk" a meaningful statement.
-//
-// Determinism note: tasks run in post order on one thread, so the byte
-// stream a WriterThread produces is a pure function of the posts — no
-// schedule dependence. Error propagation is the poster's job (capture a
-// status object by reference and inspect it after Drain).
-class WriterThread {
- public:
-  /// Starts the writer thread immediately.
-  WriterThread();
-  /// Drains outstanding tasks, then joins the thread.
-  ~WriterThread();
-
-  WriterThread(const WriterThread&) = delete;
-  WriterThread& operator=(const WriterThread&) = delete;
-
-  /// Enqueues `task` to run on the writer thread after everything already
-  /// posted. Must not be called from the writer thread itself.
-  void Post(std::function<void()> task);
-
-  /// Blocks until every task posted before this call has finished running.
-  void Drain();
-
- private:
-  void Loop();
-
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // signals writer: task posted / shutdown
-  std::condition_variable idle_cv_;  // signals Drain: queue empty + not busy
-  // Guarded by mu_.
-  std::deque<std::function<void()>> queue_;
-  bool busy_ = false;
   bool shutdown_ = false;
 };
 

@@ -9,11 +9,6 @@
 // threaded and fork-safe) and die via std::_Exit inside the failpoint, so
 // only bytes already fflush'd to the OS survive — exactly the durability
 // contract the journal claims.
-//
-// The async-journal rows keep that fork discipline: a child's writer thread
-// is spawned only after the fork (inside its own DurableTrainingSession),
-// and parent-side recovery sessions join their writer (JournalWriter::Close
-// runs in the session destructor) before the loop forks again.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -167,11 +162,10 @@ const Reference& GetReference() {
 // checkpoint, train to kTotal. Returns a child exit code (0 = survived).
 int RunChildScenario(const std::string& ckpt, const std::string& jrn,
                      const std::string& fault_spec,
-                     const DurableOptions& options = {},
                      const std::string& spill_dir = "") {
   Env env = MakeEnv(fault_spec, spill_dir);
   Result<std::unique_ptr<DurableTrainingSession>> session =
-      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get(), options);
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
   if (!session.ok()) return 90;
   env.trainer->TrainUntil(kHalf);
   if (!(*session)->Checkpoint().ok()) return 91;
@@ -198,12 +192,11 @@ int ForkAndReap(Fn child) {
 // unlearning.
 void ExpectRecoversExactly(const std::string& ckpt, const std::string& jrn,
                            const std::string& label,
-                           const DurableOptions& options = {},
                            const std::string& spill_dir = "") {
   const Reference& ref = GetReference();
   Env env = MakeEnv("", spill_dir);
   Result<std::unique_ptr<DurableTrainingSession>> session =
-      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get(), options);
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
   ASSERT_TRUE(session.ok()) << label << ": " << session.status().ToString();
   env.trainer->TrainUntil(kTotal);
   ASSERT_TRUE((*session)->status().ok())
@@ -304,57 +297,6 @@ TEST(CrashMatrixTest, TornJournalWritesRecoverBitExactly) {
   EXPECT_TRUE(any_torn) << "no torn write was actually injected";
 }
 
-TEST(CrashMatrixTest, AsyncJournalCrashWindowsRecoverBitExactly) {
-  // Async-journal rows: the same durable schedule with appends riding the
-  // double-buffered writer thread. The two new sites bracket the async
-  // commit protocol — `journal.swap_buffer` kills after records landed in
-  // the active buffer but before the handoff (the whole batch is lost),
-  // `journal.async_flush` kills after the handoff but before the write (the
-  // swapped-out batch is lost). Either way the file holds a clean committed
-  // prefix and recovery must be bit-exact. Recovery itself also runs async.
-  DurableOptions async_options;
-  async_options.async_io = true;
-  int scenario = 0;
-  bool any_crash = false;
-  for (const char* site : {"journal.swap_buffer", "journal.async_flush"}) {
-    for (int hit : {1, 2}) {
-      const std::string label =
-          std::string(site) + ":" + std::to_string(hit) + ":crash";
-      const std::string tag = "cm_async_" + std::to_string(scenario++);
-      const std::string ckpt = TempPath(tag + ".ckpt");
-      const std::string jrn = TempPath(tag + ".jrn");
-      RemoveDurableFiles(ckpt, jrn);
-      const int code = ForkAndReap(
-          [&] { return RunChildScenario(ckpt, jrn, label, async_options); });
-      ASSERT_TRUE(code == 0 || code == failpoint::kCrashExitCode)
-          << label << " exited with " << code;
-      any_crash |= code == failpoint::kCrashExitCode;
-      ExpectRecoversExactly(ckpt, jrn, label, async_options);
-    }
-  }
-  EXPECT_TRUE(any_crash) << "no async crash window was actually exercised";
-
-  // Torn batch flush: half the swapped-out batch reaches the file, so the
-  // cut lands mid-frame and the CRC discards the torn record and the rest
-  // of the batch.
-  bool any_torn = false;
-  for (int hit : {1, 2}) {
-    const std::string label =
-        "journal.async_flush:" + std::to_string(hit) + ":torn-write";
-    const std::string tag = "cm_async_torn_" + std::to_string(scenario++);
-    const std::string ckpt = TempPath(tag + ".ckpt");
-    const std::string jrn = TempPath(tag + ".jrn");
-    RemoveDurableFiles(ckpt, jrn);
-    const int code = ForkAndReap(
-        [&] { return RunChildScenario(ckpt, jrn, label, async_options); });
-    ASSERT_TRUE(code == 0 || code == failpoint::kCrashExitCode)
-        << label << " exited with " << code;
-    any_torn |= code == failpoint::kCrashExitCode;
-    ExpectRecoversExactly(ckpt, jrn, label, async_options);
-  }
-  EXPECT_TRUE(any_torn) << "no torn batch flush was actually injected";
-}
-
 TEST(CrashMatrixTest, SpillTierCrashWindowsRecoverBitExactly) {
   // Spill-enabled rows: the same durable schedule, but with the state
   // store's history tiered into segment files and a decoded cache small
@@ -376,13 +318,13 @@ TEST(CrashMatrixTest, SpillTierCrashWindowsRecoverBitExactly) {
       const std::string spill = TempPath(tag + ".segs");
       RemoveDurableFiles(ckpt, jrn);
       const int code = ForkAndReap(
-          [&] { return RunChildScenario(ckpt, jrn, label, {}, spill); });
+          [&] { return RunChildScenario(ckpt, jrn, label, spill); });
       // 0 means this site was not hit `hit` times (evicts depend on read
       // traffic); the journal is then complete and recovery is still exact.
       ASSERT_TRUE(code == 0 || code == failpoint::kCrashExitCode)
           << label << " exited with " << code;
       any_crash |= code == failpoint::kCrashExitCode;
-      ExpectRecoversExactly(ckpt, jrn, label, {}, spill);
+      ExpectRecoversExactly(ckpt, jrn, label, spill);
     }
   }
   EXPECT_TRUE(any_crash) << "no spill-tier crash window was exercised";

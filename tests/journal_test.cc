@@ -1,6 +1,6 @@
 // Journal framing tests: CRC detection of corrupt/truncated tails, append
-// resumption, orphan sweeping — and end-to-end DurableTrainingSession
-// recovery when the journal itself loses its tail.
+// resumption, error latching, orphan sweeping — and end-to-end
+// DurableTrainingSession recovery when the journal itself loses its tail.
 
 #include "io/journal.h"
 
@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "io/train_journal.h"
@@ -126,8 +125,8 @@ TEST(JournalTest, AppendScanRoundtrip) {
   ASSERT_TRUE(JournalWriter::Create(path).ok());
   const std::string binary_payload("\x00\xff\x7f\n\x01", 5);
   {
-    Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-        path, kHeaderBytes, JournalWriter::SyncMode::kNone);
+    Result<std::unique_ptr<JournalWriter>> writer =
+        JournalWriter::OpenForAppend(path, kHeaderBytes);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     ASSERT_TRUE((*writer)->Append("alpha").ok());
     ASSERT_TRUE((*writer)->Append("").ok());
@@ -149,8 +148,8 @@ TEST(JournalTest, AppendScanRoundtrip) {
 // Writes a journal with three records and returns its raw bytes.
 std::string ThreeRecordJournal(const std::string& path) {
   EXPECT_TRUE(JournalWriter::Create(path).ok());
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, kHeaderBytes, JournalWriter::SyncMode::kNone);
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::OpenForAppend(path, kHeaderBytes);
   EXPECT_TRUE(writer.ok());
   EXPECT_TRUE((*writer)->Append("record-one").ok());
   EXPECT_TRUE((*writer)->Append("record-two").ok());
@@ -227,8 +226,8 @@ TEST(JournalTest, OpenForAppendTruncatesTornTailAndResumes) {
   Result<JournalScan> scan = ScanJournal(path);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(scan->torn_tail);
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, scan->valid_bytes, JournalWriter::SyncMode::kNone);
+  Result<std::unique_ptr<JournalWriter>> writer =
+      JournalWriter::OpenForAppend(path, scan->valid_bytes);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   ASSERT_TRUE((*writer)->Append("record-new").ok());
   ASSERT_TRUE((*writer)->Close().ok());
@@ -242,112 +241,43 @@ TEST(JournalTest, OpenForAppendTruncatesTornTailAndResumes) {
   EXPECT_FALSE(rescan->torn_tail);
 }
 
-// --- Async mode (SyncMode::kAsync): double-buffered writer thread ---
-
-TEST(JournalAsyncTest, FileBitwiseMatchesSyncMode) {
-  // The same append sequence must produce byte-identical files in kNone and
-  // kAsync modes: batching changes when bytes reach the FILE*, never which
-  // bytes.
-  const std::string sync_path = TempPath("jrn_async_ref.jrn");
-  const std::string async_path = TempPath("jrn_async_cand.jrn");
-  const std::string binary_payload("\x00\xff\x7f\n\x01", 5);
-  for (const auto& [path, mode] :
-       {std::pair{sync_path, JournalWriter::SyncMode::kNone},
-        std::pair{async_path, JournalWriter::SyncMode::kAsync}}) {
+TEST(JournalTest, AppendErrorLatchesIntoStatus) {
+  // Each input fails one call after a good Append; the first error must
+  // latch so every later Append and Sync refuses with it and writes nothing.
+  struct Input {
+    const char* spec;
+    const char* site;
+    bool fails_on_sync;
+  };
+  for (const Input& input :
+       {Input{"journal.append:2:error", "journal.append", false},
+        Input{"journal.sync_file:1:error", "journal.sync_file", true}}) {
+    SCOPED_TRACE(input.spec);
+    const std::string path = TempPath("jrn_latch.jrn");
     ASSERT_TRUE(JournalWriter::Create(path).ok());
+    ASSERT_TRUE(failpoint::ArmFromSpec(input.spec).ok());
     Result<std::unique_ptr<JournalWriter>> writer =
-        JournalWriter::OpenForAppend(path, kHeaderBytes, mode);
+        JournalWriter::OpenForAppend(path, kHeaderBytes);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    ASSERT_TRUE((*writer)->Append("alpha").ok());
-    ASSERT_TRUE((*writer)->Append("").ok());
-    ASSERT_TRUE((*writer)->Sync().ok());  // mid-stream barrier
-    ASSERT_TRUE((*writer)->Append(binary_payload).ok());
-    ASSERT_TRUE((*writer)->Close().ok());
+    ASSERT_TRUE((*writer)->Append("kept").ok());
+    const Status failed =
+        input.fails_on_sync ? (*writer)->Sync() : (*writer)->Append("doomed");
+    failpoint::DisarmAll();
+    EXPECT_FALSE(failed.ok());
+    EXPECT_NE(failed.ToString().find(input.site), std::string::npos)
+        << failed.ToString();
+    EXPECT_EQ((*writer)->status().ToString(), failed.ToString());
+    EXPECT_EQ((*writer)->Append("after-error").ToString(), failed.ToString());
+    EXPECT_EQ((*writer)->Sync().ToString(), failed.ToString());
+    (void)(*writer)->Close();
+
+    Result<JournalScan> scan = ScanJournal(path);
+    ASSERT_TRUE(scan.ok());
+    ASSERT_EQ(scan->records.size(), 1u);
+    EXPECT_EQ(scan->records[0], "kept");
+    EXPECT_FALSE(scan->torn_tail);
+    EXPECT_EQ(static_cast<int64_t>(ReadFile(path).size()), scan->valid_bytes);
   }
-  const std::string sync_blob = ReadFile(sync_path);
-  ASSERT_GT(sync_blob.size(), static_cast<size_t>(kHeaderBytes));
-  EXPECT_EQ(sync_blob, ReadFile(async_path));
-}
-
-TEST(JournalAsyncTest, SyncBarrierMakesBufferedRecordsDurable) {
-  const std::string path = TempPath("jrn_async_barrier.jrn");
-  ASSERT_TRUE(JournalWriter::Create(path).ok());
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, kHeaderBytes, JournalWriter::SyncMode::kAsync);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE((*writer)->Append("buffered-one").ok());
-  ASSERT_TRUE((*writer)->Append("buffered-two").ok());
-  ASSERT_TRUE((*writer)->Sync().ok());
-  // After the barrier — with the writer still open — every appended record
-  // is on the file, not in a user-space buffer.
-  Result<JournalScan> scan = ScanJournal(path);
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), 2u);
-  EXPECT_EQ(scan->records[0], "buffered-one");
-  EXPECT_EQ(scan->records[1], "buffered-two");
-  ASSERT_TRUE((*writer)->Close().ok());
-}
-
-TEST(JournalAsyncTest, AutoFlushAcrossBatchThresholdKeepsOrder) {
-  // ~180 KiB of records forces several 64 KiB batch handoffs; the scan must
-  // see every record, in append order, with no torn tail.
-  const std::string path = TempPath("jrn_async_bulk.jrn");
-  ASSERT_TRUE(JournalWriter::Create(path).ok());
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, kHeaderBytes, JournalWriter::SyncMode::kAsync);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  constexpr int kRecords = 3000;
-  for (int i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(
-        (*writer)->Append("record-" + std::to_string(i) + "-padding-padding")
-            .ok());
-  }
-  ASSERT_TRUE((*writer)->Close().ok());
-  Result<JournalScan> scan = ScanJournal(path);
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), static_cast<size_t>(kRecords));
-  for (int i : {0, 1, 1234, kRecords - 1}) {
-    EXPECT_EQ(scan->records[static_cast<size_t>(i)],
-              "record-" + std::to_string(i) + "-padding-padding");
-  }
-  EXPECT_FALSE(scan->torn_tail);
-}
-
-TEST(JournalAsyncTest, WriterThreadErrorLatchesIntoStatus) {
-  const std::string path = TempPath("jrn_async_flush_err.jrn");
-  ASSERT_TRUE(JournalWriter::Create(path).ok());
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, kHeaderBytes, JournalWriter::SyncMode::kAsync);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE(failpoint::ArmFromSpec("journal.async_flush:1:error").ok());
-  ASSERT_TRUE((*writer)->Append("doomed").ok());  // buffered, not yet flushed
-  // The barrier drains the writer, which surfaces the injected flush error.
-  Status synced = (*writer)->Sync();
-  EXPECT_FALSE(synced.ok());
-  EXPECT_NE(synced.ToString().find("journal.async_flush"), std::string::npos)
-      << synced.ToString();
-  // Latched: later appends refuse without touching the file.
-  EXPECT_FALSE((*writer)->Append("after-error").ok());
-  EXPECT_FALSE((*writer)->status().ok());
-  failpoint::DisarmAll();
-  (void)(*writer)->Close();
-}
-
-TEST(JournalAsyncTest, SwapBufferErrorLatchesIntoStatus) {
-  const std::string path = TempPath("jrn_async_swap_err.jrn");
-  ASSERT_TRUE(JournalWriter::Create(path).ok());
-  Result<std::unique_ptr<JournalWriter>> writer = JournalWriter::OpenForAppend(
-      path, kHeaderBytes, JournalWriter::SyncMode::kAsync);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE(failpoint::ArmFromSpec("journal.swap_buffer:1:error").ok());
-  ASSERT_TRUE((*writer)->Append("doomed").ok());
-  Status synced = (*writer)->Sync();
-  EXPECT_FALSE(synced.ok());
-  EXPECT_NE(synced.ToString().find("journal.swap_buffer"), std::string::npos)
-      << synced.ToString();
-  EXPECT_FALSE((*writer)->status().ok());
-  failpoint::DisarmAll();
-  (void)(*writer)->Close();
 }
 
 TEST(JournalTest, SweepOrphanTmpRemovesStaleFile) {
@@ -377,14 +307,13 @@ Env MakeEnv() {
 
 // Runs a full durable training pass from scratch (removing any files a
 // previous test invocation left behind) and returns the final global model.
-Tensor RunDurable(const std::string& ckpt, const std::string& jrn,
-                  const DurableOptions& options = {}) {
+Tensor RunDurable(const std::string& ckpt, const std::string& jrn) {
   for (const std::string& p : {ckpt, ckpt + ".tmp", jrn, jrn + ".tmp"}) {
     std::remove(p.c_str());
   }
   Env env = MakeEnv();
   Result<std::unique_ptr<DurableTrainingSession>> session =
-      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get(), options);
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   env.trainer->Train();
   EXPECT_TRUE((*session)->status().ok());
@@ -433,49 +362,6 @@ TEST(DurableJournalTest, RecoversBitExactlyFromTruncatedTail) {
   Env env = MakeEnv();
   Result<std::unique_ptr<DurableTrainingSession>> session =
       DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(env.trainer->trained_through(), env.config.total_iters_t());
-  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
-}
-
-TEST(DurableJournalTest, AsyncSessionJournalMatchesSyncByte) {
-  // A full durable training pass with async_io produces the same journal
-  // bytes and the same model as the synchronous-write session.
-  const std::string ref_ckpt = TempPath("djrn_aref.ckpt");
-  const std::string ref_jrn = TempPath("djrn_aref.jrn");
-  const Tensor reference = RunDurable(ref_ckpt, ref_jrn);
-
-  const std::string ckpt = TempPath("djrn_async.ckpt");
-  const std::string jrn = TempPath("djrn_async.jrn");
-  DurableOptions options;
-  options.async_io = true;
-  const Tensor async_params = RunDurable(ckpt, jrn, options);
-
-  EXPECT_TRUE(async_params.BitwiseEquals(reference));
-  const std::string ref_blob = ReadFile(ref_jrn);
-  ASSERT_GT(ref_blob.size(), 100u);
-  EXPECT_EQ(ref_blob, ReadFile(jrn));
-}
-
-TEST(DurableJournalTest, AsyncSessionRecoversBitExactlyFromTruncatedTail) {
-  const std::string ref_ckpt = TempPath("djrn_atref.ckpt");
-  const std::string ref_jrn = TempPath("djrn_atref.jrn");
-  const Tensor reference = RunDurable(ref_ckpt, ref_jrn);
-
-  const std::string ckpt = TempPath("djrn_atrunc.ckpt");
-  const std::string jrn = TempPath("djrn_atrunc.jrn");
-  DurableOptions options;
-  options.async_io = true;
-  (void)RunDurable(ckpt, jrn, options);
-
-  std::string blob = ReadFile(jrn);
-  ASSERT_GT(blob.size(), 100u);
-  WriteFile(jrn, blob.substr(0, blob.size() / 2));
-
-  // Recovery itself also runs with the async writer.
-  Env env = MakeEnv();
-  Result<std::unique_ptr<DurableTrainingSession>> session =
-      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get(), options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(env.trainer->trained_through(), env.config.total_iters_t());
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));

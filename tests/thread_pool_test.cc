@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 namespace fats {
@@ -106,65 +104,6 @@ TEST(ThreadPoolTest, SingleTaskBatchRunsInline) {
     worker_seen = worker;
   });
   EXPECT_EQ(worker_seen, 0);
-}
-
-TEST(WriterThreadTest, TasksRunInPostOrder) {
-  // Single consumer, FIFO queue: tasks run one at a time in post order —
-  // the property the async journal's batch handoff relies on.
-  WriterThread writer;
-  std::vector<int> order;  // written only by the writer thread until Drain
-  for (int i = 0; i < 100; ++i) {
-    writer.Post([&order, i] { order.push_back(i); });
-  }
-  writer.Drain();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(WriterThreadTest, DrainWaitsForInFlightTask) {
-  WriterThread writer;
-  std::atomic<bool> done{false};
-  writer.Post([&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done.store(true);
-  });
-  writer.Drain();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(WriterThreadTest, DrainOnIdleReturnsImmediately) {
-  WriterThread writer;
-  writer.Drain();  // nothing posted; must not hang
-  std::atomic<int> runs{0};
-  writer.Post([&runs] { runs.fetch_add(1); });
-  writer.Drain();
-  writer.Drain();  // second drain after quiescence is also a no-op
-  EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(WriterThreadTest, DestructorRunsEveryPostedTask) {
-  // The destructor contract: every posted task runs before the thread
-  // joins, so a closing async journal never drops a batch.
-  std::atomic<int> runs{0};
-  {
-    WriterThread writer;
-    for (int i = 0; i < 50; ++i) {
-      writer.Post([&runs] { runs.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(runs.load(), 50);
-}
-
-TEST(WriterThreadTest, ReusableAcrossManyDrainCycles) {
-  WriterThread writer;
-  int64_t sum = 0;  // writer-thread-owned between Drain barriers
-  for (int cycle = 0; cycle < 20; ++cycle) {
-    for (int i = 0; i < 5; ++i) {
-      writer.Post([&sum, cycle, i] { sum += cycle * 5 + i; });
-    }
-    writer.Drain();
-  }
-  EXPECT_EQ(sum, 100 * 99 / 2);
 }
 
 }  // namespace

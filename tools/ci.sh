@@ -132,13 +132,12 @@ fi
 echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
 # kernel_contract_test calls the serial GEMM kernels concurrently from 1/2/4/7
 # pool workers (the concurrent-caller contract: thread-local packing scratch,
-# one shared PackedB) and crash_matrix_test exercises the async journal's
-# WriterThread handoff, so both are race-checked on every preset, not just
-# the full tsan leg. transport_test rides along for the
-# LocalTransport blocking producer/consumer pair (the wire's only
-# cross-thread handoff). die_after_fork=0: the crash-matrix children
-# deliberately start a writer thread after fork (sanctioned — each child
-# owns its process), which TSan otherwise refuses.
+# one shared PackedB), so it is race-checked on every preset, not just the
+# full tsan leg. transport_test rides along for the LocalTransport blocking
+# producer/consumer pair (the wire's only cross-thread handoff).
+# crash_matrix_test runs with TSan's default die_after_fork: its forked
+# children must start no thread, which holds because the journal writes
+# synchronously on the training thread.
 if [[ "$PRESET" == "tsan" ]]; then
   echo "tsan smoke: preset is already tsan; full suite covered above"
 else
@@ -152,7 +151,7 @@ else
   build-tsan/tests/parallel_exactness_test
   build-tsan/tests/kernel_contract_test
   build-tsan/tests/transport_test
-  TSAN_OPTIONS="die_after_fork=0" build-tsan/tests/crash_matrix_test
+  build-tsan/tests/crash_matrix_test
 fi
 
 echo "=== [8/8] chaos: crash matrix + fault matrix under asan-ubsan ==="
