@@ -8,10 +8,13 @@
 namespace fats::transport {
 namespace {
 
-// True when a decoded frame is the one `address` is waiting for. Anything
-// else that validates is a stale duplicate from an earlier delivery.
-bool Matches(const WireMessage& message, const MessageAddress& address) {
-  return message.round == static_cast<uint64_t>(address.round) &&
+// True when a decoded frame is the one `address` is waiting for, of the
+// awaited `type`. Anything else that validates is a stale duplicate from an
+// earlier delivery.
+bool Matches(const WireMessage& message, const MessageAddress& address,
+             MessageType type) {
+  return message.type == type &&
+         message.round == static_cast<uint64_t>(address.round) &&
          message.iteration == static_cast<uint64_t>(address.iteration) &&
          message.client == static_cast<uint64_t>(address.client) &&
          message.seq == address.seq;
@@ -136,7 +139,7 @@ Result<Delivery> ReliableChannel::Deliver(const MessageAddress& address,
         }
         continue;  // reject-and-renegotiate: ask for a retransmission
       }
-      if (!Matches(*decoded, address)) {
+      if (!Matches(*decoded, address, type)) {
         ++stats_.duplicates_discarded;
         continue;
       }
@@ -182,15 +185,6 @@ Result<ModelDelivery> ReliableChannel::DeliverModel(
   result.backoff_units = delivery.backoff_units;
   result.forced = delivery.forced;
   return result;
-}
-
-Result<std::vector<int64_t>> ReliableChannel::DeliverParticipation(
-    const MessageAddress& address, const std::vector<int64_t>& clients) {
-  FATS_ASSIGN_OR_RETURN(
-      Delivery delivery,
-      Deliver(address, MessageType::kParticipation,
-              EncodeParticipationPayload(clients)));
-  return DecodeParticipationPayload(delivery.message.payload);
 }
 
 }  // namespace fats::transport

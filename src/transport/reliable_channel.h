@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "tensor/tensor.h"
 #include "transport/fault_injection.h"
@@ -129,10 +128,6 @@ class ReliableChannel {
   /// payload back into a flat parameter tensor.
   Result<ModelDelivery> DeliverModel(const MessageAddress& address,
                                      const EncodedModel& model);
-
-  /// Participation convenience (kParticipation frames).
-  Result<std::vector<int64_t>> DeliverParticipation(
-      const MessageAddress& address, const std::vector<int64_t>& clients);
 
   const ChannelStats& stats() const { return stats_; }
   const TransportFaultSpec& fault_spec() const { return faults_.spec(); }

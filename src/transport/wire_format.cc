@@ -29,6 +29,11 @@ void PutU64(char* out, uint64_t value) {
   }
 }
 
+uint16_t GetU16(const char* in) {
+  return static_cast<uint16_t>(static_cast<unsigned char>(in[0]) |
+                               (static_cast<unsigned char>(in[1]) << 8));
+}
+
 uint32_t GetU32(const char* in) {
   uint32_t value = 0;
   for (int i = 0; i < 4; ++i) {
@@ -80,6 +85,17 @@ Result<WireMessage> DecodeFrame(std::string_view frame) {
     return Status::InvalidArgument(
         StrFormat("unsupported wire version %u", version));
   }
+  const auto type = static_cast<uint8_t>(h[5]);
+  if (type != static_cast<uint8_t>(MessageType::kModelBroadcast) &&
+      type != static_cast<uint8_t>(MessageType::kModelUpdate)) {
+    return Status::InvalidArgument(
+        StrFormat("unknown message type %u", type));
+  }
+  const uint16_t flags = GetU16(h + 6);
+  if (flags != 0) {
+    return Status::InvalidArgument(
+        StrFormat("reserved frame flags set: 0x%04x", flags));
+  }
   const uint32_t payload_len = GetU32(h + 36);
   if (payload_len > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload length implausible");
@@ -93,7 +109,7 @@ Result<WireMessage> DecodeFrame(std::string_view frame) {
                   frame.size() - static_cast<size_t>(kFrameHeaderBytes)));
   }
   WireMessage message;
-  message.type = static_cast<MessageType>(h[5]);
+  message.type = static_cast<MessageType>(type);
   message.round = GetU64(h + 8);
   message.iteration = GetU64(h + 16);
   message.client = GetU64(h + 24);
@@ -127,54 +143,6 @@ Result<Tensor> DecodeModelPayload(std::string_view payload) {
     std::memcpy(params.storage().data(), payload.data(), payload.size());
   }
   return params;
-}
-
-std::string EncodeParticipationPayload(const std::vector<int64_t>& clients) {
-  std::string payload(8 + clients.size() * 8, '\0');
-  PutU64(payload.data(), clients.size());
-  for (size_t i = 0; i < clients.size(); ++i) {
-    PutU64(payload.data() + 8 + i * 8,
-           static_cast<uint64_t>(clients[i]));
-  }
-  return payload;
-}
-
-Result<std::vector<int64_t>> DecodeParticipationPayload(
-    std::string_view payload) {
-  if (payload.size() < 8) {
-    return Status::InvalidArgument("participation payload truncated");
-  }
-  const uint64_t count = GetU64(payload.data());
-  if (payload.size() != 8 + count * 8) {
-    return Status::InvalidArgument("participation payload length mismatch");
-  }
-  std::vector<int64_t> clients(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    clients[i] = static_cast<int64_t>(GetU64(payload.data() + 8 + i * 8));
-  }
-  return clients;
-}
-
-std::string EncodeCommChargePayload(const CommCharge& charge) {
-  std::string payload(32, '\0');
-  PutU64(payload.data() + 0, static_cast<uint64_t>(charge.rounds));
-  PutU64(payload.data() + 8, static_cast<uint64_t>(charge.uplink_bytes));
-  PutU64(payload.data() + 16, static_cast<uint64_t>(charge.downlink_bytes));
-  PutU64(payload.data() + 24, static_cast<uint64_t>(charge.retransmit_bytes));
-  return payload;
-}
-
-Result<CommCharge> DecodeCommChargePayload(std::string_view payload) {
-  if (payload.size() != 32) {
-    return Status::InvalidArgument("comm-charge payload length mismatch");
-  }
-  CommCharge charge;
-  charge.rounds = static_cast<int64_t>(GetU64(payload.data() + 0));
-  charge.uplink_bytes = static_cast<int64_t>(GetU64(payload.data() + 8));
-  charge.downlink_bytes = static_cast<int64_t>(GetU64(payload.data() + 16));
-  charge.retransmit_bytes =
-      static_cast<int64_t>(GetU64(payload.data() + 24));
-  return charge;
 }
 
 }  // namespace fats::transport

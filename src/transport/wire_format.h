@@ -4,7 +4,7 @@
 //
 //   u32  magic "FWR1" (0x31525746, little-endian on the wire)
 //   u8   format version (1)
-//   u8   message type (MessageType)
+//   u8   message type (MessageType: 1 or 2)
 //   u16  flags (0; reserved)
 //   u64  round
 //   u64  iteration
@@ -16,17 +16,17 @@
 //        journal, 0xEDB88320)
 //   ...  payload
 //
-// All integers little-endian. DecodeFrame validates magic, version, length,
-// and CRC and refuses the frame otherwise — a truncated or bit-flipped
-// frame is *detected*, never silently consumed, which is what lets the
-// reliable channel turn a lossy wire into an exact one (DESIGN.md §7.7).
+// All integers little-endian. DecodeFrame validates magic, version, type,
+// flags, length, and CRC and refuses the frame otherwise — a truncated or
+// bit-flipped frame is *detected*, never silently consumed, which is what
+// lets the reliable channel turn a lossy wire into an exact one (DESIGN.md
+// §7.7). The CRC covers only the payload; the header fields are checked by
+// value.
 //
 // Payload codecs: a model payload is the raw float32 image of the flat
 // parameter vector — exactly 4·P bytes, so the per-message ledger charge
 // computed from real payload sizes equals the analytic `K·d·4` byte counts
 // the paper's Fig. 2 comparison (and the repo's invariants tests) assert.
-// Participation payloads carry the round's client multiset; comm-charge
-// payloads mirror a CommStats snapshot for cross-process ledger sync.
 
 #ifndef FATS_TRANSPORT_WIRE_FORMAT_H_
 #define FATS_TRANSPORT_WIRE_FORMAT_H_
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/status.h"
@@ -44,8 +43,6 @@ namespace fats::transport {
 enum class MessageType : uint8_t {
   kModelBroadcast = 1,  // server -> client: round-start global model
   kModelUpdate = 2,     // client -> server: round-end local model
-  kParticipation = 3,   // server -> client: the round's selection multiset
-  kCommCharge = 4,      // ledger-sync snapshot (multi-process backends)
 };
 
 inline constexpr uint32_t kFrameMagic = 0x31525746;  // "FWR1"
@@ -68,7 +65,7 @@ struct WireMessage {
 std::string EncodeFrame(const WireMessage& message);
 
 /// Parses and validates a frame. InvalidArgument on bad magic/version/
-/// length; IoError on a CRC mismatch (the retransmit trigger).
+/// type/flags/length; IoError on a CRC mismatch (the retransmit trigger).
 Result<WireMessage> DecodeFrame(std::string_view frame);
 
 /// Raw float32 serialization of a parameter vector (4·P bytes, flat).
@@ -77,22 +74,6 @@ std::string EncodeModelPayload(const Tensor& params);
 /// tensor is what trainers install and aggregate, so a run over the wire is
 /// bitwise the run without it.
 Result<Tensor> DecodeModelPayload(std::string_view payload);
-
-/// The round's client multiset (u64 count + i64 entries).
-std::string EncodeParticipationPayload(const std::vector<int64_t>& clients);
-Result<std::vector<int64_t>> DecodeParticipationPayload(
-    std::string_view payload);
-
-/// Ledger snapshot carried by kCommCharge frames.
-struct CommCharge {
-  int64_t rounds = 0;
-  int64_t uplink_bytes = 0;
-  int64_t downlink_bytes = 0;
-  int64_t retransmit_bytes = 0;
-};
-
-std::string EncodeCommChargePayload(const CommCharge& charge);
-Result<CommCharge> DecodeCommChargePayload(std::string_view payload);
 
 }  // namespace fats::transport
 

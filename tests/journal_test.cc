@@ -17,6 +17,7 @@
 #include "io/train_journal.h"
 #include "rng/philox.h"
 #include "test_workloads.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace fats {
@@ -39,9 +40,9 @@ void WriteFile(const std::string& path, const std::string& contents) {
 
 constexpr int64_t kHeaderBytes = 12;  // "FATSJRN1" + u32 version
 
-// The byte-at-a-time table loop that the production slicing-by-16 loop
-// replaced: the oracle every Crc32 output must match bit for bit, so
-// journal, wire and spill checksums written by older builds still verify.
+// The byte-at-a-time table loop that the production loops replaced: the
+// oracle every Crc32 output must match bit for bit, so journal, wire and
+// spill checksums written by older builds still verify.
 uint32_t ReferenceCrc32(const unsigned char* bytes, size_t len, uint32_t seed) {
   static const std::array<uint32_t, 256> kTable = [] {
     std::array<uint32_t, 256> table{};
@@ -68,6 +69,16 @@ std::vector<unsigned char> PhiloxBytes(size_t len, uint64_t key) {
   return bytes;
 }
 
+// Both CRC paths: Crc32 as dispatched on this host (the carry-less-multiply
+// fold where the CPU has it) and the portable slicing-by-16 loop, which
+// every host must keep correct as the fallback.
+struct Crc32Path {
+  const char* name;
+  uint32_t (*crc)(const void*, size_t, uint32_t);
+};
+constexpr Crc32Path kCrc32Paths[] = {{"Crc32", &Crc32},
+                                     {"Crc32Portable", &internal::Crc32Portable}};
+
 TEST(Crc32Test, KnownVectors) {
   // The IEEE reflected CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
@@ -80,17 +91,28 @@ TEST(Crc32Test, MatchesByteAtATimeOracleAtEveryLengthOffsetAndSeed) {
   constexpr size_t kMaxOffset = 15;
   const std::vector<unsigned char> buffer =
       PhiloxBytes(kMaxLen + kMaxOffset, 0xC5C32u);
-  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
-    for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
-      // Exact-size copies so an overrun past `len` is an ASan report.
-      for (size_t len = 0; len <= kMaxLen; ++len) {
-        const std::vector<unsigned char> slice(
-            buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-            buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
-        ASSERT_EQ(Crc32(slice.data(), len, seed),
-                  ReferenceCrc32(slice.data(), len, seed))
-            << "len " << len << " offset " << offset << " seed " << seed;
+  for (const Crc32Path& path : kCrc32Paths) {
+    for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+      for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+        // Exact-size copies so an overrun past `len` is an ASan report.
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+          const std::vector<unsigned char> slice(
+              buffer.begin() + static_cast<std::ptrdiff_t>(offset),
+              buffer.begin() + static_cast<std::ptrdiff_t>(offset + len));
+          ASSERT_EQ(path.crc(slice.data(), len, seed),
+                    ReferenceCrc32(slice.data(), len, seed))
+              << path.name << " len " << len << " offset " << offset
+              << " seed " << seed;
+        }
       }
+    }
+    // One spill-block-sized (64 KiB) buffer, where the fold runs 1,023
+    // four-accumulator steps before its merge.
+    const std::vector<unsigned char> block = PhiloxBytes(65536, 0x5B10Cu);
+    for (uint32_t seed : {0u, 0x1234ABCDu}) {
+      ASSERT_EQ(path.crc(block.data(), block.size(), seed),
+                ReferenceCrc32(block.data(), block.size(), seed))
+          << path.name << " 64 KiB seed " << seed;
     }
   }
 }
@@ -98,13 +120,15 @@ TEST(Crc32Test, MatchesByteAtATimeOracleAtEveryLengthOffsetAndSeed) {
 TEST(Crc32Test, ChainsAcrossCalls) {
   // Every split point of one model-sized (4,120-byte) frame.
   const std::vector<unsigned char> frame = PhiloxBytes(4120, 0xF4A3Eu);
-  const uint32_t whole = Crc32(frame.data(), frame.size());
-  ASSERT_EQ(whole, ReferenceCrc32(frame.data(), frame.size(), 0));
-  for (size_t k = 0; k <= frame.size(); ++k) {
-    ASSERT_EQ(Crc32(frame.data() + k, frame.size() - k,
-                    Crc32(frame.data(), k)),
-              whole)
-        << "split at " << k;
+  const uint32_t whole = ReferenceCrc32(frame.data(), frame.size(), 0);
+  for (const Crc32Path& path : kCrc32Paths) {
+    ASSERT_EQ(path.crc(frame.data(), frame.size(), 0), whole) << path.name;
+    for (size_t k = 0; k <= frame.size(); ++k) {
+      ASSERT_EQ(path.crc(frame.data() + k, frame.size() - k,
+                         path.crc(frame.data(), k, 0)),
+                whole)
+          << path.name << " split at " << k;
+    }
   }
 }
 

@@ -85,6 +85,37 @@ TEST(WireFormatTest, WrongVersionIsRejected) {
   EXPECT_FALSE(transport::DecodeFrame(frame).ok());
 }
 
+// The CRC covers only the payload, so header fields are checked by value:
+// no single bit flip of a valid type byte names another valid type.
+TEST(WireFormatTest, BitFlipInTypeByteIsRejected) {
+  for (MessageType type :
+       {MessageType::kModelBroadcast, MessageType::kModelUpdate}) {
+    WireMessage m = SampleMessage();
+    m.type = type;
+    const std::string frame = transport::EncodeFrame(m);
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = frame;
+      flipped[5] = static_cast<char>(flipped[5] ^ (1 << bit));
+      Result<WireMessage> back = transport::DecodeFrame(flipped);
+      ASSERT_FALSE(back.ok()) << "type " << static_cast<int>(type)
+                              << " bit " << bit;
+      EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(WireFormatTest, BitFlipInReservedFlagsIsRejected) {
+  const std::string frame = transport::EncodeFrame(SampleMessage());
+  for (int bit = 0; bit < 16; ++bit) {
+    std::string flipped = frame;
+    flipped[static_cast<size_t>(6 + bit / 8)] ^=
+        static_cast<char>(1 << (bit % 8));
+    Result<WireMessage> back = transport::DecodeFrame(flipped);
+    ASSERT_FALSE(back.ok()) << "flags bit " << bit;
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(WireFormatTest, TruncationIsRejectedAtEveryCut) {
   const std::string frame = transport::EncodeFrame(SampleMessage());
   for (size_t cut : {size_t{0}, size_t{11},
@@ -168,29 +199,6 @@ TEST(WireFormatTest, ModelPayloadIsBitExact) {
 
 TEST(WireFormatTest, ModelPayloadRejectsRaggedLength) {
   EXPECT_FALSE(transport::DecodeModelPayload("abc").ok());
-}
-
-TEST(WireFormatTest, ParticipationPayloadRoundTrips) {
-  const std::vector<int64_t> multiset = {3, 1, 4, 1, 5};
-  Result<std::vector<int64_t>> back = transport::DecodeParticipationPayload(
-      transport::EncodeParticipationPayload(multiset));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, multiset);
-}
-
-TEST(WireFormatTest, CommChargePayloadRoundTrips) {
-  transport::CommCharge charge;
-  charge.rounds = 3;
-  charge.uplink_bytes = 1024;
-  charge.downlink_bytes = 2048;
-  charge.retransmit_bytes = 96;
-  Result<transport::CommCharge> back = transport::DecodeCommChargePayload(
-      transport::EncodeCommChargePayload(charge));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rounds, charge.rounds);
-  EXPECT_EQ(back->uplink_bytes, charge.uplink_bytes);
-  EXPECT_EQ(back->downlink_bytes, charge.downlink_bytes);
-  EXPECT_EQ(back->retransmit_bytes, charge.retransmit_bytes);
 }
 
 // --- LocalTransport ring buffer ---
@@ -517,14 +525,28 @@ TEST(ReliableChannelTest, ModelDeliveryIsBitExactUnderFaults) {
   }
 }
 
-TEST(ReliableChannelTest, ParticipationDeliveryRoundTrips) {
+// A frame at the awaited address but of another type is not the awaited
+// message: the channel discards it and delivers the real one.
+TEST(ReliableChannelTest, FrameOfAnotherTypeIsNotDelivered) {
   LocalTransport wire;
   ReliableChannel channel(&wire, TransportFaultSpec{});
-  const std::vector<int64_t> multiset = {2, 0, 2, 4};
-  Result<std::vector<int64_t>> back = channel.DeliverParticipation(
-      Address(Direction::kDownlink, 1, 0), multiset);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, multiset);
+  const MessageAddress address = Address(Direction::kDownlink, 4, 0);
+  WireMessage stale;
+  stale.type = MessageType::kModelUpdate;
+  stale.round = static_cast<uint64_t>(address.round);
+  stale.iteration = static_cast<uint64_t>(address.iteration);
+  stale.client = static_cast<uint64_t>(address.client);
+  stale.seq = address.seq;
+  stale.payload = "uplink bytes";
+  ASSERT_TRUE(
+      wire.PushFrame(Direction::kDownlink, transport::EncodeFrame(stale))
+          .ok());
+  Result<transport::Delivery> d =
+      channel.Deliver(address, MessageType::kModelBroadcast, "broadcast");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->message.type, MessageType::kModelBroadcast);
+  EXPECT_EQ(d->message.payload, "broadcast");
+  EXPECT_EQ(channel.stats().duplicates_discarded, 1);
 }
 
 }  // namespace

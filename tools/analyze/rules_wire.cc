@@ -12,8 +12,8 @@
 // silently diverges the trained model instead of being retransmitted.  The
 // rule confines frame codecs, ring-buffer primitives, and POSIX socket
 // calls to src/transport itself; src/core, src/fl, and src/io must go
-// through the channel's delivery API (Deliver / DeliverModel /
-// DeliverParticipation over an EncodedModel), which is exempt.
+// through the channel's delivery API (Deliver / DeliverModel over an
+// EncodedModel), which is exempt.
 
 #include "analyze/rules.h"
 #include "analyze/rules_util.h"
@@ -28,9 +28,7 @@ const std::set<std::string_view>& WirePrimitives() {
   static const auto* kSet = new std::set<std::string_view>{
       // wire_format.h codecs
       "EncodeFrame", "DecodeFrame", "EncodeModelPayload",
-      "DecodeModelPayload", "EncodeParticipationPayload",
-      "DecodeParticipationPayload", "EncodeCommChargePayload",
-      "DecodeCommChargePayload",
+      "DecodeModelPayload",
       // transport.h ring-buffer primitives
       "PushFrame", "PopFrame", "PushFrameBlocking", "PopFrameBlocking",
       // POSIX socket calls
