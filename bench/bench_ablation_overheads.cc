@@ -1,8 +1,9 @@
 // Ablation (§5.3): time and space overheads of the unlearning machinery.
 //
-//   * Space: the full StateStore (O(T·max{b,d}) per device, O(R·max{K,d})
-//     at the server) versus the compact participation index (O(N+d) /
-//     O(M+d) bits+words) across the scaled profiles.
+//   * Space: the StateStore (O(T·b + R·d) per device — it recomputes local
+//     models instead of storing them — and O(R·max{K,d}) at the server)
+//     versus the compact participation index (O(N+d) / O(M+d) bits+words)
+//     across the scaled profiles.
 //   * Time: the O(1) verification lookups (earliest-use dictionaries),
 //     measured over millions of queries.
 //   * Communication: bytes per training round and per re-computed round.
@@ -91,8 +92,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nThe full store buys mid-stream re-computation (restart at t_S); the"
-      "\ncompact index pays a full retrain on a hit but needs only "
-      "participation bits\n(same asymptotic unlearning time, Theorem 3).\n");
+      "\nThe store buys mid-stream re-computation (restart at t_S); the"
+      "\ncompact index pays a full retrain on a hit and keeps participation "
+      "bits plus\na model copy per device (same asymptotic unlearning time, "
+      "Theorem 3).\n");
   return 0;
 }

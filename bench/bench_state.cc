@@ -31,7 +31,7 @@
 namespace fats {
 namespace {
 
-using state::IndexHistoryLog;
+using state::HistoryLog;
 using state::SegmentSpiller;
 using state::SegmentSpillerOptions;
 
@@ -108,7 +108,7 @@ void BM_HistoryLogAppend(benchmark::State& state) {
     options.block_span = 16;
     options.resident_sealed_blocks = 2;
     options.spiller = spiller.get();
-    IndexHistoryLog log(options);
+    HistoryLog log(options);
     state.ResumeTiming();
     for (int64_t t = 1; t <= iters; ++t) {
       for (int64_t k = 0; k < clients_per_iter; ++k) {
@@ -149,7 +149,7 @@ void BM_HistoryLogColdRead(benchmark::State& state) {
   options.resident_sealed_blocks = 2;
   options.decoded_cache_blocks = 2;
   options.spiller = spiller.get();
-  IndexHistoryLog log(options);
+  HistoryLog log(options);
   const std::vector<int64_t> batch = SortedBatch(32, 5);
   for (int64_t t = 1; t <= iters; ++t) log.Save(t, 0, batch);
   int64_t total = 0;

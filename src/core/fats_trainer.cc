@@ -157,6 +157,50 @@ Status FatsTrainer::RedrawRound(int64_t round, int64_t t_last) {
   return Status::OK();
 }
 
+std::vector<FatsTrainer::LocalStep> FatsTrainer::RunLocalSteps(
+    bool round_start, const std::vector<int64_t>& participants,
+    const std::vector<const std::vector<int64_t>*>& batches,
+    const std::vector<int64_t>& dropped,
+    const std::map<int64_t, Tensor>& local_params) {
+  // Mini-batches, dropout counts, and start-parameter pointers are fixed on
+  // the main thread in participant order before dispatch, and the caller
+  // commits the results in that same order, so the schedule — draws, store
+  // contents, float accumulation — is bit-identical to serial.
+  const size_t n_part = participants.size();
+  std::vector<LocalStep> steps(n_part);
+  std::vector<const Tensor*> start_params(n_part);
+  for (size_t i = 0; i < n_part; ++i) {
+    start_params[i] = &local_params.at(participants[i]);
+  }
+  // Fused round-start batching: at t == round start every participant's
+  // start parameters ARE the broadcast global model, so all K clients'
+  // GEMMs can share one weight pack, built once here instead of once per
+  // client per call. Mid-round iterations start from diverged per-client
+  // weights, so the pack is cleared before their dispatch. Bit-identical
+  // either way (gemm::SgemmPackedB).
+  const bool share_round_pack = fused_round_pack_ && n_part > 0 && round_start;
+  if (share_round_pack) {
+    runner_.SetSharedWeights(*start_params[0]);
+  }
+  runner_.ForEachClient(
+      static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
+        const size_t s = static_cast<size_t>(i);
+        // A dropped attempt discards the client's work; the retry
+        // re-executes the whole local step on the same mini-batch, so the
+        // surviving attempt's model bits are identical to a first-try
+        // success.
+        for (int64_t attempt = 0; attempt <= dropped[s]; ++attempt) {
+          m->SetParameters(*start_params[s]);
+          ClientRuntime runtime(data_, m);
+          steps[s].loss = runtime.Step(participants[s], *batches[s],
+                                       config_.learning_rate);
+          steps[s].params = m->GetParameters();
+        }
+      });
+  if (share_round_pack) runner_.ClearSharedWeights();
+  return steps;
+}
+
 void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
   const int64_t e = config_.local_iters_e;
   // The one difference between the pass kinds: a run pass draws the
@@ -174,33 +218,49 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
   // The round's broadcast model, encoded once per round and re-sent for
   // every downlink delivery (K selection slots + dropout re-broadcasts).
   std::unique_ptr<transport::EncodedModel> round_broadcast;
+  // The current round's local-loss accumulator.
+  double loss_sum = 0.0;
+  int64_t loss_count = 0;
 
   const int64_t r0 = (t0 - 1) / e + 1;
   const int64_t r0_start = (r0 - 1) * e + 1;
   if (t0 != r0_start) {
-    // Mid-round entry (Algorithm 1, lines 3–5): reload P^(t0) and the local
-    // models after iteration t0−1.
+    // Mid-round entry (Algorithm 1, lines 3–5): reload P^(r0) and rebuild
+    // the local models after iteration t0−1. Each θ_k^(t0−1) is a pure
+    // function of the stored θ^(r0−1) — bitwise the decoded broadcast — and
+    // the stored mini-batches of r0_start..t0−1, so re-running those steps
+    // reproduces it bit for bit. The rebuild moves no wire bytes, charges
+    // no dropout retries (a retried attempt is bit-identical to the first),
+    // and writes nothing to the store or the sink; its losses enter the
+    // round's accumulator in the original order.
     const std::vector<int64_t>* stored = store_.GetClientSelection(r0);
     FATS_CHECK(stored != nullptr)
         << "mid-round restart requires the round's client selection";
     selection = *stored;
     participants = UniqueClients(selection);
-    for (int64_t client : participants) {
-      const Tensor* theta = store_.GetLocalModel(t0 - 1, client);
-      FATS_CHECK(theta != nullptr)
-          << "missing local model for client " << client << " at iteration "
-          << t0 - 1;
-      local_params[client] = *theta;
+    const Tensor* global = store_.GetGlobalModel(r0 - 1);
+    FATS_CHECK(global != nullptr)
+        << "missing global model for round " << r0 - 1;
+    for (int64_t client : participants) local_params[client] = *global;
+    const std::vector<int64_t> no_retries(participants.size(), 0);
+    std::vector<const std::vector<int64_t>*> batches(participants.size());
+    for (int64_t t = r0_start; t < t0; ++t) {
+      for (size_t i = 0; i < participants.size(); ++i) {
+        batches[i] = store_.GetMinibatch(t, participants[i]);
+        FATS_CHECK(batches[i] != nullptr) << "missing mini-batch (" << t
+                                          << ", " << participants[i] << ")";
+      }
+      std::vector<LocalStep> steps = RunLocalSteps(
+          t == r0_start, participants, batches, no_retries, local_params);
+      for (size_t i = 0; i < participants.size(); ++i) {
+        loss_sum += steps[i].loss;
+        ++loss_count;
+        local_params[participants[i]] = std::move(steps[i].params);
+      }
+      prefix_steps_ += static_cast<int64_t>(participants.size());
     }
   }
 
-  // Consume-once recovery seed: resuming a pass mid-round must restore the
-  // interrupted round's partial loss accumulator (a round-start entry point
-  // resets it below anyway).
-  double loss_sum = resume_loss_sum_;
-  int64_t loss_count = resume_loss_count_;
-  resume_loss_sum_ = 0.0;
-  resume_loss_count_ = 0;
   for (int64_t t = t0; t <= t_end; ++t) {
     const int64_t r = (t - 1) / e + 1;
     const bool round_start = t == (r - 1) * e + 1;
@@ -243,20 +303,10 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
 
     // STEP 2: one local mini-batch SGD iteration per distinct participant,
     // executed by the client runner (parallel when num_threads > 1).
-    // Mini-batches, dropout counts, and start-parameter pointers are fixed
-    // on the main thread in participant order before dispatch, and results
-    // are committed in that same order, so the schedule — draws, store
-    // contents, float accumulation — is bit-identical to serial.
     const size_t n_part = participants.size();
-    struct LocalStep {
-      Tensor params;
-      double loss = 0.0;
-    };
-    std::vector<LocalStep> steps(n_part);
     std::vector<std::vector<int64_t>> drawn(draw ? n_part : 0);
     std::vector<const std::vector<int64_t>*> batches(n_part);
     std::vector<int64_t> dropped(n_part, 0);
-    std::vector<const Tensor*> start_params(n_part);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
       if (draw) {
@@ -275,35 +325,10 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
       if (availability_.enabled()) {
         dropped[i] = availability_.DroppedAttempts(r, t, client);
       }
-      start_params[i] = &local_params.at(client);
     }
-    // Fused round-start batching: at t == round start every participant's
-    // start parameters ARE the broadcast global model (assigned just above
-    // in STEP 1), so all K clients' GEMMs can share one weight pack, built
-    // once here instead of once per client per call. Mid-round iterations
-    // start from diverged per-client weights, so the pack is cleared before
-    // their dispatch. Bit-identical either way (gemm::SgemmPackedB).
-    const bool share_round_pack =
-        fused_round_pack_ && n_part > 0 && round_start;
-    if (share_round_pack) {
-      runner_.SetSharedWeights(*start_params[0]);
-    }
-    runner_.ForEachClient(
-        static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
-          const size_t s = static_cast<size_t>(i);
-          // A dropped attempt discards the client's work; the retry
-          // re-executes the whole local step on the same mini-batch, so the
-          // surviving attempt's model bits are identical to a first-try
-          // success.
-          for (int64_t attempt = 0; attempt <= dropped[s]; ++attempt) {
-            m->SetParameters(*start_params[s]);
-            ClientRuntime runtime(data_, m);
-            steps[s].loss = runtime.Step(participants[s], *batches[s],
-                                         config_.learning_rate);
-            steps[s].params = m->GetParameters();
-          }
-        });
-    if (share_round_pack) runner_.ClearSharedWeights();
+    std::vector<LocalStep> steps =
+        RunLocalSteps(round_start, participants, batches, dropped,
+                      local_params);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
       if (dropped[i] > 0) {
@@ -333,7 +358,6 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
       ++loss_count;
       ++local_iterations_executed_;
       local_params[client] = std::move(steps[i].params);
-      store_.SaveLocalModel(t, client, local_params[client]);
       if (sink_ != nullptr) sink_->OnLocalModel(t, client, local_params[client]);
     }
 
@@ -381,7 +405,7 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
       FATS_FAILPOINT("trainer.round.end");
     }
     FATS_FAILPOINT("trainer.iter.commit");
-    NotifyIterationComplete(t, t_end, pass, loss_sum, loss_count);
+    NotifyIterationComplete(t, t_end, pass);
   }
   trained_through_ = std::max(trained_through_, t_end);
   // Leave the model holding the latest completed round's global parameters.
@@ -390,8 +414,7 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
 }
 
 void FatsTrainer::NotifyIterationComplete(int64_t t, int64_t t_end,
-                                          TrainPassKind pass, double loss_sum,
-                                          int64_t loss_count) {
+                                          TrainPassKind pass) {
   if (sink_ == nullptr) return;
   IterationMark mark;
   mark.iteration = t;
@@ -407,8 +430,6 @@ void FatsTrainer::NotifyIterationComplete(int64_t t, int64_t t_end,
   mark.comm_uplink_messages = comm_stats_.uplink_messages();
   mark.comm_retransmits = comm_stats_.retransmits();
   mark.comm_retransmit_bytes = comm_stats_.retransmit_bytes();
-  mark.round_loss_sum = loss_sum;
-  mark.round_loss_count = loss_count;
   sink_->OnIterationComplete(mark);
 }
 

@@ -8,8 +8,12 @@
 // server averages the local models with multiset multiplicity.
 //
 // Everything the unlearning algorithms need is recorded in the StateStore:
-// P^(t), B_k^(t), θ_k^(t), θ^(t) (the save(·) calls of Algorithm 1), plus
-// the earliest-use dictionaries for O(1) verification.
+// P^(t), B_k^(t), θ^(t) (the save(·) calls of Algorithm 1), plus the
+// earliest-use dictionaries for O(1) verification. The store keeps history
+// at round boundaries only: a local model θ_k^(t) is a pure function of the
+// stored θ^(r−1) and the stored mini-batches of round r up to t, so a pass
+// that enters mid-round recomputes it instead of loading it (a deviation
+// from §5.3.2's full store, see DESIGN.md §4).
 //
 // One round loop, RunPass(t0, t_end, pass), implements the general entry
 // point FATS(t0, T, E, η, ρ_S, ρ_C) for both pass kinds. They differ only
@@ -17,7 +21,8 @@
 // round's selection and each iteration's mini-batches fresh and records
 // them; a kReplay pass (ReplayFrom) loads them from the store. Mid-round
 // entry, broadcast, local steps, the availability schedule, upload,
-// aggregation and the round record are the same code for both.
+// aggregation and the round record are the same code for both, and the
+// mid-round prefix rebuild runs the same local-step dispatch as the loop.
 //
 // The round record a pass appends to the log (and journals) holds the
 // round, its mean local loss and whether it was re-computation. It holds no
@@ -84,8 +89,9 @@ class FatsTrainer {
 
   /// Runs iterations [t0, t_end] (Algorithm 1) as one pass of kind `pass`.
   /// t0 must be in [1, T] and t_end in [t0, T]. If t0 is not a round start,
-  /// the round's client selection and the local models at t0−1 are loaded
-  /// from the store. A kRun pass draws the client selections and
+  /// the round's client selection is loaded from the store and the local
+  /// models at t0−1 are rebuilt from the stored θ^(r0−1) and mini-batches
+  /// (see prefix_steps()). A kRun pass draws the client selections and
   /// mini-batches of [t0, t_end] at the current generation and records
   /// them; a kReplay pass loads them from the store and recomputes only the
   /// model trajectory. Crash recovery resumes an interrupted pass through
@@ -203,19 +209,16 @@ class FatsTrainer {
   void set_trained_through(int64_t t) { trained_through_ = t; }
   /// Rounds executed while this flag is set are marked in the log.
   void set_recomputation_mode(bool on) { recomputation_mode_ = on; }
-  /// Seeds the round-loss accumulator for the next RunPass entry
-  /// (consumed once, then reset). Used by crash recovery when resuming a
-  /// pass mid-round so the re-executed round's mean_local_loss still
-  /// includes the iterations committed before the crash.
-  void SeedRoundLossAccumulator(double sum, int64_t count) {
-    resume_loss_sum_ = sum;
-    resume_loss_count_ = count;
-  }
 
   /// Total local SGD iterations executed across all runs (compute cost).
+  /// Excludes prefix_steps().
   int64_t local_iterations_executed() const {
     return local_iterations_executed_;
   }
+
+  /// Local steps re-run so far to rebuild θ_k^(t0−1) at mid-round pass
+  /// entries: at most (E−1)·|participants| per entry.
+  int64_t prefix_steps() const { return prefix_steps_; }
 
   /// Fused round-start batching (on by default): at every round-start
   /// iteration — where all participants provably start their local step
@@ -228,8 +231,22 @@ class FatsTrainer {
 
  private:
   /// Emits the iteration-commit mark for iteration `t` to the sink, if any.
-  void NotifyIterationComplete(int64_t t, int64_t t_end, TrainPassKind pass,
-                               double loss_sum, int64_t loss_count);
+  void NotifyIterationComplete(int64_t t, int64_t t_end, TrainPassKind pass);
+
+  struct LocalStep {
+    Tensor params;
+    double loss = 0.0;
+  };
+  /// STEP 2's dispatch, shared by the pass loop and the mid-round prefix
+  /// rebuild: one local SGD step per participant i from
+  /// local_params[participants[i]] on *batches[i], executed 1 + dropped[i]
+  /// times, on the client runner. `round_start` enables the fused round
+  /// pack. Returns the steps in participant order; commits nothing.
+  std::vector<LocalStep> RunLocalSteps(
+      bool round_start, const std::vector<int64_t>& participants,
+      const std::vector<const std::vector<int64_t>*>& batches,
+      const std::vector<int64_t>& dropped,
+      const std::map<int64_t, Tensor>& local_params);
 
   /// Moves one model through the wire (direction, round, iteration, client,
   /// seq address the delivery; see transport/reliable_channel.h), charges
@@ -261,10 +278,7 @@ class FatsTrainer {
   int64_t trained_through_ = 0;
   int64_t dropout_retries_ = 0;
   int64_t transport_forced_deliveries_ = 0;
-  // One-shot round-loss accumulator seed, set by SeedRoundLossAccumulator
-  // and consumed at the next RunPass entry.
-  double resume_loss_sum_ = 0.0;
-  int64_t resume_loss_count_ = 0;
+  int64_t prefix_steps_ = 0;
   TrainEventSink* sink_ = nullptr;
   AvailabilitySchedule availability_;
   // The wire: every broadcast/upload is serialized, framed, and delivered

@@ -197,9 +197,11 @@ Result<ServiceFlushStats> UnlearningService::Flush() {
     // sequential processing would have rebuilt once per request. The
     // replay inherits the trainer's parallel client runner (config
     // num_threads), which is bit-identical to the serial schedule.
+    const int64_t prefix_before = trainer_->prefix_steps();
     trainer_->set_recomputation_mode(true);
     trainer_->ReplayFrom(min_restart);
     trainer_->set_recomputation_mode(false);
+    stats.prefix_steps = trainer_->prefix_steps() - prefix_before;
     stats.replays = 1;
     stats.replay_start_iteration = min_restart;
     stats.replayed_iterations = t_max - min_restart + 1;

@@ -99,6 +99,9 @@ struct ServiceFlushStats {
   /// time (sum of per-request replay spans). The coalescing factor is
   /// sequential_replayed_iterations / replayed_iterations.
   int64_t sequential_replayed_iterations = 0;
+  /// Local steps the replay re-ran to rebuild θ_k^(t0−1) when it started
+  /// mid-round: ≤ (E−1)·K per flush, not counted in replayed_iterations.
+  int64_t prefix_steps = 0;
   double wall_seconds = 0.0;
 
   /// Sums `other` into this; replay_start_iteration becomes the earliest
@@ -121,6 +124,7 @@ struct ServiceFlushStats {
     replayed_iterations += other.replayed_iterations;
     replayed_rounds += other.replayed_rounds;
     sequential_replayed_iterations += other.sequential_replayed_iterations;
+    prefix_steps += other.prefix_steps;
     wall_seconds += other.wall_seconds;
   }
 };

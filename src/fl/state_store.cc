@@ -50,8 +50,7 @@ StateStore::StateStore(const StateStoreOptions& options)
     : options_(options),
       spiller_(MakeSpiller(options_)),
       minibatches_(LogOptions(options_, spiller_.get())),
-      selections_(LogOptions(options_, spiller_.get())),
-      local_models_(LogOptions(options_, spiller_.get())) {
+      selections_(LogOptions(options_, spiller_.get())) {
   if (spiller_ != nullptr) {
     FATS_CHECK_OK(spiller_->Open());
   }
@@ -125,14 +124,6 @@ const std::vector<int64_t>* StateStore::GetMinibatch(int64_t iter,
   return minibatches_.Get(iter, client);
 }
 
-void StateStore::SaveLocalModel(int64_t iter, int64_t client, Tensor params) {
-  local_models_.Save(iter, client, std::move(params));
-}
-
-const Tensor* StateStore::GetLocalModel(int64_t iter, int64_t client) const {
-  return local_models_.Get(iter, client);
-}
-
 int64_t StateStore::EarliestSampleUse(const SampleRef& ref) const {
   const std::vector<int64_t>* uses = SampleUses(ref);
   return uses == nullptr ? -1 : uses->front();
@@ -173,7 +164,6 @@ void StateStore::TruncateFromIteration(int64_t from_iter,
                         const std::vector<int64_t>& indices) {
         UnindexMinibatch(iter, client, indices);
       });
-  local_models_.TruncateFrom(from_iter, {});
   // Smallest round whose start (r-1)E+1 is >= from_iter.
   const int64_t round_from = (from_iter + local_iters_e - 2) / local_iters_e + 1;
   selections_.TruncateFrom(
@@ -236,14 +226,9 @@ std::vector<std::pair<int64_t, int64_t>> StateStore::MinibatchKeys() const {
   return minibatches_.Keys();
 }
 
-std::vector<std::pair<int64_t, int64_t>> StateStore::LocalModelKeys() const {
-  return local_models_.Keys();
-}
-
 void StateStore::Clear() {
   minibatches_.Clear();
   selections_.Clear();
-  local_models_.Clear();
   global_models_.clear();
   sample_uses_.clear();
   client_rounds_.clear();
@@ -252,8 +237,7 @@ void StateStore::Clear() {
 int64_t StateStore::ApproxBytes() const {
   // Integer byte counts commute; traversal order cannot change the sum.
   int64_t bytes = minibatches_.ApproxResidentBytes() +
-                  selections_.ApproxResidentBytes() +
-                  local_models_.ApproxResidentBytes();
+                  selections_.ApproxResidentBytes();
   for (const auto& [round, params] : global_models_) {
     (void)round;
     bytes += 8 + params.size() * 4;

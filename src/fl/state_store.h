@@ -2,11 +2,14 @@
 //
 // Two variants, matching §5.3.2 of the paper:
 //
-//   * StateStore — the full store: client selections P^(t) and global models
-//     θ^(t) per round on the server; mini-batches B_k^(t) and local models
-//     θ_k^(t) per (iteration, client). Enables re-computation from an
-//     arbitrary iteration t_S, including mid-round restarts. Space
-//     O(T·max{b,d}) per device / O(R·max{K,d}) at the server.
+//   * StateStore — the round-boundary store: client selections P^(t) and
+//     global models θ^(t) per round on the server; mini-batches B_k^(t) per
+//     (iteration, client). Enables re-computation from an arbitrary
+//     iteration t_S, including mid-round restarts: the trainer rebuilds the
+//     local models θ_k^(t_S−1) from θ^(r−1) and the stored mini-batches
+//     instead of storing them. Space O(T·b + R·d) per device /
+//     O(R·max{K,d}) at the server — a deviation from §5.3.2's full store,
+//     which also keeps every θ_k^(t) (O(T·max{b,d})).
 //
 //   * CompactParticipationIndex — the space-optimized scheme: one
 //     participation bit per (client, sample) and per client, O(N+d) and
@@ -14,7 +17,7 @@
 //     asymptotic unlearning time (Theorem 3).
 //
 // Storage architecture (DESIGN.md §7.8). Record history no longer lives in
-// flat resident maps: mini-batches, selections and local models are held in
+// flat resident maps: mini-batches and selections are held in
 // tiered state::HistoryLog blocks — decoded at the training head,
 // bitwise-losslessly compressed once cold, and (when a spill directory is
 // configured) written through state::SegmentSpiller to mmap-backed,
@@ -108,10 +111,6 @@ class StateStore {
                      std::vector<int64_t> indices);
   const std::vector<int64_t>* GetMinibatch(int64_t iter, int64_t client) const;
 
-  /// Saves client `client`'s local model after iteration `iter`.
-  void SaveLocalModel(int64_t iter, int64_t client, Tensor params);
-  const Tensor* GetLocalModel(int64_t iter, int64_t client) const;
-
   // ----- O(1) verification / inverted participation index (§5.3.1) -----
 
   /// Earliest iteration whose recorded mini-batch contains the sample;
@@ -139,7 +138,7 @@ class StateStore {
   // ----- re-computation support -----
 
   /// Discards all records from iteration `from_iter` onward: mini-batches
-  /// and local models with iter >= from_iter, client selections of rounds
+  /// with iter >= from_iter, client selections of rounds
   /// starting at or after from_iter, and global models of rounds ending at
   /// or after from_iter. The inverted index is maintained incrementally —
   /// O(discarded records), not O(all records) — and spilled blocks release
@@ -155,8 +154,6 @@ class StateStore {
   std::vector<int64_t> GlobalModelRounds() const;
   /// Sorted (iteration, client) keys of recorded mini-batches.
   std::vector<std::pair<int64_t, int64_t>> MinibatchKeys() const;
-  /// Sorted (iteration, client) keys of recorded local models.
-  std::vector<std::pair<int64_t, int64_t>> LocalModelKeys() const;
 
   /// Drops every record and index (and every spilled segment).
   void Clear();
@@ -169,7 +166,6 @@ class StateStore {
   int64_t SpilledBytes() const;
 
   int64_t num_minibatch_records() const { return minibatches_.size(); }
-  int64_t num_local_model_records() const { return local_models_.size(); }
   int64_t num_rounds_recorded() const { return selections_.size(); }
 
   const StateStoreOptions& options() const { return options_; }
@@ -203,9 +199,8 @@ class StateStore {
   std::unique_ptr<state::SegmentSpiller> spiller_;
   // Tiered record history (mutable: cold reads fill a decoded cache; record
   // values are unaffected). Selections use key (round, 0).
-  mutable state::IndexHistoryLog minibatches_;
-  mutable state::IndexHistoryLog selections_;
-  mutable state::TensorHistoryLog local_models_;
+  mutable state::HistoryLog minibatches_;
+  mutable state::HistoryLog selections_;
   // Global models stay resident: O(R·d) server-side state, read every
   // replay iteration.
   std::map<int64_t, Tensor> global_models_;

@@ -53,11 +53,8 @@ struct IterationMark {
   int64_t comm_uplink_messages = 0;
   int64_t comm_retransmits = 0;
   int64_t comm_retransmit_bytes = 0;
-  // Running round-loss accumulator after this commit. A mid-round resume
-  // must seed these back into the trainer or the re-executed round's
-  // mean_local_loss would forget the pre-crash iterations.
-  double round_loss_sum = 0.0;
-  int64_t round_loss_count = 0;
+  // No round-loss accumulator: a mid-round resume rebuilds the round's
+  // prefix (FatsTrainer::RunPass), which re-accumulates its losses.
 };
 
 class TrainEventSink {
@@ -70,7 +67,8 @@ class TrainEventSink {
   /// B_k^(t) saved (drawn by a kRun pass or re-drawn by unlearning).
   virtual void OnMinibatch(int64_t iteration, int64_t client,
                            const std::vector<int64_t>& indices) = 0;
-  /// θ_k^(t) saved.
+  /// θ_k^(t) computed. Write-only: nothing persists it, because a pass
+  /// that enters mid-round recomputes it from the stored history.
   virtual void OnLocalModel(int64_t iteration, int64_t client,
                             const Tensor& params) = 0;
   /// θ^(r) saved (round 0 is the initial model).

@@ -18,9 +18,11 @@ constexpr char kMagic[] = "FATSCKPT";
 // (client selections, mini-batches) as history-codec blobs
 // (state/history_codec.h) instead of raw i64 vectors — the same
 // bit-specified compression the tiered store uses, so checkpoints shrink
-// with the history and decode bit-exactly.
+// with the history and decode bit-exactly. Version 6 drops the local-model
+// section: the trainer rebuilds local models from the global models and
+// mini-batches.
 constexpr char kFooter[] = "FATSEND.";
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 // Upper bound on the element count of any single checkpointed tensor.
 // Shapes whose volume exceeds it (or overflows int64_t) are corrupt: the
@@ -127,13 +129,6 @@ Status WriteCheckpointFile(FatsTrainer* trainer, const std::string& path,
     writer.WriteI64(client);
     writer.WriteString(state::EncodeIndexList(*store.GetMinibatch(iter,
                                                                   client)));
-  }
-  const auto local_keys = store.LocalModelKeys();
-  writer.WriteU64(local_keys.size());
-  for (const auto& [iter, client] : local_keys) {
-    writer.WriteI64(iter);
-    writer.WriteI64(client);
-    WriteTensor(*store.GetLocalModel(iter, client), &writer);
   }
 
   // Round log and communication counters.
@@ -252,23 +247,6 @@ Status LoadTrainerCheckpoint(const std::string& path, FatsTrainer* trainer,
     FATS_RETURN_NOT_OK(state::DecodeIndexList(blob, &record.batch));
     minibatches.push_back(std::move(record));
   }
-  struct LocalRecord {
-    int64_t iter;
-    int64_t client;
-    Tensor model;
-  };
-  std::vector<LocalRecord> local_models;
-  FATS_ASSIGN_OR_RETURN(uint64_t num_locals, reader.ReadU64());
-  for (uint64_t i = 0; i < num_locals; ++i) {
-    LocalRecord record;
-    FATS_ASSIGN_OR_RETURN(record.iter, reader.ReadI64());
-    FATS_ASSIGN_OR_RETURN(record.client, reader.ReadI64());
-    if (record.iter < 0) {
-      return Status::IoError("corrupt checkpoint: local-model iter < 0");
-    }
-    FATS_ASSIGN_OR_RETURN(record.model, ReadTensor(&reader));
-    local_models.push_back(std::move(record));
-  }
   std::vector<RoundRecord> records;
   FATS_ASSIGN_OR_RETURN(uint64_t num_records, reader.ReadU64());
   for (uint64_t i = 0; i < num_records; ++i) {
@@ -310,10 +288,6 @@ Status LoadTrainerCheckpoint(const std::string& path, FatsTrainer* trainer,
   }
   for (BatchRecord& record : minibatches) {
     store.SaveMinibatch(record.iter, record.client, std::move(record.batch));
-  }
-  for (LocalRecord& record : local_models) {
-    store.SaveLocalModel(record.iter, record.client,
-                         std::move(record.model));
   }
   TrainLog* log = trainer->mutable_log();
   log->Clear();

@@ -8,13 +8,16 @@
 // same FederatedDataset (same profile + seed + prior deletions) and build
 // the trainer with the same spec/config before calling Load.
 //
-// Format (version 4): "FATSCKPT" magic, u32 version, config echo
-// (validated on load), u64 journal epoch, then model parameters, store
-// records, counters (version 4 carries the full CommCounters snapshot:
-// per-direction message counts and the retransmit ledger), the round log,
-// and a trailing "FATSEND." footer. The
-// footer lets the loader reject writes torn at a record boundary, which the
-// length-prefixed records alone cannot detect.
+// Format (version 6): "FATSCKPT" magic, u32 version, config echo
+// (validated on load), u64 journal epoch, progress markers and the model
+// parameters, then the store records — client selections and mini-batches
+// as history-codec index-list blobs, global models as raw tensors; no local
+// models, which the trainer rebuilds from those — the round log, the full
+// CommCounters snapshot (per-direction message counts and the retransmit
+// ledger), and a trailing "FATSEND." footer. The footer lets the loader
+// reject writes torn at a record boundary, which the length-prefixed
+// records alone cannot detect. Any other version is rejected with
+// InvalidArgument.
 //
 // The journal epoch ties the checkpoint to its journal segment (see
 // io/train_journal.h): a segment whose kBegin epoch is older than the

@@ -11,7 +11,9 @@ namespace fats {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'A', 'T', 'S', 'J', 'R', 'N', '1'};
-constexpr uint32_t kVersion = 1;
+// Version 2: training sessions journal no local models and no round-loss
+// accumulator in their progress records.
+constexpr uint32_t kVersion = 2;
 constexpr int64_t kHeaderBytes = 12;  // magic + u32 version
 // Sanity bound: a frame longer than this is corrupt, not large.
 constexpr uint32_t kMaxRecordBytes = uint32_t{1} << 30;

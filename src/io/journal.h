@@ -9,7 +9,7 @@
 // File layout:
 //
 //   "FATSJRN1"  8-byte magic
-//   u32         format version (1)
+//   u32         format version (2)
 //   repeated records:
 //     u32       payload length
 //     u32       CRC-32 of the payload (polynomial 0xEDB88320)

@@ -14,7 +14,6 @@ enum class Tag : uint8_t {
   kBegin = 1,           // config echo + epoch (first record of a segment)
   kSelection = 2,       // P^(r)
   kMinibatch = 3,       // B_k^(t)
-  kLocalModel = 4,      // θ_k^(t)
   kGlobalModel = 5,     // θ^(r)
   kRoundRecord = 6,     // TrainLog entry
   kProgress = 7,        // iteration commit (IterationMark)
@@ -296,13 +295,6 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
         store.SaveMinibatch(iter, client, std::move(indices));
         break;
       }
-      case Tag::kLocalModel: {
-        FATS_ASSIGN_OR_RETURN(int64_t iter, r.I64());
-        FATS_ASSIGN_OR_RETURN(int64_t client, r.I64());
-        FATS_ASSIGN_OR_RETURN(Tensor params, r.TensorData());
-        store.SaveLocalModel(iter, client, std::move(params));
-        break;
-      }
       case Tag::kGlobalModel: {
         FATS_ASSIGN_OR_RETURN(int64_t round, r.I64());
         FATS_ASSIGN_OR_RETURN(Tensor params, r.TensorData());
@@ -336,8 +328,6 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
         FATS_ASSIGN_OR_RETURN(m.comm_uplink_messages, r.I64());
         FATS_ASSIGN_OR_RETURN(m.comm_retransmits, r.I64());
         FATS_ASSIGN_OR_RETURN(m.comm_retransmit_bytes, r.I64());
-        FATS_ASSIGN_OR_RETURN(m.round_loss_sum, r.F64());
-        FATS_ASSIGN_OR_RETURN(m.round_loss_count, r.I64());
         progress.seen = true;
         generation = m.generation;
         break;
@@ -397,9 +387,7 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
   if (progress.seen && progress.mark.iteration < progress.mark.pass_end) {
     const IterationMark& m = progress.mark;
     trainer->set_recomputation_mode(m.recomputation);
-    // The interrupted pass may stop mid-round; restore its partial loss
-    // accumulator so the re-executed round's mean_local_loss matches.
-    trainer->SeedRoundLossAccumulator(m.round_loss_sum, m.round_loss_count);
+    // A pass resumed mid-round rebuilds the round's prefix, losses included.
     trainer->RunPass(m.iteration + 1, m.pass_end, m.pass);
     trainer->set_recomputation_mode(false);
   }
@@ -480,15 +468,9 @@ void DurableTrainingSession::OnMinibatch(int64_t iteration, int64_t client,
   AppendRecord(w.str());
 }
 
-void DurableTrainingSession::OnLocalModel(int64_t iteration, int64_t client,
-                                          const Tensor& params) {
-  PayloadWriter w;
-  w.U8(static_cast<uint8_t>(Tag::kLocalModel));
-  w.I64(iteration);
-  w.I64(client);
-  w.TensorData(params);
-  AppendRecord(w.str());
-}
+// Local models are not journaled: recovery rebuilds them from the
+// journaled global models and mini-batches.
+void DurableTrainingSession::OnLocalModel(int64_t, int64_t, const Tensor&) {}
 
 void DurableTrainingSession::OnGlobalModel(int64_t round,
                                            const Tensor& params) {
@@ -525,8 +507,6 @@ void DurableTrainingSession::OnIterationComplete(const IterationMark& mark) {
   w.I64(mark.comm_uplink_messages);
   w.I64(mark.comm_retransmits);
   w.I64(mark.comm_retransmit_bytes);
-  w.F64(mark.round_loss_sum);
-  w.I64(mark.round_loss_count);
   AppendRecord(w.str());
   if (mark.iteration % trainer_->config().local_iters_e == 0) SyncJournal();
 }

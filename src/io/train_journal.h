@@ -11,7 +11,7 @@
 // killed at *any* point recovers to exactly the state an uninterrupted run
 // would have reached.
 //
-// Epoch protocol. Each checkpoint (format v3) stores a journal epoch and
+// Epoch protocol. Each checkpoint (since format v3) stores a journal epoch and
 // each segment's leading kBegin record echoes the config and that epoch.
 // Checkpoint() rotates: sync the old segment, save the checkpoint at
 // epoch+1, then start a fresh segment at epoch+1. On Open:

@@ -1,8 +1,8 @@
 // Tiered block storage for keyed training history.
 //
-// A HistoryLog stores records keyed by (k1, k2) — (iteration, client) for
-// mini-batches and local models, (round, 0) for client selections — in
-// blocks of `block_span` consecutive k1 values. Each block lives in one of
+// A HistoryLog stores index-list records keyed by (k1, k2) — (iteration,
+// client) for mini-batches, (round, 0) for client selections — in blocks of
+// `block_span` consecutive k1 values. Each block lives in one of
 // three tiers:
 //
 //   kOpen            decoded std::map, accepts writes (the training head)
@@ -28,7 +28,8 @@
 //   n × ( k1_delta:varint  — k1 minus previous record's k1 (first: minus
 //                            the block's first k1), keys ascending
 //         k2:zigzag-varint
-//         payload           — Codec::Append/Parse, self-delimiting )
+//         payload           — AppendIndexList/ParseIndexList,
+//                             self-delimiting )
 //
 // Pointer stability: a pointer returned by Get() stays valid until the next
 // mutating call, or until Get() of `decoded_cache_blocks` *other* blocks
@@ -42,17 +43,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "state/history_codec.h"
 #include "state/segment_spill.h"
-#include "tensor/tensor.h"
-#include "util/logging.h"
 #include "util/status.h"
 
 namespace fats::state {
@@ -73,52 +70,13 @@ struct HistoryLogOptions {
   SegmentSpiller* spiller = nullptr;
 };
 
-/// Record payload codec for index lists (mini-batches, selections).
-struct IndexListCodec {
-  using Value = std::vector<int64_t>;
-  static void Append(const Value& value, std::string* out) {
-    AppendIndexList(value, out);
-  }
-  static Status Parse(std::string_view bytes, size_t* pos, Value* out) {
-    return ParseIndexList(bytes, pos, out);
-  }
-  static int64_t ApproxBytes(const Value& value) {
-    return 16 + static_cast<int64_t>(value.size()) * 8;
-  }
-};
-
-/// Record payload codec for tensors (local models): varint rank and dims,
-/// then raw float32 storage. Bitwise-lossless — floats are moved, never
-/// re-quantized.
-struct TensorBlobCodec {
-  using Value = Tensor;
-  static void Append(const Value& value, std::string* out);
-  static Status Parse(std::string_view bytes, size_t* pos, Value* out);
-  static int64_t ApproxBytes(const Value& value) {
-    return 32 + value.size() * 4;
-  }
-};
-
-namespace internal {
-/// Failpoint crossings live in the .cc so the template header stays free of
-/// macro instantiations; the site registers once per process.
-void CrossDecodedEvictFailpoint();
-}  // namespace internal
-
-template <typename Codec>
 class HistoryLog {
  public:
-  using Value = typename Codec::Value;
+  using Value = std::vector<int64_t>;
   using Key = std::pair<int64_t, int64_t>;
   using Visitor = std::function<void(int64_t, int64_t, const Value&)>;
 
-  explicit HistoryLog(HistoryLogOptions options = {}) : options_(options) {
-    FATS_CHECK_GE(options_.block_span, 1);
-    FATS_CHECK_GE(options_.max_open_blocks, 1);
-    FATS_CHECK_GE(options_.resident_sealed_blocks, 0);
-    options_.decoded_cache_blocks =
-        options_.decoded_cache_blocks < 2 ? 2 : options_.decoded_cache_blocks;
-  }
+  explicit HistoryLog(HistoryLogOptions options = {});
 
   HistoryLog(const HistoryLog&) = delete;
   HistoryLog& operator=(const HistoryLog&) = delete;
@@ -127,141 +85,31 @@ class HistoryLog {
 
   /// Stores (replaces) the record at (k1, k2). Returns true when a record
   /// was replaced; the old value is then moved into *replaced when given.
-  bool Save(int64_t k1, int64_t k2, Value value, Value* replaced = nullptr) {
-    FATS_CHECK_GE(k1, 0);
-    const int64_t bid = k1 / options_.block_span;
-    Block& block = OpenBlockFor(bid);
-    auto [it, inserted] = block.records.try_emplace(Key{k1, k2});
-    const bool was_present = !inserted;
-    if (was_present && replaced != nullptr) *replaced = std::move(it->second);
-    it->second = std::move(value);
-    if (inserted) {
-      ++block.count;
-      ++size_;
-    }
-    block.touch = ++tick_;
-    EnforceBudgets(bid);
-    return was_present;
-  }
+  bool Save(int64_t k1, int64_t k2, Value value, Value* replaced = nullptr);
 
   /// nullptr when absent. See the header comment for pointer stability.
-  const Value* Get(int64_t k1, int64_t k2) const {
-    if (k1 < 0) return nullptr;
-    const int64_t bid = k1 / options_.block_span;
-    auto it = blocks_.find(bid);
-    if (it == blocks_.end()) return nullptr;
-    const Block& block = it->second;
-    if (block.tier == Tier::kOpen) {
-      auto rec = block.records.find(Key{k1, k2});
-      return rec == block.records.end() ? nullptr : &rec->second;
-    }
-    const std::map<Key, Value>& decoded = DecodedFor(bid, block);
-    auto rec = decoded.find(Key{k1, k2});
-    return rec == decoded.end() ? nullptr : &rec->second;
-  }
+  const Value* Get(int64_t k1, int64_t k2) const;
 
   /// Erases every record with k1 >= k1_from, invoking on_erase (may be
   /// empty) for each before it is dropped. Whole cold blocks release their
   /// spill refs; a straddling block is reopened and trimmed in place.
-  void TruncateFrom(int64_t k1_from, const Visitor& on_erase) {
-    FATS_CHECK_GE(k1_from, 0);
-    const int64_t first_bid = k1_from / options_.block_span;
-    for (auto it = blocks_.lower_bound(first_bid); it != blocks_.end();) {
-      const int64_t bid = it->first;
-      const int64_t block_first = bid * options_.block_span;
-      if (block_first >= k1_from) {
-        // Whole block discarded.
-        if (on_erase) {
-          VisitBlock(bid, it->second, on_erase);
-        }
-        size_ -= it->second.count;
-        ReleaseBlockStorage(&it->second);
-        decoded_.erase(bid);
-        decoded_ticks_.erase(bid);
-        it = blocks_.erase(it);
-        continue;
-      }
-      // Straddling block: reopen and trim the tail.
-      Block& block = OpenBlockFor(bid);
-      for (auto rec = block.records.lower_bound(
-               Key{k1_from, std::numeric_limits<int64_t>::min()});
-           rec != block.records.end();) {
-        if (on_erase) on_erase(rec->first.first, rec->first.second,
-                               rec->second);
-        rec = block.records.erase(rec);
-        --block.count;
-        --size_;
-      }
-      if (block.count == 0) {
-        --open_count_;  // the reopened block is erased, not kept
-        it = blocks_.erase(blocks_.find(bid));
-      } else {
-        it = std::next(blocks_.find(bid));
-      }
-    }
-    EnforceBudgets(-1);
-  }
+  void TruncateFrom(int64_t k1_from, const Visitor& on_erase);
 
   /// Visits every record in ascending (k1, k2) order. Cold blocks are
   /// decoded transiently; the read cache is left untouched.
-  void ForEach(const Visitor& fn) const {
-    for (const auto& [bid, block] : blocks_) {
-      VisitBlock(bid, block, fn);
-    }
-  }
+  void ForEach(const Visitor& fn) const;
 
   /// Ascending (k1, k2) keys of every record.
-  std::vector<Key> Keys() const {
-    std::vector<Key> keys;
-    keys.reserve(static_cast<size_t>(size_));
-    ForEach([&keys](int64_t k1, int64_t k2, const Value& value) {
-      (void)value;
-      keys.emplace_back(k1, k2);
-    });
-    return keys;
-  }
+  std::vector<Key> Keys() const;
 
-  void Clear() {
-    for (auto& [bid, block] : blocks_) {
-      (void)bid;
-      ReleaseBlockStorage(&block);
-    }
-    blocks_.clear();
-    decoded_.clear();
-    decoded_ticks_.clear();
-    size_ = 0;
-    open_count_ = 0;
-    sealed_count_ = 0;
-    spilled_count_ = 0;
-  }
+  void Clear();
 
   int64_t size() const { return size_; }
 
   /// Approximate resident bytes: decoded open blocks at record cost, sealed
   /// blobs at blob cost, plus the decoded read cache. Spilled payload bytes
   /// live in the spiller's accounting, not here.
-  int64_t ApproxResidentBytes() const {
-    int64_t bytes = 0;
-    for (const auto& [bid, block] : blocks_) {
-      (void)bid;
-      if (block.tier == Tier::kOpen) {
-        for (const auto& [key, value] : block.records) {
-          (void)key;
-          bytes += Codec::ApproxBytes(value);
-        }
-      } else if (block.tier == Tier::kSealedResident) {
-        bytes += static_cast<int64_t>(block.blob.size());
-      }
-    }
-    for (const auto& [bid, records] : decoded_) {
-      (void)bid;
-      for (const auto& [key, value] : records) {
-        (void)key;
-        bytes += Codec::ApproxBytes(value);
-      }
-    }
-    return bytes;
-  }
+  int64_t ApproxResidentBytes() const;
 
   int64_t num_open_blocks() const { return open_count_; }
   int64_t num_sealed_blocks() const { return sealed_count_; }
@@ -286,202 +134,28 @@ class HistoryLog {
   };
 
   static std::string EncodeBlock(const std::map<Key, Value>& records,
-                                 int64_t block_first) {
-    std::string blob;
-    blob.push_back(static_cast<char>(1));  // block format version
-    AppendVarint(records.size(), &blob);
-    int64_t prev_k1 = block_first;
-    for (const auto& [key, value] : records) {
-      AppendVarint(static_cast<uint64_t>(key.first - prev_k1), &blob);
-      prev_k1 = key.first;
-      AppendZigzag(key.second, &blob);
-      Codec::Append(value, &blob);
-    }
-    return blob;
-  }
-
+                                 int64_t block_first);
   static Status DecodeBlock(std::string_view blob, int64_t block_first,
-                            std::map<Key, Value>* out) {
-    out->clear();
-    size_t pos = 0;
-    if (blob.empty() || blob[0] != 1) {
-      return Status::IoError("history block: bad format version");
-    }
-    pos = 1;
-    uint64_t n = 0;
-    FATS_RETURN_NOT_OK(ParseVarint(blob, &pos, &n));
-    int64_t prev_k1 = block_first;
-    auto hint = out->end();
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t delta = 0;
-      FATS_RETURN_NOT_OK(ParseVarint(blob, &pos, &delta));
-      const int64_t k1 = prev_k1 + static_cast<int64_t>(delta);
-      prev_k1 = k1;
-      int64_t k2 = 0;
-      FATS_RETURN_NOT_OK(ParseZigzag(blob, &pos, &k2));
-      Value value;
-      FATS_RETURN_NOT_OK(Codec::Parse(blob, &pos, &value));
-      hint = out->emplace_hint(hint, Key{k1, k2}, std::move(value));
-    }
-    if (pos != blob.size()) {
-      return Status::IoError("history block: trailing bytes");
-    }
-    return Status::OK();
-  }
+                            std::map<Key, Value>* out);
 
   /// The block's records, decoding from blob or spill when cold. Used for
   /// transitions and transient enumeration.
   std::map<Key, Value> MaterializeRecords(int64_t bid,
-                                          const Block& block) const {
-    std::map<Key, Value> records;
-    const int64_t block_first = bid * options_.block_span;
-    switch (block.tier) {
-      case Tier::kOpen:
-        records = block.records;
-        break;
-      case Tier::kSealedResident:
-        FATS_CHECK_OK(DecodeBlock(block.blob, block_first, &records));
-        break;
-      case Tier::kSpilled: {
-        Result<std::string_view> payload = options_.spiller->Read(block.ref);
-        FATS_CHECK_OK(payload.status());
-        FATS_CHECK_OK(DecodeBlock(payload.value(), block_first, &records));
-        break;
-      }
-    }
-    FATS_CHECK_EQ(static_cast<int64_t>(records.size()), block.count);
-    return records;
-  }
-
-  void VisitBlock(int64_t bid, const Block& block, const Visitor& fn) const {
-    if (block.tier == Tier::kOpen) {
-      for (const auto& [key, value] : block.records) {
-        fn(key.first, key.second, value);
-      }
-      return;
-    }
-    const std::map<Key, Value> records = MaterializeRecords(bid, block);
-    for (const auto& [key, value] : records) {
-      fn(key.first, key.second, value);
-    }
-  }
-
+                                          const Block& block) const;
+  void VisitBlock(int64_t bid, const Block& block, const Visitor& fn) const;
   /// Frees the block's storage and removes it from its tier count. The
   /// caller either erases the block or re-registers it as open.
-  void ReleaseBlockStorage(Block* block) {
-    switch (block->tier) {
-      case Tier::kOpen:
-        --open_count_;
-        break;
-      case Tier::kSealedResident:
-        --sealed_count_;
-        break;
-      case Tier::kSpilled:
-        options_.spiller->Release(block->ref);
-        --spilled_count_;
-        break;
-    }
-    block->records.clear();
-    block->blob.clear();
-  }
-
-  Block& OpenBlockFor(int64_t bid) {
-    auto [it, inserted] = blocks_.try_emplace(bid);
-    Block& block = it->second;
-    if (inserted) {
-      ++open_count_;
-      return block;
-    }
-    if (block.tier == Tier::kOpen) return block;
-    // Reopen a cold block for writes (substitution or truncation). The
-    // decoded cache entry, if any, describes the sealed bytes we are about
-    // to discard — drop it.
-    std::map<Key, Value> records = MaterializeRecords(bid, block);
-    ReleaseBlockStorage(&block);
-    block.tier = Tier::kOpen;
-    ++open_count_;
-    block.records = std::move(records);
-    block.touch = ++tick_;
-    decoded_.erase(bid);
-    decoded_ticks_.erase(bid);
-    return block;
-  }
-
-  void SealBlock(int64_t bid, Block* block) {
-    block->blob = EncodeBlock(block->records, bid * options_.block_span);
-    block->records.clear();
-    block->tier = Tier::kSealedResident;
-    --open_count_;
-    ++sealed_count_;
-  }
-
-  void SpillBlock(Block* block) {
-    Result<SegmentSpiller::BlockRef> ref = options_.spiller->Write(block->blob);
-    if (!ref.ok()) {
-      ++spill_errors_;
-      return;
-    }
-    block->ref = ref.value();
-    block->blob.clear();
-    block->blob.shrink_to_fit();
-    block->tier = Tier::kSpilled;
-    --sealed_count_;
-    ++spilled_count_;
-  }
-
+  void ReleaseBlockStorage(Block* block);
+  Block& OpenBlockFor(int64_t bid);
+  void SealBlock(int64_t bid, Block* block);
+  void SpillBlock(Block* block);
   /// Seals least-recently-written open blocks past the open budget (never
   /// `protect_bid`), then spills the coldest sealed blobs past the resident
   /// budget. Called after every mutation.
-  void EnforceBudgets(int64_t protect_bid) {
-    while (open_count_ > options_.max_open_blocks) {
-      int64_t victim = -1;
-      uint64_t oldest = 0;
-      for (const auto& [bid, block] : blocks_) {
-        if (block.tier != Tier::kOpen || bid == protect_bid) continue;
-        if (victim < 0 || block.touch < oldest) {
-          victim = bid;
-          oldest = block.touch;
-        }
-      }
-      if (victim < 0) break;
-      SealBlock(victim, &blocks_.at(victim));
-    }
-    if (options_.spiller == nullptr) return;
-    while (sealed_count_ > options_.resident_sealed_blocks) {
-      auto victim = blocks_.end();
-      for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-        if (it->second.tier == Tier::kSealedResident) {
-          victim = it;  // smallest bid = coldest history
-          break;
-        }
-      }
-      if (victim == blocks_.end()) break;
-      const int64_t before = spill_errors_;
-      SpillBlock(&victim->second);
-      if (spill_errors_ != before) break;  // degrade: stay resident
-    }
-  }
-
+  void EnforceBudgets(int64_t protect_bid);
   /// Decoded view of a cold block through the LRU read cache.
   const std::map<Key, Value>& DecodedFor(int64_t bid,
-                                         const Block& block) const {
-    auto it = decoded_.find(bid);
-    if (it == decoded_.end()) {
-      while (static_cast<int64_t>(decoded_.size()) >=
-             options_.decoded_cache_blocks) {
-        auto victim = decoded_ticks_.begin();
-        for (auto t = decoded_ticks_.begin(); t != decoded_ticks_.end(); ++t) {
-          if (t->second < victim->second) victim = t;
-        }
-        internal::CrossDecodedEvictFailpoint();
-        decoded_.erase(victim->first);
-        decoded_ticks_.erase(victim);
-      }
-      it = decoded_.emplace(bid, MaterializeRecords(bid, block)).first;
-    }
-    decoded_ticks_[bid] = ++tick_;
-    return it->second;
-  }
+                                         const Block& block) const;
 
   HistoryLogOptions options_;
   std::map<int64_t, Block> blocks_;
@@ -496,9 +170,6 @@ class HistoryLog {
   mutable std::map<int64_t, uint64_t> decoded_ticks_;
   mutable uint64_t tick_ = 0;
 };
-
-using IndexHistoryLog = HistoryLog<IndexListCodec>;
-using TensorHistoryLog = HistoryLog<TensorBlobCodec>;
 
 }  // namespace fats::state
 

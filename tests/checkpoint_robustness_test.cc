@@ -87,6 +87,30 @@ TEST(CheckpointRobustnessTest, BitFlipsNeverCrash) {
   SUCCEED() << accepted << " benign flips accepted";
 }
 
+TEST(CheckpointRobustnessTest, OtherFormatVersionsRejected) {
+  // v6 dropped v5's local-model section; neither older nor newer layouts
+  // are parsed, whatever their bytes.
+  const std::string path = TempPath("robust_version_src.bin");
+  Env saved = MakeEnv(true);
+  ASSERT_TRUE(SaveTrainerCheckpoint(saved.trainer.get(), path).ok());
+  const std::string blob = ReadFile(path);
+  constexpr size_t kVersionOffset = 8 + 8;  // u64 length + "FATSCKPT"
+  ASSERT_GT(blob.size(), kVersionOffset + 4);
+  ASSERT_EQ(blob[kVersionOffset], 6);
+
+  const std::string versioned_path = TempPath("robust_version.bin");
+  for (char version : {4, 5, 7}) {
+    std::string other = blob;
+    other[kVersionOffset] = version;
+    WriteFile(versioned_path, other);
+    Env env = MakeEnv(false);
+    Status status = LoadTrainerCheckpoint(versioned_path, env.trainer.get());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "version " << static_cast<int>(version);
+    EXPECT_EQ(env.trainer->trained_through(), 0);
+  }
+}
+
 TEST(CheckpointRobustnessTest, EmptyFileRejected) {
   const std::string path = TempPath("robust_empty.bin");
   WriteFile(path, "");

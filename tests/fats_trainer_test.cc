@@ -62,12 +62,11 @@ TEST(FatsTrainerTest, StoreRecordsAllAlgorithmicState) {
     const std::vector<int64_t>* selection = store.GetClientSelection(r);
     ASSERT_NE(selection, nullptr);
     EXPECT_EQ(static_cast<int64_t>(selection->size()), trainer.K());
-    // Every selected client has minibatch + local model records at every
-    // iteration of the round.
+    // Every selected client has a minibatch record at every iteration of
+    // the round.
     for (int64_t client : *selection) {
       for (int64_t i = (r - 1) * 3 + 1; i <= r * 3; ++i) {
         EXPECT_NE(store.GetMinibatch(i, client), nullptr);
-        EXPECT_NE(store.GetLocalModel(i, client), nullptr);
       }
     }
   }

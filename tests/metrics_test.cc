@@ -1,36 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "metrics/evaluation.h"
 #include "metrics/unlearning_metrics.h"
 #include "test_workloads.h"
 
 namespace fats {
 namespace {
-
-TEST(EvaluationTest, ChunkedAccuracyMatchesSingleShot) {
-  FederatedDataset data = TinyImageData(4, 10);
-  Model model(TinyModelSpec(), 3);
-  Batch test = data.global_test().AsBatch();
-  const double single = model.EvaluateAccuracy(test.inputs, test.labels);
-  EXPECT_DOUBLE_EQ(EvaluateAccuracyChunked(&model, test, 7), single);
-  EXPECT_DOUBLE_EQ(EvaluateAccuracyChunked(&model, test, 1000), single);
-  EXPECT_DOUBLE_EQ(EvaluateAccuracyChunked(&model, test, 1), single);
-}
-
-TEST(EvaluationTest, ChunkedLossMatchesSingleShot) {
-  FederatedDataset data = TinyImageData(4, 10);
-  Model model(TinyModelSpec(), 3);
-  Batch test = data.global_test().AsBatch();
-  const double single = model.ComputeLoss(test.inputs, test.labels);
-  EXPECT_NEAR(EvaluateLossChunked(&model, test, 13), single, 1e-9);
-}
-
-TEST(EvaluationTest, EmptyBatchIsZero) {
-  Model model(TinyModelSpec(), 3);
-  Batch empty;
-  EXPECT_EQ(EvaluateAccuracyChunked(&model, empty), 0.0);
-  EXPECT_EQ(EvaluateLossChunked(&model, empty), 0.0);
-}
 
 TrainLog MakeLog(std::vector<double> accuracies, size_t recompute_from) {
   TrainLog log;

@@ -4,14 +4,37 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/unlearning_service.h"
 #include "test_workloads.h"
 
 namespace fats {
 namespace {
+
+// Every field of every round record, compared bit for bit: a round entered
+// mid-round must log the loss of the whole round, not of its tail.
+void ExpectLogsBitwiseEqual(const TrainLog& a, const TrainLog& b) {
+  ASSERT_EQ(a.records().size(), b.records().size());
+  for (size_t i = 0; i < a.records().size(); ++i) {
+    const RoundRecord& x = a.records()[i];
+    const RoundRecord& y = b.records()[i];
+    EXPECT_EQ(x.round, y.round) << "record " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(x.test_accuracy),
+              std::bit_cast<uint64_t>(y.test_accuracy))
+        << "record " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(x.mean_local_loss),
+              std::bit_cast<uint64_t>(y.mean_local_loss))
+        << "record " << i << ": " << x.mean_local_loss << " vs "
+        << y.mean_local_loss;
+    EXPECT_EQ(x.recomputation, y.recomputation) << "record " << i;
+  }
+}
 
 TEST(TrainUntilTest, IncrementalEqualsOneShot) {
   FederatedDataset data_a = TinyImageData(6, 10);
@@ -27,9 +50,69 @@ TEST(TrainUntilTest, IncrementalEqualsOneShot) {
   EXPECT_TRUE(incremental.global_params().BitwiseEquals(
       one_shot.global_params()));
   EXPECT_EQ(incremental.trained_through(), 12);
-  EXPECT_EQ(incremental.log().records().size(),
-            one_shot.log().records().size());
+  ExpectLogsBitwiseEqual(incremental.log(), one_shot.log());
 }
+
+// Pausing at any offset of a round and resuming rebuilds the round's local
+// models from the stored history: the model, the log, the comm ledger and
+// the dropout retries all match an uninterrupted run, and the rebuild costs
+// exactly offset × |participants| local steps, none counted as training.
+struct PauseCase {
+  const char* name;
+  int64_t num_threads;
+  double dropout_rate;
+};
+
+class PauseAtEveryOffsetTest : public ::testing::TestWithParam<PauseCase> {};
+
+TEST_P(PauseAtEveryOffsetTest, ResumeEqualsOneShot) {
+  constexpr int64_t kE = 4;
+  FatsConfig config = TinyFatsConfig(6, 10, 3, kE);
+  config.num_threads = GetParam().num_threads;
+  config.dropout_rate = GetParam().dropout_rate;
+  config.availability_seed = 11;
+  FederatedDataset data_a = TinyImageData(6, 10);
+  FatsTrainer one_shot(TinyModelSpec(), config, &data_a);
+  one_shot.Train();
+  if (config.dropout_rate > 0.0) {
+    ASSERT_GT(one_shot.dropout_retries(), 0);
+  }
+  for (int64_t offset = 1; offset < kE; ++offset) {
+    SCOPED_TRACE(::testing::Message() << "pause offset " << offset);
+    FederatedDataset data_b = TinyImageData(6, 10);
+    FatsTrainer paused(TinyModelSpec(), config, &data_b);
+    paused.TrainUntil(kE + offset);  // round 2, `offset` iterations in
+    EXPECT_EQ(paused.prefix_steps(), 0);
+    paused.Train();
+    const std::vector<int64_t>* selection = paused.store().GetClientSelection(2);
+    ASSERT_NE(selection, nullptr);
+    const auto participants = static_cast<int64_t>(
+        std::set<int64_t>(selection->begin(), selection->end()).size());
+    EXPECT_EQ(paused.prefix_steps(), offset * participants);
+    EXPECT_TRUE(paused.global_params().BitwiseEquals(one_shot.global_params()));
+    ExpectLogsBitwiseEqual(paused.log(), one_shot.log());
+    const auto ledger = [](const CommCounters& c) {
+      return std::vector<int64_t>{c.rounds,          c.uplink_bytes,
+                                  c.downlink_bytes,  c.downlink_messages,
+                                  c.uplink_messages, c.retransmits,
+                                  c.retransmit_bytes};
+    };
+    EXPECT_EQ(ledger(paused.comm_stats().counters()),
+              ledger(one_shot.comm_stats().counters()));
+    EXPECT_EQ(paused.dropout_retries(), one_shot.dropout_retries());
+    EXPECT_EQ(paused.local_iterations_executed(),
+              one_shot.local_iterations_executed());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, PauseAtEveryOffsetTest,
+    ::testing::Values(PauseCase{"serial", 1, 0.0},
+                      PauseCase{"threads4", 4, 0.0},
+                      PauseCase{"dropout30", 1, 0.3}),
+    [](const ::testing::TestParamInfo<PauseCase>& param) {
+      return std::string(param.param.name);
+    });
 
 TEST(TrainUntilTest, TrainedThroughTracksProgress) {
   FederatedDataset data = TinyImageData(6, 10);

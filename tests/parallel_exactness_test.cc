@@ -74,12 +74,6 @@ void ExpectIdenticalState(FatsTrainer* serial, FatsTrainer* parallel) {
     EXPECT_EQ(*a.GetMinibatch(iter, client), *b.GetMinibatch(iter, client))
         << "minibatch at t=" << iter << " client=" << client;
   }
-  ASSERT_EQ(a.LocalModelKeys(), b.LocalModelKeys());
-  for (const auto& [iter, client] : a.LocalModelKeys()) {
-    EXPECT_TRUE(a.GetLocalModel(iter, client)
-                    ->BitwiseEquals(*b.GetLocalModel(iter, client)))
-        << "local model at t=" << iter << " client=" << client;
-  }
 
   const auto& log_a = serial->log().records();
   const auto& log_b = parallel->log().records();

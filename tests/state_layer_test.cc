@@ -56,7 +56,7 @@ TEST(HistoryLogTest, ReadsBackAcrossAllTiers) {
   options.resident_sealed_blocks = 1;
   options.decoded_cache_blocks = 2;
   options.spiller = &spiller;
-  state::IndexHistoryLog log(options);
+  state::HistoryLog log(options);
 
   const int64_t iters = 40;
   for (int64_t t = 1; t <= iters; ++t) {
@@ -90,7 +90,7 @@ TEST(HistoryLogTest, SubstitutionReopensColdBlocks) {
   options.max_open_blocks = 1;
   options.resident_sealed_blocks = 0;
   options.spiller = &spiller;
-  state::IndexHistoryLog log(options);
+  state::HistoryLog log(options);
 
   for (int64_t t = 1; t <= 20; ++t) log.Save(t, 0, ListFor(t, 0));
   ASSERT_GE(log.num_spilled_blocks(), 1);
@@ -115,7 +115,7 @@ TEST(HistoryLogTest, TruncateFromVisitsAndReleasesSpill) {
   options.max_open_blocks = 1;
   options.resident_sealed_blocks = 0;
   options.spiller = &spiller;
-  state::IndexHistoryLog log(options);
+  state::HistoryLog log(options);
 
   for (int64_t t = 1; t <= 32; ++t) log.Save(t, 0, ListFor(t, 0));
   const int64_t spilled_before = spiller.live_blocks();
@@ -142,42 +142,12 @@ TEST(HistoryLogTest, TruncateFromVisitsAndReleasesSpill) {
   EXPECT_EQ(*log.Get(32, 0), (std::vector<int64_t>{32}));
 }
 
-TEST(HistoryLogTest, TensorPayloadsSurviveTiering) {
-  const std::string dir = FreshDir("histlog_tensor");
-  state::SegmentSpiller spiller({dir, 512});
-  ASSERT_TRUE(spiller.Open().ok());
-  state::HistoryLogOptions options;
-  options.block_span = 2;
-  options.max_open_blocks = 1;
-  options.resident_sealed_blocks = 1;
-  options.spiller = &spiller;
-  state::TensorHistoryLog log(options);
-
-  StreamId id;
-  id.purpose = RngPurpose::kPartition;
-  RngStream rng(5, id);
-  std::vector<Tensor> originals;
-  for (int64_t t = 1; t <= 12; ++t) {
-    std::vector<float> values(7);
-    for (float& v : values) v = static_cast<float>(rng.NextGaussian());
-    originals.push_back(Tensor({7}, values));
-    log.Save(t, 3, originals.back());
-  }
-  ASSERT_GE(log.num_spilled_blocks(), 1);
-  for (int64_t t = 1; t <= 12; ++t) {
-    const Tensor* got = log.Get(t, 3);
-    ASSERT_NE(got, nullptr);
-    EXPECT_TRUE(got->BitwiseEquals(originals[static_cast<size_t>(t - 1)]))
-        << "tensor at t=" << t << " not bitwise-preserved";
-  }
-}
-
 TEST(HistoryLogTest, WorksWithoutSpillerCompressedOnly) {
   state::HistoryLogOptions options;
   options.block_span = 4;
   options.max_open_blocks = 1;
   options.resident_sealed_blocks = 0;  // no spiller: blobs stay resident
-  state::IndexHistoryLog log(options);
+  state::HistoryLog log(options);
   for (int64_t t = 1; t <= 20; ++t) log.Save(t, 0, ListFor(t, 0));
   EXPECT_EQ(log.num_spilled_blocks(), 0);
   EXPECT_GE(log.num_sealed_blocks(), 3);
@@ -313,7 +283,6 @@ TEST(StateStorePropertyTest, IndicesConsistentAcrossTierLifecycle) {
           batch.push_back(static_cast<int64_t>(rng.UniformInt(10)));
         }
         store.SaveMinibatch(t, client, batch);
-        store.SaveLocalModel(t, client, Tensor({3}, {1.0f, 2.0f, 3.0f}));
       }
     }
     store.SaveGlobalModel(r, Tensor({3}, {0.5f, 0.5f, 0.5f}));
@@ -384,8 +353,6 @@ TEST(StateStoreSpillTest, TruncateAndRetrainReusesSegmentFiles) {
           const int64_t t = (r - 1) * e + i;
           store.SaveMinibatch(t, 0, {t % 5, t % 5 + 1});
           store.SaveMinibatch(t, 1, {t % 7});
-          store.SaveLocalModel(t, 0, Tensor({2}, {1.0f, 2.0f}));
-          store.SaveLocalModel(t, 1, Tensor({2}, {3.0f, 4.0f}));
         }
         store.SaveGlobalModel(r, Tensor({2}, {0.1f, 0.2f}));
       }

@@ -33,13 +33,6 @@ TEST(StateStoreTest, MinibatchRoundTrip) {
   EXPECT_EQ(store.GetMinibatch(6, 2), nullptr);
 }
 
-TEST(StateStoreTest, LocalModelRoundTrip) {
-  StateStore store;
-  store.SaveLocalModel(4, 1, Tensor({1}, {9}));
-  ASSERT_NE(store.GetLocalModel(4, 1), nullptr);
-  EXPECT_FLOAT_EQ((*store.GetLocalModel(4, 1))[0], 9.0f);
-}
-
 TEST(StateStoreTest, EarliestSampleUseTracksMinimum) {
   StateStore store;
   EXPECT_EQ(store.EarliestSampleUse({1, 0}), -1);
@@ -69,11 +62,9 @@ TEST(StateStoreTest, TruncateRemovesSuffixRecords) {
   store.SaveClientSelection(1, {0});
   store.SaveMinibatch(1, 0, {5});
   store.SaveMinibatch(3, 0, {6});
-  store.SaveLocalModel(3, 0, Tensor({1}, {1}));
   store.SaveGlobalModel(1, Tensor({1}, {1}));
   store.SaveClientSelection(2, {1});
   store.SaveMinibatch(4, 1, {7});
-  store.SaveLocalModel(4, 1, Tensor({1}, {2}));
   store.SaveGlobalModel(2, Tensor({1}, {2}));
 
   // Truncate from iteration 4 (round 2 start): round 2 records vanish,
@@ -86,7 +77,6 @@ TEST(StateStoreTest, TruncateRemovesSuffixRecords) {
   EXPECT_EQ(store.GetClientSelection(2), nullptr);
   EXPECT_NE(store.GetMinibatch(3, 0), nullptr);
   EXPECT_EQ(store.GetMinibatch(4, 1), nullptr);
-  EXPECT_EQ(store.GetLocalModel(4, 1), nullptr);
 }
 
 TEST(StateStoreTest, TruncateMidRoundKeepsSelectionDropsRoundModel) {
@@ -234,10 +224,8 @@ TEST(StateStoreTest, RecordCounters) {
   StateStore store;
   store.SaveMinibatch(1, 0, {1});
   store.SaveMinibatch(2, 0, {1});
-  store.SaveLocalModel(1, 0, Tensor({1}));
   store.SaveClientSelection(1, {0});
   EXPECT_EQ(store.num_minibatch_records(), 2);
-  EXPECT_EQ(store.num_local_model_records(), 1);
   EXPECT_EQ(store.num_rounds_recorded(), 1);
 }
 

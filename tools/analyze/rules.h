@@ -46,8 +46,8 @@
 //   layer-cycle        a module-level include cycle among src/ modules.
 //   store-mutation-bypass
 //                      a StateStore mutator (SaveMinibatch, SaveClient-
-//                      Selection, SaveLocalModel, SaveGlobalModel,
-//                      TruncateFromIteration, Clear) called on the trainer's
+//                      Selection, SaveGlobalModel, TruncateFromIteration,
+//                      Clear) called on the trainer's
 //                      store from src/core outside fats_trainer itself: the
 //                      mutation skips the durable event sink and must go
 //                      through the trainer's wrapper API instead.

@@ -51,8 +51,8 @@ namespace {
 // indices and the durable history).
 const std::set<std::string_view>& StoreMutators() {
   static const auto* kSet = new std::set<std::string_view>{
-      "SaveMinibatch",    "SaveClientSelection", "SaveLocalModel",
-      "SaveGlobalModel",  "TruncateFromIteration", "Clear"};
+      "SaveMinibatch", "SaveClientSelection", "SaveGlobalModel",
+      "TruncateFromIteration", "Clear"};
   return *kSet;
 }
 

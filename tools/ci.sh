@@ -109,6 +109,23 @@ if [[ "$PRESET" == "release" ]]; then
   # relies on the trainer's per-pass event order, and every run must
   # reproduce its recorded work ledger.
   python3 e2ebench/smoke.py
+  # Timing-independent tier: each workload's --tiny work digest at seed 7
+  # pins its sampling history, journal bytes and final parameters, with no
+  # timing gate. A change that moves one on purpose re-pins it here.
+  for pin in train_cnn:f443f50a million_clients:b4b87b15 \
+             unlearn_stream:b3f03844; do
+    workload="${pin%%:*}"
+    want="${pin#*:}"
+    out="$(python3 e2ebench/run.py --workload "$workload" --seed 7 \
+             --seconds 1 --tiny)"
+    got="$(sed -n 's/^work digest: \([0-9a-f]*\).*/\1/p' <<< "$out")"
+    if [[ "$got" != "$want" ]]; then
+      echo "work digest of $workload at --tiny --seed 7: got '$got'," \
+           "pinned $want"
+      exit 1
+    fi
+    echo "work digest of $workload: $got (pinned)"
+  done
 else
   echo "bench gate: skipped (preset $PRESET; benches run on release only)"
 fi

@@ -115,11 +115,8 @@ void PrintStatusLine(FatsTrainer* trainer) {
   std::printf("  accuracy : %.4f\n", trainer->EvaluateTestAccuracy());
   std::printf("  comm     : %s\n",
               trainer->comm_stats().ToString().c_str());
-  std::printf("  store    : %lld minibatch records, %lld local models, "
-              "%lld bytes\n",
+  std::printf("  store    : %lld minibatch records, %lld bytes\n",
               static_cast<long long>(trainer->store().num_minibatch_records()),
-              static_cast<long long>(
-                  trainer->store().num_local_model_records()),
               static_cast<long long>(trainer->store().ApproxBytes()));
 }
 
