@@ -1,13 +1,16 @@
 // Tests for the fats_analyze engine (tools/analyze/): lexer and code-model
-// unit tests, include-graph layering, report emission, and one golden
-// fixture triple per analyzer rule — firing, clean, and suppressed — so
-// every rule's positive and negative space is pinned.  The end-to-end
-// "tree is clean" check is the fats_analyze ctest registered in
-// tools/CMakeLists.txt, which runs the real binary over the repository.
+// unit tests, include-graph layering, report emission, golden fixtures per
+// rule — firing, clean, and suppressed — so every rule's positive and
+// negative space is pinned, and a check that DESIGN.md's rule catalog lists
+// exactly the rules the analyzer emits.  The token-rule fixtures keep the
+// FatsLint* suite names they were written under.  The end-to-end "tree is
+// clean" check is the fats_analyze ctest registered in tools/CMakeLists.txt,
+// which runs the real binary over the repository.
 
 #include "analyze/analyzer.h"
 
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,7 +26,7 @@ namespace {
 
 std::vector<std::string> ActiveRules(const AnalysisResult& result) {
   std::vector<std::string> rules;
-  for (const lint::Finding& f : result.findings) {
+  for (const Finding& f : result.findings) {
     if (!f.suppressed) rules.push_back(f.rule);
   }
   std::sort(rules.begin(), rules.end());
@@ -36,7 +39,7 @@ AnalysisResult AnalyzeOne(const std::string& path, const std::string& content) {
 
 bool HasRule(const AnalysisResult& result, const std::string& rule,
              bool suppressed = false) {
-  for (const lint::Finding& f : result.findings) {
+  for (const Finding& f : result.findings) {
     if (f.rule == rule && f.suppressed == suppressed) return true;
   }
   return false;
@@ -132,6 +135,15 @@ TEST(AnalyzeCodeModel, FindsLambdaParams) {
 TEST(AnalyzeCodeModel, SubscriptIsNotALambda) {
   const std::vector<Token> toks = Lex("int x = arr[i]; int y = m[k];");
   EXPECT_TRUE(FindLambdas(toks, 0, toks.size()).empty());
+}
+
+TEST(AnalyzeCodeModel, ShortFileTokensSurviveModelMove) {
+  // Under 16 bytes a std::string keeps its characters inline; the tokens
+  // must still view live text after AnalyzeFiles moves the model.
+  const AnalysisResult r = AnalyzeOne("src/core/a.cc", "srand(1);\n");
+  ASSERT_EQ(r.findings.size(), 1u);
+  EXPECT_EQ(r.findings[0].rule, kRuleBannedRand);
+  EXPECT_EQ(r.findings[0].line, 1);
 }
 
 // --- Include graph / layering ---
@@ -316,8 +328,8 @@ TEST(AnalyzeSamplingKeyOwner, SuppressionDowngrades) {
 }
 
 // --- Rule fixtures: rng-unordered-draw ---
-// (src/data paths: the legacy unordered-iteration rule is scoped to
-// core/fl/baselines, so only the analyzer rule is in play here.)
+// (src/data paths: the unordered-iteration rule is scoped to
+// core/fl/baselines, so only rng-unordered-draw is in play here.)
 
 TEST(AnalyzeRngUnorderedDraw, DrawInsideUnorderedLoopFires) {
   const AnalysisResult r = AnalyzeOne(
@@ -975,18 +987,34 @@ TEST(AnalyzeSarif, ShapeAndSuppression) {
 }
 
 TEST(AnalyzeRules, AllRulesSupersetOfLegacy) {
-  const std::vector<std::string> all = AllAnalyzeRules();
-  for (const std::string& legacy : lint::AllRules()) {
-    EXPECT_NE(std::find(all.begin(), all.end(), legacy), all.end())
-        << legacy;
+  // One catalog, each ID once, in --list-rules order: the nine token rules
+  // first shipped by the fats_lint scanner, then the contract rules.
+  const std::vector<std::string> expected = {
+      "banned-rand", "banned-random-device", "default-engine", "time-seed",
+      "random-include", "unordered-iteration", "raw-thread", "raw-io",
+      "hot-alloc", "rng-raw-key", "rng-shared-stream", "rng-unordered-draw",
+      "sampling-key-owner", "nondet-reduction", "failpoint-gap",
+      "discarded-status", "layer-order", "layer-cycle",
+      "store-mutation-bypass", "unlearn-owner", "eval-on-read", "raw-wire",
+      "tile-overlap", "resident-history"};
+  EXPECT_EQ(AllAnalyzeRules(), expected);
+}
+
+TEST(AnalyzeRules, DesignCatalogMatchesAllRules) {
+  // The DESIGN.md §7.4 rule table must list exactly the emitted rule IDs,
+  // in catalog order: the first backticked word of every table row.
+  std::ifstream design(std::string(FATS_SOURCE_DIR) + "/DESIGN.md");
+  ASSERT_TRUE(design) << "cannot read DESIGN.md under " << FATS_SOURCE_DIR;
+  std::vector<std::string> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(design, line);) {
+    if (line.rfind("##", 0) == 0) {
+      in_section = line.rfind("### 7.4 ", 0) == 0;
+    } else if (in_section && line.rfind("| `", 0) == 0) {
+      documented.push_back(line.substr(3, line.find('`', 3) - 3));
+    }
   }
-  for (const char* rule :
-       {kRuleRngRawKey, kRuleRngSharedStream, kRuleRngUnorderedDraw,
-        kRuleNondetReduction, kRuleFailpointGap, kRuleDiscardedStatus,
-        kRuleLayerOrder, kRuleLayerCycle, kRuleEvalOnRead, kRuleTileOverlap,
-        kRuleResidentHistory}) {
-    EXPECT_NE(std::find(all.begin(), all.end(), rule), all.end()) << rule;
-  }
+  EXPECT_EQ(documented, AllAnalyzeRules());
 }
 
 TEST(AnalyzeResult, FindingsAreSorted) {
@@ -994,10 +1022,568 @@ TEST(AnalyzeResult, FindingsAreSorted) {
       {{"src/fl/z.cc", "RngStream s(12345);\nRngStream t(9);\n"},
        {"src/fl/a.cc", "RngStream u(7);\n"}});
   for (size_t i = 1; i < r.findings.size(); ++i) {
-    const lint::Finding& prev = r.findings[i - 1];
-    const lint::Finding& cur = r.findings[i];
+    const Finding& prev = r.findings[i - 1];
+    const Finding& cur = r.findings[i];
     EXPECT_LE(std::tie(prev.file, prev.line), std::tie(cur.file, cur.line));
   }
+}
+
+// --- Token rules (FatsLint* suites) ---
+// The nine rules first shipped by the fats_lint token scanner, with the
+// fixtures written for it.  ScanSource reproduces that scanner's view: the
+// findings of these nine rules in one file, sorted by (line, rule).
+
+const std::vector<std::string>& TokenRules() {
+  static const auto* kRules = new std::vector<std::string>{
+      kRuleBannedRand,    kRuleBannedRandomDevice, kRuleDefaultEngine,
+      kRuleTimeSeed,      kRuleRandomInclude,      kRuleUnorderedIteration,
+      kRuleRawThread,     kRuleRawIo,              kRuleHotAlloc};
+  return *kRules;
+}
+
+// Analyzes `content` at `path`; a non-empty `sibling_header` is added to the
+// file set as the .cc's sibling .h.
+std::vector<Finding> ScanSource(const std::string& path,
+                                const std::string& content,
+                                const std::string& sibling_header = "") {
+  std::vector<SourceFile> files = {{path, content}};
+  if (!sibling_header.empty()) {
+    files.push_back({path.substr(0, path.rfind('.')) + ".h", sibling_header});
+  }
+  std::vector<Finding> findings;
+  for (Finding& f : AnalyzeFiles(files).findings) {
+    if (f.file == path && std::count(TokenRules().begin(),
+                                     TokenRules().end(), f.rule) > 0) {
+      findings.push_back(std::move(f));
+    }
+  }
+  return findings;
+}
+
+std::vector<std::string> ActiveRules(const std::vector<Finding>& findings) {
+  std::vector<std::string> rules;
+  for (const Finding& f : findings) {
+    if (!f.suppressed) rules.push_back(f.rule);
+  }
+  std::sort(rules.begin(), rules.end());
+  return rules;
+}
+
+TEST(FatsLintClassify, RngDirIsExemptFromRngRules) {
+  const FileClass rng = ClassifyPath("src/rng/philox.cc");
+  EXPECT_FALSE(rng.rng_rules);
+  EXPECT_FALSE(rng.ordered_rules);
+
+  const FileClass core = ClassifyPath("src/core/fats_trainer.cc");
+  EXPECT_TRUE(core.rng_rules);
+  EXPECT_TRUE(core.ordered_rules);
+
+  const FileClass fl = ClassifyPath("src/fl/server.cc");
+  EXPECT_TRUE(fl.ordered_rules);
+  const FileClass baselines = ClassifyPath("src/baselines/frs.cc");
+  EXPECT_TRUE(baselines.ordered_rules);
+
+  const FileClass nn = ClassifyPath("src/nn/linear.cc");
+  EXPECT_TRUE(nn.rng_rules);
+  EXPECT_FALSE(nn.ordered_rules);
+  EXPECT_TRUE(nn.hot_rules);
+  EXPECT_FALSE(core.hot_rules);
+  EXPECT_TRUE(ClassifyPath("/home/u/repo/src/nn/lstm.cc").hot_rules);
+
+  // Absolute paths classify the same way.
+  EXPECT_FALSE(ClassifyPath("/home/u/repo/src/rng/sampling.cc").rng_rules);
+  EXPECT_TRUE(ClassifyPath("/home/u/repo/src/core/x.cc").ordered_rules);
+}
+
+TEST(FatsLintClassify, LintableExtensions) {
+  EXPECT_TRUE(ShouldLintFile("src/core/a.cc"));
+  EXPECT_TRUE(ShouldLintFile("examples/quickstart.cpp"));
+  EXPECT_TRUE(ShouldLintFile("src/nn/module.h"));
+  EXPECT_FALSE(ShouldLintFile("CMakeLists.txt"));
+  EXPECT_FALSE(ShouldLintFile("tools/ci.sh"));
+}
+
+TEST(FatsLintRng, RawStdRandFires) {
+  const std::vector<Finding> f = ScanSource(
+      "src/nn/init.cc", "int x = std::rand() % 7;\n");
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleBannedRand});
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[0].file, "src/nn/init.cc");
+}
+
+TEST(FatsLintRng, BareRandAndSrandFire) {
+  const std::vector<Finding> f = ScanSource(
+      "bench/bench_x.cc",
+      "void f() {\n  srand(42);\n  int x = rand();\n}\n");
+  const std::vector<std::string> expected = {kRuleBannedRand, kRuleBannedRand};
+  EXPECT_EQ(ActiveRules(f), expected);
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_EQ(f[1].line, 3);
+}
+
+TEST(FatsLintRng, RandomDeviceFires) {
+  const std::vector<Finding> f = ScanSource(
+      "src/data/partition.cc", "std::random_device rd;\n");
+  EXPECT_EQ(ActiveRules(f),
+            std::vector<std::string>{kRuleBannedRandomDevice});
+}
+
+TEST(FatsLintRng, DefaultConstructedEngineFires) {
+  EXPECT_EQ(ActiveRules(ScanSource("src/fl/client.cc",
+                                   "std::mt19937 gen;\n")),
+            std::vector<std::string>{kRuleDefaultEngine});
+  EXPECT_EQ(ActiveRules(ScanSource("tools/foo.cc",
+                                   "std::default_random_engine eng{};\n")),
+            std::vector<std::string>{kRuleDefaultEngine});
+  // A seeded engine is not the default-engine pattern (the include ban
+  // covers it instead).
+  EXPECT_TRUE(ActiveRules(ScanSource("src/fl/client.cc",
+                                     "std::mt19937 gen(seed);\n"))
+                  .empty());
+}
+
+TEST(FatsLintRng, RandomIncludeFiresOutsideRngOnly) {
+  const char kSnippet[] = "#include <random>\n";
+  EXPECT_EQ(ActiveRules(ScanSource("src/metrics/evaluation.cc", kSnippet)),
+            std::vector<std::string>{kRuleRandomInclude});
+  EXPECT_TRUE(ActiveRules(ScanSource("src/rng/rng_stream.h", kSnippet))
+                  .empty());
+}
+
+TEST(FatsLintRng, TimeSeedFires) {
+  const std::vector<Finding> f = ScanSource(
+      "examples/demo.cpp", "engine.seed(std::time(nullptr));\n");
+  EXPECT_EQ(ActiveRules(f), std::vector<std::string>{kRuleTimeSeed});
+  // Wall-clock reads without a seeding context (e.g. the stopwatch) pass.
+  EXPECT_TRUE(
+      ActiveRules(ScanSource("src/util/stopwatch.cc",
+                             "auto t = steady_clock::now();\n"))
+          .empty());
+}
+
+TEST(FatsLintRng, LiteralsAndCommentsDoNotFire) {
+  const std::vector<Finding> f = ScanSource(
+      "src/util/logging.cc",
+      "// std::rand() would be bad here\n"
+      "const char* msg = \"never call std::rand()\";\n"
+      "const char* re = R\"(\\bstd::random_device\\b)\";\n");
+  EXPECT_TRUE(ActiveRules(f).empty());
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(FatsLintUnordered, RangeForOverMemberFires) {
+  const char kSnippet[] =
+      "#include <unordered_map>\n"
+      "struct S {\n"
+      "  std::unordered_map<int, float> weights_;\n"
+      "  float Sum() const {\n"
+      "    float s = 0;\n"
+      "    for (const auto& [k, v] : weights_) s += v;\n"
+      "    return s;\n"
+      "  }\n"
+      "};\n";
+  const std::vector<Finding> f = ScanSource("src/core/foo.h", kSnippet);
+  ASSERT_EQ(ActiveRules(f),
+            std::vector<std::string>{kRuleUnorderedIteration});
+  EXPECT_EQ(f[0].line, 6);
+
+  // The same code outside the ordered-discipline trees is fine.
+  EXPECT_TRUE(ActiveRules(ScanSource("src/data/foo.h", kSnippet)).empty());
+}
+
+TEST(FatsLintUnordered, ExplicitIteratorLoopFires) {
+  const char kSnippet[] =
+      "std::unordered_set<int> live_;\n"
+      "void f() {\n"
+      "  for (auto it = live_.begin(); it != live_.end(); ++it) {}\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/baselines/frs.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f),
+            std::vector<std::string>{kRuleUnorderedIteration});
+  EXPECT_EQ(f[0].line, 3);
+}
+
+TEST(FatsLintUnordered, SiblingHeaderDeclsAreVisible) {
+  const char kHeader[] =
+      "struct Store {\n"
+      "  std::unordered_map<long,\n"
+      "      std::vector<long>> records_;\n"
+      "};\n";
+  const char kSource[] =
+      "void Store::Dump() {\n"
+      "  for (const auto& [k, v] : records_) {}\n"
+      "}\n";
+  const std::vector<Finding> f =
+      ScanSource("src/fl/store.cc", kSource, kHeader);
+  ASSERT_EQ(ActiveRules(f),
+            std::vector<std::string>{kRuleUnorderedIteration});
+  EXPECT_EQ(f[0].line, 2);
+  // Without the header context the member is unknown.
+  EXPECT_TRUE(ActiveRules(ScanSource("src/fl/store.cc", kSource)).empty());
+}
+
+TEST(FatsLintUnordered, LookupsDoNotFire) {
+  const char kSnippet[] =
+      "std::unordered_map<int, int> idx_;\n"
+      "int f(int k) {\n"
+      "  auto it = idx_.find(k);\n"
+      "  return it == idx_.end() ? -1 : it->second;\n"
+      "}\n";
+  // find() and the .end() sentinel compare are order-independent and must
+  // not fire; only traversal (range-for or begin()) counts as iteration.
+  EXPECT_TRUE(ScanSource("src/core/idx.cc", kSnippet).empty());
+}
+
+TEST(FatsLintThread, RawThreadFiresOutsidePool) {
+  EXPECT_EQ(ActiveRules(ScanSource("src/core/fats_trainer.cc",
+                                   "std::thread t([] {});\n")),
+            std::vector<std::string>{kRuleRawThread});
+  EXPECT_EQ(ActiveRules(ScanSource("src/fl/server.cc",
+                                   "auto f = std::async([] {});\n")),
+            std::vector<std::string>{kRuleRawThread});
+  EXPECT_EQ(ActiveRules(ScanSource("bench/bench_x.cc",
+                                   "std::jthread t([] {});\n")),
+            std::vector<std::string>{kRuleRawThread});
+  // std::this_thread is not thread creation.
+  EXPECT_TRUE(ActiveRules(ScanSource("src/util/stopwatch.cc",
+                                     "std::this_thread::yield();\n"))
+                  .empty());
+}
+
+TEST(FatsLintThread, PoolModuleIsExempt) {
+  EXPECT_FALSE(ClassifyPath("src/util/thread_pool.h").thread_rules);
+  EXPECT_FALSE(ClassifyPath("src/util/thread_pool.cc").thread_rules);
+  EXPECT_FALSE(
+      ClassifyPath("/home/u/repo/src/util/thread_pool.cc").thread_rules);
+  EXPECT_TRUE(ClassifyPath("src/util/stopwatch.cc").thread_rules);
+  EXPECT_TRUE(ActiveRules(ScanSource("src/util/thread_pool.h",
+                                     "std::vector<std::thread> workers_;\n"))
+                  .empty());
+}
+
+TEST(FatsLintThread, SuppressionDowngrades) {
+  const std::vector<Finding> f = ScanSource(
+      "src/core/a.cc",
+      "std::thread t;  // fats-lint: allow(raw-thread)\n");
+  ASSERT_EQ(static_cast<int>(f.size()), 1);
+  EXPECT_TRUE(f[0].suppressed);
+  EXPECT_EQ(ActiveCount(f), 0);
+}
+
+TEST(FatsLintRawIo, ClassifierScopesTheRule) {
+  EXPECT_TRUE(ClassifyPath("src/core/fats_trainer.cc").io_rules);
+  EXPECT_TRUE(ClassifyPath("src/fl/train_log.cc").io_rules);
+  EXPECT_TRUE(ClassifyPath("src/io/checkpoint.cc").io_rules);
+  EXPECT_TRUE(ClassifyPath("src/io/train_journal.cc").io_rules);
+  // The journal module is the sanctioned raw-file writer.
+  EXPECT_FALSE(ClassifyPath("src/io/journal.cc").io_rules);
+  EXPECT_FALSE(ClassifyPath("src/io/journal.h").io_rules);
+  // Outside the durable-state trees the rule does not apply.
+  EXPECT_FALSE(ClassifyPath("src/util/csv_writer.cc").io_rules);
+  EXPECT_FALSE(ClassifyPath("src/nn/linear.cc").io_rules);
+  EXPECT_FALSE(ClassifyPath("bench/bench_micro_kernels.cc").io_rules);
+}
+
+TEST(FatsLintRawIo, OfstreamAndStdioWritesFire) {
+  EXPECT_EQ(ActiveRules(ScanSource(
+                "src/io/snapshot.cc",
+                "void f() { std::ofstream out(p, std::ios::binary); }\n")),
+            std::vector<std::string>{kRuleRawIo});
+  EXPECT_EQ(ActiveRules(ScanSource("src/core/dump.cc",
+                                   "FILE* f = fopen(path, qq);\n")),
+            std::vector<std::string>{kRuleRawIo});
+  EXPECT_EQ(ActiveRules(ScanSource("src/fl/spill.cc",
+                                   "std::fwrite(buf, 1, n, f);\n")),
+            std::vector<std::string>{kRuleRawIo});
+}
+
+TEST(FatsLintRawIo, JournalModuleDoesNotFire) {
+  EXPECT_TRUE(
+      ActiveRules(ScanSource("src/io/journal.cc",
+                             "std::FILE* f = std::fopen(p, qq);\n"
+                             "std::fwrite(buf, 1, n, f);\n"))
+          .empty());
+}
+
+TEST(FatsLintRawIo, OutsideDurableTreesDoesNotFire) {
+  EXPECT_TRUE(ActiveRules(ScanSource("src/util/csv_writer.cc",
+                                     "std::ofstream file_(path);\n"))
+                  .empty());
+}
+
+TEST(FatsLintRawIo, LiteralsAndCommentsDoNotFire) {
+  EXPECT_TRUE(
+      ActiveRules(ScanSource("src/io/doc.cc",
+                             "// never call fopen here\n"
+                             "const char* s = \"std::ofstream out;\";\n"))
+          .empty());
+}
+
+TEST(FatsLintRawIo, SuppressionDowngrades) {
+  const std::vector<Finding> findings = ScanSource(
+      "src/io/probe.cc",
+      "// Read-only probe.  fats-lint: allow(raw-io)\n"
+      "std::FILE* f = std::fopen(p, qq);\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, kRuleRawIo);
+  EXPECT_TRUE(findings[0].suppressed);
+  EXPECT_EQ(ActiveCount(findings), 0);
+}
+
+TEST(FatsLintHotAlloc, TensorTemporaryInForwardFires) {
+  const char kSnippet[] =
+      "const Tensor& Linear::Forward(const Tensor& input, Workspace* ws) {\n"
+      "  Tensor out({input.dim(0), out_features_});\n"
+      "  return out;\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/linear.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleHotAlloc});
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_NE(f[0].message.find("'out'"), std::string::npos);
+
+  // The identical body outside src/nn/ is not a hot path.
+  EXPECT_TRUE(ActiveRules(ScanSource("src/core/foo.cc", kSnippet)).empty());
+}
+
+TEST(FatsLintHotAlloc, WorkspaceBindingsDoNotFire) {
+  const char kSnippet[] =
+      "const Tensor& Linear::Forward(const Tensor& input, Workspace* ws) {\n"
+      "  Tensor& out = ws->Peek(this, kOut);\n"
+      "  const Tensor& col = ws->Peek(this, kCol);\n"
+      "  const Tensor* cached = &input;\n"
+      "  return out;\n"
+      "}\n";
+  EXPECT_TRUE(ActiveRules(ScanSource("src/nn/linear.cc", kSnippet)).empty());
+}
+
+TEST(FatsLintHotAlloc, TripleLoopMatmulFires) {
+  const char kSnippet[] =
+      "const Tensor& Foo::Backward(const Tensor& g, Workspace* ws) {\n"
+      "  for (int64_t i = 0; i < m; ++i) {\n"
+      "    for (int64_t kk = 0; kk < k; ++kk) {\n"
+      "      const float aik = a[i * k + kk];\n"
+      "      for (int64_t j = 0; j < n; ++j) c[i * n + j] += aik * b[kk * n + j];\n"
+      "    }\n"
+      "  }\n"
+      "  return ws->Peek(this, 0);\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/foo.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleHotAlloc});
+  EXPECT_EQ(f[0].line, 5);
+  EXPECT_NE(f[0].message.find("triple-nested"), std::string::npos);
+}
+
+TEST(FatsLintHotAlloc, NonMacTripleLoopDoesNotFire) {
+  // Elementwise work at depth 3 (e.g. the LSTM gate loop, conv bias add) is
+  // legitimate: only += with a multiply on one statement looks like matmul.
+  const char kSnippet[] =
+      "const Tensor& Foo::Forward(const Tensor& x, Workspace* ws) {\n"
+      "  for (int64_t t = 0; t < seq; ++t) {\n"
+      "    for (int64_t n = 0; n < batch; ++n) {\n"
+      "      for (int64_t j = 0; j < h; ++j) dst[j] += src[j];\n"
+      "    }\n"
+      "  }\n"
+      "  return ws->Peek(this, 0);\n"
+      "}\n";
+  EXPECT_TRUE(ActiveRules(ScanSource("src/nn/foo.cc", kSnippet)).empty());
+}
+
+TEST(FatsLintHotAlloc, DirectReferencePathsAreExempt) {
+  // ForwardDirect/BackwardDirect are the retained direct-conv reference
+  // implementations; Tensor returns and MAC loops are their whole point.
+  const char kSnippet[] =
+      "Tensor Conv2d::ForwardDirect(const Tensor& input) const {\n"
+      "  Tensor out({input.dim(0), out_features_});\n"
+      "  for (int64_t i = 0; i < m; ++i)\n"
+      "    for (int64_t kk = 0; kk < k; ++kk)\n"
+      "      for (int64_t j = 0; j < n; ++j) c[i * n + j] += a[i] * b[j];\n"
+      "  return out;\n"
+      "}\n";
+  EXPECT_TRUE(ActiveRules(ScanSource("src/nn/conv2d.cc", kSnippet)).empty());
+}
+
+TEST(FatsLintHotAlloc, CallsAndDeclarationsDoNotFire) {
+  const char kSnippet[] =
+      "const Tensor& Forward(const Tensor& input, Workspace* ws) override;\n"
+      "void Step() {\n"
+      "  Tensor y = layer.Forward(x, &ws);\n"
+      "  const Tensor& gx = layer.Backward(g, &ws);\n"
+      "}\n";
+  // The Tensor temporary lives in Step(), not in a Forward/Backward body;
+  // the Forward declaration has no body and the calls are not definitions.
+  EXPECT_TRUE(ActiveRules(ScanSource("src/nn/foo.h", kSnippet)).empty());
+}
+
+TEST(FatsLintHotAlloc, SuppressionDowngrades) {
+  const char kSnippet[] =
+      "const Tensor& Foo::Forward(const Tensor& x, Workspace* ws) {\n"
+      "  // fats-lint: allow(hot-alloc)\n"
+      "  Tensor scratch({4, 4});\n"
+      "  return ws->Peek(this, 0);\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/foo.cc", kSnippet);
+  ASSERT_EQ(static_cast<int>(f.size()), 1);
+  EXPECT_TRUE(f[0].suppressed);
+  EXPECT_EQ(ActiveCount(f), 0);
+}
+
+TEST(FatsLintSuppression, SameLineAndPreviousLine) {
+  const std::vector<Finding> same_line = ScanSource(
+      "src/core/a.cc",
+      "int x = std::rand();  // fats-lint: allow(banned-rand)\n");
+  ASSERT_EQ(static_cast<int>(same_line.size()), 1);
+  EXPECT_TRUE(same_line[0].suppressed);
+  EXPECT_EQ(ActiveCount(same_line), 0);
+
+  const std::vector<Finding> prev_line = ScanSource(
+      "src/core/a.cc",
+      "// fats-lint: allow(banned-rand)\n"
+      "int x = std::rand();\n");
+  ASSERT_EQ(static_cast<int>(prev_line.size()), 1);
+  EXPECT_TRUE(prev_line[0].suppressed);
+}
+
+TEST(FatsLintSuppression, WrongRuleDoesNotSuppress) {
+  const std::vector<Finding> f = ScanSource(
+      "src/core/a.cc",
+      "int x = std::rand();  // fats-lint: allow(time-seed)\n");
+  ASSERT_EQ(static_cast<int>(f.size()), 1);
+  EXPECT_FALSE(f[0].suppressed);
+  EXPECT_EQ(ActiveCount(f), 1);
+}
+
+TEST(FatsLintSuppression, ListAndAll) {
+  const std::vector<Finding> list = ScanSource(
+      "src/core/a.cc",
+      "std::random_device rd;  // fats-lint: allow(banned-random-device, "
+      "banned-rand)\n");
+  ASSERT_EQ(static_cast<int>(list.size()), 1);
+  EXPECT_TRUE(list[0].suppressed);
+
+  const std::vector<Finding> all = ScanSource(
+      "src/core/a.cc", "int x = std::rand();  // fats-lint: allow(all)\n");
+  ASSERT_EQ(static_cast<int>(all.size()), 1);
+  EXPECT_TRUE(all[0].suppressed);
+}
+
+TEST(FatsLintReport, JsonShape) {
+  const std::vector<Finding> f = ScanSource(
+      "src/core/a.cc",
+      "int x = std::rand();\n"
+      "int y = std::rand();  // fats-lint: allow(banned-rand)\n");
+  ASSERT_EQ(static_cast<int>(f.size()), 2);
+  const std::string json = ToJson(f);
+  EXPECT_NE(json.find("\"rule\": \"banned-rand\""), std::string::npos);
+  EXPECT_NE(json.find("\"line\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"suppressed\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"suppressed\": false"), std::string::npos);
+  EXPECT_EQ(ToJson({}), "[]\n");
+}
+
+TEST(FatsLintReport, AllRulesListed) {
+  const std::vector<std::string> rules = AllAnalyzeRules();
+  for (const std::string& rule : TokenRules()) {
+    EXPECT_EQ(std::count(rules.begin(), rules.end(), rule), 1) << rule;
+  }
+}
+
+// --- SuppressionMap edge cases (the comment grammar, not the rules) ---
+
+TEST(FatsLintSuppressionMap, MultiRuleListOnOneLine) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "int x;  // fats-lint: allow(banned-rand,raw-thread)\n");
+  EXPECT_TRUE(map.Allows(1, "banned-rand"));
+  EXPECT_TRUE(map.Allows(1, "raw-thread"));
+  EXPECT_FALSE(map.Allows(1, "raw-io"));
+  // The directive also covers the next line (annotation-above form).
+  EXPECT_TRUE(map.Allows(2, "banned-rand"));
+  EXPECT_FALSE(map.Allows(3, "banned-rand"));
+}
+
+TEST(FatsLintSuppressionMap, TrailingCommentAfterDirective) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "f();  // fats-lint: allow(raw-io) -- read-only probe, see DESIGN 7.4\n");
+  EXPECT_TRUE(map.Allows(1, "raw-io"));
+  // Prose after the close paren must not leak extra rules.
+  EXPECT_FALSE(map.Allows(1, "probe"));
+}
+
+TEST(FatsLintSuppressionMap, BlockCommentForm) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "g(); /* fats-lint: allow(hot-alloc) */ h();\n");
+  EXPECT_TRUE(map.Allows(1, "hot-alloc"));
+}
+
+TEST(FatsLintSuppressionMap, WhitespaceBetweenAllowAndParen) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "x();  // fats-lint: allow ( banned-rand , time-seed )\n");
+  EXPECT_TRUE(map.Allows(1, "banned-rand"));
+  EXPECT_TRUE(map.Allows(1, "time-seed"));
+}
+
+TEST(FatsLintSuppressionMap, MultipleDirectivesOnOneLineMerge) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "y();  // fats-lint: allow(raw-io) fats-lint: allow(raw-thread)\n");
+  EXPECT_TRUE(map.Allows(1, "raw-io"));
+  EXPECT_TRUE(map.Allows(1, "raw-thread"));
+}
+
+TEST(FatsLintSuppressionMap, DirectiveTwoLinesAboveDoesNotApply) {
+  const std::vector<Finding> f = ScanSource(
+      "src/core/a.cc",
+      "// fats-lint: allow(banned-rand)\n"
+      "int unrelated;\n"
+      "int x = std::rand();\n");
+  ASSERT_EQ(static_cast<int>(f.size()), 1);
+  EXPECT_FALSE(f[0].suppressed);
+}
+
+TEST(FatsLintSuppressionMap, WrongLineDoesNotSuppress) {
+  // Directive BELOW the finding: only same-line and line-above count.
+  const std::vector<Finding> f = ScanSource(
+      "src/core/a.cc",
+      "int x = std::rand();\n"
+      "// fats-lint: allow(banned-rand)\n");
+  ASSERT_EQ(static_cast<int>(f.size()), 1);
+  EXPECT_FALSE(f[0].suppressed);
+}
+
+TEST(FatsLintSuppressionMap, MalformedDirectiveIsIgnored) {
+  const SuppressionMap map = SuppressionMap::Parse(
+      "a();  // fats-lint: allow banned-rand\n"   // no parens
+      "b();  // fats-lint: deny(banned-rand)\n"   // unknown verb
+      "c();  // fats-lint: allow()\n");           // empty list
+  EXPECT_FALSE(map.Allows(1, "banned-rand"));
+  EXPECT_FALSE(map.Allows(2, "banned-rand"));
+  EXPECT_FALSE(map.Allows(3, "banned-rand"));
+  EXPECT_TRUE(map.empty());
+}
+
+TEST(FatsLintStrip, PreservesOffsetsAndNewlines) {
+  const std::string stripped = StripCommentsAndStrings(
+      "int a; // comment\n\"str\\\"ing\" 'c'\n/* multi\nline */int b;\n");
+  EXPECT_EQ(stripped.size(),
+            std::string("int a; // comment\n\"str\\\"ing\" 'c'\n/* multi\n"
+                        "line */int b;\n")
+                .size());
+  EXPECT_EQ(std::count(stripped.begin(), stripped.end(), '\n'), 4);
+  EXPECT_NE(stripped.find("int a;"), std::string::npos);
+  EXPECT_NE(stripped.find("int b;"), std::string::npos);
+  EXPECT_EQ(stripped.find("comment"), std::string::npos);
+  EXPECT_EQ(stripped.find("str"), std::string::npos);
+}
+
+TEST(FatsLintStrip, CollectsMultiLineDeclarations) {
+  const SourceFile file{
+      "src/fl/x.h",
+      "std::unordered_map<std::pair<long, long>, std::vector<long>,\n"
+      "                   PairHash>\n"
+      "    minibatches_;\n"
+      "std::unordered_set<int> live_;\n"
+      "using Alias = std::unordered_map<int, int>;\n"
+      "std::unordered_map<int, int> Lookup();\n"};
+  const std::vector<std::string> expected = {"live_", "minibatches_"};
+  EXPECT_EQ(BuildFileModel(file).unordered_names, expected);
 }
 
 }  // namespace

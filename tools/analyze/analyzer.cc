@@ -17,14 +17,7 @@ std::string SiblingHeaderPath(const std::string& path) {
 
 }  // namespace
 
-std::vector<std::string> AllAnalyzeRules() {
-  std::vector<std::string> rules = lint::AllRules();
-  for (std::string& r : AnalyzerRules()) rules.push_back(std::move(r));
-  return rules;
-}
-
-AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
-                            const AnalyzeOptions& options) {
+AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files) {
   AnalysisResult result;
 
   std::vector<FileModel> models;
@@ -54,22 +47,7 @@ AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
     IndexFile(model, &result.index);
   }
 
-  for (size_t i = 0; i < models.size(); ++i) {
-    const FileModel& model = models[i];
-    if (options.legacy_rules) {
-      std::vector<std::string_view> extra;
-      const std::string header = SiblingHeaderPath(files[i].path);
-      if (!header.empty()) {
-        for (const SourceFile& other : files) {
-          if (other.path == header) extra.push_back(other.content);
-        }
-      }
-      std::vector<lint::Finding> legacy = lint::ScanSource(
-          model.source->path, model.source->content, model.file_class, extra);
-      for (lint::Finding& f : legacy) {
-        result.findings.push_back(std::move(f));
-      }
-    }
+  for (const FileModel& model : models) {
     CheckRngDiscipline(model, &result.findings);
     CheckReductions(model, &result.findings);
     CheckFailpointCoverage(model, &result.findings);
@@ -79,13 +57,14 @@ AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
     CheckEvalOnRead(model, &result.findings);
     CheckWireDiscipline(model, &result.findings);
     CheckTileOwnership(model, &result.findings);
+    CheckRuntimeConfinement(model, &result.findings);
     CheckHistoryResidency(model, &result.findings);
   }
 
   CheckLayering(result.index, models, &result.findings);
 
   std::sort(result.findings.begin(), result.findings.end(),
-            [](const lint::Finding& a, const lint::Finding& b) {
+            [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule) <
                      std::tie(b.file, b.line, b.rule);
             });

@@ -1,38 +1,27 @@
 // fats_analyze orchestration: builds per-file models, runs the index pass,
-// then the legacy token-scanner rules (fats_lint_lib) plus the analyzer rule
-// families, and returns one merged, deterministically ordered finding list.
+// then every rule family (rules.h), and returns one merged, deterministically
+// ordered finding list.
 
 #ifndef FATS_TOOLS_ANALYZE_ANALYZER_H_
 #define FATS_TOOLS_ANALYZE_ANALYZER_H_
 
-#include <string>
 #include <vector>
 
 #include "analyze/code_model.h"
+#include "analyze/report.h"
 #include "analyze/rules.h"
-#include "fats_lint_lib.h"
 
 namespace fats::analyze {
 
-struct AnalyzeOptions {
-  // Run the legacy fats_lint token-scanner rules alongside the analyzer
-  // passes (the default: fats_analyze is a superset of fats_lint).
-  bool legacy_rules = true;
-};
-
 struct AnalysisResult {
   // Sorted by (file, line, rule); suppressed findings included.
-  std::vector<lint::Finding> findings;
+  std::vector<Finding> findings;
   AnalysisIndex index;
 };
 
-// Analyzes an in-memory file set.  Sibling headers present in `files` extend
-// a .cc's unordered-name scope, mirroring the fats_lint driver behavior.
-AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
-                            const AnalyzeOptions& options = {});
-
-// Every rule ID fats_analyze can emit: lint::AllRules() + AnalyzerRules().
-std::vector<std::string> AllAnalyzeRules();
+// Analyzes an in-memory file set.  A sibling header present in `files`
+// extends a .cc's unordered-container names.
+AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files);
 
 }  // namespace fats::analyze
 

@@ -1,9 +1,82 @@
 #include "analyze/code_model.h"
 
+#include <algorithm>
+#include <cctype>
 #include <set>
 
 namespace fats::analyze {
 namespace {
+
+bool EndsWith(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+// True if `path` contains the directory component `dir` (e.g. "src/rng").
+// Both '/' and '\\' are accepted as separators.
+bool HasComponent(std::string_view path, std::string_view dir) {
+  std::string norm(path);
+  std::replace(norm.begin(), norm.end(), '\\', '/');
+  std::string needle = "/";
+  needle += dir;
+  needle += '/';
+  if (norm.find(needle) != std::string::npos) return true;
+  // Repo-relative paths like "src/rng/philox.cc" have no leading slash.
+  return std::string_view(norm).starts_with(
+      std::string_view(needle).substr(1));
+}
+
+size_t SkipSpaces(std::string_view s, size_t i) {
+  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  return i;
+}
+
+// Index just past the template argument list opened by the `<` at `open`,
+// counting every '<'/'>' character so a fused `>>` closes two levels.
+// kNoMatch when a ';' intervenes or the list closes inside a token (the
+// first '>' of `>>` closing the outermost level: `vector<set<int>> x`
+// declares a vector, not a set).
+size_t PastTemplateArgs(const std::vector<Token>& tokens, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < tokens.size(); ++i) {
+    if (tokens[i].kind != TokKind::kPunct) continue;
+    if (tokens[i].text == ";") return kNoMatch;
+    const std::string_view text = tokens[i].text;
+    for (size_t c = 0; c < text.size(); ++c) {
+      if (text[c] == '<') ++depth;
+      if (text[c] == '>' && --depth == 0) {
+        return c + 1 == text.size() ? i + 1 : kNoMatch;
+      }
+    }
+  }
+  return kNoMatch;
+}
+
+// Names declared as `unordered_{map,set,multimap,multiset}<...> name`,
+// sorted and unique.  `using X = ...;` aliases, references, and functions
+// returning the container (`name(` follows) are not variables.
+std::vector<std::string> CollectUnorderedNames(
+    const std::vector<Token>& tokens) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    const std::string_view t = tokens[i].text;
+    if (tokens[i].kind != TokKind::kIdent ||
+        (t != "unordered_map" && t != "unordered_set" &&
+         t != "unordered_multimap" && t != "unordered_multiset") ||
+        !IsPunct(tokens, i + 1, "<")) {
+      continue;
+    }
+    const size_t name = PastTemplateArgs(tokens, i + 1);
+    if (name >= tokens.size() || tokens[name].kind != TokKind::kIdent ||
+        IsPunct(tokens, name + 1, "(")) {
+      continue;
+    }
+    names.emplace_back(tokens[name].text);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
 
 // Keywords that look like `ident (` but never start a function definition.
 const std::set<std::string_view>& ControlKeywords() {
@@ -218,15 +291,195 @@ bool DeclaresVariable(const std::vector<Token>& tokens, size_t begin,
   return false;
 }
 
+SuppressionMap SuppressionMap::Parse(std::string_view content) {
+  static constexpr std::string_view kTag = "fats-lint:";
+  SuppressionMap map;
+  int line_no = 0;
+  for (size_t start = 0; start <= content.size();) {
+    size_t nl = content.find('\n', start);
+    if (nl == std::string_view::npos) nl = content.size();
+    const std::string_view line = content.substr(start, nl - start);
+    start = nl + 1;
+    ++line_no;
+    for (size_t pos = line.find(kTag); pos != std::string_view::npos;
+         pos = line.find(kTag, pos)) {
+      pos += kTag.size();
+      size_t cursor = SkipSpaces(line, pos);
+      if (line.compare(cursor, 5, "allow") != 0) continue;
+      cursor = SkipSpaces(line, cursor + 5);
+      if (cursor >= line.size() || line[cursor] != '(') continue;
+      const size_t close = line.find(')', cursor);
+      if (close == std::string_view::npos) continue;
+      // Comma-separated rule list; an empty list (`allow()`) allows
+      // nothing, and recording it would make empty() lie.
+      std::string item;
+      for (size_t i = cursor + 1; i <= close; ++i) {
+        if (i < close && line[i] != ',') {
+          if (!std::isspace(static_cast<unsigned char>(line[i]))) {
+            item += line[i];
+          }
+        } else if (!item.empty()) {
+          map.by_line_[line_no].insert(item);
+          item.clear();
+        }
+      }
+      pos = close;
+    }
+  }
+  return map;
+}
+
+bool SuppressionMap::Allows(int line, const std::string& rule) const {
+  for (int l : {line, line - 1}) {
+    auto it = by_line_.find(l);
+    if (it == by_line_.end()) continue;
+    if (it->second.count(rule) || it->second.count("all")) return true;
+  }
+  return false;
+}
+
+FileClass ClassifyPath(std::string_view path) {
+  std::string norm(path);
+  std::replace(norm.begin(), norm.end(), '\\', '/');
+  FileClass cls;
+  cls.rng_rules = !HasComponent(path, "src/rng");
+  cls.ordered_rules = HasComponent(path, "src/core") ||
+                      HasComponent(path, "src/fl") ||
+                      HasComponent(path, "src/baselines");
+  // The pool module itself is the single sanctioned thread creator.
+  cls.thread_rules = norm.find("util/thread_pool.") == std::string::npos;
+  // The journal module is the single sanctioned raw-file writer.
+  cls.io_rules = (HasComponent(path, "src/core") ||
+                  HasComponent(path, "src/fl") ||
+                  HasComponent(path, "src/io")) &&
+                 norm.find("io/journal.") == std::string::npos;
+  cls.hot_rules = HasComponent(path, "src/nn");
+  return cls;
+}
+
+bool ShouldLintFile(std::string_view path) {
+  return EndsWith(path, ".cc") || EndsWith(path, ".cpp") ||
+         EndsWith(path, ".cxx") || EndsWith(path, ".h") ||
+         EndsWith(path, ".hpp");
+}
+
+std::string StripCommentsAndStrings(std::string_view content) {
+  std::string out(content);
+  enum class State {
+    kCode,
+    kLineComment,
+    kBlockComment,
+    kString,
+    kChar,
+    kRawString
+  };
+  State state = State::kCode;
+  std::string raw_delim;  // the )delim" terminator of a raw string
+  size_t i = 0;
+  auto blank = [&out](size_t pos) {
+    if (out[pos] != '\n') out[pos] = ' ';
+  };
+  while (i < out.size()) {
+    char c = out[i];
+    char next = (i + 1 < out.size()) ? out[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          blank(i);
+          blank(i + 1);
+          i += 2;
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          blank(i);
+          blank(i + 1);
+          i += 2;
+        } else if (c == 'R' && next == '"' &&
+                   (i == 0 || (!std::isalnum(static_cast<unsigned char>(
+                                   out[i - 1])) &&
+                               out[i - 1] != '_'))) {
+          // R"delim( ... )delim"
+          size_t open = out.find('(', i + 2);
+          if (open == std::string::npos) {
+            ++i;
+            break;
+          }
+          raw_delim.assign(1, ')');
+          raw_delim.append(out, i + 2, open - (i + 2));
+          raw_delim += '"';
+          for (size_t j = i; j <= open; ++j) blank(j);
+          i = open + 1;
+          state = State::kRawString;
+        } else if (c == '"') {
+          state = State::kString;
+          ++i;
+        } else if (c == '\'') {
+          state = State::kChar;
+          ++i;
+        } else {
+          ++i;
+        }
+        break;
+      case State::kLineComment:
+        if (c == '\n') {
+          state = State::kCode;
+        } else {
+          blank(i);
+        }
+        ++i;
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          blank(i);
+          blank(i + 1);
+          state = State::kCode;
+          i += 2;
+        } else {
+          blank(i);
+          ++i;
+        }
+        break;
+      case State::kString:
+      case State::kChar: {
+        const char quote = state == State::kString ? '"' : '\'';
+        if (c == '\\') {
+          blank(i);
+          if (i + 1 < out.size()) blank(i + 1);
+          i += 2;
+        } else if (c == quote) {
+          state = State::kCode;
+          ++i;
+        } else {
+          blank(i);
+          ++i;
+        }
+        break;
+      }
+      case State::kRawString:
+        if (out.compare(i, raw_delim.size(), raw_delim) == 0) {
+          for (size_t j = i; j < i + raw_delim.size(); ++j) blank(j);
+          i += raw_delim.size();
+          state = State::kCode;
+        } else {
+          blank(i);
+          ++i;
+        }
+        break;
+    }
+  }
+  return out;
+}
+
 FileModel BuildFileModel(const SourceFile& source) {
   FileModel model;
   model.source = &source;
-  model.stripped = lint::StripCommentsAndStrings(source.content);
-  model.tokens = Lex(model.stripped);
-  model.suppressions = lint::SuppressionMap::Parse(source.content);
-  model.file_class = lint::ClassifyPath(source.path);
+  model.stripped = std::make_unique<const std::string>(
+      StripCommentsAndStrings(source.content));
+  model.tokens = Lex(*model.stripped);
+  model.suppressions = SuppressionMap::Parse(source.content);
+  model.file_class = ClassifyPath(source.path);
   model.functions = ExtractFunctions(model.tokens);
-  model.unordered_names = lint::CollectUnorderedNames(source.content);
+  model.unordered_names = CollectUnorderedNames(model.tokens);
   return model;
 }
 

@@ -1,8 +1,8 @@
 // Lightweight C++ lexer for the fats_analyze passes.
 //
 // The lexer runs over comment/string-stripped source (see
-// fats::lint::StripCommentsAndStrings), so it never sees string or comment
-// content; string literals lex as whitespace.  It produces just enough
+// StripCommentsAndStrings in code_model.h), so it never sees string or
+// comment content; string literals lex as whitespace.  It produces just enough
 // structure for the analyzer's pattern passes: identifiers, numbers, and
 // punctuators (with the handful of multi-character operators the rules care
 // about — `::`, `+=`, `->`, ... — fused into single tokens).  It is not a

@@ -1,5 +1,6 @@
 #include "analyze/report.h"
 
+#include <cstdio>
 #include <regex>
 #include <sstream>
 
@@ -30,6 +31,30 @@ std::string JsonEscape(std::string_view s) {
 }
 
 }  // namespace
+
+std::string ToJson(const std::vector<Finding>& findings) {
+  std::ostringstream os;
+  os << "[";
+  for (size_t i = 0; i < findings.size(); ++i) {
+    const Finding& f = findings[i];
+    if (i) os << ",";
+    os << "\n  {\"rule\": \"" << JsonEscape(f.rule) << "\", \"file\": \""
+       << JsonEscape(f.file) << "\", \"line\": " << f.line
+       << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
+       << ", \"message\": \"" << JsonEscape(f.message) << "\"}";
+  }
+  os << (findings.empty() ? "]" : "\n]");
+  os << "\n";
+  return os.str();
+}
+
+int ActiveCount(const std::vector<Finding>& findings) {
+  int n = 0;
+  for (const Finding& f : findings) {
+    if (!f.suppressed) ++n;
+  }
+  return n;
+}
 
 bool ParseBaseline(std::string_view json,
                    std::vector<BaselineEntry>* entries) {
@@ -67,11 +92,11 @@ bool ParseBaseline(std::string_view json,
 }
 
 int ApplyBaseline(const std::vector<BaselineEntry>& entries,
-                  std::vector<lint::Finding>* findings) {
+                  std::vector<Finding>* findings) {
   int stale = 0;
   for (const BaselineEntry& entry : entries) {
     bool matched = false;
-    for (lint::Finding& f : *findings) {
+    for (Finding& f : *findings) {
       if (f.rule != entry.rule || f.file != entry.file) continue;
       if (entry.line != 0 && f.line != entry.line) continue;
       f.suppressed = true;
@@ -82,7 +107,7 @@ int ApplyBaseline(const std::vector<BaselineEntry>& entries,
   return stale;
 }
 
-std::string ToSarif(const std::vector<lint::Finding>& findings,
+std::string ToSarif(const std::vector<Finding>& findings,
                     const std::vector<std::string>& rules) {
   std::ostringstream out;
   out << "{\n"
@@ -106,7 +131,7 @@ std::string ToSarif(const std::vector<lint::Finding>& findings,
       << "      },\n"
       << "      \"results\": [\n";
   for (size_t i = 0; i < findings.size(); ++i) {
-    const lint::Finding& f = findings[i];
+    const Finding& f = findings[i];
     out << "        {\n"
         << "          \"ruleId\": \"" << JsonEscape(f.rule) << "\",\n"
         << "          \"level\": \"" << (f.suppressed ? "note" : "error")

@@ -1,4 +1,5 @@
-// Report emission (SARIF 2.1.0) and baseline handling for fats_analyze.
+// Findings, report emission (JSON, SARIF 2.1.0), and baseline handling for
+// fats_analyze.
 //
 // The baseline file is a checked-in JSON array of accepted findings:
 //
@@ -16,11 +17,25 @@
 #define FATS_TOOLS_ANALYZE_REPORT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "fats_lint_lib.h"
-
 namespace fats::analyze {
+
+struct Finding {
+  std::string rule;     // one of the rule IDs in rules.h
+  std::string file;     // path exactly as handed to the analyzer
+  int line = 0;         // 1-based line number
+  std::string message;  // human-readable explanation
+  bool suppressed = false;
+};
+
+// Machine-readable report: a JSON array of finding objects with keys
+// rule/file/line/suppressed/message.
+std::string ToJson(const std::vector<Finding>& findings);
+
+// Number of findings that are not suppressed (the run's failure count).
+int ActiveCount(const std::vector<Finding>& findings);
 
 struct BaselineEntry {
   std::string rule;
@@ -36,12 +51,12 @@ bool ParseBaseline(std::string_view json, std::vector<BaselineEntry>* entries);
 // Marks findings covered by a baseline entry as suppressed.  Returns the
 // number of entries that matched nothing (stale entries to prune).
 int ApplyBaseline(const std::vector<BaselineEntry>& entries,
-                  std::vector<lint::Finding>* findings);
+                  std::vector<Finding>* findings);
 
 // SARIF 2.1.0 log with one run; every rule in `rules` is declared in the
 // driver metadata, each finding becomes a result with level "error" (or
 // "note" when suppressed, with a suppression object attached).
-std::string ToSarif(const std::vector<lint::Finding>& findings,
+std::string ToSarif(const std::vector<Finding>& findings,
                     const std::vector<std::string>& rules);
 
 }  // namespace fats::analyze

@@ -1,9 +1,47 @@
-// fats_analyze rule passes.  Every rule reports fats::lint::Finding with a
-// stable rule ID; suppression uses the same `// fats-lint: allow(<rule>)`
-// syntax as the token-scanner rules (see fats_lint_lib.h).
+// fats_analyze rule passes.  Every rule reports a Finding (report.h) with a
+// stable rule ID; any finding is suppressed by a `// fats-lint: allow(<rule>)`
+// directive on its line or the line above (SuppressionMap, code_model.h).
 //
-// Rule catalog (DESIGN.md §7.4):
+// Rule catalog (DESIGN.md §7.4), in --list-rules order:
 //
+//   banned-rand        std::rand / rand() / srand outside src/rng/.
+//   banned-random-device
+//                      std::random_device outside src/rng/ (non-
+//                      reproducible entropy source).
+//   default-engine     default-constructed std::mt19937 /
+//                      std::default_random_engine etc. outside src/rng/.
+//   time-seed          wall-clock time used as a seed (time(...)/
+//                      clock ::now() on a seeding line) outside src/rng/.
+//   random-include     #include <random> outside src/rng/.
+//   unordered-iteration
+//                      iteration over std::unordered_map/set in
+//                      src/core/, src/fl/, or src/baselines/ (a range-for
+//                      over the container, or name.begin() anywhere),
+//                      where order-dependent float accumulation would
+//                      break replay.
+//   raw-thread         std::thread / std::jthread / std::async outside
+//                      src/util/thread_pool.*: ad-hoc threads bypass the
+//                      deterministic-parallelism contract (pre-drawn
+//                      substreams + ordered reduction); use
+//                      fats::ThreadPool.
+//   raw-io             std::ofstream / fopen / fwrite in src/core/,
+//                      src/fl/, or src/io/ outside the journal module
+//                      (io/journal.*): durable state written behind the
+//                      journal's back has no CRC framing, no fsync
+//                      discipline, and no crash-recovery story.  Route
+//                      writes through fats::JournalWriter or the
+//                      checkpoint BinaryWriter; read-only probes take a
+//                      `// fats-lint: allow(raw-io)` suppression.
+//   hot-alloc          in src/nn/, inside the body of a Forward(...) or
+//                      Backward(...) definition (the per-step hot path):
+//                      (a) a Tensor local temporary -- per-step heap
+//                      allocation; use a Workspace slot or an Into-style
+//                      destination-passing op instead -- or (b) a
+//                      triple-nested multiply-accumulate for-loop, i.e. a
+//                      raw matmul that bypasses the deterministic blocked
+//                      kernels in tensor/gemm.h.  ForwardDirect /
+//                      BackwardDirect (the retained reference paths) are
+//                      exempt.
 //   rng-raw-key        PhiloxEngine constructed outside src/rng/, or an
 //                      RngStream built from a literal-only raw key: stream
 //                      keys must come from DeriveStreamKey over a structured
@@ -14,6 +52,10 @@
 //                      Per-task streams must be constructed inside the task
 //                      from pre-derived keys (slot-indexed receivers are
 //                      exempt for that reason).
+//   rng-unordered-draw an RNG draw (or stream construction) inside a loop
+//                      over an unordered container: hash order decides the
+//                      draw order, so two runs consume the stream
+//                      differently.
 //   sampling-key-owner (src/core only) RngPurpose::kClientSampling or
 //                      kMinibatchSampling named outside fats_trainer.*: the
 //                      trainer is the one owner of the FATS sampling stream
@@ -21,10 +63,6 @@
 //                      code re-draws history through RedrawMinibatch /
 //                      RedrawRound — a second copy of the key derivation can
 //                      drift from the one the round loop uses.
-//   rng-unordered-draw an RNG draw (or stream construction) inside a loop
-//                      over an unordered container: hash order decides the
-//                      draw order, so two runs consume the stream
-//                      differently.
 //   nondet-reduction   float/double `+=`/`-=` accumulation onto shared state
 //                      inside a ParallelFor task body (not slot-indexed by
 //                      the task index), or inside a loop over an unordered
@@ -95,9 +133,19 @@
 
 #include "analyze/code_model.h"
 #include "analyze/include_graph.h"
-#include "fats_lint_lib.h"
+#include "analyze/report.h"
 
 namespace fats::analyze {
+
+inline constexpr const char kRuleBannedRand[] = "banned-rand";
+inline constexpr const char kRuleBannedRandomDevice[] = "banned-random-device";
+inline constexpr const char kRuleDefaultEngine[] = "default-engine";
+inline constexpr const char kRuleTimeSeed[] = "time-seed";
+inline constexpr const char kRuleRandomInclude[] = "random-include";
+inline constexpr const char kRuleUnorderedIteration[] = "unordered-iteration";
+inline constexpr const char kRuleRawThread[] = "raw-thread";
+inline constexpr const char kRuleRawIo[] = "raw-io";
+inline constexpr const char kRuleHotAlloc[] = "hot-alloc";
 
 inline constexpr const char kRuleRngRawKey[] = "rng-raw-key";
 inline constexpr const char kRuleRngSharedStream[] = "rng-shared-stream";
@@ -116,9 +164,9 @@ inline constexpr const char kRuleRawWire[] = "raw-wire";
 inline constexpr const char kRuleTileOverlap[] = "tile-overlap";
 inline constexpr const char kRuleResidentHistory[] = "resident-history";
 
-// The analyzer-pass rule IDs (the full ID space is these plus
-// lint::AllRules()).
-std::vector<std::string> AnalyzerRules();
+// Every rule ID fats_analyze can emit, in catalog order (--list-rules, the
+// SARIF rule table, and DESIGN.md §7.4).
+std::vector<std::string> AllAnalyzeRules();
 
 // Cross-file state shared by the rule passes, built in one pass over every
 // file before any rule runs.
@@ -143,30 +191,32 @@ void IndexFile(const FileModel& model, AnalysisIndex* index);
 // Per-file rule passes.  Each appends findings (already marked suppressed
 // where a directive covers them).
 void CheckRngDiscipline(const FileModel& model,
-                        std::vector<lint::Finding>* findings);
+                        std::vector<Finding>* findings);
 void CheckReductions(const FileModel& model,
-                     std::vector<lint::Finding>* findings);
+                     std::vector<Finding>* findings);
 void CheckFailpointCoverage(const FileModel& model,
-                            std::vector<lint::Finding>* findings);
+                            std::vector<Finding>* findings);
 void CheckStatusDiscipline(const FileModel& model, const AnalysisIndex& index,
-                           std::vector<lint::Finding>* findings);
+                           std::vector<Finding>* findings);
 void CheckStoreMutation(const FileModel& model,
-                        std::vector<lint::Finding>* findings);
+                        std::vector<Finding>* findings);
 void CheckUnlearnOwner(const FileModel& model,
-                       std::vector<lint::Finding>* findings);
+                       std::vector<Finding>* findings);
 void CheckEvalOnRead(const FileModel& model,
-                     std::vector<lint::Finding>* findings);
+                     std::vector<Finding>* findings);
 void CheckWireDiscipline(const FileModel& model,
-                         std::vector<lint::Finding>* findings);
+                         std::vector<Finding>* findings);
 void CheckTileOwnership(const FileModel& model,
-                        std::vector<lint::Finding>* findings);
+                        std::vector<Finding>* findings);
+void CheckRuntimeConfinement(const FileModel& model,
+                             std::vector<Finding>* findings);
 void CheckHistoryResidency(const FileModel& model,
-                           std::vector<lint::Finding>* findings);
+                           std::vector<Finding>* findings);
 
 // Whole-tree pass over the include graph.
 void CheckLayering(const AnalysisIndex& index,
                    const std::vector<FileModel>& models,
-                   std::vector<lint::Finding>* findings);
+                   std::vector<Finding>* findings);
 
 }  // namespace fats::analyze
 

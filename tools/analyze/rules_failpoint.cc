@@ -66,7 +66,7 @@ bool PathInSrcIo(std::string_view path) {
 }  // namespace
 
 void CheckFailpointCoverage(const FileModel& model,
-                            std::vector<lint::Finding>* findings) {
+                            std::vector<Finding>* findings) {
   if (!PathInSrcIo(model.source->path)) return;
   const std::vector<Token>& tokens = model.tokens;
   const std::vector<std::string_view> raw_lines =

@@ -67,7 +67,7 @@ size_t WalkTemplateArgs(const std::vector<Token>& tokens, size_t open,
 }  // namespace
 
 void CheckHistoryResidency(const FileModel& model,
-                           std::vector<lint::Finding>* findings) {
+                           std::vector<Finding>* findings) {
   if (!InScope(model.source->path)) return;
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = 0; i + 4 < tokens.size(); ++i) {

@@ -27,12 +27,19 @@ const std::set<std::string_view>& NotAReturnType() {
 
 }  // namespace
 
-std::vector<std::string> AnalyzerRules() {
-  return {kRuleRngRawKey,      kRuleRngSharedStream,     kRuleRngUnorderedDraw,
-          kRuleSamplingKeyOwner, kRuleNondetReduction,   kRuleFailpointGap,
-          kRuleDiscardedStatus, kRuleLayerOrder,         kRuleLayerCycle,
-          kRuleStoreMutationBypass, kRuleUnlearnOwner, kRuleEvalOnRead,
-          kRuleRawWire, kRuleTileOverlap, kRuleResidentHistory};
+std::vector<std::string> AllAnalyzeRules() {
+  return {kRuleBannedRand,          kRuleBannedRandomDevice,
+          kRuleDefaultEngine,       kRuleTimeSeed,
+          kRuleRandomInclude,       kRuleUnorderedIteration,
+          kRuleRawThread,           kRuleRawIo,
+          kRuleHotAlloc,            kRuleRngRawKey,
+          kRuleRngSharedStream,     kRuleRngUnorderedDraw,
+          kRuleSamplingKeyOwner,    kRuleNondetReduction,
+          kRuleFailpointGap,        kRuleDiscardedStatus,
+          kRuleLayerOrder,          kRuleLayerCycle,
+          kRuleStoreMutationBypass, kRuleUnlearnOwner,
+          kRuleEvalOnRead,          kRuleRawWire,
+          kRuleTileOverlap,         kRuleResidentHistory};
 }
 
 void IndexFile(const FileModel& model, AnalysisIndex* index) {

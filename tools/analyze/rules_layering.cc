@@ -20,8 +20,8 @@ const FileModel* ModelForPath(const std::vector<FileModel>& models,
 
 void Add(const std::vector<FileModel>& models, const char* rule,
          const IncludeEdge& edge, std::string message,
-         std::vector<lint::Finding>* findings) {
-  lint::Finding f;
+         std::vector<Finding>* findings) {
+  Finding f;
   f.rule = rule;
   f.file = edge.from_file;
   f.line = edge.line;
@@ -36,7 +36,7 @@ void Add(const std::vector<FileModel>& models, const char* rule,
 
 void CheckLayering(const AnalysisIndex& index,
                    const std::vector<FileModel>& models,
-                   std::vector<lint::Finding>* findings) {
+                   std::vector<Finding>* findings) {
   for (const IncludeEdge& edge : index.includes.RankViolations()) {
     const std::string from = ModuleOf(edge.from_file);
     const std::string to = ModuleOf(edge.target);

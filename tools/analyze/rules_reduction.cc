@@ -1,11 +1,13 @@
-// Deterministic reductions (rule family 2): nondet-reduction.  Flags
-// float/double accumulation whose order depends on the worker schedule (a
-// ParallelFor task body writing shared, non-slot-indexed state) or on hash
-// iteration order (a loop over an unordered container).  This is the bug
-// class that breaks serial/parallel bit-identity: float addition is not
-// associative, so any reduction whose operand order can vary between runs
-// produces models that differ in the low mantissa bits — enough to void the
-// exactness proof.
+// Deterministic reductions (rule family 2): nondet-reduction and
+// unordered-iteration.  nondet-reduction flags float/double accumulation
+// whose order depends on the worker schedule (a ParallelFor task body
+// writing shared, non-slot-indexed state) or on hash iteration order (a
+// loop over an unordered container); unordered-iteration flags any
+// hash-order traversal in the trees whose loops feed training state.  This
+// is the bug class that breaks serial/parallel bit-identity: float addition
+// is not associative, so any reduction whose operand order can vary between
+// runs produces models that differ in the low mantissa bits — enough to void
+// the exactness proof.
 
 #include <algorithm>
 
@@ -94,7 +96,7 @@ bool DeclaredInRange(const std::vector<Token>& tokens, size_t begin,
 
 void CheckRange(const FileModel& model, size_t begin, size_t end,
                 const std::vector<std::string>& slot_params,
-                const char* where, std::vector<lint::Finding>* findings) {
+                const char* where, std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = begin; i < end; ++i) {
     if (tokens[i].kind != TokKind::kPunct ||
@@ -126,10 +128,43 @@ void CheckRange(const FileModel& model, size_t begin, size_t end,
   }
 }
 
+// Reports every traversal of an unordered container in src/core, src/fl
+// and src/baselines: a range-for over one, or a begin()-family call on one
+// anywhere (iterator loops, std algorithms, `*name.begin()`).
+void CheckUnorderedIteration(const FileModel& model,
+                             const std::vector<UnorderedLoop>& loops,
+                             std::vector<Finding>* findings) {
+  if (!model.file_class.ordered_rules) return;
+  const std::vector<Token>& tokens = model.tokens;
+  auto report = [&](std::string_view name, int line) {
+    std::string message = "iteration over unordered container '";
+    message += name;
+    message +=
+        "': hash-order traversal makes float accumulation order "
+        "nondeterministic across runs, breaking TV-stable replay; iterate "
+        "over sorted keys or use an ordered container";
+    AddFinding(model, kRuleUnorderedIteration, line, std::move(message),
+               findings);
+  };
+  for (const UnorderedLoop& loop : loops) {
+    if (!loop.range_over.empty()) report(loop.range_over, loop.line);
+  }
+  const std::vector<std::string>& names = model.unordered_names;
+  for (size_t i = 0; i + 3 < tokens.size(); ++i) {
+    if (tokens[i].kind == TokKind::kIdent && IsPunct(tokens, i + 1, ".") &&
+        tokens[i + 2].kind == TokKind::kIdent &&
+        IsBeginMember(tokens[i + 2].text) && IsPunct(tokens, i + 3, "(") &&
+        std::find(names.begin(), names.end(), tokens[i].text) !=
+            names.end()) {
+      report(tokens[i].text, tokens[i].line);
+    }
+  }
+}
+
 }  // namespace
 
 void CheckReductions(const FileModel& model,
-                     std::vector<lint::Finding>* findings) {
+                     std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (const auto& [args_begin, args_end] : ParallelForArgRanges(tokens)) {
     for (const LambdaBody& lambda :
@@ -139,11 +174,13 @@ void CheckReductions(const FileModel& model,
                  findings);
     }
   }
-  for (const UnorderedLoop& loop :
-       FindUnorderedLoops(tokens, model.unordered_names)) {
+  const std::vector<UnorderedLoop> loops =
+      FindUnorderedLoops(tokens, model.unordered_names);
+  for (const UnorderedLoop& loop : loops) {
     CheckRange(model, loop.body_begin, loop.body_end, {},
                "inside iteration over an unordered container", findings);
   }
+  CheckUnorderedIteration(model, loops, findings);
 }
 
 }  // namespace fats::analyze

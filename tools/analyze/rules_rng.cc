@@ -1,13 +1,97 @@
-// RNG stream discipline (rule family 1): rng-raw-key, rng-shared-stream,
+// RNG stream discipline (rule family 1): banned-rand, banned-random-device,
+// default-engine, time-seed, random-include, rng-raw-key, rng-shared-stream,
 // sampling-key-owner, rng-unordered-draw.  See rules.h for the catalog.
 
 #include <algorithm>
+#include <set>
 
 #include "analyze/rules.h"
 #include "analyze/rules_util.h"
 
 namespace fats::analyze {
 namespace {
+
+bool IsStdEngine(std::string_view name) {
+  return name == "mt19937" || name == "mt19937_64" ||
+         name == "default_random_engine" || name == "minstd_rand" ||
+         name == "minstd_rand0" || name == "ranlux24" || name == "ranlux48" ||
+         name == "ranlux24_base" || name == "ranlux48_base" ||
+         name == "knuth_b";
+}
+
+// A wall-clock read: `time(` or `<steady|system|high_resolution>_clock::now(`.
+bool IsClockRead(const std::vector<Token>& tokens, size_t i) {
+  const std::string_view t = tokens[i].text;
+  if (t == "time") return IsPunct(tokens, i + 1, "(");
+  return (t == "steady_clock" || t == "system_clock" ||
+          t == "high_resolution_clock") &&
+         IsPunct(tokens, i + 1, "::") && IsIdent(tokens, i + 2, "now") &&
+         IsPunct(tokens, i + 3, "(");
+}
+
+// A seeding context: `seed`, a `seed...(` call, srand, or an engine name.
+bool IsSeedContext(const std::vector<Token>& tokens, size_t i) {
+  const std::string_view t = tokens[i].text;
+  return t == "seed" ||
+         (t.substr(0, 4) == "seed" && IsPunct(tokens, i + 1, "(")) ||
+         t == "srand" || t == "mt19937" || t == "default_random_engine";
+}
+
+// The randomness bans outside src/rng/: every random bit must come from a
+// Philox stream keyed by the experiment config, never from libc, the OS
+// entropy pool, a standard engine, or the wall clock.
+void CheckBannedRandomness(const FileModel& model,
+                           std::vector<Finding>* findings) {
+  if (!model.file_class.rng_rules) return;
+  const std::vector<Token>& tokens = model.tokens;
+  std::set<int> clock_lines;
+  std::set<int> seed_lines;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i].kind != TokKind::kIdent) continue;
+    const std::string_view t = tokens[i].text;
+    const int line = MatchLine(tokens, i);
+    const bool call = IsPunct(tokens, i + 1, "(");
+    if ((t == "rand" && (call || IsStdQualified(tokens, i))) ||
+        (t == "srand" && call)) {
+      AddFinding(model, kRuleBannedRand, line,
+                 "libc rand()/srand() is banned: route randomness through "
+                 "fats::RngStream (src/rng/) so unlearning replay is "
+                 "bit-exact",
+                 findings);
+    } else if (t == "random_device") {
+      AddFinding(model, kRuleBannedRandomDevice, line,
+                 "std::random_device is a non-reproducible entropy source; "
+                 "derive seeds from the experiment config instead",
+                 findings);
+    } else if (IsStdEngine(t) && i + 2 < tokens.size() &&
+               tokens[i + 1].kind == TokKind::kIdent &&
+               (IsPunct(tokens, i + 2, ";") ||
+                (IsPunct(tokens, i + 2, "{") && IsPunct(tokens, i + 3, "}")) ||
+                (IsPunct(tokens, i + 2, "(") && IsPunct(tokens, i + 3, ")")))) {
+      AddFinding(model, kRuleDefaultEngine, line,
+                 "default-constructed standard engine: all streams must be "
+                 "Philox streams keyed by (seed, stream id) from src/rng/",
+                 findings);
+    } else if (t == "include" && i >= 1 && IsPunct(tokens, i - 1, "#") &&
+               IsPunct(tokens, i + 1, "<") &&
+               model.stripped->compare(tokens[i + 1].offset, 8,
+                                       "<random>") == 0) {
+      AddFinding(model, kRuleRandomInclude, tokens[i - 1].line,
+                 "direct <random> include outside src/rng/: use "
+                 "rng/rng_stream.h and rng/sampling.h instead",
+                 findings);
+    }
+    if (IsClockRead(tokens, i)) clock_lines.insert(tokens[i].line);
+    if (IsSeedContext(tokens, i)) seed_lines.insert(tokens[i].line);
+  }
+  for (int line : clock_lines) {
+    if (seed_lines.count(line) == 0) continue;
+    AddFinding(model, kRuleTimeSeed, line,
+               "wall-clock time used as a seed: seeds must come from the "
+               "experiment config so retraining replays bit-identically",
+               findings);
+  }
+}
 
 // True when the token range [begin, end) contains only numeric literals and
 // operator punctuation — i.e. a key expression with no identifier anywhere,
@@ -55,7 +139,7 @@ size_t ConstructionOpen(const std::vector<Token>& tokens, size_t i) {
 }
 
 void CheckRawKeys(const FileModel& model,
-                  std::vector<lint::Finding>* findings) {
+                  std::vector<Finding>* findings) {
   // src/rng/ itself is the engine's home and tests-by-raw-key territory.
   if (!model.file_class.rng_rules) return;
   const std::vector<Token>& tokens = model.tokens;
@@ -92,7 +176,7 @@ void CheckRawKeys(const FileModel& model,
 
 // Reports draws on streams shared across ParallelFor worker tasks.
 void CheckSharedStreams(const FileModel& model,
-                        std::vector<lint::Finding>* findings) {
+                        std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (const auto& [args_begin, args_end] : ParallelForArgRanges(tokens)) {
     for (const LambdaBody& lambda :
@@ -139,7 +223,7 @@ void CheckSharedStreams(const FileModel& model,
 // FedAvg (src/fl) and FR² (src/baselines) draw under their own key
 // semantics and are out of scope.
 void CheckSamplingKeyOwner(const FileModel& model,
-                           std::vector<lint::Finding>* findings) {
+                           std::vector<Finding>* findings) {
   const std::string& path = model.source->path;
   if (path.find("src/core/") == std::string::npos ||
       path.find("fats_trainer") != std::string::npos) {
@@ -164,7 +248,7 @@ void CheckSamplingKeyOwner(const FileModel& model,
 
 // Reports draws (or stream constructions) inside unordered-container loops.
 void CheckUnorderedDraws(const FileModel& model,
-                         std::vector<lint::Finding>* findings) {
+                         std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (const UnorderedLoop& loop :
        FindUnorderedLoops(tokens, model.unordered_names)) {
@@ -190,7 +274,8 @@ void CheckUnorderedDraws(const FileModel& model,
 }  // namespace
 
 void CheckRngDiscipline(const FileModel& model,
-                        std::vector<lint::Finding>* findings) {
+                        std::vector<Finding>* findings) {
+  CheckBannedRandomness(model, findings);
   CheckRawKeys(model, findings);
   CheckSharedStreams(model, findings);
   CheckSamplingKeyOwner(model, findings);

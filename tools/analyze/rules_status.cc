@@ -54,7 +54,7 @@ bool VoidCastBefore(const std::vector<Token>& tokens, size_t chain_start) {
 }  // namespace
 
 void CheckStatusDiscipline(const FileModel& model, const AnalysisIndex& index,
-                           std::vector<lint::Finding>* findings) {
+                           std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (tokens[i].kind != TokKind::kIdent || !IsPunct(tokens, i + 1, "(")) {

@@ -114,7 +114,7 @@ bool AtDeclaration(const std::vector<Token>& tokens, size_t i) {
 }  // namespace
 
 void CheckEvalOnRead(const FileModel& model,
-                     std::vector<lint::Finding>* findings) {
+                     std::vector<Finding>* findings) {
   if (!InEvalScope(model.source->path)) return;
   std::vector<std::pair<size_t, size_t>> exempt;
   for (const FunctionDef& fn : model.functions) {
@@ -147,7 +147,7 @@ void CheckEvalOnRead(const FileModel& model,
 }
 
 void CheckUnlearnOwner(const FileModel& model,
-                       std::vector<lint::Finding>* findings) {
+                       std::vector<Finding>* findings) {
   if (OwnsUnlearning(model.source->path)) return;
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
@@ -166,7 +166,7 @@ void CheckUnlearnOwner(const FileModel& model,
 }
 
 void CheckStoreMutation(const FileModel& model,
-                        std::vector<lint::Finding>* findings) {
+                        std::vector<Finding>* findings) {
   if (!InScope(model.source->path)) return;
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = 2; i + 1 < tokens.size(); ++i) {

@@ -60,7 +60,7 @@ bool MentionsAny(const std::vector<Token>& tokens, size_t begin, size_t end,
 }
 
 void CheckLambda(const FileModel& model, const LambdaBody& lambda,
-                 std::vector<lint::Finding>* findings) {
+                 std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   std::vector<std::string> owned = lambda.param_names;
   const std::vector<std::string> locals =
@@ -111,7 +111,7 @@ void CheckLambda(const FileModel& model, const LambdaBody& lambda,
 }  // namespace
 
 void CheckTileOwnership(const FileModel& model,
-                        std::vector<lint::Finding>* findings) {
+                        std::vector<Finding>* findings) {
   // The fixed-ownership contract is a src/tensor kernel discipline; the
   // rest of the tree is covered by nondet-reduction's accumulation check.
   if (model.source->path.find("src/tensor") == std::string::npos) return;

@@ -26,17 +26,45 @@ size_t StatementEndTok(const std::vector<Token>& tokens, size_t pos) {
 
 }  // namespace
 
+bool ForBodyExtent(const std::vector<Token>& tokens, size_t kw, size_t* begin,
+                   size_t* end) {
+  if (!IsIdent(tokens, kw, "for") || !IsPunct(tokens, kw + 1, "(")) {
+    return false;
+  }
+  const size_t header_close = MatchForward(tokens, kw + 1);
+  if (header_close == kNoMatch) return false;
+  if (IsPunct(tokens, header_close, "{")) {
+    const size_t body_close = MatchForward(tokens, header_close);
+    if (body_close == kNoMatch) return false;
+    *begin = header_close + 1;
+    *end = body_close - 1;
+    return true;
+  }
+  const size_t statement_end = StatementEndTok(tokens, header_close);
+  if (statement_end == tokens.size()) return false;
+  *begin = header_close;
+  *end = statement_end;
+  return true;
+}
+
 std::vector<UnorderedLoop> FindUnorderedLoops(
     const std::vector<Token>& tokens,
     const std::vector<std::string>& unordered_names) {
   std::vector<UnorderedLoop> loops;
   if (unordered_names.empty()) return loops;
+  auto is_name = [&](size_t k) {
+    return k < tokens.size() && tokens[k].kind == TokKind::kIdent &&
+           std::find(unordered_names.begin(), unordered_names.end(),
+                     tokens[k].text) != unordered_names.end();
+  };
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (!IsIdent(tokens, i, "for") || !IsPunct(tokens, i + 1, "(")) continue;
     const size_t header_open = i + 1;
     const size_t header_close = MatchForward(tokens, header_open);
     if (header_close == kNoMatch) continue;
 
+    UnorderedLoop loop;
+    loop.line = tokens[i].line;
     bool over_unordered = false;
     int depth = 0;
     for (size_t j = header_open + 1; j + 1 < header_close; ++j) {
@@ -46,43 +74,33 @@ std::vector<UnorderedLoop> FindUnorderedLoops(
         if (c == ')' || c == ']' || c == '}') --depth;
       }
       // Range-for: `for (decl : container)` with ':' at top level.  The
-      // container's base identifier must be an unordered name.
+      // container expression, past any `Owner::` qualifiers, must start
+      // with an unordered name; when it is just that name, the loop
+      // traverses the container itself.
       if (depth == 0 && IsPunct(tokens, j, ":")) {
-        for (size_t k = j + 1; k < header_close - 1; ++k) {
-          if (tokens[k].kind == TokKind::kIdent &&
-              std::find(unordered_names.begin(), unordered_names.end(),
-                        std::string(tokens[k].text)) !=
-                  unordered_names.end()) {
-            over_unordered = true;
+        size_t k = j + 1;
+        if (IsPunct(tokens, k, "::")) ++k;
+        while (k + 1 < header_close && tokens[k].kind == TokKind::kIdent &&
+               IsPunct(tokens, k + 1, "::")) {
+          k += 2;
+        }
+        if (k + 1 < header_close && is_name(k)) {
+          over_unordered = true;
+          if (k + 2 == header_close && loop.range_over.empty()) {
+            loop.range_over = tokens[k].text;
           }
-          break;  // only the first token of the container expression
         }
       }
       // Iterator loop: `name.begin()` / `name.cbegin()` in the header.
-      if (tokens[j].kind == TokKind::kIdent &&
-          (tokens[j].text == "begin" || tokens[j].text == "cbegin" ||
-           tokens[j].text == "rbegin" || tokens[j].text == "crbegin") &&
-          j >= 2 && IsPunct(tokens, j - 1, ".") &&
-          tokens[j - 2].kind == TokKind::kIdent &&
-          std::find(unordered_names.begin(), unordered_names.end(),
-                    std::string(tokens[j - 2].text)) !=
-              unordered_names.end()) {
+      if (tokens[j].kind == TokKind::kIdent && IsBeginMember(tokens[j].text) &&
+          j >= 2 && IsPunct(tokens, j - 1, ".") && is_name(j - 2)) {
         over_unordered = true;
       }
     }
     if (!over_unordered) continue;
 
-    UnorderedLoop loop;
-    loop.line = tokens[i].line;
-    if (IsPunct(tokens, header_close, "{")) {
-      const size_t body_close = MatchForward(tokens, header_close);
-      if (body_close == kNoMatch) continue;
-      loop.body_begin = header_close + 1;
-      loop.body_end = body_close - 1;
-    } else {
-      loop.body_begin = header_close;
-      loop.body_end = StatementEndTok(tokens, header_close);
-      if (loop.body_end == tokens.size()) continue;
+    if (!ForBodyExtent(tokens, i, &loop.body_begin, &loop.body_end)) {
+      loop.body_begin = loop.body_end = header_close;
     }
     loops.push_back(loop);
   }

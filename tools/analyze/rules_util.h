@@ -10,14 +10,15 @@
 #include <vector>
 
 #include "analyze/code_model.h"
+#include "analyze/report.h"
 
 namespace fats::analyze {
 
 // Appends a finding, honoring the file's suppression directives.
 inline void AddFinding(const FileModel& model, const char* rule, int line,
                        std::string message,
-                       std::vector<lint::Finding>* findings) {
-  lint::Finding f;
+                       std::vector<Finding>* findings) {
+  Finding f;
   f.rule = rule;
   f.file = model.source->path;
   f.line = line;
@@ -34,13 +35,44 @@ inline const std::set<std::string_view>& DrawMethods() {
   return *kSet;
 }
 
-// Token extent [begin, end) of the body of a loop that iterates an
-// unordered container (range-for over a declared unordered name, or an
-// explicit `name.begin()` iterator loop).
+// True when tokens[i] is written `std::name` (the `std` is tokens[i - 2]).
+inline bool IsStdQualified(const std::vector<Token>& tokens, size_t i) {
+  return i >= 2 && IsPunct(tokens, i - 1, "::") &&
+         IsIdent(tokens, i - 2, "std");
+}
+
+// Line of a match at tokens[i] that includes an optional leading `std::`.
+inline int MatchLine(const std::vector<Token>& tokens, size_t i) {
+  return tokens[IsStdQualified(tokens, i) ? i - 2 : i].line;
+}
+
+// begin() and its c/r/cr variants: traversal always starts at one of them,
+// whereas the end() sentinel also appears in order-independent find()
+// compares.
+inline bool IsBeginMember(std::string_view name) {
+  return name == "begin" || name == "cbegin" || name == "rbegin" ||
+         name == "crbegin";
+}
+
+// Body of the `for` whose keyword is tokens[kw], as the token extent
+// [*begin, *end): inside the braces of a braced body, else the single
+// statement through its ';'.  False when the header or body does not parse.
+bool ForBodyExtent(const std::vector<Token>& tokens, size_t kw, size_t* begin,
+                   size_t* end);
+
+// A loop that iterates an unordered container: a range-for whose container
+// expression starts with a declared unordered name (`: name`, `: name[k]`,
+// `: Owner::name`), or an explicit `name.begin()` iterator loop.  The body
+// is the token extent [body_begin, body_end), empty when it cannot be
+// parsed.
 struct UnorderedLoop {
   size_t body_begin = 0;
   size_t body_end = 0;
-  int line = 0;
+  int line = 0;  // line of the `for` keyword
+  // The name when the range-for's container expression is exactly that
+  // (optionally qualified) name, i.e. the loop walks the hash table itself;
+  // empty otherwise.
+  std::string_view range_over;
 };
 
 // Finds loops over any of `unordered_names` in the token stream.

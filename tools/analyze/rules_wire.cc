@@ -58,7 +58,7 @@ bool InScope(const std::string& path) {
 }  // namespace
 
 void CheckWireDiscipline(const FileModel& model,
-                         std::vector<lint::Finding>* findings) {
+                         std::vector<Finding>* findings) {
   if (!InScope(model.source->path)) return;
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {

@@ -33,9 +33,9 @@ if [[ "$PRESET" == "asan-ubsan" ]]; then
 fi
 
 echo "=== [4/8] fats_analyze (static contract analysis) ==="
-# Hard gate: the analyzer (legacy lint rules + RNG/reduction/failpoint/
-# Status/layering passes) must report zero unsuppressed violations.  The
-# JSON and SARIF reports are uploaded as CI artifacts.
+# Hard gate: the analyzer (every rule in tools/analyze/rules.h, catalogued
+# in DESIGN.md §7.4) must report zero unsuppressed violations.  The JSON
+# and SARIF reports are uploaded as CI artifacts.
 "$BUILD_DIR/tools/fats_analyze" --root . \
   --baseline tools/fats_analyze_baseline.json \
   --json fats_analyze_report.json \

@@ -1,8 +1,9 @@
 // fats_analyze driver: the contract-enforcing static analyzer for the FATS
-// tree.  Supersedes fats_lint — it runs the legacy token-scanner rules (see
-// fats_lint_lib.h) plus the multi-pass analyzer rule families (see
-// tools/analyze/rules.h): RNG stream discipline, deterministic reductions,
-// failpoint coverage, Status discipline, and include-graph layering.
+// tree.  It runs every rule family of tools/analyze/rules.h over one code
+// model per file: randomness and RNG stream discipline, deterministic
+// reductions and iteration, failpoint coverage, Status discipline, runtime
+// confinement (threads, raw I/O, hot-path allocation), and include-graph
+// layering.
 //
 // Usage:
 //   fats_analyze [--root DIR] [--json FILE|-] [--sarif FILE|-]
@@ -20,7 +21,6 @@
 
 #include "analyze/analyzer.h"
 #include "analyze/report.h"
-#include "fats_lint_lib.h"
 
 namespace fs = std::filesystem;
 
@@ -47,7 +47,7 @@ bool IsSkippedDir(const fs::path& p) {
 void CollectFiles(const fs::path& root, std::vector<fs::path>* out) {
   if (!fs::exists(root)) return;
   if (fs::is_regular_file(root)) {
-    if (fats::lint::ShouldLintFile(root.string())) out->push_back(root);
+    if (fats::analyze::ShouldLintFile(root.string())) out->push_back(root);
     return;
   }
   fs::recursive_directory_iterator it(
@@ -58,7 +58,7 @@ void CollectFiles(const fs::path& root, std::vector<fs::path>* out) {
       continue;
     }
     if (it->is_regular_file() &&
-        fats::lint::ShouldLintFile(it->path().string())) {
+        fats::analyze::ShouldLintFile(it->path().string())) {
       out->push_back(it->path());
     }
   }
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   }
 
   if (!quiet) {
-    for (const fats::lint::Finding& f : result.findings) {
+    for (const fats::analyze::Finding& f : result.findings) {
       std::cerr << f.file << ":" << f.line << ": [" << f.rule << "]"
                 << (f.suppressed ? " (suppressed)" : "") << " " << f.message
                 << "\n";
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_out.empty() &&
-      !WriteReport(json_out, fats::lint::ToJson(result.findings), "json")) {
+      !WriteReport(json_out, fats::analyze::ToJson(result.findings), "json")) {
     return 2;
   }
   if (!sarif_out.empty() &&
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const int active = fats::lint::ActiveCount(result.findings);
+  const int active = fats::analyze::ActiveCount(result.findings);
   if (!quiet) {
     std::cerr << "fats_analyze: analyzed " << files.size() << " files, "
               << active << " violation(s), "

@@ -10,7 +10,7 @@
 # build dir works; CMAKE_EXPORT_COMPILE_COMMANDS is on by default).
 #
 # If no clang-tidy binary is available the script warns and exits 0 so the
-# rest of the toolchain (fats_lint, sanitizer tests) still gates the tree.
+# rest of the toolchain (fats_analyze, sanitizer tests) still gates the tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
