@@ -24,9 +24,10 @@
 // Durability discipline: Append pushes each frame to the OS with fflush
 // (surviving process death); Sync additionally fsyncs to the device
 // (surviving power loss). Callers choose the cadence — the training session
-// syncs at every round boundary. Segment creation goes through a
-// sibling `<path>.tmp` + rename so a torn header can never occupy the
-// journal path; SweepOrphanTmp removes the `.tmp` a crash may strand.
+// syncs at every training round boundary and once per unlearning operation,
+// at its commit. Segment creation goes through a sibling `<path>.tmp` +
+// rename so a torn header can never occupy the journal path; SweepOrphanTmp
+// removes the `.tmp` a crash may strand.
 //
 // This module performs the raw file writes for the durable path and is the
 // one place in src/{core,fl,io} sanctioned to do so (the `raw-io` lint rule

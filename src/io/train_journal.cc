@@ -400,8 +400,9 @@ DurableTrainingSession::~DurableTrainingSession() {
     trainer_->set_event_sink(nullptr);
   }
   // Destructor cannot surface the close Status. Nothing durable is lost
-  // here: every round boundary, unlearning bracket and rotation has already
-  // fsynced, and status() holds the first earlier failure.
+  // here: every training round boundary, closed unlearning bracket and
+  // rotation has already fsynced, and status() holds the first earlier
+  // failure.
   // fats-lint: allow(discarded-status)
   if (writer_ != nullptr) (void)writer_->Close();
 }
@@ -508,7 +509,11 @@ void DurableTrainingSession::OnIterationComplete(const IterationMark& mark) {
   w.I64(mark.comm_retransmits);
   w.I64(mark.comm_retransmit_bytes);
   AppendRecord(w.str());
-  if (mark.iteration % trainer_->config().local_iters_e == 0) SyncJournal();
+  // Inside an unlearning bracket nothing is committed before kOpEnd, whose
+  // sync makes the whole operation durable at once.
+  if (!in_op_ && mark.iteration % trainer_->config().local_iters_e == 0) {
+    SyncJournal();
+  }
 }
 
 void DurableTrainingSession::OnTruncate(int64_t from_iteration) {
@@ -530,7 +535,6 @@ void DurableTrainingSession::OnUnlearnBegin() {
   PayloadWriter w;
   w.U8(static_cast<uint8_t>(Tag::kOpBegin));
   AppendRecord(w.str());
-  SyncJournal();
 }
 
 void DurableTrainingSession::OnUnlearnEnd() {

@@ -33,8 +33,11 @@
 // the not-yet-committed data-side deletion.
 //
 // Durability cadence: every append is fflush'd (survives process death);
-// fsync (survives power loss) happens at every round boundary, on
-// unlearning brackets, and on rotation; this cadence is fixed.
+// fsync (survives power loss) happens at every training round boundary, at
+// each unlearning bracket's closing kOpEnd, and on rotation; this cadence is
+// fixed. An unlearning operation syncs once: its kOpBegin and the round
+// boundaries of its replay are not commit points, so kOpEnd's sync makes
+// the whole operation durable at once.
 
 #ifndef FATS_IO_TRAIN_JOURNAL_H_
 #define FATS_IO_TRAIN_JOURNAL_H_

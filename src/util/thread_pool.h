@@ -1,15 +1,15 @@
 // Fixed-size worker pool for deterministic parallel client execution.
 //
 // This is the ONLY module in the repository allowed to create threads
-// (tools/fats_lint enforces a raw-thread ban everywhere else). The pool
-// exposes exactly one primitive, ParallelFor, which runs an indexed batch
-// of tasks and blocks until all of them finish. Determinism is the caller's
-// contract, not the pool's: task i must depend only on state that was
-// frozen before the ParallelFor call (pre-derived RNG stream keys, start
-// parameters) and must write only slot i of caller-owned output arrays, so
-// results are identical regardless of which worker runs which task and in
-// what completion order. See DESIGN.md §7 ("deterministic-parallelism
-// contract").
+// (the `raw-thread` rule of fats_analyze, tools/analyze/rules_runtime.cc,
+// bans raw threads everywhere else). The pool exposes exactly one
+// primitive, ParallelFor, which runs an indexed batch of tasks and blocks
+// until all of them finish. Determinism is the caller's contract, not the
+// pool's: task i must depend only on state that was frozen before the
+// ParallelFor call (pre-derived RNG stream keys, start parameters) and must
+// write only slot i of caller-owned output arrays, so results are identical
+// regardless of which worker runs which task and in what completion order.
+// See DESIGN.md §7 ("deterministic-parallelism contract").
 //
 // With num_threads <= 1 no threads are ever created and ParallelFor runs
 // the tasks inline on the calling thread — the serial engine of record.

@@ -384,5 +384,39 @@ TEST(CrashMatrixTest, CrashMidUnlearningRollsBackAtomically) {
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned));
 }
 
+TEST(CrashMatrixTest, KillAtCommitSyncKeepsTheOp) {
+  const Reference& ref = GetReference();
+  // `journal.sync` counts JournalWriter::Sync calls: the fresh segment's
+  // sync in Open, one per training round boundary, then the flush's only
+  // sync, at its closing kOpEnd.
+  const int64_t training_rounds = MakeEnv().config.rounds_r;
+  const int64_t syncs_before_flush = 1 + training_rounds;
+  const std::string spec =
+      "journal.sync:" + std::to_string(syncs_before_flush + 1) + ":crash";
+  const std::string ckpt = TempPath("cm_commit.ckpt");
+  const std::string jrn = TempPath("cm_commit.jrn");
+  RemoveDurableFiles(ckpt, jrn);
+  const int code = ForkAndReap([&] {
+    Env env = MakeEnv(spec);
+    Result<std::unique_ptr<DurableTrainingSession>> session =
+        DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+    if (!session.ok()) return 90;
+    env.trainer->TrainUntil(kTotal);
+    return FlushReferenceRequests(env.trainer.get(), ref).ok() ? 0 : 93;
+  });
+  ASSERT_EQ(code, failpoint::kCrashExitCode)
+      << "crash was expected at the flush's commit sync";
+
+  // kOpEnd reached the OS before the kill, so the op is committed: recovery
+  // lands on the unlearned model with no re-flush.
+  Env env = MakeEnv();
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(env.trainer->trained_through(), kTotal);
+  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned))
+      << "the committed unlearning op was lost";
+}
+
 }  // namespace
 }  // namespace fats

@@ -601,6 +601,18 @@ TEST(AnalyzeDiscardedStatus, BareStatementCallFires) {
   EXPECT_TRUE(HasRule(r, kRuleDiscardedStatus));
 }
 
+TEST(AnalyzeDiscardedStatus, NestedTemplateResultIsIndexed) {
+  // The lexer fuses the closing `>>`; both declarations must still register
+  // as Status-returning.
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/x.cc",
+      "Result<std::unique_ptr<int>> OpenThing();\n"
+      "Result<std::vector<long>> ReadThing();\n"
+      "void F() { OpenThing(); ReadThing(); }\n");
+  EXPECT_EQ(ActiveRules(r), (std::vector<std::string>{kRuleDiscardedStatus,
+                                                       kRuleDiscardedStatus}));
+}
+
 TEST(AnalyzeDiscardedStatus, CheckedAndReturnedCallsAreClean) {
   const AnalysisResult r = AnalyzeOne(
       "src/core/x.cc",

@@ -405,5 +405,75 @@ TEST(DurableJournalTest, CleanReopenDoesNotRetrain) {
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
 }
 
+// The sample training used earliest, so deleting it replays every round.
+SampleRef OldestUsedSample(const FatsTrainer& trainer) {
+  SampleRef oldest{-1, -1};
+  int64_t oldest_use = 0;
+  for (int64_t client = 0; client < trainer.config().clients_m; ++client) {
+    for (int64_t index = 0; index < trainer.config().samples_per_client_n;
+         ++index) {
+      const int64_t use = trainer.store().EarliestSampleUse({client, index});
+      if (use > 0 && (oldest_use == 0 || use < oldest_use)) {
+        oldest = {client, index};
+        oldest_use = use;
+      }
+    }
+  }
+  return oldest;
+}
+
+TEST(DurableJournalTest, UnlearningFlushSyncsOnlyAtCommit) {
+  const std::string ckpt = TempPath("djrn_commit.ckpt");
+  const std::string jrn = TempPath("djrn_commit.jrn");
+  for (const std::string& p : {ckpt, ckpt + ".tmp", jrn, jrn + ".tmp"}) {
+    std::remove(p.c_str());
+  }
+  Env plain = MakeEnv();
+  plain.trainer->Train();
+  const UnlearningRequest request{
+      .kind = UnlearningRequest::Kind::kSample,
+      .sample = OldestUsedSample(*plain.trainer),
+      .request_iter = plain.config.total_iters_t()};
+  ASSERT_NE(request.sample.client, -1);
+  Result<ServiceFlushStats> plain_stats =
+      UnlearningService(plain.trainer.get()).ExecuteStream({request});
+  ASSERT_TRUE(plain_stats.ok()) << plain_stats.status().ToString();
+  ASSERT_GE(plain_stats->replayed_rounds, 3)
+      << "the flush must replay at least three round boundaries";
+
+  Env env = MakeEnv();
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  env.trainer->Train();
+  ASSERT_TRUE((*session)->status().ok());
+
+  // A second sync inside the flush would fail it: kOpBegin and the replayed
+  // round boundaries commit nothing, so only kOpEnd syncs.
+  ASSERT_TRUE(failpoint::ArmFromSpec("journal.sync_file:2:error").ok());
+  Result<ServiceFlushStats> stats =
+      UnlearningService(env.trainer.get()).ExecuteStream({request});
+  failpoint::DisarmAll();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->replayed_rounds, plain_stats->replayed_rounds);
+  EXPECT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
+  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(
+      plain.trainer->global_params()));
+
+  // The one sync left is the commit: failing it surfaces in the session.
+  const UnlearningRequest second{
+      .kind = UnlearningRequest::Kind::kSample,
+      .sample = OldestUsedSample(*env.trainer),
+      .request_iter = env.config.total_iters_t()};
+  ASSERT_NE(second.sample.client, -1);
+  ASSERT_TRUE(failpoint::ArmFromSpec("journal.sync_file:1:error").ok());
+  ASSERT_TRUE(
+      UnlearningService(env.trainer.get()).ExecuteStream({second}).ok());
+  failpoint::DisarmAll();
+  EXPECT_NE((*session)->status().ToString().find("journal.sync_file"),
+            std::string::npos)
+      << (*session)->status().ToString();
+}
+
 }  // namespace
 }  // namespace fats

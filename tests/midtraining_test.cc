@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -62,6 +63,10 @@ struct PauseCase {
   int64_t num_threads;
   double dropout_rate;
 };
+
+// Without a printer gtest dumps the struct's bytes, and with them the address
+// of `name`, into the test's listed name, so the name would differ per run.
+void PrintTo(const PauseCase& c, std::ostream* os) { *os << c.name; }
 
 class PauseAtEveryOffsetTest : public ::testing::TestWithParam<PauseCase> {};
 

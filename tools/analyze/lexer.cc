@@ -123,6 +123,13 @@ size_t MatchForward(const std::vector<Token>& tokens, size_t open) {
   }
   int depth = 0;
   for (size_t i = open; i < tokens.size(); ++i) {
+    // The lexer fuses `>>`; inside a template argument list it closes two
+    // levels, as in `Result<std::unique_ptr<X>>`.
+    if (opener == '<' && IsPunct(tokens, i, ">>")) {
+      depth -= 2;
+      if (depth <= 0) return i + 1;
+      continue;
+    }
     if (tokens[i].kind != TokKind::kPunct || tokens[i].text.size() != 1) {
       // `<` matching must also bail on statement ends: a stray comparison
       // would otherwise swallow the rest of the file.
