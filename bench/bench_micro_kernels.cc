@@ -226,6 +226,34 @@ void BM_PhiloxThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_PhiloxThroughput);
 
+// The bulk path: Arg words per Fill (whole 16-block groups at 1024).
+void BM_PhiloxFill(benchmark::State& state) {
+  PhiloxEngine engine(42);  // fats-lint: allow(rng-raw-key)
+  std::vector<uint32_t> out(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    engine.Fill(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0) * 4);
+}
+BENCHMARK(BM_PhiloxFill)->Arg(1024);
+
+// Arg normals per FillGaussian after one label-style uniform draw, the
+// shape of one synthesized row (d = 64 on million_clients).
+void BM_FillGaussian(benchmark::State& state) {
+  RngStream rng(uint64_t{6});
+  std::vector<double> out(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.NextDouble());
+    rng.FillGaussian(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FillGaussian)->Arg(64);
+
 void BM_SampleWithoutReplacement(benchmark::State& state) {
   const int64_t n = state.range(0);
   RngStream rng(uint64_t{4});
@@ -235,6 +263,19 @@ void BM_SampleWithoutReplacement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleWithoutReplacement)->Arg(100)->Arg(10000);
+
+// Args are (N, b), a mini-batch draw: (8, 4) on million_clients and (30, 16)
+// on train_cnn, both on the dense path.
+void BM_SampleMinibatch(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const int64_t b = state.range(1);
+  RngStream rng(uint64_t{4});
+  for (auto _ : state) {
+    std::vector<int64_t> s = SampleWithoutReplacement(n, b, &rng);
+    benchmark::DoNotOptimize(s.data());
+  }
+}
+BENCHMARK(BM_SampleMinibatch)->Args({8, 4})->Args({30, 16});
 
 void BM_SampleClientMultiset(benchmark::State& state) {
   RngStream rng(uint64_t{5});

@@ -16,8 +16,10 @@ SyntheticImageGenerator::SyntheticImageGenerator(
   id.purpose = RngPurpose::kDataGeneration;
   id.round = 0;
   RngStream rng(config_.seed, id);
-  for (float& v : prototypes_) {
-    v = static_cast<float>(config_.prototype_scale * rng.NextGaussian());
+  std::vector<double> draws(prototypes_.size());
+  rng.FillGaussian(draws.data(), draws.size());
+  for (size_t i = 0; i < prototypes_.size(); ++i) {
+    prototypes_[i] = static_cast<float>(config_.prototype_scale * draws[i]);
   }
 }
 
@@ -43,9 +45,12 @@ std::vector<float> SyntheticImageGenerator::StyledPrototypes(
   const double s = config_.style_strength;
   std::vector<double> shift(static_cast<size_t>(config_.feature_dim));
   std::vector<double> scale(shift.size());
+  // Shift and scale are drawn interleaved, one pair per coordinate.
+  std::vector<double> draws(2 * shift.size());
+  rng.FillGaussian(draws.data(), draws.size());
   for (size_t j = 0; j < shift.size(); ++j) {
-    shift[j] = s * rng.NextGaussian();
-    scale[j] = 1.0 + s * 0.5 * rng.NextGaussian();
+    shift[j] = s * draws[2 * j];
+    scale[j] = 1.0 + s * 0.5 * draws[2 * j + 1];
   }
   for (size_t row = 0; row < protos.size(); row += shift.size()) {
     for (size_t j = 0; j < shift.size(); ++j) {
@@ -79,14 +84,17 @@ InMemoryDataset SyntheticImageGenerator::Generate(
   std::vector<int64_t> labels;
   labels.reserve(static_cast<size_t>(n));
   const std::vector<float> styled = StyledPrototypes(style_client);
+  std::vector<double> noise(static_cast<size_t>(d));
   for (int64_t i = 0; i < n; ++i) {
+    // The row's label draw comes first, then its d noise draws.
     const int64_t c = SampleCategorical(probs, &rng);
     labels.push_back(c);
+    rng.FillGaussian(noise.data(), noise.size());
     const float* proto = styled.data() + c * d;
     float* row = features.data() + i * d;
     for (int64_t j = 0; j < d; ++j) {
-      row[j] = proto[j] +
-               static_cast<float>(config_.noise_stddev * rng.NextGaussian());
+      row[j] = proto[j] + static_cast<float>(config_.noise_stddev *
+                                             noise[static_cast<size_t>(j)]);
     }
   }
   if (n == 0) return InMemoryDataset();

@@ -1,13 +1,20 @@
 #include "nn/init.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fats {
 
 void InitGaussian(Tensor* t, double stddev, RngStream* rng) {
   float* data = t->data();
-  for (int64_t i = 0; i < t->size(); ++i) {
-    data[i] = static_cast<float>(stddev * rng->NextGaussian());
+  constexpr int64_t kChunk = 256;
+  double draws[kChunk];
+  for (int64_t i = 0; i < t->size(); i += kChunk) {
+    const int64_t m = std::min(kChunk, t->size() - i);
+    rng->FillGaussian(draws, static_cast<size_t>(m));
+    for (int64_t j = 0; j < m; ++j) {
+      data[i + j] = static_cast<float>(stddev * draws[j]);
+    }
   }
 }
 

@@ -9,11 +9,21 @@
 // Reference: Salmon, Moraes, Dror, Shaw. "Parallel random numbers: as easy as
 // 1, 2, 3" (SC'11). This is the standard 10-round Philox4x32 used by
 // JAX/XLA and cuRAND.
+//
+// Blocks are independent, so PhiloxEngine::Fill computes them in bulk: on
+// x86-64 hosts with AVX-512F (checked once at static-init time, as the GEMM
+// and CRC-32 kernels are) sixteen consecutive counters share one vector per
+// counter word, and the ten rounds run on all sixteen at once. The rounds
+// are 32-bit integer multiplies, xors and adds, so every lane computes
+// exactly the scalar block: the bulk stream is the scalar stream by
+// construction, and tests/philox_test.cc checks Fill against n calls of
+// operator().
 
 #ifndef FATS_RNG_PHILOX_H_
 #define FATS_RNG_PHILOX_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace fats {
@@ -24,6 +34,14 @@ using PhiloxBlock = std::array<uint32_t, 4>;
 
 /// Applies the 10-round Philox4x32 block function.
 PhiloxBlock Philox4x32(PhiloxCounter counter, PhiloxKey key);
+
+namespace internal {
+
+/// True when PhiloxEngine::Fill runs whole groups through the AVX-512
+/// kernel on this host; otherwise every block is Philox4x32.
+bool PhiloxFillUsesAvx512();
+
+}  // namespace internal
 
 /// A UniformRandomBitGenerator over a Philox stream. The 64-bit `key`
 /// selects an independent stream; the 128-bit internal counter advances one
@@ -56,6 +74,13 @@ class PhiloxEngine {
     uint64_t hi = (*this)();
     return (hi << 32) | lo;
   }
+
+  /// Writes the next `n` outputs to `out`: exactly the values, and the
+  /// engine state, that `n` calls of operator() would leave. The buffered
+  /// block drains first; whole 16-block groups then come from the bulk
+  /// kernel, and a group whose counters would carry out of word 0 falls
+  /// back to the scalar block function.
+  void Fill(uint32_t* out, size_t n);
 
   /// Skips ahead to block `block_index`, discarding buffered output. Used by
   /// tests to verify counter-mode addressing.

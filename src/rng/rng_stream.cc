@@ -1,8 +1,21 @@
 #include "rng/rng_stream.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace fats {
+namespace {
+
+// The one Box-Muller transform, shared by NextGaussian and FillGaussian so
+// the two cannot drift. u1 is kept away from zero to avoid log(0).
+inline double BoxMuller(double u1, double u2) {
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
+}  // namespace
 
 std::string StreamId::ToString() const {
   return StrFormat("StreamId{purpose=%u, gen=%llu, round=%llu, client=%lld, "
@@ -43,11 +56,26 @@ uint64_t RngStream::UniformInt(uint64_t n) {
 }
 
 double RngStream::NextGaussian() {
-  // Box-Muller; u1 is kept away from zero to avoid log(0).
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+  const double u1 = NextDouble();
+  const double u2 = NextDouble();
+  return BoxMuller(u1, u2);
+}
+
+void RngStream::FillGaussian(double* out, size_t n) {
+  // Four engine words per normal: u1's low and high word, then u2's.
+  constexpr size_t kChunk = 64;
+  uint32_t words[4 * kChunk];
+  while (n > 0) {
+    const size_t m = std::min(n, kChunk);
+    engine_.Fill(words, 4 * m);
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t* w = words + 4 * i;
+      out[i] = BoxMuller(ToUnitDouble((uint64_t{w[1]} << 32) | w[0]),
+                         ToUnitDouble((uint64_t{w[3]} << 32) | w[2]));
+    }
+    out += m;
+    n -= m;
+  }
 }
 
 }  // namespace fats

@@ -11,11 +11,17 @@
 //     independent of everything drawn before, so a re-computation after a
 //     deletion draws from the *updated* measure with fresh randomness
 //     (the re-sampled part of the coupling in Theorem 1).
+//
+// Bulk draws (RngStream::FillGaussian, over PhiloxEngine::Fill) are the
+// scalar draws computed in groups: each is contractually n scalar calls,
+// stream state included, so a consumer that switches to them draws the same
+// bytes and leaves the stream where the scalar loop would.
 
 #ifndef FATS_RNG_RNG_STREAM_H_
 #define FATS_RNG_RNG_STREAM_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -83,9 +89,7 @@ class RngStream {
   uint64_t NextUInt64() { return engine_.NextUInt64(); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble() {
-    return static_cast<double>(engine_.NextUInt64() >> 11) * 0x1.0p-53;
-  }
+  double NextDouble() { return ToUnitDouble(engine_.NextUInt64()); }
 
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire-style rejection
   /// to avoid modulo bias.
@@ -95,12 +99,23 @@ class RngStream {
   /// second variate is discarded to keep draws addressable).
   double NextGaussian();
 
+  /// Writes `n` standard normals: exactly the values, and the stream state,
+  /// of `n` NextGaussian() calls. The uniforms come from the engine's bulk
+  /// Fill in fixed-size chunks (no heap allocation); log, sqrt and cos stay
+  /// the scalar libm calls of NextGaussian, in the same expression, because
+  /// vector math libraries do not round like glibc.
+  void FillGaussian(double* out, size_t n);
+
   /// Bernoulli(p).
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
   PhiloxEngine& engine() { return engine_; }
 
  private:
+  static double ToUnitDouble(uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  }
+
   PhiloxEngine engine_;
 };
 

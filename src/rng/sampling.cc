@@ -1,7 +1,9 @@
 #include "rng/sampling.h"
 
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -9,6 +11,27 @@ namespace fats {
 
 std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k,
                                               RngStream* rng) {
+  FATS_CHECK_GE(k, 0);
+  FATS_CHECK_LE(k, n);
+  if (n > internal::kDenseSampleMaxN) {
+    return internal::SampleWithoutReplacementHashed(n, k, rng);
+  }
+  // Dense partial Fisher-Yates over a[i] = i: the same UniformInt(n - i)
+  // draws and the same swaps as the hashed path, so the same output.
+  std::vector<int64_t> a(static_cast<size_t>(n));
+  std::iota(a.begin(), a.end(), int64_t{0});
+  for (int64_t i = 0; i < k; ++i) {
+    const int64_t j = i + static_cast<int64_t>(rng->UniformInt(n - i));
+    std::swap(a[static_cast<size_t>(i)], a[static_cast<size_t>(j)]);
+  }
+  a.resize(static_cast<size_t>(k));
+  return a;
+}
+
+namespace internal {
+
+std::vector<int64_t> SampleWithoutReplacementHashed(int64_t n, int64_t k,
+                                                    RngStream* rng) {
   FATS_CHECK_GE(k, 0);
   FATS_CHECK_LE(k, n);
   // Hash-based Fisher-Yates: conceptually shuffle an array a[i] = i and take
@@ -28,6 +51,8 @@ std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k,
   }
   return out;
 }
+
+}  // namespace internal
 
 std::vector<int64_t> SampleWithReplacement(int64_t n, int64_t k,
                                            RngStream* rng) {

@@ -19,10 +19,28 @@ namespace fats {
 /// Draws a uniformly random size-`k` subset of {0, ..., n-1} without
 /// replacement. Requires 0 <= k <= n. The result is returned in the order
 /// drawn (a uniformly random k-permutation prefix); callers that need set
-/// semantics should sort. O(k) expected time and space (hash-based
-/// Fisher-Yates), independent of n.
+/// semantics should sort. A partial Fisher-Yates shuffle of a[i] = i: up to
+/// internal::kDenseSampleMaxN it runs on a dense array (O(n)); above, only
+/// the touched positions live in a hash map, O(k) expected time and space
+/// independent of n. Both make the same draws and swaps, so the choice
+/// never changes an output.
 std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k,
                                               RngStream* rng);
+
+namespace internal {
+
+/// Largest n that SampleWithoutReplacement shuffles densely. The mini-batch
+/// draws (N of 8-30 samples) sit far below it; the server's K-of-M client
+/// draw (32 of 10^6) far above.
+inline constexpr int64_t kDenseSampleMaxN = 256;
+
+/// The hash-map path alone, same contract as SampleWithoutReplacement.
+/// Exposed so tests compare both paths below the cutoff; callers use
+/// SampleWithoutReplacement.
+std::vector<int64_t> SampleWithoutReplacementHashed(int64_t n, int64_t k,
+                                                    RngStream* rng);
+
+}  // namespace internal
 
 /// Draws `k` elements of {0, ..., n-1} uniformly with replacement
 /// (a multiset, order as drawn). Requires n > 0, k >= 0.

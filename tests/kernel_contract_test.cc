@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "rng/philox.h"
 #include "rng/rng_stream.h"
 #include "util/thread_pool.h"
 
@@ -367,8 +368,11 @@ TEST(KernelContract, ReportsDispatchPath) {
   if (avx512) {
     EXPECT_TRUE(avx2);  // avx512f implies avx2 on every real CPU
   }
+  // The bulk Philox kernel dispatches on the same CPU feature.
+  EXPECT_EQ(internal::PhiloxFillUsesAvx512(), avx512);
   SUCCEED() << "micro-kernel: "
-            << (avx512 ? "AVX-512" : (avx2 ? "AVX2" : "generic"));
+            << (avx512 ? "AVX-512" : (avx2 ? "AVX2" : "generic"))
+            << "; Philox bulk: " << (avx512 ? "AVX-512" : "portable");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace fats {
 namespace {
@@ -97,6 +98,83 @@ TEST(PhiloxEngineTest, OutputLooksUniformAcrossBuckets) {
     chi2 += (c - expected) * (c - expected) / expected;
   }
   EXPECT_LT(chi2, 37.7);
+}
+
+// --- Bulk Fill: contractually n calls of operator() -----------------------
+
+// Fills `n` words from `bulk` and checks them, then the engine state (the
+// next words, which may come from a block Fill buffered), against `scalar`.
+// Short lengths and groups that would carry run the scalar fallback; the
+// rest run the dispatched group kernel.
+void ExpectFillMatchesScalar(PhiloxEngine* bulk, PhiloxEngine* scalar,
+                             size_t n) {
+  std::vector<uint32_t> out(n + 1, 0xDEADBEEFu);
+  bulk->Fill(out.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(out[i], (*scalar)()) << "word " << i << " of " << n;
+  }
+  EXPECT_EQ(out[n], 0xDEADBEEFu) << "wrote past n";
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_EQ((*bulk)(), (*scalar)()) << "state after Fill, word " << i;
+  }
+}
+
+TEST(PhiloxFillTest, EqualsScalarCallsAtEveryOffsetAndLength) {
+  for (size_t offset = 0; offset < 4; ++offset) {
+    for (size_t n : {0, 1, 3, 63, 64, 65, 255, 256, 257}) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " n " << n);
+      PhiloxEngine bulk(0x5EED0000u + offset);
+      PhiloxEngine scalar(0x5EED0000u + offset);
+      // Leave both engines `offset` words into a buffered block.
+      for (size_t i = 0; i < offset; ++i) ASSERT_EQ(bulk(), scalar());
+      ExpectFillMatchesScalar(&bulk, &scalar, n);
+    }
+  }
+}
+
+TEST(PhiloxFillTest, CarriesFromWordZeroIntoWordOne) {
+  // Blocks 2^32 - 40 .. 2^32 + 70: groups below, across and above the carry.
+  for (uint64_t start = (1ull << 32) - 40; start < (1ull << 32); start += 7) {
+    PhiloxEngine bulk(77);
+    PhiloxEngine scalar(77);
+    bulk.SeekToBlock(start);
+    scalar.SeekToBlock(start);
+    ExpectFillMatchesScalar(&bulk, &scalar, 4 * 110 + 2);
+  }
+}
+
+TEST(PhiloxFillTest, CarriesFromWordOneIntoWordTwo) {
+  const uint64_t key = 0x0123456789ABCDEFull;
+  PhiloxEngine bulk(key);
+  PhiloxEngine scalar(key);
+  const uint64_t start = ~0ull - 20;  // block 2^64 - 21
+  bulk.SeekToBlock(start);
+  scalar.SeekToBlock(start);
+  std::vector<uint32_t> out(4 * 64);
+  bulk.Fill(out.data(), out.size());
+  for (uint32_t w : out) ASSERT_EQ(w, scalar());
+  // Block 21 of the fill is counter (0, 0, 1, 0): the carry reached word 2.
+  const PhiloxBlock expected =
+      Philox4x32({0, 0, 1, 0}, {static_cast<uint32_t>(key),
+                                static_cast<uint32_t>(key >> 32)});
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out[4 * 21 + i], expected[i]);
+}
+
+TEST(PhiloxFillTest, ScalarDrawsInterleaveWithFills) {
+  PhiloxEngine bulk(2718);
+  PhiloxEngine scalar(2718);
+  std::vector<uint32_t> out;
+  for (size_t step = 0; step < 40; ++step) {
+    // Lengths cycle through short, group-sized and multi-group fills.
+    const size_t n = (step * 37) % 150;
+    out.assign(n, 0);
+    bulk.Fill(out.data(), n);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], scalar()) << step;
+    for (size_t i = 0; i < step % 3; ++i) ASSERT_EQ(bulk(), scalar());
+    if (step % 4 == 1) {
+      ASSERT_EQ(bulk.NextUInt64(), scalar.NextUInt64());
+    }
+  }
 }
 
 TEST(SplitMix64Test, KnownValuesAndBijectivityOnSample) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace fats {
 namespace {
@@ -136,6 +137,51 @@ TEST(RngStreamTest, BernoulliFrequencyMatchesP) {
     if (rng.NextBernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+// --- FillGaussian: contractually n calls of NextGaussian -------------------
+
+TEST(FillGaussianTest, EqualsScalarCallsAtEveryOffsetAndLength) {
+  for (size_t offset = 0; offset < 4; ++offset) {
+    for (size_t n : {0, 1, 3, 63, 64, 65, 255, 256, 257}) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " n " << n);
+      RngStream bulk(0xFEED00u + offset);
+      RngStream scalar(0xFEED00u + offset);
+      for (size_t i = 0; i < offset; ++i) {
+        ASSERT_EQ(bulk.NextUInt32(), scalar.NextUInt32());
+      }
+      std::vector<double> out(n);
+      bulk.FillGaussian(out.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        // Bitwise equality: the same uniforms through the same libm calls.
+        ASSERT_EQ(out[i], scalar.NextGaussian()) << "normal " << i;
+      }
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(bulk.NextUInt32(), scalar.NextUInt32());
+      }
+    }
+  }
+}
+
+TEST(FillGaussianTest, ScalarDrawsInterleaveWithFills) {
+  const StreamId id = MakeId(RngPurpose::kDataGeneration, 3, 0, 17, 0);
+  RngStream bulk(11, id);
+  RngStream scalar(11, id);
+  std::vector<double> out;
+  for (size_t step = 0; step < 30; ++step) {
+    const size_t n = (step * 29) % 90;
+    out.assign(n, 0.0);
+    bulk.FillGaussian(out.data(), n);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], scalar.NextGaussian());
+    // A label-style draw between rows leaves the engine mid-block.
+    ASSERT_EQ(bulk.NextDouble(), scalar.NextDouble());
+    if (step % 3 == 0) {
+      ASSERT_EQ(bulk.NextGaussian(), scalar.NextGaussian());
+    }
+    if (step % 5 == 0) {
+      ASSERT_EQ(bulk.UniformInt(30), scalar.UniformInt(30));
+    }
+  }
 }
 
 }  // namespace

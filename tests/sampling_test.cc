@@ -68,6 +68,23 @@ TEST(SampleWithoutReplacementTest, ElementInclusionProbabilityIsKOverN) {
   EXPECT_NEAR(static_cast<double>(contains_zero) / draws, 0.3, 0.02);
 }
 
+// The dense path below the cutoff and the hashed path make the same draws
+// and swaps: equal outputs and equal stream state, on either side of it.
+TEST(SampleWithoutReplacementTest, DenseAndHashedPathsAgree) {
+  const int64_t cutoff = internal::kDenseSampleMaxN;
+  for (int64_t n : {int64_t{1}, int64_t{8}, int64_t{30}, cutoff - 1, cutoff,
+                    cutoff + 1, 2 * cutoff}) {
+    for (int64_t k : {int64_t{0}, int64_t{1}, n / 2, n}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " k " << k);
+      RngStream a = MakeStream(static_cast<uint64_t>(1000 * n + k));
+      RngStream b = MakeStream(static_cast<uint64_t>(1000 * n + k));
+      EXPECT_EQ(SampleWithoutReplacement(n, k, &a),
+                internal::SampleWithoutReplacementHashed(n, k, &b));
+      EXPECT_EQ(a.NextUInt64(), b.NextUInt64());
+    }
+  }
+}
+
 TEST(SampleWithReplacementTest, InRangeAndAllowsRepeats) {
   RngStream rng = MakeStream(6);
   std::vector<int64_t> s = SampleWithReplacement(3, 100, &rng);
