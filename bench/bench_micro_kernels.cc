@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the numeric and sampling kernels
-// underneath FATS: matmul, conv2d, LSTM step, Philox throughput, and the
-// samplers whose laws the unlearning proofs depend on.
+// underneath FATS: matmul, conv2d, max-pool, LSTM step, Philox throughput,
+// and the samplers whose laws the unlearning proofs depend on.
 //
 // The GEMM / conv / step-latency cases feed the bench-regression gate:
 // tools/ci.sh runs this binary with
@@ -23,6 +23,7 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/model_zoo.h"
+#include "nn/pooling.h"
 #include "nn/weight_pack.h"
 #include "nn/workspace.h"
 #include "rng/philox.h"
@@ -408,6 +409,25 @@ void BM_ClientBatchPerCallPack(benchmark::State& state) {
   PackedBatchBench(state, /*shared_pack=*/false);
 }
 BENCHMARK(BM_ClientBatchPerCallPack);
+
+// The 2x2 max-pool of the train_cnn step: 6 channels of 8x8 conv output per
+// sample, forward then backward.
+void BM_MaxPool2dForwardBackward(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  MaxPool2d pool(6, 8, 8, 2);
+  Workspace ws;
+  Tensor x({batch, 6 * 8 * 8});
+  FillPattern(&x, 23, 0.01f);
+  Tensor grad({batch, 6 * 4 * 4});
+  grad.Fill(0.1f);
+  for (auto _ : state) {
+    const Tensor& y = pool.Forward(x, &ws);
+    const Tensor& gx = pool.Backward(grad, &ws);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+}
+BENCHMARK(BM_MaxPool2dForwardBackward)->Arg(16);
 
 }  // namespace
 }  // namespace fats

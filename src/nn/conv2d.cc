@@ -128,7 +128,7 @@ const Tensor& Conv2d::Forward(const Tensor& input, Workspace* ws) {
   return out;
 }
 
-const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
+void Conv2d::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
   const int64_t batch = cached_batch_;
   FATS_CHECK_GT(batch, 0) << "Backward before Forward";
   FATS_CHECK_EQ(grad_output.dim(0), batch);
@@ -137,10 +137,6 @@ const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
   const int64_t P = out_height_ * out_width_;
   const Tensor& col = ws->Peek(this, kCol);
   FATS_CHECK_EQ(col.size(), batch * K * P) << "Backward before Forward";
-  Tensor& dcol = ws->Get(this, kDcol, K, P);
-  Tensor& grad_input =
-      ws->Get(this, kGradIn, batch, in_channels_ * height_ * width_);
-  grad_input.Fill(0.0f);
   float* bgrad = bias_.grad.data();
   for (int64_t n = 0; n < batch; ++n) {
     const float* gy = grad_output.data() + n * out_channels_ * P;
@@ -167,6 +163,22 @@ const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
     // dW (oc x K) += gy (oc x P) @ col^T.
     gemm::SgemmNT(out_channels_, K, P, gy, P, col_n, P, weight_.grad.data(), K,
                   /*accumulate=*/true);
+  }
+}
+
+const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
+  // The input gradient reads only W and gy, so computing it after every
+  // sample's parameter gradients leaves both sets of bits unchanged.
+  BackwardParameters(grad_output, ws);
+  const int64_t batch = cached_batch_;
+  const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
+  const int64_t P = out_height_ * out_width_;
+  Tensor& dcol = ws->Get(this, kDcol, K, P);
+  Tensor& grad_input =
+      ws->Get(this, kGradIn, batch, in_channels_ * height_ * width_);
+  grad_input.Fill(0.0f);
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* gy = grad_output.data() + n * out_channels_ * P;
     // dcol (K x P) = W^T @ gy.
     gemm::SgemmTN(K, P, out_channels_, weight_.value.data(), K, gy, P,
                   dcol.data(), P, /*accumulate=*/false);

@@ -18,9 +18,10 @@ namespace fats {
 /// unrolled into a (K x P) column matrix (K = in_ch·k², P = out_h·out_w,
 /// cached in a Workspace slot and reused across steps), so forward is one
 /// SgemmNN per sample and backward is one SgemmNT (dW) plus one SgemmTN
-/// (dcol) per sample followed by a col2im scatter. The original direct
-/// convolution is retained as ForwardDirect/BackwardDirect — a slow,
-/// independent reference that gradcheck tests compare against.
+/// (dcol) per sample followed by a col2im scatter; BackwardParameters stops
+/// after the SgemmNT and bias sums. The original direct convolution is
+/// retained as ForwardDirect/BackwardDirect — a slow, independent reference
+/// that gradcheck tests compare against.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t height,
@@ -30,6 +31,7 @@ class Conv2d : public Module {
   using Module::Backward;
   const Tensor& Forward(const Tensor& input, Workspace* ws) override;
   const Tensor& Backward(const Tensor& grad_output, Workspace* ws) override;
+  void BackwardParameters(const Tensor& grad_output, Workspace* ws) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   std::string ToString() const override;
   int64_t OutputFeatures(int64_t input_features) const override;

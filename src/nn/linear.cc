@@ -47,13 +47,19 @@ const Tensor& Linear::Forward(const Tensor& input, Workspace* ws) {
   return out;
 }
 
-const Tensor& Linear::Backward(const Tensor& grad_output, Workspace* ws) {
+void Linear::BackwardParameters(const Tensor& grad_output,
+                                Workspace* /*ws*/) {
   FATS_CHECK_EQ(grad_output.rank(), 2);
   FATS_CHECK_EQ(grad_output.dim(1), out_features_);
   FATS_CHECK(cached_input_ != nullptr) << "Backward before Forward";
-  // dW += gO^T @ X ; db += column sums of gO ; dX = gO @ W.
+  // dW += gO^T @ X ; db += column sums of gO.
   AddMatMulTransposeAInto(grad_output, *cached_input_, &weight_.grad);
   AddSumRowsInto(grad_output, &bias_.grad);
+}
+
+const Tensor& Linear::Backward(const Tensor& grad_output, Workspace* ws) {
+  BackwardParameters(grad_output, ws);
+  // dX = gO @ W.
   Tensor& grad_input = ws->Peek(this, kGradIn);
   if (const WeightPack::Entry* entry = PackEntry(ws)) {
     // The pack holds pre-step weights, which is exactly what dX = gO @ W

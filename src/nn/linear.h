@@ -22,6 +22,7 @@ class Linear : public Module {
   using Module::Backward;
   const Tensor& Forward(const Tensor& input, Workspace* ws) override;
   const Tensor& Backward(const Tensor& grad_output, Workspace* ws) override;
+  void BackwardParameters(const Tensor& grad_output, Workspace* ws) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   std::string ToString() const override;
   int64_t OutputFeatures(int64_t input_features) const override;

@@ -164,7 +164,7 @@ double Model::ComputeLossAndGradients(const Tensor& inputs,
   for (Parameter* p : params_) p->grad.SetZero();
   const Tensor& logits = network_->Forward(inputs, &ws_);
   double loss = loss_.Compute(logits, labels, &grad_logits_);
-  network_->Backward(grad_logits_, &ws_);
+  network_->BackwardParameters(grad_logits_, &ws_);
   return loss;
 }
 

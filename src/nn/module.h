@@ -12,6 +12,12 @@
 //   * Backward(grad_out, ws) must follow the matching Forward with the SAME
 //     workspace, accumulates parameter gradients (+=) and returns the
 //     gradient w.r.t. the input (also a Workspace slot).
+//   * BackwardParameters(grad_out, ws) is Backward for a caller that does
+//     not read the input gradient: it accumulates the same parameter
+//     gradients, bit for bit, and may skip the input-gradient work. Nothing
+//     reads the gradient w.r.t. the training inputs, so Sequential calls it
+//     on its first layer and Model::ComputeLossAndGradients on the network.
+//     The default runs Backward and drops the result.
 //   * The input passed to Forward must stay alive (and unmodified) until the
 //     matching Backward returns — layers cache it by reference, not by copy.
 //     Inside Sequential this holds automatically: each layer's input is the
@@ -64,6 +70,13 @@ class Module {
   /// into parameter .grad fields and returns input gradients (a Workspace
   /// slot). `ws` must be the workspace used by the matching Forward.
   virtual const Tensor& Backward(const Tensor& grad_output, Workspace* ws) = 0;
+
+  /// Backward without the input gradient: the same parameter-gradient
+  /// accumulation, bit for bit. Layers whose input gradient costs real work
+  /// (Conv2d, Linear) override it to skip that work.
+  virtual void BackwardParameters(const Tensor& grad_output, Workspace* ws) {
+    Backward(grad_output, ws);
+  }
 
   // By-value conveniences over a module-owned scratch workspace. Derived
   // classes re-expose them with `using Module::Forward/Backward`.

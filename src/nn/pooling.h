@@ -3,6 +3,7 @@
 #ifndef FATS_NN_POOLING_H_
 #define FATS_NN_POOLING_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,23 @@
 
 namespace fats {
 
-/// Non-overlapping max pooling with a square window. Input height/width must
-/// be divisible by the window size.
+/// Non-overlapping 2x2 max pooling (every model in the zoo pools 2x2; the
+/// constructor's `window` must be 2). Height and width must be even.
+///
+/// A CHW batch is `batch·C·H/2` contiguous row pairs of `width` floats, and
+/// each row pair pools into one output row, so both passes run one flat loop
+/// over row pairs whatever the batch and channel count. Forward scans each
+/// window in the order top-left, top-right, bottom-left, bottom-right and
+/// keeps a candidate only if it is strictly greater (`v > best`): ties go to
+/// the first maximum, and a NaN wins only in the top-left position (every
+/// comparison against it is false). It stores the winner's position as a
+/// one-byte code per output. Backward writes every 2x2 block whole:
+/// `0.0f + g` at the coded position, `+0.0f` at the other three, which is
+/// the bit pattern of scattering g into a zeroed gradient (a −0.0 upstream
+/// gradient arrives as +0.0). On AVX-512F hosts (decided once, at static
+/// init) widths that divide 16 run a vector kernel, 16 outputs per
+/// register; other widths, and other hosts, run the portable loop. Both
+/// compute the same bits (DESIGN.md §7.2).
 class MaxPool2d : public Module {
  public:
   MaxPool2d(int64_t channels, int64_t height, int64_t width, int64_t window);
@@ -30,13 +46,29 @@ class MaxPool2d : public Module {
   int64_t channels_;
   int64_t height_;
   int64_t width_;
-  int64_t window_;
   int64_t out_height_;
   int64_t out_width_;
-  std::vector<int64_t> argmax_;  // flat input index per output element
-  std::vector<int64_t> input_shape_;
+  int64_t cached_batch_ = 0;
+  // In-window argmax code per output element, plus slack for the vector
+  // path's whole-register code loads.
+  std::vector<uint8_t> codes_;
 };
 
+namespace internal {
+
+/// True when MaxPool2d runs the AVX-512F kernels on this host.
+bool MaxPool2x2UsesAvx512();
+
+/// The portable 2x2 kernels, same contract as MaxPool2d's passes. `x`/`gx`
+/// hold `row_pairs` pairs of `width`-float rows (width even); `y`, `gy` and
+/// `codes` hold `row_pairs * width / 2` elements. Exposed so tests reach them
+/// on hosts where MaxPool2d dispatches to the vector path.
+void MaxPool2x2ForwardPortable(const float* x, int64_t row_pairs,
+                               int64_t width, float* y, uint8_t* codes);
+void MaxPool2x2BackwardPortable(const float* gy, const uint8_t* codes,
+                                int64_t row_pairs, int64_t width, float* gx);
+
+}  // namespace internal
 }  // namespace fats
 
 #endif  // FATS_NN_POOLING_H_

@@ -34,11 +34,15 @@ class Sequential : public Module {
   }
 
   const Tensor& Backward(const Tensor& grad_output, Workspace* ws) override {
-    const Tensor* g = &grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      g = &(*it)->Backward(*g, ws);
-    }
-    return *g;
+    return BackwardDownTo(0, grad_output, ws);
+  }
+
+  // Only the first layer's input gradient goes unread: every later layer's
+  // is the output gradient of the layer before it.
+  void BackwardParameters(const Tensor& grad_output, Workspace* ws) override {
+    if (layers_.empty()) return;
+    layers_.front()->BackwardParameters(BackwardDownTo(1, grad_output, ws),
+                                        ws);
   }
 
   std::vector<Parameter*> Parameters() override {
@@ -77,6 +81,17 @@ class Sequential : public Module {
   Module* layer(size_t i) { return layers_[i].get(); }
 
  private:
+  // Back-propagates through layers [first, end) in reverse and returns the
+  // gradient w.r.t. layer `first`'s input.
+  const Tensor& BackwardDownTo(size_t first, const Tensor& grad_output,
+                               Workspace* ws) {
+    const Tensor* g = &grad_output;
+    for (size_t i = layers_.size(); i > first; --i) {
+      g = &layers_[i - 1]->Backward(*g, ws);
+    }
+    return *g;
+  }
+
   std::vector<std::unique_ptr<Module>> layers_;
 };
 

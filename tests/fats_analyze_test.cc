@@ -1357,6 +1357,20 @@ TEST(FatsLintHotAlloc, TensorTemporaryInForwardFires) {
   EXPECT_TRUE(ActiveRules(ScanSource("src/core/foo.cc", kSnippet)).empty());
 }
 
+TEST(FatsLintHotAlloc, TensorTemporaryInBackwardParametersFires) {
+  // The parameters-only backward runs on every training and replay step
+  // (the first layer of every model), so it is as hot as Backward.
+  const char kSnippet[] =
+      "void Conv2d::BackwardParameters(const Tensor& grad_output,\n"
+      "                                Workspace* ws) {\n"
+      "  Tensor dw({out_channels_, k_});\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/conv2d.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleHotAlloc});
+  EXPECT_EQ(f[0].line, 3);
+  EXPECT_NE(f[0].message.find("'dw'"), std::string::npos);
+}
+
 TEST(FatsLintHotAlloc, WorkspaceBindingsDoNotFire) {
   const char kSnippet[] =
       "const Tensor& Linear::Forward(const Tensor& input, Workspace* ws) {\n"

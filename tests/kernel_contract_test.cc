@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/pooling.h"
 #include "rng/philox.h"
 #include "rng/rng_stream.h"
 #include "util/thread_pool.h"
@@ -368,11 +369,14 @@ TEST(KernelContract, ReportsDispatchPath) {
   if (avx512) {
     EXPECT_TRUE(avx2);  // avx512f implies avx2 on every real CPU
   }
-  // The bulk Philox kernel dispatches on the same CPU feature.
+  // The bulk Philox and 2x2 max-pool kernels dispatch on the same CPU
+  // feature.
   EXPECT_EQ(internal::PhiloxFillUsesAvx512(), avx512);
+  EXPECT_EQ(internal::MaxPool2x2UsesAvx512(), avx512);
   SUCCEED() << "micro-kernel: "
             << (avx512 ? "AVX-512" : (avx2 ? "AVX2" : "generic"))
-            << "; Philox bulk: " << (avx512 ? "AVX-512" : "portable");
+            << "; Philox bulk and 2x2 max-pool: "
+            << (avx512 ? "AVX-512" : "portable");
 }
 
 }  // namespace

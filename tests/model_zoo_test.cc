@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "nn/loss.h"
 #include "rng/rng_stream.h"
+#include "util/thread_pool.h"
 
 namespace fats {
 namespace {
@@ -172,6 +176,87 @@ TEST(ModelTest, GradientsAreZeroBeforeBackward) {
   Model model(LogRegSpec(), 7);
   Tensor grads = model.GetGradients();
   EXPECT_DOUBLE_EQ(grads.SquaredNorm(), 0.0);
+}
+
+// --- Parameters-only backward -------------------------------------------
+//
+// Model::ComputeLossAndGradients runs Sequential::BackwardParameters, which
+// skips the first layer's input gradient. Its loss and every parameter
+// gradient must equal, bit for bit, a step through the full
+// Sequential::Backward, over several SGD steps (so later steps start from
+// weights the earlier gradients produced).
+
+ModelSpec TwoBlockCnnSpec() {
+  ModelSpec spec = CnnSpec();
+  spec.image_height = 8;
+  spec.image_width = 8;
+  spec.conv_blocks = 2;
+  return spec;
+}
+
+ModelSpec TwoLayerLstmSpec() {
+  ModelSpec spec = LstmSpec();
+  spec.lstm_layers = 2;
+  return spec;
+}
+
+std::vector<ModelSpec> EveryModelKind() {
+  return {LogRegSpec(),      MlpSpec(),  CnnSpec(),
+          TwoBlockCnnSpec(), LstmSpec(), TwoLayerLstmSpec()};
+}
+
+// Empty when both paths agree; otherwise what differed first.
+std::string ParametersOnlyMismatch(const ModelSpec& spec) {
+  Model fast(spec, 7);
+  Model full(spec, 7);
+  SoftmaxCrossEntropy loss;
+  Tensor grad_logits;
+  for (int step = 0; step < 3; ++step) {
+    const Tensor x = RandomInputs(spec, 5, 40 + step);
+    const std::vector<int64_t> y = RandomLabels(spec, 5, 40 + step);
+    const double fast_loss = fast.ComputeLossAndGradients(x, y);
+
+    Sequential* net = full.network();
+    net->ZeroGrad();
+    const Tensor& logits = net->Forward(x, full.workspace());
+    const double full_loss = loss.Compute(logits, y, &grad_logits);
+    net->Backward(grad_logits, full.workspace());
+
+    const std::string where =
+        spec.ToString() + " step " + std::to_string(step);
+    if (std::memcmp(&fast_loss, &full_loss, sizeof(double)) != 0) {
+      return where + ": loss";
+    }
+    const std::vector<Parameter*> a = fast.network()->Parameters();
+    const std::vector<Parameter*> b = net->Parameters();
+    if (a.size() != b.size()) return where + ": parameter count";
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!a[i]->grad.BitwiseEquals(b[i]->grad)) {
+        return where + ": " + a[i]->name + " (#" + std::to_string(i) + ")";
+      }
+    }
+    fast.SgdStep(0.1);
+    full.SgdStep(0.1);
+  }
+  return "";
+}
+
+TEST(ParametersOnlyBackwardTest, MatchesFullBackwardSerial) {
+  for (const ModelSpec& spec : EveryModelKind()) {
+    EXPECT_EQ(ParametersOnlyMismatch(spec), "");
+  }
+}
+
+TEST(ParametersOnlyBackwardTest, MatchesFullBackwardOnFourThreads) {
+  const std::vector<ModelSpec> specs = EveryModelKind();
+  std::vector<std::string> mismatch(specs.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(static_cast<int64_t>(specs.size()),
+                   [&](int64_t i, int64_t /*worker*/) {
+                     const size_t k = static_cast<size_t>(i);
+                     mismatch[k] = ParametersOnlyMismatch(specs[k]);
+                   });
+  for (const std::string& m : mismatch) EXPECT_EQ(m, "");
 }
 
 }  // namespace

@@ -115,13 +115,15 @@ void CheckHotBody(const FileModel& model, const FunctionDef& fn,
   }
 }
 
-// Forward/Backward definitions in src/nn are the per-step hot path.
-// ForwardDirect / BackwardDirect, the retained reference paths, are exempt.
+// Forward/Backward/BackwardParameters definitions in src/nn are the
+// per-step hot path. ForwardDirect / BackwardDirect, the retained reference
+// paths, are exempt.
 void CheckHotAllocation(const FileModel& model,
                         std::vector<Finding>* findings) {
   if (!model.file_class.hot_rules) return;
   for (const FunctionDef& fn : model.functions) {
-    if (fn.name == "Forward" || fn.name == "Backward") {
+    if (fn.name == "Forward" || fn.name == "Backward" ||
+        fn.name == "BackwardParameters") {
       CheckHotBody(model, fn, findings);
     }
   }
