@@ -429,6 +429,28 @@ void BM_MaxPool2dForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool2dForwardBackward)->Arg(16);
 
+// The first conv of the train_cnn step (1x8x8 -> 6 channels, 3x3, padding 1)
+// as a training step runs it: Forward, then BackwardParameters (the first
+// layer's input gradient is never computed).
+void BM_Conv2dZooShape(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  RngStream rng(uint64_t{8});
+  Conv2d conv(1, 6, 8, 8, 3, 1, &rng);
+  Workspace ws;
+  Tensor x({batch, 64});
+  FillPattern(&x, 29, 0.01f);
+  Tensor grad({batch, conv.OutputFeatures(64)});
+  grad.Fill(0.1f);
+  for (auto _ : state) {
+    conv.ZeroGrad();
+    const Tensor& y = conv.Forward(x, &ws);
+    conv.BackwardParameters(grad, &ws);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(conv.Parameters()[0]->grad.data());
+  }
+}
+BENCHMARK(BM_Conv2dZooShape)->Arg(16);
+
 }  // namespace
 }  // namespace fats
 

@@ -14,14 +14,25 @@ namespace fats {
 /// Convolution with stride 1 and symmetric zero padding. The input tensor is
 /// (batch, in_channels * height * width) in CHW order.
 ///
-/// The main path is im2col + GEMM: each sample's receptive fields are
-/// unrolled into a (K x P) column matrix (K = in_ch·k², P = out_h·out_w,
-/// cached in a Workspace slot and reused across steps), so forward is one
-/// SgemmNN per sample and backward is one SgemmNT (dW) plus one SgemmTN
-/// (dcol) per sample followed by a col2im scatter; BackwardParameters stops
-/// after the SgemmNT and bias sums. The original direct convolution is
-/// retained as ForwardDirect/BackwardDirect — a slow, independent reference
-/// that gradcheck tests compare against.
+/// On AVX-512F hosts (decided once, at static init), a 3x3, padding-1 layer
+/// whose width w satisfies 16 % w == 0 and 3·w < 32 (w in {1, 2, 4, 8}: the
+/// zoo's 8x8 first and 4x4 second conv) runs two direct kernels. Forward
+/// reads every tap straight from the input, 16 output positions per
+/// register; BackwardParameters keeps each (oc, tap) weight-gradient chain
+/// in a register across the whole batch. Neither builds a column matrix; the
+/// layer caches its input by reference (module.h).
+///
+/// Every other shape and host runs im2col + GEMM: each sample's receptive
+/// fields are unrolled into a (K x P) column matrix (K = in_ch·k²,
+/// P = out_h·out_w, a Workspace slot kept for the backward pass), forward is
+/// one SgemmNN per sample and dW one SgemmNT per sample.
+///
+/// Both paths compute the GEMM contract's chains (tensor/gemm.h), so they
+/// give the same bits (DESIGN.md §7.2). Backward adds the input gradient on
+/// either path as one SgemmTN (dcol) per sample and a col2im scatter;
+/// BackwardParameters skips it. The original direct convolution is retained
+/// as ForwardDirect/BackwardDirect — a slow, independent reference that
+/// gradcheck tests compare against.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t height,
@@ -60,8 +71,18 @@ class Conv2d : public Module {
   int64_t out_width_;
   Parameter weight_;  // (out_ch, in_ch * k * k)
   Parameter bias_;    // (out_ch)
-  int64_t cached_batch_ = 0;
+  // The 3x3 kernels run this layer (host and shape allow it).
+  bool conv3x3_kernel_;
+  const Tensor* cached_input_ = nullptr;  // borrowed; alive until Backward
 };
+
+namespace internal {
+
+/// True when eligible Conv2d layers run the AVX-512F 3x3 kernels on this
+/// host.
+bool Conv3x3UsesAvx512();
+
+}  // namespace internal
 
 }  // namespace fats
 

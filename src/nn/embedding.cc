@@ -43,7 +43,8 @@ const Tensor& Embedding::Forward(const Tensor& input, Workspace* ws) {
   return out;
 }
 
-const Tensor& Embedding::Backward(const Tensor& grad_output, Workspace* ws) {
+void Embedding::BackwardParameters(const Tensor& grad_output,
+                                   Workspace* /*ws*/) {
   FATS_CHECK_EQ(grad_output.dim(1), seq_len_ * embed_dim_);
   float* tg = table_.grad.data();
   const float* gp = grad_output.data();
@@ -52,6 +53,10 @@ const Tensor& Embedding::Backward(const Tensor& grad_output, Workspace* ws) {
     const float* src = gp + static_cast<int64_t>(i) * embed_dim_;
     for (int64_t d = 0; d < embed_dim_; ++d) row[d] += src[d];
   }
+}
+
+const Tensor& Embedding::Backward(const Tensor& grad_output, Workspace* ws) {
+  BackwardParameters(grad_output, ws);
   // Ids are not differentiable; propagate zeros of the input shape.
   Tensor& grad_input = ws->Get(this, kGradIn, cached_input_shape_);
   grad_input.Fill(0.0f);

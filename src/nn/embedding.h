@@ -23,6 +23,9 @@ class Embedding : public Module {
   using Module::Backward;
   const Tensor& Forward(const Tensor& input, Workspace* ws) override;
   const Tensor& Backward(const Tensor& grad_output, Workspace* ws) override;
+  /// The table-gradient scatter alone: skips the input gradient's
+  /// (batch x seq_len) zero fill, which nothing reads.
+  void BackwardParameters(const Tensor& grad_output, Workspace* ws) override;
   std::vector<Parameter*> Parameters() override { return {&table_}; }
   std::string ToString() const override;
   int64_t OutputFeatures(int64_t input_features) const override;

@@ -344,6 +344,35 @@ void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 constexpr int64_t kSmallGemmFlopLimit = 1 << 15;
 
 #if defined(FATS_GEMM_X86)
+// One kRows x n row block of SmallGemmAvx512. kRows is a compile-time
+// constant so the accumulators live in registers: a runtime row count makes
+// GCC keep acc[] on the stack and pay a load and a store per row per k step.
+template <int kRows>
+__attribute__((target("avx512f"))) void SmallGemmRowBlockAvx512(
+    int64_t n, int64_t k, const float* a, int64_t lda, bool a_trans,
+    const float* b, int64_t ldb, float* c, int64_t ldc, bool accumulate) {
+  for (int64_t j0 = 0; j0 < n; j0 += 16) {
+    const int64_t cols = std::min<int64_t>(16, n - j0);
+    const __mmask16 mask =
+        static_cast<__mmask16>(cols == 16 ? 0xFFFFu : (1u << cols) - 1u);
+    __m512 acc[kRows];
+    for (int r = 0; r < kRows; ++r) {
+      acc[r] = accumulate ? _mm512_maskz_loadu_ps(mask, c + r * ldc + j0)
+                          : _mm512_setzero_ps();
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask, b + kk * ldb + j0);
+      for (int r = 0; r < kRows; ++r) {
+        const float av = a_trans ? a[kk * lda + r] : a[r * lda + kk];
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(av), bv));
+      }
+    }
+    for (int r = 0; r < kRows; ++r) {
+      _mm512_mask_storeu_ps(c + r * ldc + j0, mask, acc[r]);
+    }
+  }
+}
+
 // C (m x n, row stride ldc) = [C or 0] + op(A) @ B, with B addressed as
 // (k x n) rows of stride ldb and A read as a[i*lda+k] (a_trans=false) or
 // a[k*lda+i] (a_trans=true). Register-blocks kMr rows x 16 columns directly
@@ -352,29 +381,35 @@ constexpr int64_t kSmallGemmFlopLimit = 1 << 15;
 __attribute__((target("avx512f"))) void SmallGemmAvx512(
     int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, bool a_trans,
     const float* b, int64_t ldb, float* c, int64_t ldc, bool accumulate) {
+  static_assert(kMr == 6, "one row-block instantiation per row count");
   for (int64_t i0 = 0; i0 < m; i0 += kMr) {
-    const int64_t rows = std::min<int64_t>(kMr, m - i0);
-    for (int64_t j0 = 0; j0 < n; j0 += 16) {
-      const int64_t cols = std::min<int64_t>(16, n - j0);
-      const __mmask16 mask =
-          static_cast<__mmask16>(cols == 16 ? 0xFFFFu : (1u << cols) - 1u);
-      __m512 acc[kMr];
-      for (int64_t r = 0; r < rows; ++r) {
-        acc[r] = accumulate
-                     ? _mm512_maskz_loadu_ps(mask, c + (i0 + r) * ldc + j0)
-                     : _mm512_setzero_ps();
-      }
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const __m512 bv = _mm512_maskz_loadu_ps(mask, b + kk * ldb + j0);
-        for (int64_t r = 0; r < rows; ++r) {
-          const float av =
-              a_trans ? a[kk * lda + i0 + r] : a[(i0 + r) * lda + kk];
-          acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(av), bv));
-        }
-      }
-      for (int64_t r = 0; r < rows; ++r) {
-        _mm512_mask_storeu_ps(c + (i0 + r) * ldc + j0, mask, acc[r]);
-      }
+    const float* ai = a_trans ? a + i0 : a + i0 * lda;
+    float* ci = c + i0 * ldc;
+    switch (std::min<int64_t>(kMr, m - i0)) {
+      case 6:
+        SmallGemmRowBlockAvx512<6>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
+      case 5:
+        SmallGemmRowBlockAvx512<5>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
+      case 4:
+        SmallGemmRowBlockAvx512<4>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
+      case 3:
+        SmallGemmRowBlockAvx512<3>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
+      case 2:
+        SmallGemmRowBlockAvx512<2>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
+      default:
+        SmallGemmRowBlockAvx512<1>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
+                                   accumulate);
+        break;
     }
   }
 }

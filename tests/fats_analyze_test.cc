@@ -1414,6 +1414,50 @@ TEST(FatsLintHotAlloc, NonMacTripleLoopDoesNotFire) {
   EXPECT_TRUE(ActiveRules(ScanSource("src/nn/foo.cc", kSnippet)).empty());
 }
 
+TEST(FatsLintHotAlloc, HelperCalledFromHotBodyIsScanned) {
+  // Helper runs on every Forward; Unused runs on none.
+  const char kSnippet[] =
+      "void Foo::Helper(float* y) {\n"
+      "  Tensor scratch({16});\n"
+      "}\n"
+      "void Foo::Unused(float* y) {\n"
+      "  Tensor scratch({16});\n"
+      "}\n"
+      "const Tensor& Foo::Forward(const Tensor& x, Workspace* ws) {\n"
+      "  Helper(ws->Peek(this, 0).data());\n"
+      "  return ws->Peek(this, 0);\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/foo.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleHotAlloc});
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_NE(f[0].message.find("'scratch'"), std::string::npos);
+}
+
+TEST(FatsLintHotAlloc, CallChainsThroughTemplateKernelsAreFollowed) {
+  // Forward -> Kernel<6> -> Pack: the Tensor in Pack is reported. Kernel's
+  // raw multiply-accumulate loops are not: only the named hot bodies are
+  // checked for them, because a dispatched kernel is a deliberate raw loop.
+  const char kSnippet[] =
+      "void Pack(float* dst) {\n"
+      "  Tensor staging({64});\n"
+      "}\n"
+      "template <int kRows>\n"
+      "void Kernel(const float* a, const float* b, float* c) {\n"
+      "  Pack(c);\n"
+      "  for (int64_t i = 0; i < kRows; ++i)\n"
+      "    for (int64_t kk = 0; kk < k; ++kk)\n"
+      "      for (int64_t j = 0; j < n; ++j) c[i * n + j] += a[i] * b[j];\n"
+      "}\n"
+      "const Tensor& Foo::Forward(const Tensor& x, Workspace* ws) {\n"
+      "  Kernel<6>(x.data(), w_.data(), ws->Peek(this, 0).data());\n"
+      "  return ws->Peek(this, 0);\n"
+      "}\n";
+  const std::vector<Finding> f = ScanSource("src/nn/foo.cc", kSnippet);
+  ASSERT_EQ(ActiveRules(f), std::vector<std::string>{kRuleHotAlloc});
+  EXPECT_EQ(f[0].line, 2);
+  EXPECT_NE(f[0].message.find("'staging'"), std::string::npos);
+}
+
 TEST(FatsLintHotAlloc, DirectReferencePathsAreExempt) {
   // ForwardDirect/BackwardDirect are the retained direct-conv reference
   // implementations; Tensor returns and MAC loops are their whole point.

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/conv2d.h"
 #include "nn/pooling.h"
 #include "rng/philox.h"
 #include "rng/rng_stream.h"
@@ -369,13 +370,14 @@ TEST(KernelContract, ReportsDispatchPath) {
   if (avx512) {
     EXPECT_TRUE(avx2);  // avx512f implies avx2 on every real CPU
   }
-  // The bulk Philox and 2x2 max-pool kernels dispatch on the same CPU
-  // feature.
+  // The bulk Philox, 2x2 max-pool and 3x3 conv kernels dispatch on the
+  // same CPU feature.
   EXPECT_EQ(internal::PhiloxFillUsesAvx512(), avx512);
   EXPECT_EQ(internal::MaxPool2x2UsesAvx512(), avx512);
+  EXPECT_EQ(internal::Conv3x3UsesAvx512(), avx512);
   SUCCEED() << "micro-kernel: "
             << (avx512 ? "AVX-512" : (avx2 ? "AVX2" : "generic"))
-            << "; Philox bulk and 2x2 max-pool: "
+            << "; Philox bulk, 2x2 max-pool and 3x3 conv: "
             << (avx512 ? "AVX-512" : "portable");
 }
 

@@ -32,16 +32,19 @@
 //                      writes through fats::JournalWriter or the
 //                      checkpoint BinaryWriter; read-only probes take a
 //                      `// fats-lint: allow(raw-io)` suppression.
-//   hot-alloc          in src/nn/, inside the body of a Forward(...) or
-//                      Backward(...) definition (the per-step hot path):
+//   hot-alloc          in src/nn/, inside the body of a Forward(...),
+//                      Backward(...) or BackwardParameters(...) definition
+//                      (the per-step hot path), or of a function in the
+//                      same file that one calls, directly or transitively:
 //                      (a) a Tensor local temporary -- per-step heap
 //                      allocation; use a Workspace slot or an Into-style
-//                      destination-passing op instead -- or (b) a
-//                      triple-nested multiply-accumulate for-loop, i.e. a
-//                      raw matmul that bypasses the deterministic blocked
-//                      kernels in tensor/gemm.h.  ForwardDirect /
-//                      BackwardDirect (the retained reference paths) are
-//                      exempt.
+//                      destination-passing op instead -- or (b), in the
+//                      named bodies only, a triple-nested
+//                      multiply-accumulate for-loop, i.e. a raw matmul that
+//                      bypasses the deterministic blocked kernels in
+//                      tensor/gemm.h.  ForwardDirect / BackwardDirect (the
+//                      retained reference paths) are exempt: no hot body
+//                      calls them.
 //   rng-raw-key        PhiloxEngine constructed outside src/rng/, or an
 //                      RngStream built from a literal-only raw key: stream
 //                      keys must come from DeriveStreamKey over a structured

@@ -68,10 +68,10 @@ bool HasMultiplyAccumulate(const std::vector<Token>& tokens, size_t begin,
   return false;
 }
 
-// Scans one Forward/Backward body for Tensor temporaries and for-loops at
-// nesting depth >= 3 whose body multiply-accumulates.
+// Scans one hot body for Tensor temporaries and, when `mac_loops` is set,
+// for-loops at nesting depth >= 3 whose body multiply-accumulates.
 void CheckHotBody(const FileModel& model, const FunctionDef& fn,
-                  std::vector<Finding>* findings) {
+                  bool mac_loops, std::vector<Finding>* findings) {
   const std::vector<Token>& tokens = model.tokens;
   for (size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
     // `Tensor name` declares a value; `Tensor&` / `Tensor*` bind or point.
@@ -82,13 +82,15 @@ void CheckHotBody(const FileModel& model, const FunctionDef& fn,
     std::string message = "Tensor temporary '";
     message += tokens[i + 1].text;
     message +=
-        "' constructed in a hot Forward/Backward body: per-step heap "
+        "' constructed in a hot Forward/Backward body or a helper it "
+        "calls: per-step heap "
         "allocation breaks the allocation-free training-step contract; "
         "bind a Workspace slot (ws->Get/Peek) or use a "
         "destination-passing Into op";
     AddFinding(model, kRuleHotAlloc, tokens[i].line, std::move(message),
                findings);
   }
+  if (!mac_loops) return;
 
   std::vector<size_t> loop_ends;  // body ends of the enclosing for-loops
   size_t i = fn.body_begin;
@@ -115,17 +117,49 @@ void CheckHotBody(const FileModel& model, const FunctionDef& fn,
   }
 }
 
+bool IsHotEntry(const FunctionDef& fn) {
+  return fn.name == "Forward" || fn.name == "Backward" ||
+         fn.name == "BackwardParameters";
+}
+
 // Forward/Backward/BackwardParameters definitions in src/nn are the
-// per-step hot path. ForwardDirect / BackwardDirect, the retained reference
-// paths, are exempt.
+// per-step hot path, and so is every function of the same file that one of
+// them calls, directly or through other such functions (a call is a name
+// followed by `(` or by template arguments). Helpers are scanned for Tensor
+// temporaries only: a dispatched kernel is a deliberate raw loop.
+// ForwardDirect / BackwardDirect, the retained reference paths, are exempt
+// because no hot body calls them.
 void CheckHotAllocation(const FileModel& model,
                         std::vector<Finding>* findings) {
   if (!model.file_class.hot_rules) return;
-  for (const FunctionDef& fn : model.functions) {
-    if (fn.name == "Forward" || fn.name == "Backward" ||
-        fn.name == "BackwardParameters") {
-      CheckHotBody(model, fn, findings);
+  const std::vector<Token>& tokens = model.tokens;
+  const std::vector<FunctionDef>& fns = model.functions;
+  std::vector<bool> hot(fns.size(), false);
+  std::vector<size_t> pending;
+  for (size_t f = 0; f < fns.size(); ++f) {
+    if (IsHotEntry(fns[f])) {
+      hot[f] = true;
+      pending.push_back(f);
     }
+  }
+  while (!pending.empty()) {
+    const FunctionDef& caller = fns[pending.back()];
+    pending.pop_back();
+    for (size_t i = caller.body_begin; i + 1 < caller.body_end; ++i) {
+      if (tokens[i].kind != TokKind::kIdent ||
+          !(IsPunct(tokens, i + 1, "(") || IsPunct(tokens, i + 1, "<"))) {
+        continue;
+      }
+      for (size_t f = 0; f < fns.size(); ++f) {
+        if (!hot[f] && fns[f].name == tokens[i].text) {
+          hot[f] = true;
+          pending.push_back(f);
+        }
+      }
+    }
+  }
+  for (size_t f = 0; f < fns.size(); ++f) {
+    if (hot[f]) CheckHotBody(model, fns[f], IsHotEntry(fns[f]), findings);
   }
 }
 
