@@ -414,7 +414,7 @@ BENCHMARK(BM_ClientBatchPerCallPack);
 // sample, forward then backward.
 void BM_MaxPool2dForwardBackward(benchmark::State& state) {
   const int64_t batch = state.range(0);
-  MaxPool2d pool(6, 8, 8, 2);
+  MaxPool2d pool(6, 8, 8);
   Workspace ws;
   Tensor x({batch, 6 * 8 * 8});
   FillPattern(&x, 23, 0.01f);
@@ -450,6 +450,29 @@ void BM_Conv2dZooShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dZooShape)->Arg(16);
+
+// The zoo's first conv block (1x8x8 -> 6 channels, 3x3 conv, ReLU, 2x2
+// max-pool) as a training step runs it: Forward, then BackwardParameters.
+// On AVX-512F hosts this is the fused ConvBlock path; its time against the
+// Conv2d row above plus the pool row shows what the fusion saves.
+void BM_ConvBlockZooShape(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  RngStream rng(uint64_t{8});
+  ConvBlock block(1, 6, 8, 8, 3, 1, &rng);
+  Workspace ws;
+  Tensor x({batch, 64});
+  FillPattern(&x, 29, 0.01f);
+  Tensor grad({batch, block.OutputFeatures(64)});
+  grad.Fill(0.1f);
+  for (auto _ : state) {
+    block.ZeroGrad();
+    const Tensor& y = block.Forward(x, &ws);
+    block.BackwardParameters(grad, &ws);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(block.Parameters()[0]->grad.data());
+  }
+}
+BENCHMARK(BM_ConvBlockZooShape)->Arg(16);
 
 }  // namespace
 }  // namespace fats

@@ -8,10 +8,11 @@
 #include "nn/init.h"
 #include "tensor/gemm.h"
 #include "util/string_util.h"
+#include "util/with_rows.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FATS_CONV_X86 1
-#include <immintrin.h>
+#include "nn/pool2x2_avx512.h"
 #endif
 
 namespace fats {
@@ -19,29 +20,26 @@ namespace fats {
 namespace {
 // kCol is the generic path's column matrix; the 3x3 kernels never build it.
 enum Slot { kOut, kCol, kDcol, kGradIn };
+// ConvBlock's fused path: the pooled output and the conv-output gradient.
+enum BlockSlot { kBlockOut, kBlockGradConv };
+
+// Whole-register code loads (pool2x2_avx512.h) may read 15 bytes past the
+// last live code.
+constexpr size_t kCodeSlack = 15;
 
 #if FATS_CONV_X86
-// Output channels per register block of the 3x3 kernels. Six covers the zoo's
-// first conv (6 channels) and second (12) in whole blocks.
-constexpr int64_t kOcBlock = 6;
-
 // Calls fn(oc0, std::integral_constant<int, rows>{}) for each block of at
-// most kOcBlock output channels. The row count is a compile-time constant in
-// fn so that the kernels' accumulator arrays stay in registers.
-template <typename Fn>
+// most kBlock output channels.
+template <int kBlock, typename Fn>
 void ForEachOcBlock(int64_t out_channels, Fn&& fn) {
-  static_assert(kOcBlock == 6, "one case per block size");
-  for (int64_t oc0 = 0; oc0 < out_channels; oc0 += kOcBlock) {
-    switch (std::min(kOcBlock, out_channels - oc0)) {
-      case 6: fn(oc0, std::integral_constant<int, 6>{}); break;
-      case 5: fn(oc0, std::integral_constant<int, 5>{}); break;
-      case 4: fn(oc0, std::integral_constant<int, 4>{}); break;
-      case 3: fn(oc0, std::integral_constant<int, 3>{}); break;
-      case 2: fn(oc0, std::integral_constant<int, 2>{}); break;
-      default: fn(oc0, std::integral_constant<int, 1>{}); break;
-    }
+  for (int64_t oc0 = 0; oc0 < out_channels; oc0 += kBlock) {
+    WithRows<kBlock>(out_channels - oc0, [&](auto rows) { fn(oc0, rows); });
   }
 }
+
+// Conv2d's output channels per register block. Six covers the zoo's first
+// conv (6 channels) and second (12) in whole blocks.
+constexpr int kOcBlock = 6;
 
 // The 3x3 kernels: stride 1, padding 1, width w with 16 % w == 0 and
 // 3·w < 32. Both run exactly the chains of the generic path's GEMMs
@@ -67,55 +65,95 @@ inline __mmask16 LanesBelow(int64_t n) {
                                           : (1u << n) - 1u);
 }
 
+// Lanes whose column ow + kw − 1 lies inside the row, per kw, when a
+// register starts at a row boundary.
+struct ColumnMasks {
+  __mmask16 ok[3] = {0, 0xFFFF, 0};
+  explicit ColumnMasks(int64_t width) {
+    for (int l = 0; l < 16; ++l) {
+      const int64_t ow = l % width;
+      if (ow > 0) ok[0] = static_cast<__mmask16>(ok[0] | (1u << l));
+      if (ow + 1 < width) ok[2] = static_cast<__mmask16>(ok[2] | (1u << l));
+    }
+  }
+};
+
+// Per register q of a run starting at output position p0, and per tap
+// t = kh·3 + kw: the lanes whose input (oh + kh − 1, ow + kw − 1) lies
+// inside the plane.
+template <int kRegs>
+struct TapMasks {
+  __mmask16 lanes[kRegs][9];
+  TapMasks(int64_t height, int64_t width, const ColumnMasks& cols,
+           int64_t p0) {
+    const int64_t plane = height * width;
+    for (int q = 0; q < kRegs; ++q) {
+      const int64_t start = p0 + 16 * q;
+      const __mmask16 live = LanesBelow(plane - start);
+      const __mmask16 row_ok[3] = {
+          static_cast<__mmask16>(live & ~LanesBelow(width - start)), live,
+          LanesBelow(plane - width - start)};
+      for (int t = 0; t < 9; ++t) {
+        lanes[q][t] = static_cast<__mmask16>(row_ok[t / 3] & cols.ok[t % 3]);
+      }
+    }
+  }
+};
+
+// The tap chains of kRegs consecutive registers (output positions
+// [p0, p0 + 16·kRegs) of one sample at `xn`) for kRows output channels:
+// acc[r·kRegs + q] holds positions p0 + 16·q + [0, 16) of channel r, whose
+// weight row starts at w + r·9·in_channels. Tap (ic, kh, kw) of every lane
+// is one masked load at offset (kh − 1)·width + kw − 1 from the position.
+template <int kRows, int kRegs>
+__attribute__((target("avx512f"), always_inline)) inline void Conv3x3Chains(
+    const float* xn, int64_t in_channels, int64_t plane, int64_t width,
+    const TapMasks<kRegs>& masks, int64_t p0, const float* w,
+    __m512 (&acc)[kRows * kRegs]) {
+  const int64_t k = in_channels * 9;
+  for (int i = 0; i < kRows * kRegs; ++i) acc[i] = _mm512_setzero_ps();
+  for (int64_t ic = 0; ic < in_channels; ++ic) {
+    const float* xc = xn + ic * plane;
+    for (int t = 0; t < 9; ++t) {
+      const int64_t offset = p0 + (t / 3 - 1) * width + t % 3 - 1;
+      __m512 xv[kRegs];
+      for (int q = 0; q < kRegs; ++q) {
+        xv[q] = _mm512_maskz_loadu_ps(masks.lanes[q][t],
+                                      FloatAddress(xc, offset + 16 * q));
+      }
+      for (int r = 0; r < kRows; ++r) {
+        const __m512 wv = _mm512_set1_ps(w[r * k + ic * 9 + t]);
+        for (int q = 0; q < kRegs; ++q) {
+          acc[r * kRegs + q] =
+              _mm512_add_ps(acc[r * kRegs + q], _mm512_mul_ps(wv, xv[q]));
+        }
+      }
+    }
+  }
+}
+
 // y (rows x P) for output channels [oc0, oc0 + kRows) of every sample: `w`
 // and `bias` point at channel oc0's weight row and bias, `y` at its output
 // row in sample 0. Lane l of a register is output position p0 + l (16/width
-// whole rows), and tap (ic, kh, kw) of every lane is one masked load at
-// offset (kh − 1)·width + kw − 1 from p0.
+// whole rows).
 template <int kRows>
 __attribute__((target("avx512f"))) void Conv3x3ForwardAvx512(
     const float* x, int64_t batch, int64_t in_channels, int64_t out_channels,
     int64_t height, int64_t width, const float* w, const float* bias,
     float* y) {
   const int64_t plane = height * width;
-  const int64_t k = in_channels * 9;
-  // Lanes whose column ow + kw − 1 lies inside the row, per kw.
-  __mmask16 col_ok[3] = {0, 0xFFFF, 0};
-  for (int l = 0; l < 16; ++l) {
-    const int64_t ow = l % width;
-    if (ow > 0) col_ok[0] = static_cast<__mmask16>(col_ok[0] | (1u << l));
-    if (ow + 1 < width) {
-      col_ok[2] = static_cast<__mmask16>(col_ok[2] | (1u << l));
-    }
-  }
+  const ColumnMasks cols(width);
   for (int64_t n = 0; n < batch; ++n) {
     const float* xn = x + n * in_channels * plane;
     float* yn = y + n * out_channels * plane;
     for (int64_t p0 = 0; p0 < plane; p0 += 16) {
-      // Lanes whose row oh + kh − 1 lies inside the plane, per kh.
-      const __mmask16 live = LanesBelow(plane - p0);
-      const __mmask16 row_ok[3] = {
-          static_cast<__mmask16>(live & ~LanesBelow(width - p0)), live,
-          LanesBelow(plane - width - p0)};
+      const TapMasks<1> masks(height, width, cols, p0);
       __m512 acc[kRows];
-      for (int r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_ps();
-      for (int64_t ic = 0; ic < in_channels; ++ic) {
-        const float* xc = xn + ic * plane;
-        for (int t = 0; t < 9; ++t) {
-          const int64_t kh = t / 3;
-          const int64_t kw = t % 3;
-          const __m512 xv = _mm512_maskz_loadu_ps(
-              static_cast<__mmask16>(row_ok[kh] & col_ok[kw]),
-              FloatAddress(xc, p0 + (kh - 1) * width + kw - 1));
-          for (int r = 0; r < kRows; ++r) {
-            const __m512 wv = _mm512_set1_ps(w[r * k + ic * 9 + t]);
-            acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(wv, xv));
-          }
-        }
-      }
+      Conv3x3Chains<kRows, 1>(xn, in_channels, plane, width, masks, p0, w,
+                              acc);
       for (int r = 0; r < kRows; ++r) {
         _mm512_mask_storeu_ps(
-            yn + r * plane + p0, live,
+            yn + r * plane + p0, LanesBelow(plane - p0),
             _mm512_add_ps(acc[r], _mm512_set1_ps(bias[r])));
       }
     }
@@ -178,6 +216,122 @@ __attribute__((target("avx512f"))) void Conv3x3WeightGradAvx512(
     }
     for (int r = 0; r < kRows; ++r) {
       _mm512_mask_storeu_ps(wg + r * k + ic * 9, kTaps, acc[r]);
+    }
+  }
+}
+
+// ConvBlock's fused kernels. A plane of kRegs·16 conv outputs (8x8: 4
+// registers, one row pair each; 4x4: 1 register, two row pairs) is whole
+// row pairs per register, and the flat conv output of consecutive
+// channels is consecutive registers, so every 4 registers of a channel
+// block pool as one 2x2 pool step of 16 outputs, exactly the 64 floats
+// MaxPool2d's kernel would load there.
+
+// Pooled outputs and codes of channels [oc0, oc0 + kRows) of every sample:
+// `w` and `bias` as in Conv3x3ForwardAvx512, `y` and `codes` at channel
+// oc0's pooled row in sample 0. Per register, the tap chain, + bias after
+// it, then ReLU as max_ps(+0.0, v), which is `v < 0 ? 0 : v` bit for bit:
+// it returns its second operand on a tie of zeros and on a NaN. The code is
+// the scan's winner, plus kDeadBit where the maximum is <= 0 (_CMP_LE_OQ is
+// false on a NaN): there ReLU's backward passes +0.0.
+constexpr int kDeadBit = 4;
+
+template <int kRows, int kRegs>
+__attribute__((target("avx512f"))) void ConvBlockForwardAvx512(
+    const float* x, int64_t batch, int64_t in_channels, int64_t out_channels,
+    int64_t height, int64_t width, const float* w, const float* bias,
+    float* y, uint8_t* codes) {
+  constexpr int kCount = kRows * kRegs;
+  const int64_t plane = height * width;
+  const TapMasks<kRegs> masks(height, width, ColumnMasks(width), 0);
+  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
+  const __m512 zero = _mm512_setzero_ps();
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* xn = x + n * in_channels * plane;
+    const int64_t out0 = n * out_channels * plane / 4;
+    __m512 acc[kCount];
+    Conv3x3Chains<kRows, kRegs>(xn, in_channels, plane, width, masks, 0, w,
+                                acc);
+    for (int i = 0; i < kCount; ++i) {
+      acc[i] = _mm512_max_ps(
+          zero, _mm512_add_ps(acc[i], _mm512_set1_ps(bias[i / kRegs])));
+    }
+    for (int g = 0; g < kCount; g += 4) {
+      const __m512 v[4] = {acc[g], g + 1 < kCount ? acc[g + 1] : zero,
+                           g + 2 < kCount ? acc[g + 2] : zero,
+                           g + 3 < kCount ? acc[g + 3] : zero};
+      __m512i code;
+      const __m512 best = internal::Pool2x2Scan(v, lanes, &code);
+      const __mmask16 dead = _mm512_cmp_ps_mask(best, zero, _CMP_LE_OQ);
+      code = _mm512_mask_or_epi32(code, dead, code,
+                                  _mm512_set1_epi32(kDeadBit));
+      const __mmask16 live =
+          internal::PoolLaneMask(4 * std::min(4, kCount - g));
+      _mm512_mask_storeu_ps(y + out0 + 4 * g, live, best);
+      _mm512_mask_cvtepi32_storeu_epi8(codes + out0 + 4 * g, live, code);
+    }
+  }
+}
+
+// The fused backward over `outputs` pooled gradients `gp` of rows of
+// kRegsPerRow·16 conv outputs (one row per (n, oc)). Writes the whole
+// conv-output gradient `gy` through the pool's scatter: a code with the dead
+// bit names no position, so the window gets +0.0f, as ReLU's backward
+// writes. Adds each row's bias gradient to bias_grad[row % out_channels] in
+// row order, summed as Conv2d::AccumulateBiasGrad does: four stripes by
+// p mod 4 in ascending p, then (s0 + s1) + (s2 + s3). Lane 4·r + j of one
+// register is stripe j of row r of four rows; a 4x4 transpose of 128-bit
+// blocks gives each step's addends.
+template <int kRegsPerRow>
+__attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
+    const float* gp, const uint8_t* codes, int64_t outputs, int64_t width,
+    int64_t out_channels, float* gy, float* bias_grad) {
+  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
+  const int64_t rows = 4 * outputs / (16 * kRegsPerRow);
+  // 64 pooled outputs per step: 16 registers of conv-output gradient, 4
+  // rows at 8x8 and 16 at 4x4.
+  for (int64_t o = 0; o < outputs; o += 64) {
+    __m512 d[16];
+    for (int q = 0; q < 4; ++q) {
+      const int64_t at = o + 16 * q;
+      const int64_t n = std::clamp<int64_t>(outputs - at, 0, 16);
+      if (n == 0) {
+        for (int k = 0; k < 4; ++k) d[4 * q + k] = _mm512_setzero_ps();
+        continue;
+      }
+      internal::Pool2x2Scatter(gp + at, codes + at, n, lanes, d + 4 * q);
+      for (int k = 0; k < 4; ++k) {
+        _mm512_mask_storeu_ps(gy + 4 * at + 16 * k,
+                              LanesBelow(4 * n - 16 * k), d[4 * q + k]);
+      }
+    }
+    const int64_t row0 = 4 * o / (16 * kRegsPerRow);
+    for (int b = 0; b < 4 / kRegsPerRow; ++b) {
+      const __m512* quad = d + 4 * b * kRegsPerRow;  // row r, register k:
+                                                     // quad[r·kRegsPerRow + k]
+      __m512 s = _mm512_setzero_ps();
+      for (int k = 0; k < kRegsPerRow; ++k) {
+        const __m512 r0 = quad[k];
+        const __m512 r1 = quad[kRegsPerRow + k];
+        const __m512 r2 = quad[2 * kRegsPerRow + k];
+        const __m512 r3 = quad[3 * kRegsPerRow + k];
+        const __m512 lo01 = _mm512_shuffle_f32x4(r0, r1, 0x44);
+        const __m512 hi01 = _mm512_shuffle_f32x4(r0, r1, 0xEE);
+        const __m512 lo23 = _mm512_shuffle_f32x4(r2, r3, 0x44);
+        const __m512 hi23 = _mm512_shuffle_f32x4(r2, r3, 0xEE);
+        s = _mm512_add_ps(s, _mm512_shuffle_f32x4(lo01, lo23, 0x88));
+        s = _mm512_add_ps(s, _mm512_shuffle_f32x4(lo01, lo23, 0xDD));
+        s = _mm512_add_ps(s, _mm512_shuffle_f32x4(hi01, hi23, 0x88));
+        s = _mm512_add_ps(s, _mm512_shuffle_f32x4(hi01, hi23, 0xDD));
+      }
+      alignas(64) float stripe[16];
+      _mm512_store_ps(stripe, s);
+      for (int r = 0; r < 4; ++r) {
+        const int64_t row = row0 + 4 * b + r;
+        if (row >= rows) break;
+        const float* st = stripe + 4 * r;
+        bias_grad[row % out_channels] += (st[0] + st[1]) + (st[2] + st[3]);
+      }
     }
   }
 }
@@ -301,7 +455,7 @@ const Tensor& Conv2d::Forward(const Tensor& input, Workspace* ws) {
   const float* bp = bias_.value.data();
 #if FATS_CONV_X86
   if (conv3x3_kernel_) {
-    ForEachOcBlock(out_channels_, [&](int64_t oc0, auto rows) {
+    ForEachOcBlock<kOcBlock>(out_channels_, [&](int64_t oc0, auto rows) {
       Conv3x3ForwardAvx512<decltype(rows)::value>(
           input.data(), batch, in_channels_, out_channels_, height_, width_,
           weight_.value.data() + oc0 * K, bp + oc0, out.data() + oc0 * P);
@@ -326,12 +480,8 @@ const Tensor& Conv2d::Forward(const Tensor& input, Workspace* ws) {
   return out;
 }
 
-void Conv2d::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
-  FATS_CHECK(cached_input_ != nullptr) << "Backward before Forward";
-  const int64_t batch = cached_input_->dim(0);
-  FATS_CHECK_EQ(grad_output.dim(0), batch);
-  FATS_CHECK_EQ(grad_output.dim(1), out_channels_ * out_height_ * out_width_);
-  const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
+void Conv2d::AccumulateBiasGrad(const Tensor& grad_output) {
+  const int64_t batch = grad_output.dim(0);
   const int64_t P = out_height_ * out_width_;
   float* bgrad = bias_.grad.data();
   for (int64_t n = 0; n < batch; ++n) {
@@ -356,9 +506,18 @@ void Conv2d::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
       bgrad[oc] += acc;
     }
   }
+}
+
+void Conv2d::AccumulateWeightGrad(const Tensor& grad_output, Workspace* ws) {
+  FATS_CHECK(cached_input_ != nullptr) << "Backward before Forward";
+  const int64_t batch = cached_input_->dim(0);
+  FATS_CHECK_EQ(grad_output.dim(0), batch);
+  FATS_CHECK_EQ(grad_output.dim(1), out_channels_ * out_height_ * out_width_);
+  const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
+  const int64_t P = out_height_ * out_width_;
 #if FATS_CONV_X86
   if (conv3x3_kernel_) {
-    ForEachOcBlock(out_channels_, [&](int64_t oc0, auto rows) {
+    ForEachOcBlock<kOcBlock>(out_channels_, [&](int64_t oc0, auto rows) {
       Conv3x3WeightGradAvx512<decltype(rows)::value>(
           cached_input_->data(), grad_output.data() + oc0 * P, batch,
           in_channels_, out_channels_, height_, width_,
@@ -377,10 +536,13 @@ void Conv2d::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
   }
 }
 
-const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
-  // The input gradient reads only W and gy, so computing it after every
-  // sample's parameter gradients leaves both sets of bits unchanged.
-  BackwardParameters(grad_output, ws);
+void Conv2d::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
+  AccumulateWeightGrad(grad_output, ws);  // checks the shapes first
+  AccumulateBiasGrad(grad_output);
+}
+
+const Tensor& Conv2d::InputGradient(const Tensor& grad_output,
+                                    Workspace* ws) {
   const int64_t batch = cached_input_->dim(0);
   const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t P = out_height_ * out_width_;
@@ -399,85 +561,11 @@ const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
   return grad_input;
 }
 
-Tensor Conv2d::ForwardDirect(const Tensor& input) const {
-  FATS_CHECK_EQ(input.rank(), 2);
-  FATS_CHECK_EQ(input.dim(1), in_channels_ * height_ * width_) << ToString();
-  const int64_t batch = input.dim(0);
-  Tensor out({batch, out_channels_ * out_height_ * out_width_});
-  const float* wp = weight_.value.data();
-  const float* bp = bias_.value.data();
-  const int64_t ksq = kernel_size_ * kernel_size_;
-  for (int64_t n = 0; n < batch; ++n) {
-    const float* x = input.data() + n * in_channels_ * height_ * width_;
-    float* y = out.data() + n * out_channels_ * out_height_ * out_width_;
-    for (int64_t oc = 0; oc < out_channels_; ++oc) {
-      const float* wk = wp + oc * in_channels_ * ksq;
-      for (int64_t oh = 0; oh < out_height_; ++oh) {
-        for (int64_t ow = 0; ow < out_width_; ++ow) {
-          float acc = bp[oc];
-          for (int64_t ic = 0; ic < in_channels_; ++ic) {
-            const float* xc = x + ic * height_ * width_;
-            const float* wc = wk + ic * ksq;
-            for (int64_t kh = 0; kh < kernel_size_; ++kh) {
-              const int64_t ih = oh + kh - padding_;
-              if (ih < 0 || ih >= height_) continue;
-              for (int64_t kw = 0; kw < kernel_size_; ++kw) {
-                const int64_t iw = ow + kw - padding_;
-                if (iw < 0 || iw >= width_) continue;
-                acc += wc[kh * kernel_size_ + kw] * xc[ih * width_ + iw];
-              }
-            }
-          }
-          y[(oc * out_height_ + oh) * out_width_ + ow] = acc;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor Conv2d::BackwardDirect(const Tensor& input, const Tensor& grad_output) {
-  const int64_t batch = input.dim(0);
-  FATS_CHECK_EQ(grad_output.dim(0), batch);
-  FATS_CHECK_EQ(grad_output.dim(1), out_channels_ * out_height_ * out_width_);
-  Tensor grad_input(input.shape());
-  float* wgrad = weight_.grad.data();
-  float* bgrad = bias_.grad.data();
-  const float* wp = weight_.value.data();
-  const int64_t ksq = kernel_size_ * kernel_size_;
-  for (int64_t n = 0; n < batch; ++n) {
-    const float* x = input.data() + n * in_channels_ * height_ * width_;
-    const float* gy =
-        grad_output.data() + n * out_channels_ * out_height_ * out_width_;
-    float* gx = grad_input.data() + n * in_channels_ * height_ * width_;
-    for (int64_t oc = 0; oc < out_channels_; ++oc) {
-      const float* wk = wp + oc * in_channels_ * ksq;
-      float* wgk = wgrad + oc * in_channels_ * ksq;
-      for (int64_t oh = 0; oh < out_height_; ++oh) {
-        for (int64_t ow = 0; ow < out_width_; ++ow) {
-          const float g = gy[(oc * out_height_ + oh) * out_width_ + ow];
-          bgrad[oc] += g;
-          for (int64_t ic = 0; ic < in_channels_; ++ic) {
-            const float* xc = x + ic * height_ * width_;
-            float* gxc = gx + ic * height_ * width_;
-            const float* wc = wk + ic * ksq;
-            float* wgc = wgk + ic * ksq;
-            for (int64_t kh = 0; kh < kernel_size_; ++kh) {
-              const int64_t ih = oh + kh - padding_;
-              if (ih < 0 || ih >= height_) continue;
-              for (int64_t kw = 0; kw < kernel_size_; ++kw) {
-                const int64_t iw = ow + kw - padding_;
-                if (iw < 0 || iw >= width_) continue;
-                wgc[kh * kernel_size_ + kw] += g * xc[ih * width_ + iw];
-                gxc[ih * width_ + iw] += g * wc[kh * kernel_size_ + kw];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
+const Tensor& Conv2d::Backward(const Tensor& grad_output, Workspace* ws) {
+  // The input gradient reads only W and gy, so computing it after every
+  // sample's parameter gradients leaves both sets of bits unchanged.
+  BackwardParameters(grad_output, ws);
+  return InputGradient(grad_output, ws);
 }
 
 std::string Conv2d::ToString() const {
@@ -493,6 +581,108 @@ std::string Conv2d::ToString() const {
 int64_t Conv2d::OutputFeatures(int64_t input_features) const {
   FATS_CHECK_EQ(input_features, in_channels_ * height_ * width_);
   return out_channels_ * out_height_ * out_width_;
+}
+
+ConvBlock::ConvBlock(int64_t in_channels, int64_t out_channels,
+                     int64_t height, int64_t width, int64_t kernel_size,
+                     int64_t padding, RngStream* rng)
+    : conv_(in_channels, out_channels, height, width, kernel_size, padding,
+            rng),
+      pool_(out_channels, conv_.out_height(), conv_.out_width()),
+      fused_(conv_.conv3x3_kernel_ && height == width &&
+             (width == 8 || width == 4)) {}
+
+const Tensor& ConvBlock::Forward(const Tensor& input, Workspace* ws) {
+#if FATS_CONV_X86
+  if (fused_) {
+    FATS_CHECK_EQ(input.rank(), 2);
+    FATS_CHECK_EQ(input.dim(1),
+                  conv_.in_channels_ * conv_.height_ * conv_.width_)
+        << ToString();
+    const int64_t batch = input.dim(0);
+    conv_.cached_input_ = &input;
+    const int64_t K = conv_.in_channels_ * 9;
+    const int64_t pooled = conv_.height_ * conv_.width_ / 4;
+    Tensor& out = ws->Get(this, kBlockOut, batch, out_channels() * pooled);
+    codes_.resize(static_cast<size_t>(out.size()) + kCodeSlack);
+    const float* w = conv_.weight_.value.data();
+    const float* b = conv_.bias_.value.data();
+    auto run = [&](auto regs) {
+      // Three channels of four registers at 8x8; one pool step of four
+      // channels at 4x4.
+      constexpr int kRegs = decltype(regs)::value;
+      ForEachOcBlock<kRegs == 4 ? 3 : 4>(
+          conv_.out_channels_, [&](int64_t oc0, auto rows) {
+            ConvBlockForwardAvx512<decltype(rows)::value, kRegs>(
+                input.data(), batch, conv_.in_channels_, conv_.out_channels_,
+                conv_.height_, conv_.width_, w + oc0 * K, b + oc0,
+                out.data() + oc0 * pooled, codes_.data() + oc0 * pooled);
+          });
+    };
+    if (conv_.width_ == 8) {
+      run(std::integral_constant<int, 4>{});
+    } else {
+      run(std::integral_constant<int, 1>{});
+    }
+    return out;
+  }
+#endif
+  return pool_.Forward(relu_.Forward(conv_.Forward(input, ws), ws), ws);
+}
+
+const Tensor& ConvBlock::PoolReluBiasBackward(const Tensor& grad_output,
+                                              Workspace* ws) {
+  FATS_CHECK(conv_.cached_input_ != nullptr) << "Backward before Forward";
+  const int64_t batch = conv_.cached_input_->dim(0);
+  const int64_t plane = conv_.height_ * conv_.width_;
+  FATS_CHECK_EQ(grad_output.size(), batch * out_channels() * plane / 4);
+  Tensor& grad_conv =
+      ws->Get(this, kBlockGradConv, batch, out_channels() * plane);
+#if FATS_CONV_X86
+  auto run = [&](auto regs) {
+    ConvBlockBackwardAvx512<decltype(regs)::value>(
+        grad_output.data(), codes_.data(), grad_output.size(), conv_.width_,
+        conv_.out_channels_, grad_conv.data(), conv_.bias_.grad.data());
+  };
+  if (conv_.width_ == 8) {
+    run(std::integral_constant<int, 4>{});
+  } else {
+    run(std::integral_constant<int, 1>{});
+  }
+#endif
+  return grad_conv;
+}
+
+void ConvBlock::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
+  if (fused_) {
+    conv_.AccumulateWeightGrad(PoolReluBiasBackward(grad_output, ws), ws);
+    return;
+  }
+  conv_.BackwardParameters(
+      relu_.Backward(pool_.Backward(grad_output, ws), ws), ws);
+}
+
+const Tensor& ConvBlock::Backward(const Tensor& grad_output, Workspace* ws) {
+  if (fused_) {
+    const Tensor& grad_conv = PoolReluBiasBackward(grad_output, ws);
+    conv_.AccumulateWeightGrad(grad_conv, ws);
+    return conv_.InputGradient(grad_conv, ws);
+  }
+  return conv_.Backward(relu_.Backward(pool_.Backward(grad_output, ws), ws),
+                        ws);
+}
+
+std::string ConvBlock::ToString() const {
+  std::string out = "ConvBlock(";
+  out += conv_.ToString();
+  out += " -> ReLU -> ";
+  out += pool_.ToString();
+  out += ")";
+  return out;
+}
+
+int64_t ConvBlock::OutputFeatures(int64_t input_features) const {
+  return pool_.OutputFeatures(conv_.OutputFeatures(input_features));
 }
 
 }  // namespace fats

@@ -1,12 +1,16 @@
-// 2-D convolution over flat (batch x C*H*W) activations.
+// 2-D convolution over flat (batch x C*H*W) activations, and the zoo CNN's
+// conv → ReLU → max-pool block.
 
 #ifndef FATS_NN_CONV2D_H_
 #define FATS_NN_CONV2D_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/module.h"
+#include "nn/pooling.h"
 #include "rng/rng_stream.h"
 
 namespace fats {
@@ -30,9 +34,7 @@ namespace fats {
 /// Both paths compute the GEMM contract's chains (tensor/gemm.h), so they
 /// give the same bits (DESIGN.md §7.2). Backward adds the input gradient on
 /// either path as one SgemmTN (dcol) per sample and a col2im scatter;
-/// BackwardParameters skips it. The original direct convolution is retained
-/// as ForwardDirect/BackwardDirect — a slow, independent reference that
-/// gradcheck tests compare against.
+/// BackwardParameters skips it.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t height,
@@ -47,19 +49,22 @@ class Conv2d : public Module {
   std::string ToString() const override;
   int64_t OutputFeatures(int64_t input_features) const override;
 
-  /// Direct (non-im2col) reference convolution; no caching, no workspace.
-  Tensor ForwardDirect(const Tensor& input) const;
-  /// Direct reference backward for the pair (input, grad_output); accumulates
-  /// parameter gradients and returns the input gradient.
-  Tensor BackwardDirect(const Tensor& input, const Tensor& grad_output);
-
   int64_t out_height() const { return out_height_; }
   int64_t out_width() const { return out_width_; }
   int64_t out_channels() const { return out_channels_; }
 
  private:
+  // ConvBlock's fused path runs its own forward and bias sums, and the
+  // weight and input gradients below.
+  friend class ConvBlock;
+
   void Im2Col(const float* x, float* col) const;
   void Col2ImAdd(const float* col, float* gx) const;
+  // The two halves of BackwardParameters: db and dW.
+  void AccumulateBiasGrad(const Tensor& grad_output);
+  void AccumulateWeightGrad(const Tensor& grad_output, Workspace* ws);
+  // The input gradient, which reads only W and grad_output.
+  const Tensor& InputGradient(const Tensor& grad_output, Workspace* ws);
 
   int64_t in_channels_;
   int64_t out_channels_;
@@ -76,10 +81,64 @@ class Conv2d : public Module {
   const Tensor* cached_input_ = nullptr;  // borrowed; alive until Backward
 };
 
+/// Conv2d → ReLU → 2x2 MaxPool2d as one layer: the zoo CNN's conv block.
+/// Parameters() are the conv's {weight, bias}, so the flat parameter layout
+/// is the triple's.
+///
+/// On AVX-512F hosts (decided at construction, like Conv2d's 3x3 kernels),
+/// a 3x3, padding-1 conv over an 8x8 or a 4x4 plane runs fused. Forward
+/// runs Conv2d's tap chains for a whole plane in registers, adds the bias,
+/// applies ReLU as max(+0.0, x) and pools the registers, writing only the
+/// pooled output and a one-byte code per output: the winning window
+/// position, plus a dead bit when the maximum is <= 0 (so the ReLU passed
+/// no gradient there). Backward makes one pass over the pooled gradient: it
+/// writes the conv-output gradient (0.0f + g at a live winner, +0.0f
+/// everywhere else) and sums each (n, oc) row's bias gradient from the same
+/// registers, then runs Conv2d's weight-gradient kernel and, in Backward,
+/// its input gradient. Every value equals the triple's, bit for bit
+/// (DESIGN.md §7.2).
+///
+/// Every other shape and host runs the Conv2d, ReLU and MaxPool2d layers in
+/// order, so its bits are the triple's by construction.
+class ConvBlock : public Module {
+ public:
+  ConvBlock(int64_t in_channels, int64_t out_channels, int64_t height,
+            int64_t width, int64_t kernel_size, int64_t padding,
+            RngStream* rng);
+
+  using Module::Forward;
+  using Module::Backward;
+  const Tensor& Forward(const Tensor& input, Workspace* ws) override;
+  const Tensor& Backward(const Tensor& grad_output, Workspace* ws) override;
+  void BackwardParameters(const Tensor& grad_output, Workspace* ws) override;
+  std::vector<Parameter*> Parameters() override { return conv_.Parameters(); }
+  std::string ToString() const override;
+  int64_t OutputFeatures(int64_t input_features) const override;
+
+  /// The pooled output's geometry.
+  int64_t out_channels() const { return conv_.out_channels(); }
+  int64_t out_height() const { return pool_.out_height(); }
+  int64_t out_width() const { return pool_.out_width(); }
+
+ private:
+  // The fused pool, ReLU and bias backward: returns the conv-output
+  // gradient (a Workspace slot) after adding the bias sums.
+  const Tensor& PoolReluBiasBackward(const Tensor& grad_output,
+                                     Workspace* ws);
+
+  Conv2d conv_;
+  ReLU relu_;
+  MaxPool2d pool_;
+  bool fused_;
+  // Fused path: window position | dead bit per pooled output, plus slack
+  // for whole-register code loads.
+  std::vector<uint8_t> codes_;
+};
+
 namespace internal {
 
-/// True when eligible Conv2d layers run the AVX-512F 3x3 kernels on this
-/// host.
+/// True when eligible Conv2d layers run the AVX-512F 3x3 kernels, and
+/// eligible ConvBlock layers the fused kernels, on this host.
 bool Conv3x3UsesAvx512();
 
 }  // namespace internal

@@ -6,7 +6,6 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/parameter_vector.h"
-#include "nn/pooling.h"
 #include "rng/rng_stream.h"
 #include "util/string_util.h"
 
@@ -84,33 +83,21 @@ std::unique_ptr<Sequential> BuildNetwork(const ModelSpec& spec,
       FATS_CHECK(spec.conv_blocks == 1 || spec.conv_blocks == 2)
           << "conv_blocks must be 1 or 2";
       const int64_t pad = spec.kernel_size / 2;
-      auto conv = std::make_unique<Conv2d>(
+      auto block = std::make_unique<ConvBlock>(
           spec.image_channels, spec.conv_channels, spec.image_height,
           spec.image_width, spec.kernel_size, pad, &rng);
-      const int64_t conv_h = conv->out_height();
-      const int64_t conv_w = conv->out_width();
-      net->Add(std::move(conv));
-      net->Add(std::make_unique<ReLU>());
-      auto pool =
-          std::make_unique<MaxPool2d>(spec.conv_channels, conv_h, conv_w, 2);
-      int64_t channels = spec.conv_channels;
-      int64_t height = pool->out_height();
-      int64_t width = pool->out_width();
-      net->Add(std::move(pool));
+      int64_t channels = block->out_channels();
+      int64_t height = block->out_height();
+      int64_t width = block->out_width();
+      net->Add(std::move(block));
       if (spec.conv_blocks == 2) {
-        auto conv2 = std::make_unique<Conv2d>(channels, 2 * channels, height,
-                                              width, spec.kernel_size, pad,
-                                              &rng);
-        const int64_t conv2_h = conv2->out_height();
-        const int64_t conv2_w = conv2->out_width();
-        net->Add(std::move(conv2));
-        net->Add(std::make_unique<ReLU>());
-        auto pool2 =
-            std::make_unique<MaxPool2d>(2 * channels, conv2_h, conv2_w, 2);
-        channels = 2 * channels;
-        height = pool2->out_height();
-        width = pool2->out_width();
-        net->Add(std::move(pool2));
+        auto block2 = std::make_unique<ConvBlock>(
+            channels, 2 * channels, height, width, spec.kernel_size, pad,
+            &rng);
+        channels = block2->out_channels();
+        height = block2->out_height();
+        width = block2->out_width();
+        net->Add(std::move(block2));
       }
       net->Add(std::make_unique<Linear>(channels * height * width,
                                         spec.num_classes, &rng));

@@ -11,8 +11,7 @@
 
 namespace fats {
 
-/// Non-overlapping 2x2 max pooling (every model in the zoo pools 2x2; the
-/// constructor's `window` must be 2). Height and width must be even.
+/// Non-overlapping 2x2 max pooling. Height and width must be even.
 ///
 /// A CHW batch is `batch·C·H/2` contiguous row pairs of `width` floats, and
 /// each row pair pools into one output row, so both passes run one flat loop
@@ -27,10 +26,11 @@ namespace fats {
 /// gradient arrives as +0.0). On AVX-512F hosts (decided once, at static
 /// init) widths that divide 16 run a vector kernel, 16 outputs per
 /// register; other widths, and other hosts, run the portable loop. Both
-/// compute the same bits (DESIGN.md §7.2).
+/// compute the same bits (DESIGN.md §7.2). The vector kernels' register core
+/// (pool2x2_avx512.h) is shared with ConvBlock's fused epilogue.
 class MaxPool2d : public Module {
  public:
-  MaxPool2d(int64_t channels, int64_t height, int64_t width, int64_t window);
+  MaxPool2d(int64_t channels, int64_t height, int64_t width);
 
   using Module::Forward;
   using Module::Backward;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/with_rows.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FATS_GEMM_X86 1
@@ -168,41 +169,43 @@ __attribute__((target("avx512f"))) void MicroKernelAvx512Full(
   }
 }
 
-// Edge-tile variant: any mr <= kMr, any nr <= kNr. B panels are zero-padded
-// to kNr so the full 16-lane load is safe and the padded lanes just compute
-// zeros; C is touched only through an nr-wide mask, so lanes past the tile
-// are neither read (the maskz load zero-fills them) nor written. Active
-// lanes run the identical mul-then-add chain, so edge tiles stay
-// bit-identical to the generic path too.
+// Edge-tile variant: kRows = mr <= kMr rows, any nr <= kNr. B panels are
+// zero-padded to kNr so the full 16-lane load is safe and the padded lanes
+// just compute zeros; C is touched only through an nr-wide mask, so lanes
+// past the tile are neither read (the maskz load zero-fills them) nor
+// written. Active lanes run the identical mul-then-add chain, so edge tiles
+// stay bit-identical to the generic path too.
+template <int kRows>
 __attribute__((target("avx512f"))) void MicroKernelAvx512Edge(
     int64_t kc, const float* ap, const float* bp, float* c, int64_t ldc,
-    int64_t mr, int64_t nr, bool first) {
+    int64_t nr, bool first) {
   const __mmask16 mask = static_cast<__mmask16>((1u << nr) - 1u);
-  __m512 acc[kMr];
-  for (int64_t r = 0; r < mr; ++r) {
+  __m512 acc[kRows];
+  for (int r = 0; r < kRows; ++r) {
     acc[r] = first ? _mm512_setzero_ps()
                    : _mm512_maskz_loadu_ps(mask, c + r * ldc);
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
     const float* arow = ap + kk * kMr;
     const __m512 b0 = _mm512_loadu_ps(bp + kk * kNr);
-    for (int64_t r = 0; r < mr; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const __m512 av = _mm512_set1_ps(arow[r]);
       acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
     }
   }
-  for (int64_t r = 0; r < mr; ++r) {
+  for (int r = 0; r < kRows; ++r) {
     _mm512_mask_storeu_ps(c + r * ldc, mask, acc[r]);
   }
 }
 
-// AVX2 edge variant for short row tiles (mr < kMr) at full panel width.
-// Narrow-nr edges fall back to the generic kernel on AVX2-only hosts.
+// AVX2 edge variant for short row tiles (kRows = mr < kMr) at full panel
+// width. Narrow-nr edges fall back to the generic kernel on AVX2-only hosts.
+template <int kRows>
 __attribute__((target("avx2"))) void MicroKernelAvx2PartialM(
     int64_t kc, const float* ap, const float* bp, float* c, int64_t ldc,
-    int64_t mr, bool first) {
-  __m256 acc[kMr][2];
-  for (int64_t r = 0; r < mr; ++r) {
+    bool first) {
+  __m256 acc[kRows][2];
+  for (int r = 0; r < kRows; ++r) {
     if (first) {
       acc[r][0] = _mm256_setzero_ps();
       acc[r][1] = _mm256_setzero_ps();
@@ -215,13 +218,13 @@ __attribute__((target("avx2"))) void MicroKernelAvx2PartialM(
     const float* arow = ap + kk * kMr;
     const __m256 b0 = _mm256_loadu_ps(bp + kk * kNr);
     const __m256 b1 = _mm256_loadu_ps(bp + kk * kNr + 8);
-    for (int64_t r = 0; r < mr; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const __m256 av = _mm256_set1_ps(arow[r]);
       acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
       acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
     }
   }
-  for (int64_t r = 0; r < mr; ++r) {
+  for (int r = 0; r < kRows; ++r) {
     _mm256_storeu_ps(c + r * ldc, acc[r][0]);
     _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
   }
@@ -246,7 +249,10 @@ inline void MicroKernel(int64_t kc, const float* ap, const float* bp, float* c,
     if (mr == kMr && nr == kNr) {
       MicroKernelAvx512Full(kc, ap, bp, c, ldc, first);
     } else {
-      MicroKernelAvx512Edge(kc, ap, bp, c, ldc, mr, nr, first);
+      WithRows<kMr>(mr, [&](auto rows) {
+        MicroKernelAvx512Edge<decltype(rows)::value>(kc, ap, bp, c, ldc, nr,
+                                                     first);
+      });
     }
     return;
   }
@@ -254,7 +260,10 @@ inline void MicroKernel(int64_t kc, const float* ap, const float* bp, float* c,
     if (mr == kMr) {
       MicroKernelAvx2Full(kc, ap, bp, c, ldc, first);
     } else {
-      MicroKernelAvx2PartialM(kc, ap, bp, c, ldc, mr, first);
+      WithRows<kMr>(mr, [&](auto rows) {
+        MicroKernelAvx2PartialM<decltype(rows)::value>(kc, ap, bp, c, ldc,
+                                                       first);
+      });
     }
     return;
   }
@@ -344,9 +353,8 @@ void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 constexpr int64_t kSmallGemmFlopLimit = 1 << 15;
 
 #if defined(FATS_GEMM_X86)
-// One kRows x n row block of SmallGemmAvx512. kRows is a compile-time
-// constant so the accumulators live in registers: a runtime row count makes
-// GCC keep acc[] on the stack and pay a load and a store per row per k step.
+// One kRows x n row block of SmallGemmAvx512 (a compile-time row count, so
+// the accumulators stay in registers).
 template <int kRows>
 __attribute__((target("avx512f"))) void SmallGemmRowBlockAvx512(
     int64_t n, int64_t k, const float* a, int64_t lda, bool a_trans,
@@ -381,36 +389,13 @@ __attribute__((target("avx512f"))) void SmallGemmRowBlockAvx512(
 __attribute__((target("avx512f"))) void SmallGemmAvx512(
     int64_t m, int64_t n, int64_t k, const float* a, int64_t lda, bool a_trans,
     const float* b, int64_t ldb, float* c, int64_t ldc, bool accumulate) {
-  static_assert(kMr == 6, "one row-block instantiation per row count");
   for (int64_t i0 = 0; i0 < m; i0 += kMr) {
     const float* ai = a_trans ? a + i0 : a + i0 * lda;
     float* ci = c + i0 * ldc;
-    switch (std::min<int64_t>(kMr, m - i0)) {
-      case 6:
-        SmallGemmRowBlockAvx512<6>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-      case 5:
-        SmallGemmRowBlockAvx512<5>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-      case 4:
-        SmallGemmRowBlockAvx512<4>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-      case 3:
-        SmallGemmRowBlockAvx512<3>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-      case 2:
-        SmallGemmRowBlockAvx512<2>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-      default:
-        SmallGemmRowBlockAvx512<1>(n, k, ai, lda, a_trans, b, ldb, ci, ldc,
-                                   accumulate);
-        break;
-    }
+    WithRows<kMr>(m - i0, [&](auto rows) {
+      SmallGemmRowBlockAvx512<decltype(rows)::value>(
+          n, k, ai, lda, a_trans, b, ldb, ci, ldc, accumulate);
+    });
   }
 }
 #endif  // FATS_GEMM_X86

@@ -1,0 +1,282 @@
+// ConvBlock contract (nn/conv2d.h, DESIGN.md §7.2).
+//
+// Whichever path a block runs — the fused AVX-512F kernels or the Conv2d,
+// ReLU and MaxPool2d layers in order — its pooled output, its parameter
+// gradients and its input gradient must equal, bit for bit, those of the
+// unfused triple run as three separate layers.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/pooling.h"
+#include "rng/rng_stream.h"
+
+namespace fats {
+namespace {
+
+struct BlockShape {
+  int64_t in_ch, out_ch, height, width;
+};
+
+// The x86 default NaN (sign bit set), the one that Inf·0 and Inf − Inf
+// produce, so every NaN has the same bits whatever an add's operand order.
+const float kNaN = std::bit_cast<float>(uint32_t{0xFFC00000u});
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+enum class Fill {
+  kGaussian,       // Gaussian, with +0.0 and −0.0 among the inputs
+  kZeroWeights,    // all-zero weights: ±0 ties, dead and live windows
+  kAllNegative,    // every conv output < 0: every window dead
+  kNaNInput,       // one NaN input, position set by the case
+  kNaNWeight,      // one NaN weight, tap set by the case
+  kInfWeight,      // one +Inf and one −Inf weight, taps set by the case
+  kNegZeroGrad,    // every upstream and starting gradient −0.0
+};
+
+struct Data {
+  std::vector<float> x, w, b, gp, wgrad0, bgrad0;
+};
+
+std::vector<float> Gaussian(int64_t n, RngStream* rng) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& f : v) f = static_cast<float>(rng->NextGaussian());
+  return v;
+}
+
+Data MakeData(const BlockShape& s, int64_t batch, Fill fill, int64_t where,
+              RngStream* rng) {
+  const int64_t k = s.in_ch * 9;
+  const int64_t pooled = s.out_ch * (s.height / 2) * (s.width / 2);
+  Data d;
+  d.x = Gaussian(batch * s.in_ch * s.height * s.width, rng);
+  for (size_t i = 0; i < d.x.size(); ++i) {
+    if (i % 7 == 3) d.x[i] = rng->UniformInt(2) == 0 ? 0.0f : -0.0f;
+  }
+  d.w = Gaussian(s.out_ch * k, rng);
+  d.b = Gaussian(s.out_ch, rng);
+  d.gp = Gaussian(batch * pooled, rng);
+  for (size_t i = 0; i < d.gp.size(); ++i) {
+    if (i % 5 == 0) d.gp[i] = -0.0f;
+  }
+  d.wgrad0 = Gaussian(s.out_ch * k, rng);
+  d.bgrad0 = Gaussian(s.out_ch, rng);
+  auto at = [where](const std::vector<float>& v) {
+    return static_cast<size_t>(where % static_cast<int64_t>(v.size()));
+  };
+  switch (fill) {
+    case Fill::kZeroWeights: {
+      // Bias +0.0, −0.0, negative or positive per channel: all-+0.0
+      // (dead) windows, all-negative (dead) windows and live ties.
+      const float biases[] = {0.0f, -0.0f, -0.5f, 0.5f};
+      for (float& f : d.w) f = 0.0f;
+      for (size_t oc = 0; oc < d.b.size(); ++oc) d.b[oc] = biases[oc % 4];
+      break;
+    }
+    case Fill::kAllNegative:
+      for (float& f : d.b) f = -1e4f;
+      break;
+    case Fill::kNaNInput:
+      d.x[at(d.x)] = kNaN;
+      break;
+    case Fill::kNaNWeight:
+      d.w[at(d.w)] = kNaN;
+      break;
+    case Fill::kInfWeight:
+      d.w[at(d.w)] = kInf;
+      d.w[static_cast<size_t>((where + k + 4) %
+                              static_cast<int64_t>(d.w.size()))] = -kInf;
+      break;
+    case Fill::kNegZeroGrad:
+      // A −0.0 upstream gradient reaches the conv-output gradient as +0.0;
+      // from −0.0 starting sums, dW then shows the sign of every product.
+      for (float& f : d.gp) f = -0.0f;
+      for (float& f : d.wgrad0) f = -0.0f;
+      for (float& f : d.bgrad0) f = -0.0f;
+      break;
+    default:
+      break;
+  }
+  return d;
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+void SetParameters(const std::vector<Parameter*>& params, const Data& d) {
+  params[0]->value = Tensor(params[0]->value.shape(), d.w);
+  params[1]->value = Tensor(params[1]->value.shape(), d.b);
+}
+
+void ResetGrads(const std::vector<Parameter*>& params, const Data& d) {
+  params[0]->grad = Tensor(params[0]->grad.shape(), d.wgrad0);
+  params[1]->grad = Tensor(params[1]->grad.shape(), d.bgrad0);
+}
+
+// Runs the block and the triple on the same data: Forward, then
+// BackwardParameters, then Forward and Backward, comparing everything.
+// Returns whether the block ran fused: its Forward then creates one
+// workspace slot (the pooled output), and at least three (one output per
+// layer) when it runs the layers in order.
+bool CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
+                  const std::string& where) {
+  RngStream init(uint64_t{7});
+  ConvBlock block(s.in_ch, s.out_ch, s.height, s.width, 3, 1, &init);
+  Conv2d conv(s.in_ch, s.out_ch, s.height, s.width, 3, 1, &init);
+  ReLU relu;
+  MaxPool2d pool(s.out_ch, s.height, s.width);
+  const std::vector<Parameter*> bp = block.Parameters();
+  const std::vector<Parameter*> tp = conv.Parameters();
+  EXPECT_EQ(bp.size(), 2u);
+  SetParameters(bp, d);
+  SetParameters(tp, d);
+  const Tensor x({batch, s.in_ch * s.height * s.width}, d.x);
+  const Tensor gp({batch, static_cast<int64_t>(d.gp.size()) / batch}, d.gp);
+
+  Workspace bws;
+  Workspace tws;
+  // A first pass creates the output slot; poisoning it shows any position
+  // the second pass fails to write.
+  const_cast<Tensor&>(block.Forward(x, &bws)).Fill(7.0f);
+  const bool fused = bws.slot_count() == 1;
+  const Tensor& by = block.Forward(x, &bws);
+  const Tensor& ty =
+      pool.Forward(relu.Forward(conv.Forward(x, &tws), &tws), &tws);
+  EXPECT_TRUE(BitwiseEqual(by, ty)) << "Forward, " << where;
+
+  ResetGrads(bp, d);
+  ResetGrads(tp, d);
+  block.BackwardParameters(gp, &bws);
+  conv.BackwardParameters(relu.Backward(pool.Backward(gp, &tws), &tws),
+                          &tws);
+  EXPECT_TRUE(BitwiseEqual(bp[0]->grad, tp[0]->grad))
+      << "BackwardParameters dW, " << where;
+  EXPECT_TRUE(BitwiseEqual(bp[1]->grad, tp[1]->grad))
+      << "BackwardParameters db, " << where;
+
+  ResetGrads(bp, d);
+  ResetGrads(tp, d);
+  block.Forward(x, &bws);
+  const Tensor& bgx = block.Backward(gp, &bws);
+  const Tensor& tgx =
+      conv.Backward(relu.Backward(pool.Backward(gp, &tws), &tws), &tws);
+  EXPECT_TRUE(BitwiseEqual(bp[0]->grad, tp[0]->grad))
+      << "Backward dW, " << where;
+  EXPECT_TRUE(BitwiseEqual(bp[1]->grad, tp[1]->grad))
+      << "Backward db, " << where;
+  EXPECT_TRUE(BitwiseEqual(bgx, tgx)) << "Backward dx, " << where;
+  return fused;
+}
+
+// Every fill at every batch in [1, 16]; a NaN input at each position of a
+// sample plane (cycling through channels and samples); a non-finite weight
+// at each tap of the first input channel.
+void CheckAllFills(const BlockShape& s, bool want_fused) {
+  RngStream rng(uint64_t{2027});
+  const int64_t plane = s.height * s.width;
+  const int64_t k = s.in_ch * 9;
+  for (int64_t batch = 1; batch <= 16; ++batch) {
+    auto check = [&](Fill fill, int64_t where) {
+      const Data d = MakeData(s, batch, fill, where, &rng);
+      const std::string desc =
+          "ConvBlock(" + std::to_string(s.in_ch) + ", " +
+          std::to_string(s.out_ch) + ", " + std::to_string(s.height) + "x" +
+          std::to_string(s.width) + ") batch " + std::to_string(batch) +
+          " fill " + std::to_string(static_cast<int>(fill)) + " at " +
+          std::to_string(where);
+      EXPECT_EQ(CheckBlock(s, batch, d, desc), want_fused) << desc;
+    };
+    check(Fill::kGaussian, 0);
+    check(Fill::kZeroWeights, 0);
+    check(Fill::kAllNegative, 0);
+    check(Fill::kNegZeroGrad, 0);
+    for (int64_t q = 0; q < plane; ++q) {
+      const int64_t ic = q % s.in_ch;
+      const int64_t n = q % batch;
+      check(Fill::kNaNInput, (n * s.in_ch + ic) * plane + q);
+    }
+    for (int64_t t = 0; t < 9; ++t) {
+      const int64_t oc = t % s.out_ch;
+      check(Fill::kNaNWeight, oc * k + t);
+      check(Fill::kInfWeight, oc * k + t);
+    }
+  }
+}
+
+// Widths 8 and 4 run fused on AVX-512F hosts: the zoo's two blocks, plus
+// channel counts that leave a partial register block (5 at 8x8) and a
+// partial pool step (6 at 4x4).
+const BlockShape kFused[] = {
+    {1, 6, 8, 8},
+    {6, 12, 4, 4},
+    {2, 5, 8, 8},
+    {3, 6, 4, 4},
+};
+
+// Width 6, and width 8 on a 6-row plane: always the layers in order.
+const BlockShape kUnfused[] = {
+    {1, 4, 6, 6},
+    {2, 3, 6, 8},
+};
+
+TEST(ConvBlockTest, FusedShapesMatchTripleBitwise) {
+  for (const BlockShape& s : kFused) {
+    CheckAllFills(s, internal::Conv3x3UsesAvx512());
+  }
+}
+
+TEST(ConvBlockTest, UnfusedShapesMatchTripleBitwise) {
+  for (const BlockShape& s : kUnfused) CheckAllFills(s, false);
+}
+
+// ReLU passes a −0.0 conv output unchanged and a NaN through; the pool
+// keeps the first maximum. A window whose maximum is <= 0 passes no
+// gradient, so its whole 2x2 block of the conv-output gradient is +0.0 and
+// the bias gradient stays at its starting value.
+TEST(ConvBlockTest, DeadWindowsPassNoGradient) {
+  RngStream init(uint64_t{7});
+  ConvBlock block(1, 1, 4, 4, 3, 1, &init);
+  const std::vector<Parameter*> params = block.Parameters();
+  params[0]->value = Tensor({1, 9});  // zero weights: output = bias
+  params[1]->value = Tensor({1}, {-1.0f});
+  Workspace ws;
+  const Tensor x({1, 16});  // cached by reference until Backward
+  const Tensor& y = block.Forward(x, &ws);
+  for (int64_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(y[i], 0.0f) << i;
+    EXPECT_FALSE(std::signbit(y[i])) << i;
+  }
+  block.ZeroGrad();
+  block.Backward(Tensor({1, 4}, {1.0f, 2.0f, 3.0f, 4.0f}), &ws);
+  EXPECT_EQ(params[1]->grad[0], 0.0f);
+  for (int64_t i = 0; i < 9; ++i) EXPECT_EQ(params[0]->grad[i], 0.0f) << i;
+}
+
+TEST(ConvBlockTest, ParametersAreTheConvs) {
+  RngStream a(uint64_t{11});
+  RngStream b(uint64_t{11});
+  ConvBlock block(2, 4, 8, 8, 3, 1, &a);
+  Conv2d conv(2, 4, 8, 8, 3, 1, &b);
+  const std::vector<Parameter*> bp = block.Parameters();
+  const std::vector<Parameter*> cp = conv.Parameters();
+  ASSERT_EQ(bp.size(), cp.size());
+  for (size_t i = 0; i < bp.size(); ++i) {
+    EXPECT_EQ(bp[i]->name, cp[i]->name);
+    EXPECT_TRUE(BitwiseEqual(bp[i]->value, cp[i]->value)) << i;
+  }
+  EXPECT_EQ(block.OutputFeatures(2 * 64), 4 * 16);
+}
+
+}  // namespace
+}  // namespace fats

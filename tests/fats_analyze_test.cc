@@ -1459,8 +1459,8 @@ TEST(FatsLintHotAlloc, CallChainsThroughTemplateKernelsAreFollowed) {
 }
 
 TEST(FatsLintHotAlloc, DirectReferencePathsAreExempt) {
-  // ForwardDirect/BackwardDirect are the retained direct-conv reference
-  // implementations; Tensor returns and MAC loops are their whole point.
+  // A function that no Forward/Backward body calls, such as a direct-conv
+  // reference loop, is exempt: Tensor returns and MAC loops are its point.
   const char kSnippet[] =
       "Tensor Conv2d::ForwardDirect(const Tensor& input) const {\n"
       "  Tensor out({input.dim(0), out_features_});\n"

@@ -200,8 +200,18 @@ ModelSpec TwoLayerLstmSpec() {
   return spec;
 }
 
+// The train_cnn benchmark's CNN: one 6-channel ConvBlock on 8x8 images,
+// fused on AVX-512F hosts.
+ModelSpec ZooCnnSpec() {
+  ModelSpec spec = CnnSpec();
+  spec.image_height = 8;
+  spec.image_width = 8;
+  spec.conv_channels = 6;
+  return spec;
+}
+
 std::vector<ModelSpec> EveryModelKind() {
-  return {LogRegSpec(),      MlpSpec(),  CnnSpec(),
+  return {LogRegSpec(),     MlpSpec(),         ZooCnnSpec(), CnnSpec(),
           TwoBlockCnnSpec(), LstmSpec(), TwoLayerLstmSpec()};
 }
 

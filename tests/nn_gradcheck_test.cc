@@ -136,7 +136,7 @@ TEST(GradCheckTest, Conv2dValid) {
 
 TEST(GradCheckTest, MaxPool) {
   RngStream rng(uint64_t{7});
-  MaxPool2d layer(2, 4, 4, 2);
+  MaxPool2d layer(2, 4, 4);
   // Spread values so the argmax is stable under the probe epsilon.
   Tensor x({1, 32});
   for (int64_t i = 0; i < x.size(); ++i) {
@@ -161,16 +161,106 @@ TEST(GradCheckTest, SequentialMlp) {
   GradCheck(seq.get(), RandomTensor({2, 5}, &rng, 0.5));
 }
 
-// The im2col + GEMM conv path must agree with the retained direct
-// convolution (ForwardDirect/BackwardDirect) everywhere: outputs, input
-// gradients, and parameter gradients. The two paths accumulate taps in
-// different orders, so the comparison is AllClose, not bitwise; the bitwise
-// guarantees live one level down in kernel_contract_test.cc.
+// Conv2d's geometry: stride 1, symmetric zero padding, CHW inputs.
+struct ConvGeometry {
+  int64_t in_ch, out_ch, height, width, kernel, pad;
+  int64_t out_height() const { return height + 2 * pad - kernel + 1; }
+  int64_t out_width() const { return width + 2 * pad - kernel + 1; }
+};
+
+// The direct convolution, one multiply-add per (output, tap): a slow,
+// independent reference for Conv2d. `weight` is (out_ch, in_ch·k²).
+Tensor DirectConvForward(const ConvGeometry& g, const Tensor& weight,
+                         const Tensor& bias, const Tensor& input) {
+  const int64_t batch = input.dim(0);
+  const int64_t ksq = g.kernel * g.kernel;
+  const int64_t oh_n = g.out_height();
+  const int64_t ow_n = g.out_width();
+  Tensor out({batch, g.out_ch * oh_n * ow_n});
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* x = input.data() + n * g.in_ch * g.height * g.width;
+    float* y = out.data() + n * g.out_ch * oh_n * ow_n;
+    for (int64_t oc = 0; oc < g.out_ch; ++oc) {
+      const float* wk = weight.data() + oc * g.in_ch * ksq;
+      for (int64_t oh = 0; oh < oh_n; ++oh) {
+        for (int64_t ow = 0; ow < ow_n; ++ow) {
+          float acc = bias[oc];
+          for (int64_t ic = 0; ic < g.in_ch; ++ic) {
+            const float* xc = x + ic * g.height * g.width;
+            const float* wc = wk + ic * ksq;
+            for (int64_t kh = 0; kh < g.kernel; ++kh) {
+              const int64_t ih = oh + kh - g.pad;
+              if (ih < 0 || ih >= g.height) continue;
+              for (int64_t kw = 0; kw < g.kernel; ++kw) {
+                const int64_t iw = ow + kw - g.pad;
+                if (iw < 0 || iw >= g.width) continue;
+                acc += wc[kh * g.kernel + kw] * xc[ih * g.width + iw];
+              }
+            }
+          }
+          y[(oc * oh_n + oh) * ow_n + ow] = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The direct backward for (input, grad_output): accumulates the parameter
+// gradients into *wgrad and *bgrad and returns the input gradient.
+Tensor DirectConvBackward(const ConvGeometry& g, const Tensor& weight,
+                          const Tensor& input, const Tensor& grad_output,
+                          Tensor* wgrad, Tensor* bgrad) {
+  const int64_t batch = input.dim(0);
+  const int64_t ksq = g.kernel * g.kernel;
+  const int64_t oh_n = g.out_height();
+  const int64_t ow_n = g.out_width();
+  Tensor grad_input(input.shape());
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* x = input.data() + n * g.in_ch * g.height * g.width;
+    const float* gy = grad_output.data() + n * g.out_ch * oh_n * ow_n;
+    float* gx = grad_input.data() + n * g.in_ch * g.height * g.width;
+    for (int64_t oc = 0; oc < g.out_ch; ++oc) {
+      const float* wk = weight.data() + oc * g.in_ch * ksq;
+      float* wgk = wgrad->data() + oc * g.in_ch * ksq;
+      for (int64_t oh = 0; oh < oh_n; ++oh) {
+        for (int64_t ow = 0; ow < ow_n; ++ow) {
+          const float gv = gy[(oc * oh_n + oh) * ow_n + ow];
+          (*bgrad)[oc] += gv;
+          for (int64_t ic = 0; ic < g.in_ch; ++ic) {
+            const float* xc = x + ic * g.height * g.width;
+            float* gxc = gx + ic * g.height * g.width;
+            const float* wc = wk + ic * ksq;
+            float* wgc = wgk + ic * ksq;
+            for (int64_t kh = 0; kh < g.kernel; ++kh) {
+              const int64_t ih = oh + kh - g.pad;
+              if (ih < 0 || ih >= g.height) continue;
+              for (int64_t kw = 0; kw < g.kernel; ++kw) {
+                const int64_t iw = ow + kw - g.pad;
+                if (iw < 0 || iw >= g.width) continue;
+                wgc[kh * g.kernel + kw] += gv * xc[ih * g.width + iw];
+                gxc[ih * g.width + iw] += gv * wc[kh * g.kernel + kw];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_input;
+}
+
+// The im2col + GEMM conv path must agree with the direct convolution above
+// everywhere: outputs, input gradients, and parameter gradients. The two
+// paths accumulate taps in different orders, so the comparison is AllClose,
+// not bitwise; the bitwise guarantees live one level down in
+// kernel_contract_test.cc and conv_kernel_test.cc.
 void CheckIm2colMatchesDirect(int64_t in_ch, int64_t out_ch, int64_t h,
                               int64_t w, int64_t k, int64_t pad,
                               int64_t batch, uint64_t seed) {
   constexpr float kTol = 5e-4f;
   RngStream rng(seed);
+  const ConvGeometry geometry{in_ch, out_ch, h, w, k, pad};
   Conv2d conv(in_ch, out_ch, h, w, k, pad, &rng);
   Workspace ws;
   Tensor x = RandomTensor({batch, in_ch * h * w}, &rng, 0.5);
@@ -184,15 +274,17 @@ void CheckIm2colMatchesDirect(int64_t in_ch, int64_t out_ch, int64_t h,
   Tensor wg_gemm = params[0]->grad;
   Tensor bg_gemm = params[1]->grad;
 
-  conv.ZeroGrad();
-  Tensor y_direct = conv.ForwardDirect(x);
-  Tensor gx_direct = conv.BackwardDirect(x, gy);
+  Tensor wg_direct(params[0]->grad.shape());
+  Tensor bg_direct(params[1]->grad.shape());
+  Tensor y_direct =
+      DirectConvForward(geometry, params[0]->value, params[1]->value, x);
+  Tensor gx_direct = DirectConvBackward(geometry, params[0]->value, x, gy,
+                                        &wg_direct, &bg_direct);
 
   EXPECT_TRUE(y_gemm.AllClose(y_direct, kTol)) << "forward mismatch";
   EXPECT_TRUE(gx_gemm.AllClose(gx_direct, kTol)) << "input-grad mismatch";
-  EXPECT_TRUE(wg_gemm.AllClose(params[0]->grad, kTol))
-      << "weight-grad mismatch";
-  EXPECT_TRUE(bg_gemm.AllClose(params[1]->grad, kTol)) << "bias-grad mismatch";
+  EXPECT_TRUE(wg_gemm.AllClose(wg_direct, kTol)) << "weight-grad mismatch";
+  EXPECT_TRUE(bg_gemm.AllClose(bg_direct, kTol)) << "bias-grad mismatch";
 }
 
 TEST(Im2colVsDirectTest, SinglePaddedChannel) {

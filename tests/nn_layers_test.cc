@@ -124,7 +124,7 @@ TEST(Conv2dTest, ValidConvolutionShrinksOutput) {
 }
 
 TEST(MaxPool2dTest, PicksWindowMaximum) {
-  MaxPool2d pool(1, 4, 4, 2);
+  MaxPool2d pool(1, 4, 4);
   Tensor x({1, 16}, {1, 2, 5, 6,
                      3, 4, 7, 8,
                      9, 10, 13, 14,
@@ -138,7 +138,7 @@ TEST(MaxPool2dTest, PicksWindowMaximum) {
 }
 
 TEST(MaxPool2dTest, BackwardRoutesToArgmax) {
-  MaxPool2d pool(1, 2, 2, 2);
+  MaxPool2d pool(1, 2, 2);
   Tensor x({1, 4}, {1, 7, 3, 2});
   pool.Forward(x);
   Tensor g({1, 1}, {5});

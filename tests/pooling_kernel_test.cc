@@ -182,7 +182,7 @@ TEST(MaxPool2x2KernelTest, DispatchedMatchesReferenceLoop) {
   ForEachCase([](const Geometry& g, int64_t h, int64_t w,
                  const std::vector<float>& x, const std::vector<float>& gy,
                  const Oracle& want, const std::string& where) {
-    MaxPool2d pool(g.channels, h, w, 2);
+    MaxPool2d pool(g.channels, h, w);
     Workspace ws;
     Tensor input({g.batch, g.channels * h * w}, x);
     Tensor grad({g.batch, g.channels * (h / 2) * (w / 2)}, gy);
@@ -219,7 +219,7 @@ TEST(MaxPool2x2KernelTest, PortableMatchesReferenceLoop) {
 }
 
 TEST(MaxPool2x2KernelTest, NegativeZeroGradientArrivesAsPositiveZero) {
-  MaxPool2d pool(1, 2, 2, 2);
+  MaxPool2d pool(1, 2, 2);
   Workspace ws;
   pool.Forward(Tensor({1, 4}, {1, 7, 3, 2}), &ws);
   const Tensor& gx = pool.Backward(Tensor({1, 1}, {-0.0f}), &ws);

@@ -42,9 +42,8 @@
 //                      named bodies only, a triple-nested
 //                      multiply-accumulate for-loop, i.e. a raw matmul that
 //                      bypasses the deterministic blocked kernels in
-//                      tensor/gemm.h.  ForwardDirect / BackwardDirect (the
-//                      retained reference paths) are exempt: no hot body
-//                      calls them.
+//                      tensor/gemm.h.  A function of the file that no hot
+//                      body calls (a slow reference loop) is exempt.
 //   rng-raw-key        PhiloxEngine constructed outside src/rng/, or an
 //                      RngStream built from a literal-only raw key: stream
 //                      keys must come from DeriveStreamKey over a structured

@@ -127,8 +127,8 @@ bool IsHotEntry(const FunctionDef& fn) {
 // them calls, directly or through other such functions (a call is a name
 // followed by `(` or by template arguments). Helpers are scanned for Tensor
 // temporaries only: a dispatched kernel is a deliberate raw loop.
-// ForwardDirect / BackwardDirect, the retained reference paths, are exempt
-// because no hot body calls them.
+// A function of the same file that no hot body calls, such as a slow
+// reference loop, is exempt.
 void CheckHotAllocation(const FileModel& model,
                         std::vector<Finding>* findings) {
   if (!model.file_class.hot_rules) return;

@@ -20,11 +20,13 @@ fi
 # Extended regexes over `nm -C` names. Every defined symbol that matches one
 # (cold clones excepted) gets a row.
 KERNELS=(
-  'gemm::.*MicroKernel(Avx512|Avx2|Generic)[A-Za-z]*\('
+  'gemm::.*MicroKernel(Avx512|Avx2|Generic)[A-Za-z]*(<[0-9]+>)?\('
   'gemm::.*SmallGemm[A-Za-z0-9]*(<[0-9]+>)?\('
   'gemm::Sgemm(NN|NT|TN)\('
   'Conv2d::(Forward|Backward|BackwardParameters|Im2Col|Col2ImAdd)\('
   'Conv3x3(Forward|WeightGrad)Avx512<[0-9]+>\('
+  'ConvBlock(Forward|Backward)Avx512<[0-9, ]+>\('
+  'ConvBlock::(Forward|Backward|BackwardParameters|PoolReluBiasBackward)\('
   'MaxPool2d::(Forward|Backward)\('
   '::(Forward|Backward)Avx512\('
   'ReLU::(Forward|Backward)\('
