@@ -157,20 +157,21 @@ Status FatsTrainer::RedrawRound(int64_t round, int64_t t_last) {
   return Status::OK();
 }
 
-std::vector<FatsTrainer::LocalStep> FatsTrainer::RunLocalSteps(
+std::vector<double> FatsTrainer::RunLocalSteps(
     bool round_start, const std::vector<int64_t>& participants,
     const std::vector<const std::vector<int64_t>*>& batches,
     const std::vector<int64_t>& dropped,
-    const std::map<int64_t, Tensor>& local_params) {
-  // Mini-batches, dropout counts, and start-parameter pointers are fixed on
-  // the main thread in participant order before dispatch, and the caller
+    std::map<int64_t, Tensor>* local_params) {
+  // Mini-batches, dropout counts, and parameter pointers are fixed on the
+  // main thread in participant order before dispatch, and the caller
   // commits the results in that same order, so the schedule — draws, store
-  // contents, float accumulation — is bit-identical to serial.
+  // contents, float accumulation — is bit-identical to serial. Participants
+  // are distinct, so each task reads and then overwrites its own entry.
   const size_t n_part = participants.size();
-  std::vector<LocalStep> steps(n_part);
-  std::vector<const Tensor*> start_params(n_part);
+  std::vector<double> losses(n_part);
+  std::vector<Tensor*> params(n_part);
   for (size_t i = 0; i < n_part; ++i) {
-    start_params[i] = &local_params.at(participants[i]);
+    params[i] = &local_params->at(participants[i]);
   }
   // Fused round-start batching: at t == round start every participant's
   // start parameters ARE the broadcast global model, so all K clients'
@@ -180,7 +181,7 @@ std::vector<FatsTrainer::LocalStep> FatsTrainer::RunLocalSteps(
   // either way (gemm::SgemmPackedB).
   const bool share_round_pack = fused_round_pack_ && n_part > 0 && round_start;
   if (share_round_pack) {
-    runner_.SetSharedWeights(*start_params[0]);
+    runner_.SetSharedWeights(*params[0]);
   }
   runner_.ForEachClient(
       static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
@@ -190,15 +191,15 @@ std::vector<FatsTrainer::LocalStep> FatsTrainer::RunLocalSteps(
         // surviving attempt's model bits are identical to a first-try
         // success.
         for (int64_t attempt = 0; attempt <= dropped[s]; ++attempt) {
-          m->SetParameters(*start_params[s]);
+          m->SetParameters(*params[s]);
           ClientRuntime runtime(data_, m);
-          steps[s].loss = runtime.Step(participants[s], *batches[s],
-                                       config_.learning_rate);
-          steps[s].params = m->GetParameters();
+          losses[s] = runtime.Step(participants[s], *batches[s],
+                                   config_.learning_rate);
         }
+        m->GetParametersInto(params[s]);
       });
   if (share_round_pack) runner_.ClearSharedWeights();
-  return steps;
+  return losses;
 }
 
 void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
@@ -250,12 +251,11 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
         FATS_CHECK(batches[i] != nullptr) << "missing mini-batch (" << t
                                           << ", " << participants[i] << ")";
       }
-      std::vector<LocalStep> steps = RunLocalSteps(
-          t == r0_start, participants, batches, no_retries, local_params);
-      for (size_t i = 0; i < participants.size(); ++i) {
-        loss_sum += steps[i].loss;
+      const std::vector<double> losses = RunLocalSteps(
+          t == r0_start, participants, batches, no_retries, &local_params);
+      for (double loss : losses) {
+        loss_sum += loss;
         ++loss_count;
-        local_params[participants[i]] = std::move(steps[i].params);
       }
       prefix_steps_ += static_cast<int64_t>(participants.size());
     }
@@ -326,9 +326,8 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
         dropped[i] = availability_.DroppedAttempts(r, t, client);
       }
     }
-    std::vector<LocalStep> steps =
-        RunLocalSteps(round_start, participants, batches, dropped,
-                      local_params);
+    const std::vector<double> losses = RunLocalSteps(
+        round_start, participants, batches, dropped, &local_params);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
       if (dropped[i] > 0) {
@@ -354,10 +353,9 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
         if (sink_ != nullptr) sink_->OnMinibatch(t, client, drawn[i]);
         store_.SaveMinibatch(t, client, std::move(drawn[i]));
       }
-      loss_sum += steps[i].loss;
+      loss_sum += losses[i];
       ++loss_count;
       ++local_iterations_executed_;
-      local_params[client] = std::move(steps[i].params);
       if (sink_ != nullptr) sink_->OnLocalModel(t, client, local_params[client]);
     }
 

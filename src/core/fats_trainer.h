@@ -233,20 +233,18 @@ class FatsTrainer {
   /// Emits the iteration-commit mark for iteration `t` to the sink, if any.
   void NotifyIterationComplete(int64_t t, int64_t t_end, TrainPassKind pass);
 
-  struct LocalStep {
-    Tensor params;
-    double loss = 0.0;
-  };
   /// STEP 2's dispatch, shared by the pass loop and the mid-round prefix
   /// rebuild: one local SGD step per participant i from
-  /// local_params[participants[i]] on *batches[i], executed 1 + dropped[i]
-  /// times, on the client runner. `round_start` enables the fused round
-  /// pack. Returns the steps in participant order; commits nothing.
-  std::vector<LocalStep> RunLocalSteps(
+  /// (*local_params)[participants[i]] on *batches[i], executed
+  /// 1 + dropped[i] times, on the client runner. `round_start` enables the
+  /// fused round pack. Each participant's entry becomes its local model
+  /// after the last attempt, written in place; returns the losses in
+  /// participant order.
+  std::vector<double> RunLocalSteps(
       bool round_start, const std::vector<int64_t>& participants,
       const std::vector<const std::vector<int64_t>*>& batches,
       const std::vector<int64_t>& dropped,
-      const std::map<int64_t, Tensor>& local_params);
+      std::map<int64_t, Tensor>* local_params);
 
   /// Moves one model through the wire (direction, round, iteration, client,
   /// seq address the delivery; see transport/reliable_channel.h), charges

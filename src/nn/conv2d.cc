@@ -160,52 +160,68 @@ __attribute__((target("avx512f"))) void Conv3x3ForwardAvx512(
   }
 }
 
+// The dW kernels' tap registers: lane t = kh·3 + kw holds tap (ic, kh, kw)
+// of one output position, lanes 9-15 hold +0.0f. For output position
+// (oh, ow), LoadTapRows puts input rows oh − 1..oh + 1 in lanes
+// [0, 3·width) of two registers, and one two-source permute by idx[ow]
+// picks the 9 taps out of them, sending halo taps to zero lane 31.
+constexpr __mmask16 kTapLanes = 0x1FF;
+
+struct TapIndex {
+  alignas(64) int32_t idx[8][16];  // per ow; eligible widths are <= 8
+  explicit TapIndex(int64_t width) {
+    constexpr int32_t kZeroLane = 31;
+    for (int64_t ow = 0; ow < width; ++ow) {
+      for (int t = 0; t < 16; ++t) {
+        const int64_t col = ow + t % 3 - 1;
+        idx[ow][t] = t < 9 && col >= 0 && col < width
+                         ? static_cast<int32_t>(t / 3 * width + col)
+                         : kZeroLane;
+      }
+    }
+  }
+};
+
+__attribute__((target("avx512f"), always_inline)) inline void LoadTapRows(
+    const float* xc, int64_t oh, int64_t height, int64_t width, __m512* lo,
+    __m512* hi) {
+  // Rows oh − 1 + j for j in [first, last) exist.
+  const int64_t first = oh == 0 ? 1 : 0;
+  const int64_t last = std::min<int64_t>(3, height + 1 - oh);
+  const uint32_t rows =
+      ((1u << (last * width)) - 1u) & ~((1u << (first * width)) - 1u);
+  const int64_t start = (oh - 1) * width;
+  *lo = _mm512_maskz_loadu_ps(static_cast<__mmask16>(rows),
+                              FloatAddress(xc, start));
+  *hi = _mm512_maskz_loadu_ps(static_cast<__mmask16>(rows >> 16),
+                              FloatAddress(xc, start + 16));
+}
+
 // dW rows [oc0, oc0 + kRows) += gy @ colᵀ over the whole batch: `wg` points
 // at channel oc0's gradient row, `gy` at its output-gradient row in sample
-// 0. Lane t = kh·3 + kw of a register is tap (ic, kh, kw). Each (oc, tap)
-// accumulator is loaded once, runs its chain over every (n, p) in ascending
-// order, and is stored once; for output position (oh, ow) one two-source
-// permute picks the 9 taps out of input rows oh − 1..oh + 1, held in lanes
-// [0, 3·width) of two registers, and sends halo taps to zero lane 31.
+// 0. Each (oc, tap) accumulator is loaded once, runs its chain over every
+// (n, p) in ascending order, and is stored once.
 template <int kRows>
 __attribute__((target("avx512f"))) void Conv3x3WeightGradAvx512(
     const float* x, const float* gy, int64_t batch, int64_t in_channels,
     int64_t out_channels, int64_t height, int64_t width, float* wg) {
   const int64_t plane = height * width;
   const int64_t k = in_channels * 9;
-  constexpr int32_t kZeroLane = 31;
-  constexpr __mmask16 kTaps = 0x1FF;
-  alignas(64) int32_t idx[8][16];  // per ow; eligible widths are <= 8
-  for (int64_t ow = 0; ow < width; ++ow) {
-    for (int t = 0; t < 16; ++t) {
-      const int64_t col = ow + t % 3 - 1;
-      idx[ow][t] = t < 9 && col >= 0 && col < width
-                       ? static_cast<int32_t>(t / 3 * width + col)
-                       : kZeroLane;
-    }
-  }
+  const TapIndex tap(width);
   for (int64_t ic = 0; ic < in_channels; ++ic) {
     __m512 acc[kRows];
     for (int r = 0; r < kRows; ++r) {
-      acc[r] = _mm512_maskz_loadu_ps(kTaps, wg + r * k + ic * 9);
+      acc[r] = _mm512_maskz_loadu_ps(kTapLanes, wg + r * k + ic * 9);
     }
     for (int64_t n = 0; n < batch; ++n) {
       const float* xc = x + (n * in_channels + ic) * plane;
       const float* g = gy + n * out_channels * plane;
       for (int64_t oh = 0; oh < height; ++oh) {
-        // Rows oh − 1 + j for j in [first, last) exist.
-        const int64_t first = oh == 0 ? 1 : 0;
-        const int64_t last = std::min<int64_t>(3, height + 1 - oh);
-        const uint32_t rows =
-            ((1u << (last * width)) - 1u) & ~((1u << (first * width)) - 1u);
-        const int64_t start = (oh - 1) * width;
-        const __m512 lo = _mm512_maskz_loadu_ps(
-            static_cast<__mmask16>(rows), FloatAddress(xc, start));
-        const __m512 hi = _mm512_maskz_loadu_ps(
-            static_cast<__mmask16>(rows >> 16), FloatAddress(xc, start + 16));
+        __m512 lo, hi;
+        LoadTapRows(xc, oh, height, width, &lo, &hi);
         for (int64_t ow = 0; ow < width; ++ow) {
           const __m512 taps = _mm512_permutex2var_ps(
-              lo, _mm512_load_si512(idx[ow]), hi);
+              lo, _mm512_load_si512(tap.idx[ow]), hi);
           const int64_t p = oh * width + ow;
           for (int r = 0; r < kRows; ++r) {
             const __m512 gv = _mm512_set1_ps(g[r * plane + p]);
@@ -215,7 +231,7 @@ __attribute__((target("avx512f"))) void Conv3x3WeightGradAvx512(
       }
     }
     for (int r = 0; r < kRows; ++r) {
-      _mm512_mask_storeu_ps(wg + r * k + ic * 9, kTaps, acc[r]);
+      _mm512_mask_storeu_ps(wg + r * k + ic * 9, kTapLanes, acc[r]);
     }
   }
 }
@@ -274,15 +290,16 @@ __attribute__((target("avx512f"))) void ConvBlockForwardAvx512(
 }
 
 // The fused backward over `outputs` pooled gradients `gp` of rows of
-// kRegsPerRow·16 conv outputs (one row per (n, oc)). Writes the whole
-// conv-output gradient `gy` through the pool's scatter: a code with the dead
-// bit names no position, so the window gets +0.0f, as ReLU's backward
-// writes. Adds each row's bias gradient to bias_grad[row % out_channels] in
-// row order, summed as Conv2d::AccumulateBiasGrad does: four stripes by
-// p mod 4 in ascending p, then (s0 + s1) + (s2 + s3). Lane 4·r + j of one
-// register is stripe j of row r of four rows; a 4x4 transpose of 128-bit
-// blocks gives each step's addends.
-template <int kRegsPerRow>
+// kRegsPerRow·16 conv outputs (one row per (n, oc)). With kWriteGradient,
+// writes the whole conv-output gradient `gy` through the pool's scatter: a
+// code with the dead bit names no position, so the window gets +0.0f, as
+// ReLU's backward writes. Adds each row's bias gradient to
+// bias_grad[row % out_channels] in row order, summed as
+// Conv2d::AccumulateBiasGrad does: four stripes by p mod 4 in ascending p,
+// then (s0 + s1) + (s2 + s3). Lane 4·r + j of one register is stripe j of
+// row r of four rows; a 4x4 transpose of 128-bit blocks gives each step's
+// addends.
+template <int kRegsPerRow, bool kWriteGradient>
 __attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
     const float* gp, const uint8_t* codes, int64_t outputs, int64_t width,
     int64_t out_channels, float* gy, float* bias_grad) {
@@ -300,9 +317,11 @@ __attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
         continue;
       }
       internal::Pool2x2Scatter(gp + at, codes + at, n, lanes, d + 4 * q);
-      for (int k = 0; k < 4; ++k) {
-        _mm512_mask_storeu_ps(gy + 4 * at + 16 * k,
-                              LanesBelow(4 * n - 16 * k), d[4 * q + k]);
+      if constexpr (kWriteGradient) {
+        for (int k = 0; k < 4; ++k) {
+          _mm512_mask_storeu_ps(gy + 4 * at + 16 * k,
+                                LanesBelow(4 * n - 16 * k), d[4 * q + k]);
+        }
       }
     }
     const int64_t row0 = 4 * o / (16 * kRegsPerRow);
@@ -332,6 +351,152 @@ __attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
         const float* st = stripe + 4 * r;
         bias_grad[row % out_channels] += (st[0] + st[1]) + (st[2] + st[3]);
       }
+    }
+  }
+}
+
+// The winners-only dW (DESIGN.md §7.2). Off a live window's winner the
+// conv-output gradient is +0.0f, so that term of an (oc, tap) chain is
+// fl(+0.0·x): ±0.0 when the input x is finite. Adding ±0.0 leaves every
+// accumulator but −0.0 unchanged, and under round-to-nearest a sum is −0.0
+// only when both addends are, so a chain that does not start at −0.0 never
+// reaches it. With every input finite and no starting dW lane −0.0, the
+// chain over the winners alone is the dense chain, bit for bit.
+
+// True when (bits & mask) == value for some float of [x, x + n).
+__attribute__((target("avx512f"))) bool AnyBitsMatch(const float* x,
+                                                     int64_t n, uint32_t mask,
+                                                     uint32_t value) {
+  const __m512i m = _mm512_set1_epi32(static_cast<int32_t>(mask));
+  const __m512i v = _mm512_set1_epi32(static_cast<int32_t>(value));
+  __mmask16 hit = 0;
+  for (int64_t i = 0; i < n; i += 16) {
+    const __m512i bits = _mm512_maskz_loadu_epi32(LanesBelow(n - i), x + i);
+    hit = static_cast<__mmask16>(
+        hit | _mm512_mask_cmpeq_epi32_mask(LanesBelow(n - i),
+                                           _mm512_and_si512(bits, m), v));
+  }
+  return hit != 0;
+}
+
+// Each (n, oc) row's live winners of a kWidth x kWidth conv plane (kQ
+// pooled outputs), as conv-output positions `pos` and gradients
+// `grad` = 0.0f + g, in ascending position: within a pooled row pair every
+// top-row winner comes before every bottom-row winner. A row's dead windows
+// leave (0, +0.0f) entries at its end, which are dropped-term products too.
+//
+// A register of 16 pooled outputs (16/kQ rows) feeds 32 slots, one per
+// (row, pooled row ph, window row dy, pooled column pw) in that order, so
+// slot order is ascending position. Slot s takes window (ph, pw) when its
+// code names row dy and carries no dead bit; compressing the taken slots
+// gives the list.
+template <int kWidth>
+__attribute__((target("avx512f"))) void BuildWinnerLists(
+    const float* gp, const uint8_t* codes, int64_t rows, int32_t* pos,
+    float* grad) {
+  constexpr int kHalf = kWidth / 2;
+  constexpr int kQ = kHalf * kHalf;
+  constexpr int kRowsPerReg = 16 / kQ;
+  alignas(64) int32_t src[2][16];   // the slot's window lane
+  alignas(64) int32_t want[2][16];  // code & 6 when the slot is taken
+  alignas(64) int32_t base[2][16];  // position of the slot's left column
+  for (int s = 0; s < 32; ++s) {
+    const int t = s % (2 * kQ);
+    const int ph = t / kWidth;
+    const int dy = t / kHalf % 2;
+    const int pw = t % kHalf;
+    src[s / 16][s % 16] = s / (2 * kQ) * kQ + ph * kHalf + pw;
+    want[s / 16][s % 16] = 2 * dy;
+    base[s / 16][s % 16] = (2 * ph + dy) * kWidth + 2 * pw;
+  }
+  const __m512i six = _mm512_set1_epi32(6);
+  const __m512i one = _mm512_set1_epi32(1);
+  for (int64_t r0 = 0; r0 < rows; r0 += kRowsPerReg) {
+    const int64_t at = r0 * kQ;
+    const __mmask16 live = LanesBelow((rows - r0) * kQ);
+    const __m512i code = _mm512_maskz_cvtepu8_epi32(
+        live, _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + at)));
+    const __m512 g = _mm512_add_ps(_mm512_setzero_ps(),
+                                   _mm512_maskz_loadu_ps(live, gp + at));
+    int filled = 0;  // kQ == 16: entries of row r0 written so far
+    for (int h = 0; h < 2; ++h) {
+      const __m512i lane = _mm512_load_si512(src[h]);
+      const __m512i c = _mm512_permutexvar_epi32(lane, code);
+      const __mmask16 taken = _mm512_cmpeq_epi32_mask(
+          _mm512_and_si512(c, six), _mm512_load_si512(want[h]));
+      const __m512i p = _mm512_add_epi32(_mm512_load_si512(base[h]),
+                                         _mm512_and_si512(c, one));
+      const __m512 gs = _mm512_permutexvar_ps(lane, g);
+      if constexpr (kQ == 16) {
+        // Both halves are row r0; the second appends to the first, whose
+        // compress left +0 past its taken slots.
+        const __mmask16 store =
+            h == 0 ? __mmask16{0xFFFF} : LanesBelow(16 - filled);
+        _mm512_mask_storeu_epi32(pos + at + filled, store,
+                                 _mm512_maskz_compress_epi32(taken, p));
+        _mm512_mask_storeu_ps(grad + at + filled, store,
+                              _mm512_maskz_compress_ps(taken, gs));
+        filled += __builtin_popcount(taken);
+      } else {
+        // Each half holds two rows of 8 slots.
+        for (int k = 0; k < 2; ++k) {
+          const int64_t row = r0 + 2 * h + k;
+          if (row >= rows) break;
+          const __mmask16 mine =
+              static_cast<__mmask16>(taken & (0xFFu << (8 * k)));
+          _mm512_mask_storeu_epi32(pos + row * kQ, LanesBelow(kQ),
+                                   _mm512_maskz_compress_epi32(mine, p));
+          _mm512_mask_storeu_ps(grad + row * kQ, LanesBelow(kQ),
+                                _mm512_maskz_compress_ps(mine, gs));
+        }
+      }
+    }
+  }
+}
+
+// dW rows [oc0, oc0 + kRows) over the whole batch from the winner lists of
+// a kWidth x kWidth plane: `pos`/`grad` point at channel oc0's list in
+// sample 0, `wg` at its gradient row. The chains are
+// Conv3x3WeightGradAvx512's with the non-winner terms left out: per (n, ic)
+// the taps of every position go to a table once, then each row's list adds
+// (0.0f + g)·taps in ascending position.
+template <int kRows, int kWidth>
+__attribute__((target("avx512f"))) void ConvBlockWeightGradAvx512(
+    const float* x, const int32_t* pos, const float* grad, int64_t batch,
+    int64_t in_channels, int64_t out_channels, float* wg) {
+  constexpr int64_t kPlane = kWidth * kWidth;
+  constexpr int64_t kQ = kPlane / 4;
+  const int64_t k = in_channels * 9;
+  const TapIndex tap(kWidth);
+  alignas(64) float taps[kPlane][16];
+  for (int64_t ic = 0; ic < in_channels; ++ic) {
+    __m512 acc[kRows];
+    for (int r = 0; r < kRows; ++r) {
+      acc[r] = _mm512_maskz_loadu_ps(kTapLanes, wg + r * k + ic * 9);
+    }
+    for (int64_t n = 0; n < batch; ++n) {
+      const float* xc = x + (n * in_channels + ic) * kPlane;
+      for (int64_t oh = 0; oh < kWidth; ++oh) {
+        __m512 lo, hi;
+        LoadTapRows(xc, oh, kWidth, kWidth, &lo, &hi);
+        for (int64_t ow = 0; ow < kWidth; ++ow) {
+          _mm512_store_ps(taps[oh * kWidth + ow],
+                          _mm512_permutex2var_ps(
+                              lo, _mm512_load_si512(tap.idx[ow]), hi));
+        }
+      }
+      const int32_t* pn = pos + n * out_channels * kQ;
+      const float* gn = grad + n * out_channels * kQ;
+      for (int64_t j = 0; j < kQ; ++j) {
+        for (int r = 0; r < kRows; ++r) {
+          const __m512 gv = _mm512_set1_ps(gn[r * kQ + j]);
+          acc[r] = _mm512_add_ps(
+              acc[r], _mm512_mul_ps(gv, _mm512_load_ps(taps[pn[r * kQ + j]])));
+        }
+      }
+    }
+    for (int r = 0; r < kRows; ++r) {
+      _mm512_mask_storeu_ps(wg + r * k + ic * 9, kTapLanes, acc[r]);
     }
   }
 }
@@ -630,32 +795,72 @@ const Tensor& ConvBlock::Forward(const Tensor& input, Workspace* ws) {
   return pool_.Forward(relu_.Forward(conv_.Forward(input, ws), ws), ws);
 }
 
-const Tensor& ConvBlock::PoolReluBiasBackward(const Tensor& grad_output,
-                                              Workspace* ws) {
+const Tensor* ConvBlock::FusedBackwardParameters(const Tensor& grad_output,
+                                                 Workspace* ws,
+                                                 bool keep_grad_conv) {
   FATS_CHECK(conv_.cached_input_ != nullptr) << "Backward before Forward";
-  const int64_t batch = conv_.cached_input_->dim(0);
+  const Tensor& x = *conv_.cached_input_;
+  const int64_t batch = x.dim(0);
   const int64_t plane = conv_.height_ * conv_.width_;
   FATS_CHECK_EQ(grad_output.size(), batch * out_channels() * plane / 4);
-  Tensor& grad_conv =
-      ws->Get(this, kBlockGradConv, batch, out_channels() * plane);
+  Tensor* grad_conv = nullptr;
 #if FATS_CONV_X86
-  auto run = [&](auto regs) {
-    ConvBlockBackwardAvx512<decltype(regs)::value>(
-        grad_output.data(), codes_.data(), grad_output.size(), conv_.width_,
-        conv_.out_channels_, grad_conv.data(), conv_.bias_.grad.data());
+  // The winners-only dW's guards: every input finite, and no starting dW
+  // lane −0.0. Training always passes them.
+  Tensor& wg = conv_.weight_.grad;
+  const bool winners_only =
+      !AnyBitsMatch(x.data(), x.size(), 0x7F800000u, 0x7F800000u) &&
+      !AnyBitsMatch(wg.data(), wg.size(), 0xFFFFFFFFu, 0x80000000u);
+  if (keep_grad_conv || !winners_only) {
+    grad_conv = &ws->Get(this, kBlockGradConv, batch, out_channels() * plane);
+  }
+  auto run = [&](auto width) {
+    constexpr int kWidth = decltype(width)::value;
+    constexpr int kRegsPerRow = kWidth * kWidth / 16;
+    float* bias_grad = conv_.bias_.grad.data();
+    if (grad_conv != nullptr) {
+      ConvBlockBackwardAvx512<kRegsPerRow, true>(
+          grad_output.data(), codes_.data(), grad_output.size(), kWidth,
+          conv_.out_channels_, grad_conv->data(), bias_grad);
+    } else {
+      ConvBlockBackwardAvx512<kRegsPerRow, false>(
+          grad_output.data(), codes_.data(), grad_output.size(), kWidth,
+          conv_.out_channels_, nullptr, bias_grad);
+    }
+    if (!winners_only) {
+      conv_.AccumulateWeightGrad(*grad_conv, ws);
+      return;
+    }
+    constexpr int64_t kQ = kWidth * kWidth / 4;
+    const int64_t k = conv_.in_channels_ * 9;
+    winner_pos_.resize(static_cast<size_t>(grad_output.size()));
+    winner_grad_.resize(static_cast<size_t>(grad_output.size()));
+    BuildWinnerLists<kWidth>(grad_output.data(), codes_.data(),
+                             batch * out_channels(), winner_pos_.data(),
+                             winner_grad_.data());
+    ForEachOcBlock<kOcBlock>(
+        conv_.out_channels_, [&](int64_t oc0, auto rows) {
+          ConvBlockWeightGradAvx512<decltype(rows)::value, kWidth>(
+              x.data(), winner_pos_.data() + oc0 * kQ,
+              winner_grad_.data() + oc0 * kQ, batch, conv_.in_channels_,
+              conv_.out_channels_, wg.data() + oc0 * k);
+        });
   };
   if (conv_.width_ == 8) {
-    run(std::integral_constant<int, 4>{});
+    run(std::integral_constant<int, 8>{});
   } else {
-    run(std::integral_constant<int, 1>{});
+    run(std::integral_constant<int, 4>{});
   }
+#else
+  (void)ws;
+  (void)keep_grad_conv;
 #endif
   return grad_conv;
 }
 
 void ConvBlock::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
   if (fused_) {
-    conv_.AccumulateWeightGrad(PoolReluBiasBackward(grad_output, ws), ws);
+    FusedBackwardParameters(grad_output, ws, /*keep_grad_conv=*/false);
     return;
   }
   conv_.BackwardParameters(
@@ -664,9 +869,9 @@ void ConvBlock::BackwardParameters(const Tensor& grad_output, Workspace* ws) {
 
 const Tensor& ConvBlock::Backward(const Tensor& grad_output, Workspace* ws) {
   if (fused_) {
-    const Tensor& grad_conv = PoolReluBiasBackward(grad_output, ws);
-    conv_.AccumulateWeightGrad(grad_conv, ws);
-    return conv_.InputGradient(grad_conv, ws);
+    return conv_.InputGradient(
+        *FusedBackwardParameters(grad_output, ws, /*keep_grad_conv=*/true),
+        ws);
   }
   return conv_.Backward(relu_.Backward(pool_.Backward(grad_output, ws), ws),
                         ws);

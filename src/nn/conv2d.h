@@ -54,8 +54,8 @@ class Conv2d : public Module {
   int64_t out_channels() const { return out_channels_; }
 
  private:
-  // ConvBlock's fused path runs its own forward and bias sums, and the
-  // weight and input gradients below.
+  // ConvBlock's fused path runs its own forward, bias sums and
+  // winners-only weight gradient, and the weight and input gradients below.
   friend class ConvBlock;
 
   void Im2Col(const float* x, float* col) const;
@@ -91,12 +91,21 @@ class Conv2d : public Module {
 /// applies ReLU as max(+0.0, x) and pools the registers, writing only the
 /// pooled output and a one-byte code per output: the winning window
 /// position, plus a dead bit when the maximum is <= 0 (so the ReLU passed
-/// no gradient there). Backward makes one pass over the pooled gradient: it
-/// writes the conv-output gradient (0.0f + g at a live winner, +0.0f
-/// everywhere else) and sums each (n, oc) row's bias gradient from the same
-/// registers, then runs Conv2d's weight-gradient kernel and, in Backward,
-/// its input gradient. Every value equals the triple's, bit for bit
-/// (DESIGN.md §7.2).
+/// no gradient there). The backward passes make one pass over the pooled
+/// gradient that sums each (n, oc) row's bias gradient; Backward also
+/// writes the conv-output gradient there (0.0f + g at a live winner, +0.0f
+/// everywhere else) for Conv2d's input gradient.
+///
+/// The weight gradient sums only each live window's winner, as
+/// (0.0f + g)·tap, in the dense chain's ascending (n, p) order: within a
+/// pooled row pair every top-row winner before every bottom-row winner.
+/// The dense chain's other terms are fl(+0.0·x), which is ±0.0 for a
+/// finite x, and adding ±0.0 changes no accumulator but −0.0; under
+/// round-to-nearest a chain that does not start at −0.0 never reaches it.
+/// So this path runs only when every input is finite and no starting
+/// weight-gradient value is −0.0 (training always passes both guards);
+/// otherwise Conv2d's dW kernel runs over the dense conv-output gradient.
+/// Every value equals the triple's, bit for bit (DESIGN.md §7.2).
 ///
 /// Every other shape and host runs the Conv2d, ReLU and MaxPool2d layers in
 /// order, so its bits are the triple's by construction.
@@ -121,10 +130,11 @@ class ConvBlock : public Module {
   int64_t out_width() const { return pool_.out_width(); }
 
  private:
-  // The fused pool, ReLU and bias backward: returns the conv-output
-  // gradient (a Workspace slot) after adding the bias sums.
-  const Tensor& PoolReluBiasBackward(const Tensor& grad_output,
-                                     Workspace* ws);
+  // The fused path's dW and db. Writes the conv-output gradient to a
+  // Workspace slot and returns it when keep_grad_conv is set or dW takes
+  // the dense kernel; returns nullptr otherwise.
+  const Tensor* FusedBackwardParameters(const Tensor& grad_output,
+                                        Workspace* ws, bool keep_grad_conv);
 
   Conv2d conv_;
   ReLU relu_;
@@ -133,6 +143,10 @@ class ConvBlock : public Module {
   // Fused path: window position | dead bit per pooled output, plus slack
   // for whole-register code loads.
   std::vector<uint8_t> codes_;
+  // Fused path: each (n, oc) row's winners for the winners-only dW, as
+  // conv-output positions and gradients.
+  std::vector<int32_t> winner_pos_;
+  std::vector<float> winner_grad_;
 };
 
 namespace internal {

@@ -179,8 +179,8 @@ std::vector<double> Model::PerExampleLoss(const Tensor& inputs,
 
 int64_t Model::NumParameters() { return ParameterCount(network_.get()); }
 
-Tensor Model::FlattenParametersInternal() {
-  return FlattenParameters(network_.get());
+void Model::GetParametersInto(Tensor* flat) {
+  FlattenParametersInto(params_, flat);
 }
 
 void Model::SetParameters(const Tensor& flat) {

@@ -96,7 +96,14 @@ class Model {
                                      const std::vector<int64_t>& labels);
 
   int64_t NumParameters();
-  Tensor GetParameters() { return FlattenParametersInternal(); }
+  Tensor GetParameters() {
+    Tensor flat;
+    GetParametersInto(&flat);
+    return flat;
+  }
+  /// GetParameters into `flat`, reusing its capacity: allocation-free once
+  /// `flat` has held a parameter vector of this model.
+  void GetParametersInto(Tensor* flat);
   void SetParameters(const Tensor& flat);
   Tensor GetGradients();
 
@@ -121,8 +128,6 @@ class Model {
   Workspace* workspace() { return &ws_; }
 
  private:
-  Tensor FlattenParametersInternal();
-
   ModelSpec spec_;
   std::unique_ptr<Sequential> network_;
   SoftmaxCrossEntropy loss_;

@@ -9,15 +9,23 @@ int64_t ParameterCount(Module* module) {
 }
 
 Tensor FlattenParameters(Module* module) {
-  Tensor flat({ParameterCount(module)});
+  Tensor flat;
+  FlattenParametersInto(module->Parameters(), &flat);
+  return flat;
+}
+
+void FlattenParametersInto(const std::vector<Parameter*>& params,
+                           Tensor* flat) {
+  int64_t total = 0;
+  for (Parameter* p : params) total += p->value.size();
+  flat->ResizeTo(total);
   int64_t offset = 0;
-  for (Parameter* p : module->Parameters()) {
+  for (Parameter* p : params) {
     const float* src = p->value.data();
-    float* dst = flat.data() + offset;
+    float* dst = flat->data() + offset;
     for (int64_t i = 0; i < p->value.size(); ++i) dst[i] = src[i];
     offset += p->value.size();
   }
-  return flat;
 }
 
 void UnflattenParameters(const Tensor& flat, Module* module) {

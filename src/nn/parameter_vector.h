@@ -21,6 +21,11 @@ int64_t ParameterCount(Module* module);
 /// Concatenates all parameter values into one 1-D tensor (layer order).
 Tensor FlattenParameters(Module* module);
 
+/// Hot-path form over a pre-collected parameter list: resizes `flat` in
+/// place (ResizeTo keeps its capacity), so a warm call allocates nothing.
+void FlattenParametersInto(const std::vector<Parameter*>& params,
+                           Tensor* flat);
+
 /// Writes `flat` (1-D, length ParameterCount) back into the module.
 void UnflattenParameters(const Tensor& flat, Module* module);
 

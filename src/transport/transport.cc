@@ -1,7 +1,5 @@
 #include "transport/transport.h"
 
-#include <chrono>
-
 #include "util/logging.h"
 
 namespace fats::transport {
@@ -17,95 +15,33 @@ LocalTransport::LocalTransport(int64_t capacity) : capacity_(capacity) {
   }
 }
 
-bool LocalTransport::PushLocked(Lane* lane, std::string_view frame) {
-  if (lane->size == static_cast<size_t>(capacity_)) return false;
-  const size_t slot =
-      (lane->head + lane->size) % static_cast<size_t>(capacity_);
-  lane->ring[slot].assign(frame.data(), frame.size());
-  ++lane->size;
-  return true;
-}
-
-bool LocalTransport::PopLocked(Lane* lane, std::string* frame) {
-  if (lane->size == 0) return false;
-  *frame = std::move(lane->ring[lane->head]);
-  lane->ring[lane->head].clear();
-  lane->head = (lane->head + 1) % static_cast<size_t>(capacity_);
-  --lane->size;
-  return true;
-}
-
 Status LocalTransport::PushFrame(Direction direction, std::string_view frame) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!PushLocked(&LaneFor(direction), frame)) {
-      return Status::FailedPrecondition(
-          std::string("transport lane full: ") + DirectionName(direction));
-    }
+  Lane& lane = LaneFor(direction);
+  if (lane.size == static_cast<size_t>(capacity_)) {
+    return Status::FailedPrecondition(
+        std::string("transport lane full: ") + DirectionName(direction));
   }
-  frame_cv_.notify_one();
+  const size_t slot = (lane.head + lane.size) % static_cast<size_t>(capacity_);
+  lane.ring[slot].assign(frame.data(), frame.size());
+  ++lane.size;
   return Status::OK();
 }
 
 Result<std::string> LocalTransport::PopFrame(Direction direction) {
-  std::string frame;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!PopLocked(&LaneFor(direction), &frame)) {
-      return Status::NotFound(std::string("transport lane empty: ") +
-                              DirectionName(direction));
-    }
+  Lane& lane = LaneFor(direction);
+  if (lane.size == 0) {
+    return Status::NotFound(std::string("transport lane empty: ") +
+                            DirectionName(direction));
   }
-  space_cv_.notify_one();
+  std::string frame = std::move(lane.ring[lane.head]);
+  lane.ring[lane.head].clear();
+  lane.head = (lane.head + 1) % static_cast<size_t>(capacity_);
+  --lane.size;
   return frame;
 }
 
 int64_t LocalTransport::PendingFrames(Direction direction) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(LaneFor(direction).size);
-}
-
-Status LocalTransport::PushFrameBlocking(Direction direction,
-                                         std::string_view frame,
-                                         int64_t timeout_ms) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    Lane& lane = LaneFor(direction);
-    auto has_space = [&] {
-      return lane.size < static_cast<size_t>(capacity_);
-    };
-    if (timeout_ms < 0) {
-      space_cv_.wait(lock, has_space);
-    } else if (!space_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                                   has_space)) {
-      return Status::FailedPrecondition(
-          std::string("transport push timed out: ") +
-          DirectionName(direction));
-    }
-    FATS_CHECK(PushLocked(&lane, frame));
-  }
-  frame_cv_.notify_one();
-  return Status::OK();
-}
-
-Result<std::string> LocalTransport::PopFrameBlocking(Direction direction,
-                                                     int64_t timeout_ms) {
-  std::string frame;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    Lane& lane = LaneFor(direction);
-    auto has_frame = [&] { return lane.size > 0; };
-    if (timeout_ms < 0) {
-      frame_cv_.wait(lock, has_frame);
-    } else if (!frame_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                                   has_frame)) {
-      return Status::NotFound(std::string("transport pop timed out: ") +
-                              DirectionName(direction));
-    }
-    FATS_CHECK(PopLocked(&lane, &frame));
-  }
-  space_cv_.notify_one();
-  return frame;
 }
 
 }  // namespace fats::transport

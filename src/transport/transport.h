@@ -6,18 +6,15 @@
 // nothing about retries, faults, or ledger accounting; that is the
 // reliable channel's job (transport/reliable_channel.h).
 //
-// The training path uses the non-blocking PushFrame/PopFrame pair on the
-// main thread (the trainer is both producer and consumer, so blocking
-// would deadlock); the blocking pair exists for genuinely concurrent
-// endpoints (exercised under tsan by transport_test). All four are safe to
-// call from any thread.
+// The trainer is both producer and consumer, on its main thread (client
+// workers never touch the wire), so the lanes are plain rings: no lock, no
+// blocking, and a full or empty lane is an immediate error. A
+// LocalTransport must not be shared across threads.
 
 #ifndef FATS_TRANSPORT_TRANSPORT_H_
 #define FATS_TRANSPORT_TRANSPORT_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,14 +48,6 @@ class LocalTransport {
   /// Frames currently queued on `direction`.
   int64_t PendingFrames(Direction direction) const;
 
-  /// Blocking variants for concurrent endpoints: wait until space/a frame
-  /// is available or `timeout_ms` elapses (FailedPrecondition / NotFound on
-  /// timeout). timeout_ms < 0 waits forever.
-  Status PushFrameBlocking(Direction direction, std::string_view frame,
-                           int64_t timeout_ms);
-  Result<std::string> PopFrameBlocking(Direction direction,
-                                       int64_t timeout_ms);
-
   int64_t capacity() const { return capacity_; }
 
   static constexpr int64_t kDefaultCapacity = 64;
@@ -77,15 +66,8 @@ class LocalTransport {
     return lanes_[static_cast<size_t>(direction)];
   }
 
-  // Callers hold mu_.
-  bool PushLocked(Lane* lane, std::string_view frame);
-  bool PopLocked(Lane* lane, std::string* frame);
-
   const int64_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable space_cv_;  // signals writers: a slot freed up
-  std::condition_variable frame_cv_;  // signals readers: a frame arrived
-  Lane lanes_[2];                     // guarded by mu_
+  Lane lanes_[2];
 };
 
 }  // namespace fats::transport

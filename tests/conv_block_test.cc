@@ -3,10 +3,14 @@
 // Whichever path a block runs — the fused AVX-512F kernels or the Conv2d,
 // ReLU and MaxPool2d layers in order — its pooled output, its parameter
 // gradients and its input gradient must equal, bit for bit, those of the
-// unfused triple run as three separate layers.
+// unfused triple run as three separate layers. The fused weight gradient
+// sums only each live window's winner when every input is finite and no
+// starting dW lane is −0.0, and the dense conv-output gradient otherwise;
+// both must give the triple's bits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -40,6 +44,9 @@ enum class Fill {
   kNaNWeight,      // one NaN weight, tap set by the case
   kInfWeight,      // one +Inf and one −Inf weight, taps set by the case
   kNegZeroGrad,    // every upstream and starting gradient −0.0
+  kNegZeroLane,    // one −0.0 starting dW lane, every window dead
+  kInfInput,       // one +Inf and one −Inf input, positions set by the case
+  kAlternating,    // winners alternate between bottom and top rows
 };
 
 struct Data {
@@ -55,6 +62,7 @@ std::vector<float> Gaussian(int64_t n, RngStream* rng) {
 Data MakeData(const BlockShape& s, int64_t batch, Fill fill, int64_t where,
               RngStream* rng) {
   const int64_t k = s.in_ch * 9;
+  const int64_t plane = s.height * s.width;
   const int64_t pooled = s.out_ch * (s.height / 2) * (s.width / 2);
   Data d;
   d.x = Gaussian(batch * s.in_ch * s.height * s.width, rng);
@@ -102,6 +110,47 @@ Data MakeData(const BlockShape& s, int64_t batch, Fill fill, int64_t where,
       for (float& f : d.wgrad0) f = -0.0f;
       for (float& f : d.bgrad0) f = -0.0f;
       break;
+    case Fill::kNegZeroLane:
+      // The centre-tap lane of channel `where`'s first input channel starts
+      // at −0.0 and every window is dead. The dense chain meets +0.0·x at a
+      // positive input and leaves −0.0; the winners alone add no term, or
+      // +0.0·x at position 0, where every sample's input is negative.
+      for (float& f : d.b) f = -1e4f;
+      d.wgrad0[static_cast<size_t>(where % s.out_ch * k + 4)] = -0.0f;
+      for (int64_t n = 0; n < batch; ++n) {
+        d.x[static_cast<size_t>(n * s.in_ch * plane)] = -1.0f;
+      }
+      break;
+    case Fill::kInfInput:
+      d.x[at(d.x)] = kInf;
+      d.x[static_cast<size_t>((where + plane / 2 + 1) %
+                              static_cast<int64_t>(d.x.size()))] = -kInf;
+      break;
+    case Fill::kAlternating: {
+      // Only the centre tap of input channel 0 is nonzero, so each conv
+      // output is its input there, scaled per channel. Each window's
+      // largest input sits in the bottom row when ph + pw is odd and in
+      // the top row otherwise, so within a pooled row pair the ascending
+      // position order differs from window order.
+      for (float& f : d.w) f = 0.0f;
+      for (int64_t oc = 0; oc < s.out_ch; ++oc) {
+        d.w[static_cast<size_t>(oc * k + 4)] = 1.0f + 0.25f * oc;
+      }
+      for (float& f : d.b) f = 0.0f;
+      for (int64_t n = 0; n < batch; ++n) {
+        float* xc = d.x.data() + n * s.in_ch * plane;
+        for (int64_t h = 0; h < s.height; ++h) {
+          for (int64_t w = 0; w < s.width; ++w) {
+            const int64_t ph = h / 2;
+            const int64_t pw = w / 2;
+            const bool winner = h % 2 == (ph + pw) % 2 && w % 2 == ph % 2;
+            const float v = std::fabs(xc[h * s.width + w]);
+            xc[h * s.width + w] = winner ? 4.0f + v : std::min(v, 1.0f);
+          }
+        }
+      }
+      break;
+    }
     default:
       break;
   }
@@ -124,13 +173,32 @@ void ResetGrads(const std::vector<Parameter*>& params, const Data& d) {
   params[1]->grad = Tensor(params[1]->grad.shape(), d.bgrad0);
 }
 
+// Which code computed BackwardParameters' weight gradient.
+enum class Path {
+  kLayers,        // Conv2d, ReLU and MaxPool2d in order
+  kFusedDense,    // fused, dW over the dense conv-output gradient
+  kFusedWinners,  // fused, dW over each live window's winner only
+};
+
+// The winners-only dW's guards: every input finite, no −0.0 starting lane.
+bool WinnersGuardsHold(const Data& d) {
+  for (float f : d.x) {
+    if (!std::isfinite(f)) return false;
+  }
+  for (float f : d.wgrad0) {
+    if (f == 0.0f && std::signbit(f)) return false;
+  }
+  return true;
+}
+
 // Runs the block and the triple on the same data: Forward, then
 // BackwardParameters, then Forward and Backward, comparing everything.
-// Returns whether the block ran fused: its Forward then creates one
-// workspace slot (the pooled output), and at least three (one output per
-// layer) when it runs the layers in order.
-bool CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
-                  const std::string& where) {
+// Returns the path BackwardParameters took. A fused Forward creates one
+// workspace slot (the pooled output), the layers in order at least three
+// (one output per layer); a fused BackwardParameters adds the conv-output
+// gradient's slot unless it sums winners only.
+Path CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
+                const std::string& where) {
   RngStream init(uint64_t{7});
   ConvBlock block(s.in_ch, s.out_ch, s.height, s.width, 3, 1, &init);
   Conv2d conv(s.in_ch, s.out_ch, s.height, s.width, 3, 1, &init);
@@ -158,6 +226,9 @@ bool CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
   ResetGrads(bp, d);
   ResetGrads(tp, d);
   block.BackwardParameters(gp, &bws);
+  const Path path = !fused                   ? Path::kLayers
+                    : bws.slot_count() == 1 ? Path::kFusedWinners
+                                            : Path::kFusedDense;
   conv.BackwardParameters(relu.Backward(pool.Backward(gp, &tws), &tws),
                           &tws);
   EXPECT_TRUE(BitwiseEqual(bp[0]->grad, tp[0]->grad))
@@ -176,12 +247,14 @@ bool CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
   EXPECT_TRUE(BitwiseEqual(bp[1]->grad, tp[1]->grad))
       << "Backward db, " << where;
   EXPECT_TRUE(BitwiseEqual(bgx, tgx)) << "Backward dx, " << where;
-  return fused;
+  return path;
 }
 
 // Every fill at every batch in [1, 16]; a NaN input at each position of a
 // sample plane (cycling through channels and samples); a non-finite weight
-// at each tap of the first input channel.
+// at each tap of the first input channel. The fills added with the winners
+// path (a −0.0 starting lane, ±Inf inputs, alternating winners) run at
+// batches 1, 3 and 16.
 void CheckAllFills(const BlockShape& s, bool want_fused) {
   RngStream rng(uint64_t{2027});
   const int64_t plane = s.height * s.width;
@@ -195,7 +268,10 @@ void CheckAllFills(const BlockShape& s, bool want_fused) {
           std::to_string(s.width) + ") batch " + std::to_string(batch) +
           " fill " + std::to_string(static_cast<int>(fill)) + " at " +
           std::to_string(where);
-      EXPECT_EQ(CheckBlock(s, batch, d, desc), want_fused) << desc;
+      const Path want = !want_fused             ? Path::kLayers
+                        : WinnersGuardsHold(d) ? Path::kFusedWinners
+                                               : Path::kFusedDense;
+      EXPECT_EQ(CheckBlock(s, batch, d, desc), want) << desc;
     };
     check(Fill::kGaussian, 0);
     check(Fill::kZeroWeights, 0);
@@ -205,6 +281,15 @@ void CheckAllFills(const BlockShape& s, bool want_fused) {
       const int64_t ic = q % s.in_ch;
       const int64_t n = q % batch;
       check(Fill::kNaNInput, (n * s.in_ch + ic) * plane + q);
+    }
+    if (batch == 1 || batch == 3 || batch == 16) {
+      for (int64_t oc = 0; oc < s.out_ch; ++oc) check(Fill::kNegZeroLane, oc);
+      for (int64_t q = 0; q < plane; ++q) {
+        const int64_t ic = q % s.in_ch;
+        const int64_t n = q % batch;
+        check(Fill::kInfInput, (n * s.in_ch + ic) * plane + q);
+      }
+      check(Fill::kAlternating, 0);
     }
     for (int64_t t = 0; t < 9; ++t) {
       const int64_t oc = t % s.out_ch;

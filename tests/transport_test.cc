@@ -1,7 +1,7 @@
 // Transport layer unit tests: wire frame codec (roundtrip + every reject
-// path), the LocalTransport ring buffer (FIFO, bounds, blocking pairs under
-// real concurrency — the tsan target), the deterministic fault model, and
-// the reliable channel's retry/dedup/forced-delivery protocol.
+// path), the LocalTransport ring buffer (FIFO, bounds, wrap-around), the
+// deterministic fault model, and the reliable channel's
+// retry/dedup/forced-delivery protocol.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "tensor/tensor.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace fats {
 namespace {
@@ -243,53 +242,6 @@ TEST(LocalTransportTest, RingWrapsAroundManyTimes) {
     EXPECT_EQ(*back, frame);
   }
   EXPECT_EQ(wire.PendingFrames(Direction::kDownlink), 0);
-}
-
-TEST(LocalTransportTest, BlockingPopTimesOutOnSilence) {
-  LocalTransport wire(2);
-  Result<std::string> f = wire.PopFrameBlocking(Direction::kUplink, 10);
-  EXPECT_FALSE(f.ok());
-  EXPECT_EQ(f.status().code(), StatusCode::kNotFound);
-}
-
-// The tsan target: a real producer and a real consumer racing on one lane
-// through the blocking API, pushing far more frames than the lane holds.
-// Ordering and content must survive; tsan must see no races.
-TEST(LocalTransportTest, BlockingProducerConsumerKeepsOrderUnderConcurrency) {
-  constexpr int64_t kFrames = 200;
-  LocalTransport wire(4);
-  std::vector<std::string> received;
-  received.reserve(kFrames);
-  bool producer_ok = true;
-  bool consumer_ok = true;
-  ThreadPool pool(2);
-  pool.ParallelFor(2, [&](int64_t task, int64_t) {
-    if (task == 0) {
-      for (int64_t i = 0; i < kFrames; ++i) {
-        const std::string frame = "seq-" + std::to_string(i);
-        if (!wire.PushFrameBlocking(Direction::kUplink, frame, 30000).ok()) {
-          producer_ok = false;
-          return;
-        }
-      }
-    } else {
-      for (int64_t i = 0; i < kFrames; ++i) {
-        Result<std::string> frame =
-            wire.PopFrameBlocking(Direction::kUplink, 30000);
-        if (!frame.ok()) {
-          consumer_ok = false;
-          return;
-        }
-        received.push_back(*std::move(frame));
-      }
-    }
-  });
-  ASSERT_TRUE(producer_ok);
-  ASSERT_TRUE(consumer_ok);
-  ASSERT_EQ(static_cast<int64_t>(received.size()), kFrames);
-  for (int64_t i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(received[static_cast<size_t>(i)], "seq-" + std::to_string(i));
-  }
 }
 
 // --- fault spec parsing ---

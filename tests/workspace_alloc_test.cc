@@ -151,6 +151,42 @@ TEST(WorkspaceAllocTest, MlpStepIsAllocationFree) {
   ExpectAllocationFree(spec, x, y);
 }
 
+// The trainer's per-client cycle: load the start parameters, take a step,
+// flatten the local model back into the same tensor. Once that tensor has
+// held the model's parameters, the whole cycle allocates nothing.
+TEST(WorkspaceAllocTest, SetStepGetParametersCycleIsAllocationFree) {
+  ModelSpec spec;
+  spec.kind = ModelKind::kSmallCnn;
+  spec.image_channels = 1;
+  spec.image_height = 8;
+  spec.image_width = 8;
+  spec.conv_channels = 6;
+  spec.num_classes = 10;
+  Model model(spec, 7);
+  Tensor x({4, 64});
+  for (int64_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.01f * static_cast<float>(i % 17);
+  }
+  const std::vector<int64_t> y = {0, 3, 7, 9};
+  Tensor params = model.GetParameters();
+  auto cycle = [&] {
+    model.SetParameters(params);
+    model.ComputeLossAndGradients(x, y);
+    model.SgdStep(0.05);
+    model.GetParametersInto(&params);
+  };
+  for (int s = 0; s < 3; ++s) cycle();  // warm-up sizes the arena
+  const int64_t grow_before = model.workspace()->grow_events();
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (int s = 0; s < 5; ++s) cycle();
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0)
+      << "a warm set-params, step, get-params cycle heap-allocated";
+  EXPECT_EQ(model.workspace()->grow_events(), grow_before);
+  EXPECT_EQ(params.size(), model.NumParameters());
+}
+
 // The fused cross-client round cycle (DESIGN.md §7.6): pack the broadcast
 // weights once, bind the pack to a client replica, run its local step
 // against the shared panels, unbind. After warm-up the whole cycle must be

@@ -30,7 +30,7 @@ const std::set<std::string_view>& WirePrimitives() {
       "EncodeFrame", "DecodeFrame", "EncodeModelPayload",
       "DecodeModelPayload",
       // transport.h ring-buffer primitives
-      "PushFrame", "PopFrame", "PushFrameBlocking", "PopFrameBlocking",
+      "PushFrame", "PopFrame",
       // POSIX socket calls
       "socket", "connect", "bind", "listen", "accept", "sendto", "recvfrom",
       "sendmsg", "recvmsg"};

@@ -150,24 +150,21 @@ echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
 # kernel_contract_test calls the serial GEMM kernels concurrently from 1/2/4/7
 # pool workers (the concurrent-caller contract: thread-local packing scratch,
 # one shared PackedB), so it is race-checked on every preset, not just the
-# full tsan leg. transport_test rides along for the LocalTransport blocking
-# producer/consumer pair (the wire's only cross-thread handoff).
-# crash_matrix_test runs with TSan's default die_after_fork: its forked
-# children must start no thread, which holds because the journal writes
-# synchronously on the training thread.
+# full tsan leg. crash_matrix_test runs with TSan's default die_after_fork:
+# its forked children must start no thread, which holds because the journal
+# writes synchronously on the training thread.
 if [[ "$PRESET" == "tsan" ]]; then
   echo "tsan smoke: preset is already tsan; full suite covered above"
 else
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" \
     --target thread_pool_test parallel_exactness_test \
-    kernel_contract_test crash_matrix_test transport_test
+    kernel_contract_test crash_matrix_test
   # Run the binaries directly: only these targets are built, so the
   # build-tsan ctest manifest is incomplete.
   build-tsan/tests/thread_pool_test
   build-tsan/tests/parallel_exactness_test
   build-tsan/tests/kernel_contract_test
-  build-tsan/tests/transport_test
   build-tsan/tests/crash_matrix_test
 fi
 

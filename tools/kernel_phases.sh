@@ -25,8 +25,9 @@ KERNELS=(
   'gemm::Sgemm(NN|NT|TN)\('
   'Conv2d::(Forward|Backward|BackwardParameters|Im2Col|Col2ImAdd)\('
   'Conv3x3(Forward|WeightGrad)Avx512<[0-9]+>\('
-  'ConvBlock(Forward|Backward)Avx512<[0-9, ]+>\('
-  'ConvBlock::(Forward|Backward|BackwardParameters|PoolReluBiasBackward)\('
+  'ConvBlock(Forward|Backward|WeightGrad)Avx512<[0-9a-z, ]+>\('
+  'BuildWinnerLists<[0-9]+>\('
+  'ConvBlock::(Forward|Backward|BackwardParameters|FusedBackwardParameters)\('
   'MaxPool2d::(Forward|Backward)\('
   '::(Forward|Backward)Avx512\('
   'ReLU::(Forward|Backward)\('
