@@ -410,8 +410,9 @@ void BM_ClientBatchPerCallPack(benchmark::State& state) {
 }
 BENCHMARK(BM_ClientBatchPerCallPack);
 
-// The 2x2 max-pool of the train_cnn step: 6 channels of 8x8 conv output per
-// sample, forward then backward.
+// The 2x2 max-pool of the train_cnn step's first block as the unfused
+// ConvBlock runs it (hosts without AVX-512F): 6 channels of 8x8 conv output
+// per sample, forward then backward, on MaxPool2d's portable loop.
 void BM_MaxPool2dForwardBackward(benchmark::State& state) {
   const int64_t batch = state.range(0);
   MaxPool2d pool(6, 8, 8);
@@ -430,8 +431,9 @@ void BM_MaxPool2dForwardBackward(benchmark::State& state) {
 BENCHMARK(BM_MaxPool2dForwardBackward)->Arg(16);
 
 // The first conv of the train_cnn step (1x8x8 -> 6 channels, 3x3, padding 1)
-// as a training step runs it: Forward, then BackwardParameters (the first
-// layer's input gradient is never computed).
+// as the unfused ConvBlock runs it (hosts without AVX-512F): Forward, then
+// BackwardParameters (the first layer's input gradient is never computed),
+// on Conv2d's im2col + GEMM path.
 void BM_Conv2dZooShape(benchmark::State& state) {
   const int64_t batch = state.range(0);
   RngStream rng(uint64_t{8});
@@ -454,7 +456,8 @@ BENCHMARK(BM_Conv2dZooShape)->Arg(16);
 // The zoo's first conv block (1x8x8 -> 6 channels, 3x3 conv, ReLU, 2x2
 // max-pool) as a training step runs it: Forward, then BackwardParameters.
 // On AVX-512F hosts this is the fused ConvBlock path; its time against the
-// Conv2d row above plus the pool row shows what the fusion saves.
+// two portable rows above (the triple without its ReLU) shows what the
+// fused kernels save over the reference layers.
 void BM_ConvBlockZooShape(benchmark::State& state) {
   const int64_t batch = state.range(0);
   RngStream rng(uint64_t{8});

@@ -69,31 +69,6 @@ FatsTrainer::FatsTrainer(const ModelSpec& spec, const FatsConfig& config,
   initial_params_ = model_->GetParameters();
 }
 
-Tensor FatsTrainer::TransferModel(transport::Direction direction,
-                                  int64_t round, int64_t iteration,
-                                  int64_t client, uint32_t seq,
-                                  const transport::EncodedModel& model) {
-  transport::MessageAddress address;
-  address.direction = direction;
-  address.round = round;
-  address.iteration = iteration;
-  address.client = client;
-  address.seq = seq;
-  Result<transport::ModelDelivery> delivered =
-      channel_->DeliverModel(address, model);
-  FATS_CHECK(delivered.ok())
-      << "transport delivery failed: " << delivered.status().ToString();
-  if (direction == transport::Direction::kDownlink) {
-    comm_stats_.RecordDownlinkDelivery(delivered->payload_bytes);
-  } else {
-    comm_stats_.RecordUplinkDelivery(delivered->payload_bytes);
-  }
-  comm_stats_.RecordRetransmits(delivered->retransmits,
-                                delivered->retransmit_bytes);
-  if (delivered->forced) ++transport_forced_deliveries_;
-  return std::move(delivered->params);
-}
-
 void FatsTrainer::Train() { TrainUntil(config_.total_iters_t()); }
 
 void FatsTrainer::TrainUntil(int64_t t_end) {
@@ -264,6 +239,14 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
   for (int64_t t = t0; t <= t_end; ++t) {
     const int64_t r = (t - 1) / e + 1;
     const bool round_start = t == (r - 1) * e + 1;
+    // Every delivery of iteration t is addressed (direction, r, t, client,
+    // seq); see transport/reliable_channel.h.
+    auto transfer = [&](transport::Direction direction, int64_t client,
+                        uint32_t seq, const transport::EncodedModel& model) {
+      return TransferModel(channel_.get(), {direction, r, t, client, seq},
+                           model, &comm_stats_,
+                           &transport_forced_deliveries_);
+    };
     if (round_start) {
       // STEP 1: round start — the client multiset, then a broadcast of the
       // latest global model.
@@ -294,8 +277,8 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
       for (size_t slot = 0; slot < selection.size(); ++slot) {
         const int64_t client = selection[slot];
         local_params[client] =
-            TransferModel(transport::Direction::kDownlink, r, t, client,
-                          static_cast<uint32_t>(slot), *round_broadcast);
+            transfer(transport::Direction::kDownlink, client,
+                     static_cast<uint32_t>(slot), *round_broadcast);
       }
       loss_sum = 0.0;
       loss_count = 0;
@@ -343,9 +326,8 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
               std::make_unique<transport::EncodedModel>(*round_global);
         }
         for (int64_t retry = 0; retry < dropped[i]; ++retry) {
-          (void)TransferModel(transport::Direction::kDownlink, r, t, client,
-                              static_cast<uint32_t>(k_ + retry),
-                              *round_broadcast);
+          (void)transfer(transport::Direction::kDownlink, client,
+                         static_cast<uint32_t>(k_ + retry), *round_broadcast);
         }
         dropout_retries_ += dropped[i];
       }
@@ -379,10 +361,9 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
                             transport::EncodedModel(local_params[client]))
                    .first;
         }
-        slot_uploads.push_back(TransferModel(transport::Direction::kUplink, r,
-                                             t, client,
-                                             static_cast<uint32_t>(slot),
-                                             it->second));
+        slot_uploads.push_back(transfer(transport::Direction::kUplink, client,
+                                        static_cast<uint32_t>(slot),
+                                        it->second));
       }
       Tensor aggregate = state::TreeAggregate(slot_uploads, runner_.pool());
       aggregate *= 1.0f / static_cast<float>(selection.size());

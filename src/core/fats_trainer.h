@@ -246,14 +246,6 @@ class FatsTrainer {
       const std::vector<int64_t>& dropped,
       std::map<int64_t, Tensor>* local_params);
 
-  /// Moves one model through the wire (direction, round, iteration, client,
-  /// seq address the delivery; see transport/reliable_channel.h), charges
-  /// the comm ledger, and returns the decoded parameters — bitwise the
-  /// encoded ones, which is what keeps wire runs exact.
-  Tensor TransferModel(transport::Direction direction, int64_t round,
-                       int64_t iteration, int64_t client, uint32_t seq,
-                       const transport::EncodedModel& model);
-
   /// The two FATS sampling draws, keyed by (seed, generation, round,
   /// client, iteration) at the current generation: round `round`'s client
   /// multiset, and client `client`'s size-min(b, active) mini-batch at

@@ -21,6 +21,9 @@
 #include <cstdint>
 #include <string>
 
+#include "tensor/tensor.h"
+#include "transport/reliable_channel.h"
+
 namespace fats {
 
 /// Raw counter snapshot (checkpoint/journal restore and introspection).
@@ -118,6 +121,17 @@ class CommStats {
 
   CommCounters counters_;
 };
+
+/// Moves one model through `channel` at `address` (see
+/// transport/reliable_channel.h), charges the delivery's clean bytes and
+/// retransmits to `stats`, counts a delivery that went through on the
+/// forced final attempt in `*forced_deliveries`, and returns the decoded
+/// parameters: bitwise the encoded ones, which is what keeps wire runs
+/// exact. The FATS and FedAvg trainers send every model this way.
+Tensor TransferModel(transport::ReliableChannel* channel,
+                     const transport::MessageAddress& address,
+                     const transport::EncodedModel& model, CommStats* stats,
+                     int64_t* forced_deliveries);
 
 }  // namespace fats
 

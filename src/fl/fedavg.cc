@@ -23,30 +23,6 @@ FedAvgTrainer::FedAvgTrainer(const ModelSpec& spec,
   channel_ = std::make_unique<transport::ReliableChannel>(wire_.get(), *tf_spec);
 }
 
-Tensor FedAvgTrainer::TransferModel(transport::Direction direction,
-                                    int64_t round, int64_t client,
-                                    uint32_t seq,
-                                    const transport::EncodedModel& model) {
-  transport::MessageAddress address;
-  address.direction = direction;
-  address.round = round;
-  address.iteration = round;  // FedAvg addresses the wire per round.
-  address.client = client;
-  address.seq = seq;
-  Result<transport::ModelDelivery> delivered =
-      channel_->DeliverModel(address, model);
-  FATS_CHECK(delivered.ok()) << delivered.status().ToString();
-  if (direction == transport::Direction::kDownlink) {
-    comm_stats_.RecordDownlinkDelivery(delivered->payload_bytes);
-  } else {
-    comm_stats_.RecordUplinkDelivery(delivered->payload_bytes);
-  }
-  comm_stats_.RecordRetransmits(delivered->retransmits,
-                                delivered->retransmit_bytes);
-  if (delivered->forced) ++transport_forced_deliveries_;
-  return std::move(delivered->params);
-}
-
 void FedAvgTrainer::RunRounds(int64_t num_rounds) {
   for (int64_t r = 0; r < num_rounds; ++r) {
     const int64_t round = ++rounds_completed_;
@@ -58,12 +34,9 @@ void FedAvgTrainer::RunRounds(int64_t num_rounds) {
     RngStream sel_stream(options_.seed, sel_id);
     const int64_t k = std::min<int64_t>(options_.clients_per_round_k,
                                         data_->num_active_clients());
+    // Classic FedAvg: K distinct clients (FATS samples with replacement).
     std::vector<int64_t> selected =
-        options_.sample_clients_with_replacement
-            ? ServerRuntime::SampleClientsWithReplacement(*data_, k,
-                                                          &sel_stream)
-            : ServerRuntime::SampleClientsWithoutReplacement(*data_, k,
-                                                             &sel_stream);
+        ServerRuntime::SampleClientsWithoutReplacement(*data_, k, &sel_stream);
     // Each selection entry runs its full E-iteration local chain as one
     // task (duplicate entries recompute independently from the broadcast
     // model, exactly as the serial loop did). Stream keys are derived on
@@ -75,12 +48,18 @@ void FedAvgTrainer::RunRounds(int64_t num_rounds) {
     // the wire; each slot starts from its delivered (decoded) copy, which
     // is bitwise the encoded model.
     const size_t n_sel = selected.size();
+    // FedAvg addresses the wire per round: iteration = round, seq = slot.
+    auto transfer = [&](transport::Direction direction, size_t slot,
+                        const transport::EncodedModel& model) {
+      const uint32_t seq = static_cast<uint32_t>(slot);
+      return TransferModel(channel_.get(),
+                           {direction, round, round, selected[slot], seq},
+                           model, &comm_stats_, &transport_forced_deliveries_);
+    };
     const transport::EncodedModel broadcast(model_->GetParameters());
     std::vector<Tensor> start_params(n_sel);
     for (size_t i = 0; i < n_sel; ++i) {
-      start_params[i] = TransferModel(transport::Direction::kDownlink, round,
-                                      selected[i], static_cast<uint32_t>(i),
-                                      broadcast);
+      start_params[i] = transfer(transport::Direction::kDownlink, i, broadcast);
     }
     struct ClientChain {
       Tensor params;
@@ -134,9 +113,7 @@ void FedAvgTrainer::RunRounds(int64_t num_rounds) {
         ++loss_count;
       }
       const transport::EncodedModel upload(chains[i].params);
-      locals.push_back(TransferModel(transport::Direction::kUplink, round,
-                                     selected[i], static_cast<uint32_t>(i),
-                                     upload));
+      locals.push_back(transfer(transport::Direction::kUplink, i, upload));
     }
     comm_stats_.RecordRound();
     if (!locals.empty()) {

@@ -31,8 +31,6 @@ struct FedAvgOptions {
   int64_t batch_b = 4;
   double learning_rate = 0.05;
   uint64_t seed = 1;
-  /// FATS samples clients with replacement; classic FedAvg without.
-  bool sample_clients_with_replacement = false;
   /// Worker threads for per-round client execution; 1 = serial. Parallel
   /// runs are bit-identical to serial (see fl/parallel_clients.h).
   int64_t num_threads = 1;
@@ -97,12 +95,6 @@ class FedAvgTrainer {
   const transport::ReliableChannel& channel() const { return *channel_; }
 
  private:
-  /// Moves one model through the wire, charges the comm ledger, and returns
-  /// the decoded parameters (bitwise the encoded ones).
-  Tensor TransferModel(transport::Direction direction, int64_t round,
-                       int64_t client, uint32_t seq,
-                       const transport::EncodedModel& model);
-
   ModelSpec spec_;
   FedAvgOptions options_;
   const FederatedDataset* data_;

@@ -12,19 +12,27 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FATS_CONV_X86 1
-#include "nn/pool2x2_avx512.h"
+// _mm512_shuffle_f32x4 and _mm512_max_ps pass _mm512_undefined_ps() as the
+// unused merge source and trip -W(maybe-)uninitialized where they are
+// inlined (GCC bug 105593, fixed in 12.3); the warning is about the header,
+// not this code.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace fats {
 
 namespace {
-// kCol is the generic path's column matrix; the 3x3 kernels never build it.
+// kCol is the column matrix, kept from Forward for the weight gradient.
 enum Slot { kOut, kCol, kDcol, kGradIn };
 // ConvBlock's fused path: the pooled output and the conv-output gradient.
 enum BlockSlot { kBlockOut, kBlockGradConv };
 
-// Whole-register code loads (pool2x2_avx512.h) may read 15 bytes past the
-// last live code.
+// Whole-register code loads (Pool2x2Scatter, BuildWinnerLists) may read 15
+// bytes past the last live code.
 constexpr size_t kCodeSlack = 15;
 
 #if FATS_CONV_X86
@@ -37,15 +45,16 @@ void ForEachOcBlock(int64_t out_channels, Fn&& fn) {
   }
 }
 
-// Conv2d's output channels per register block. Six covers the zoo's first
-// conv (6 channels) and second (12) in whole blocks.
+// Output channels per register block of the winners-only dW. Six covers the
+// zoo's first conv (6 channels) and second (12) in whole blocks.
 constexpr int kOcBlock = 6;
 
-// The 3x3 kernels: stride 1, padding 1, width w with 16 % w == 0 and
-// 3·w < 32. Both run exactly the chains of the generic path's GEMMs
-// (gemm.h): one accumulator per output element, products rounded on their
-// own and added in ascending k = (ic, kh, kw), with the same operand order
-// as SmallGemmAvx512. A halo tap reads +0.0f, as the column matrix holds
+// ConvBlock's fused kernels: a 3x3 conv, stride 1, padding 1, over a square
+// 8x8 or 4x4 plane, then bias, ReLU and the 2x2 max-pool. The conv runs
+// exactly the chains of Conv2d's GEMMs over the column matrix (gemm.h): one
+// accumulator per output element, products rounded on their own and added
+// in ascending k = (ic, kh, kw), with the same operand order as
+// SmallGemmAvx512. A halo tap reads +0.0f, as the column matrix holds
 // there, so fl(w·0) still enters the sum and a NaN or Inf weight still
 // poisons it.
 
@@ -65,57 +74,159 @@ inline __mmask16 LanesBelow(int64_t n) {
                                           : (1u << n) - 1u);
 }
 
-// Lanes whose column ow + kw − 1 lies inside the row, per kw, when a
-// register starts at a row boundary.
-struct ColumnMasks {
-  __mmask16 ok[3] = {0, 0xFFFF, 0};
-  explicit ColumnMasks(int64_t width) {
-    for (int l = 0; l < 16; ++l) {
-      const int64_t ow = l % width;
-      if (ow > 0) ok[0] = static_cast<__mmask16>(ok[0] | (1u << l));
-      if (ow + 1 < width) ok[2] = static_cast<__mmask16>(ok[2] | (1u << l));
-    }
-  }
+// The 2x2 max-pool's register core. Sixteen pool outputs are 64
+// consecutive conv-output floats (whole row pairs, since the width divides
+// 16), held in four registers. A window position's 16 lanes come from
+// registers 0-1 or 2-3 (one two-source permute each, then a blend):
+// `gather` and `upper` are that map for the forward scan, `scatter` and
+// `lower` its inverse for the backward pass.
+struct Pool2x2Lanes {
+  __m512i gather[4];
+  __mmask16 upper[4];
+  __m512i scatter[4];
+  __mmask16 lower[4];
 };
 
-// Per register q of a run starting at output position p0, and per tap
-// t = kh·3 + kw: the lanes whose input (oh + kh − 1, ow + kw − 1) lies
-// inside the plane.
+__attribute__((target("avx512f"), always_inline)) inline Pool2x2Lanes
+MakePool2x2Lanes(int64_t width) {
+  const int64_t half = width / 2;
+  Pool2x2Lanes lanes;
+  alignas(64) int32_t idx[4][16];
+  __mmask16 mask[4] = {0, 0, 0, 0};
+  for (int64_t l = 0; l < 16; ++l) {
+    const int64_t a = 2 * width * (l / half) + 2 * (l % half);
+    const int64_t off[4] = {a, a + 1, a + width, a + width + 1};
+    for (int p = 0; p < 4; ++p) {
+      idx[p][l] = static_cast<int32_t>(off[p] & 31);
+      if (off[p] >= 32) {
+        mask[p] = static_cast<__mmask16>(mask[p] | (1u << l));
+      }
+    }
+  }
+  for (int p = 0; p < 4; ++p) {
+    lanes.gather[p] = _mm512_load_si512(idx[p]);
+    lanes.upper[p] = mask[p];
+    mask[p] = 0;
+  }
+  // Input float 16·k + i takes lane `idx` of the (top-left, top-right) pair
+  // of window registers, or of the (bottom-left, bottom-right) pair where
+  // `lower` is set.
+  for (int64_t f = 0; f < 64; ++f) {
+    const int64_t r = f % (2 * width);
+    const int64_t col = r % width;
+    const int64_t lane = f / (2 * width) * half + col / 2;
+    idx[f / 16][f % 16] = static_cast<int32_t>(lane + 16 * (col & 1));
+    if (r >= width) {
+      mask[f / 16] =
+          static_cast<__mmask16>(mask[f / 16] | (1u << (f % 16)));
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    lanes.scatter[k] = _mm512_load_si512(idx[k]);
+    lanes.lower[k] = mask[k];
+  }
+  return lanes;
+}
+
+// Window position p (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
+// of the 16 windows in v[0..3].
+__attribute__((target("avx512f"), always_inline)) inline __m512 Pool2x2Window(
+    const __m512 v[4], const Pool2x2Lanes& lanes, int p) {
+  return _mm512_mask_blend_ps(
+      lanes.upper[p], _mm512_permutex2var_ps(v[0], lanes.gather[p], v[1]),
+      _mm512_permutex2var_ps(v[2], lanes.gather[p], v[3]));
+}
+
+// MaxPool2d's scan of every window, lane-wise, in the order top-left,
+// top-right, bottom-left, bottom-right: a strict _CMP_GT_OQ compare is
+// false on a tie and on a NaN either side, exactly like `v > best`. Returns
+// the maxima and sets *code to the winning position, one 32-bit lane per
+// window.
+__attribute__((target("avx512f"), always_inline)) inline __m512 Pool2x2Scan(
+    const __m512 v[4], const Pool2x2Lanes& lanes, __m512i* code) {
+  __m512 best = Pool2x2Window(v, lanes, 0);
+  __m512i c = _mm512_setzero_si512();
+  for (int p = 1; p < 4; ++p) {
+    const __m512 win = Pool2x2Window(v, lanes, p);
+    const __mmask16 gt = _mm512_cmp_ps_mask(win, best, _CMP_GT_OQ);
+    best = _mm512_mask_mov_ps(best, gt, win);
+    c = _mm512_mask_mov_epi32(c, gt, _mm512_set1_epi32(p));
+  }
+  *code = c;
+  return best;
+}
+
+// The inverse of the scan for n <= 16 outputs at gy/codes: dense[k] holds
+// input floats [16·k, 16·k + 16) of the windows' gradient, `0.0f + g` at
+// the position a code names and +0.0f at the other three (the add turns a
+// −0.0 gradient into +0.0, as MaxPool2d's backward does). A code outside
+// 0-3 names no position, so its window's gradient is all +0.0f. Lanes past
+// n read no gradient and come out +0.0f; the codes are one 16-byte load.
+__attribute__((target("avx512f"), always_inline)) inline void Pool2x2Scatter(
+    const float* gy, const uint8_t* codes, int64_t n,
+    const Pool2x2Lanes& lanes, __m512 dense[4]) {
+  const __mmask16 live = LanesBelow(n);
+  const __m512 g =
+      _mm512_add_ps(_mm512_setzero_ps(), _mm512_maskz_loadu_ps(live, gy));
+  const __m512i code = _mm512_maskz_cvtepu8_epi32(
+      live, _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes)));
+  __m512 win[4];
+  for (int p = 0; p < 4; ++p) {
+    win[p] = _mm512_maskz_mov_ps(
+        _mm512_cmpeq_epi32_mask(code, _mm512_set1_epi32(p)), g);
+  }
+  for (int k = 0; k < 4; ++k) {
+    dense[k] = _mm512_mask_blend_ps(
+        lanes.lower[k],
+        _mm512_permutex2var_ps(win[0], lanes.scatter[k], win[1]),
+        _mm512_permutex2var_ps(win[2], lanes.scatter[k], win[3]));
+  }
+}
+
+// Per register q of a plane (output positions 16·q + [0, 16), 16/width
+// whole rows) and per tap t = kh·3 + kw: the lanes whose input
+// (oh + kh − 1, ow + kw − 1) lies inside the plane.
 template <int kRegs>
 struct TapMasks {
   __mmask16 lanes[kRegs][9];
-  TapMasks(int64_t height, int64_t width, const ColumnMasks& cols,
-           int64_t p0) {
+  TapMasks(int64_t height, int64_t width) {
+    // Per kw, the lanes whose column ow + kw − 1 lies inside the row.
+    __mmask16 cols[3] = {0, 0xFFFF, 0};
+    for (int l = 0; l < 16; ++l) {
+      const int64_t ow = l % width;
+      if (ow > 0) cols[0] = static_cast<__mmask16>(cols[0] | (1u << l));
+      if (ow + 1 < width) cols[2] = static_cast<__mmask16>(cols[2] | (1u << l));
+    }
     const int64_t plane = height * width;
     for (int q = 0; q < kRegs; ++q) {
-      const int64_t start = p0 + 16 * q;
+      const int64_t start = 16 * q;
       const __mmask16 live = LanesBelow(plane - start);
       const __mmask16 row_ok[3] = {
           static_cast<__mmask16>(live & ~LanesBelow(width - start)), live,
           LanesBelow(plane - width - start)};
       for (int t = 0; t < 9; ++t) {
-        lanes[q][t] = static_cast<__mmask16>(row_ok[t / 3] & cols.ok[t % 3]);
+        lanes[q][t] = static_cast<__mmask16>(row_ok[t / 3] & cols[t % 3]);
       }
     }
   }
 };
 
-// The tap chains of kRegs consecutive registers (output positions
-// [p0, p0 + 16·kRegs) of one sample at `xn`) for kRows output channels:
-// acc[r·kRegs + q] holds positions p0 + 16·q + [0, 16) of channel r, whose
-// weight row starts at w + r·9·in_channels. Tap (ic, kh, kw) of every lane
-// is one masked load at offset (kh − 1)·width + kw − 1 from the position.
+// The tap chains of the kRegs registers of one sample's plane at `xn` for
+// kRows output channels: acc[r·kRegs + q] holds positions 16·q + [0, 16) of
+// channel r, whose weight row starts at w + r·9·in_channels. Tap
+// (ic, kh, kw) of every lane is one masked load at offset
+// (kh − 1)·width + kw − 1 from the position.
 template <int kRows, int kRegs>
 __attribute__((target("avx512f"), always_inline)) inline void Conv3x3Chains(
     const float* xn, int64_t in_channels, int64_t plane, int64_t width,
-    const TapMasks<kRegs>& masks, int64_t p0, const float* w,
+    const TapMasks<kRegs>& masks, const float* w,
     __m512 (&acc)[kRows * kRegs]) {
   const int64_t k = in_channels * 9;
   for (int i = 0; i < kRows * kRegs; ++i) acc[i] = _mm512_setzero_ps();
   for (int64_t ic = 0; ic < in_channels; ++ic) {
     const float* xc = xn + ic * plane;
     for (int t = 0; t < 9; ++t) {
-      const int64_t offset = p0 + (t / 3 - 1) * width + t % 3 - 1;
+      const int64_t offset = (t / 3 - 1) * width + t % 3 - 1;
       __m512 xv[kRegs];
       for (int q = 0; q < kRegs; ++q) {
         xv[q] = _mm512_maskz_loadu_ps(masks.lanes[q][t],
@@ -132,35 +243,7 @@ __attribute__((target("avx512f"), always_inline)) inline void Conv3x3Chains(
   }
 }
 
-// y (rows x P) for output channels [oc0, oc0 + kRows) of every sample: `w`
-// and `bias` point at channel oc0's weight row and bias, `y` at its output
-// row in sample 0. Lane l of a register is output position p0 + l (16/width
-// whole rows).
-template <int kRows>
-__attribute__((target("avx512f"))) void Conv3x3ForwardAvx512(
-    const float* x, int64_t batch, int64_t in_channels, int64_t out_channels,
-    int64_t height, int64_t width, const float* w, const float* bias,
-    float* y) {
-  const int64_t plane = height * width;
-  const ColumnMasks cols(width);
-  for (int64_t n = 0; n < batch; ++n) {
-    const float* xn = x + n * in_channels * plane;
-    float* yn = y + n * out_channels * plane;
-    for (int64_t p0 = 0; p0 < plane; p0 += 16) {
-      const TapMasks<1> masks(height, width, cols, p0);
-      __m512 acc[kRows];
-      Conv3x3Chains<kRows, 1>(xn, in_channels, plane, width, masks, p0, w,
-                              acc);
-      for (int r = 0; r < kRows; ++r) {
-        _mm512_mask_storeu_ps(
-            yn + r * plane + p0, LanesBelow(plane - p0),
-            _mm512_add_ps(acc[r], _mm512_set1_ps(bias[r])));
-      }
-    }
-  }
-}
-
-// The dW kernels' tap registers: lane t = kh·3 + kw holds tap (ic, kh, kw)
+// The dW kernel's tap registers: lane t = kh·3 + kw holds tap (ic, kh, kw)
 // of one output position, lanes 9-15 hold +0.0f. For output position
 // (oh, ow), LoadTapRows puts input rows oh − 1..oh + 1 in lanes
 // [0, 3·width) of two registers, and one two-source permute by idx[ow]
@@ -168,7 +251,7 @@ __attribute__((target("avx512f"))) void Conv3x3ForwardAvx512(
 constexpr __mmask16 kTapLanes = 0x1FF;
 
 struct TapIndex {
-  alignas(64) int32_t idx[8][16];  // per ow; eligible widths are <= 8
+  alignas(64) int32_t idx[8][16];  // per ow; fused widths are <= 8
   explicit TapIndex(int64_t width) {
     constexpr int32_t kZeroLane = 31;
     for (int64_t ow = 0; ow < width; ++ow) {
@@ -197,59 +280,19 @@ __attribute__((target("avx512f"), always_inline)) inline void LoadTapRows(
                               FloatAddress(xc, start + 16));
 }
 
-// dW rows [oc0, oc0 + kRows) += gy @ colᵀ over the whole batch: `wg` points
-// at channel oc0's gradient row, `gy` at its output-gradient row in sample
-// 0. Each (oc, tap) accumulator is loaded once, runs its chain over every
-// (n, p) in ascending order, and is stored once.
-template <int kRows>
-__attribute__((target("avx512f"))) void Conv3x3WeightGradAvx512(
-    const float* x, const float* gy, int64_t batch, int64_t in_channels,
-    int64_t out_channels, int64_t height, int64_t width, float* wg) {
-  const int64_t plane = height * width;
-  const int64_t k = in_channels * 9;
-  const TapIndex tap(width);
-  for (int64_t ic = 0; ic < in_channels; ++ic) {
-    __m512 acc[kRows];
-    for (int r = 0; r < kRows; ++r) {
-      acc[r] = _mm512_maskz_loadu_ps(kTapLanes, wg + r * k + ic * 9);
-    }
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* xc = x + (n * in_channels + ic) * plane;
-      const float* g = gy + n * out_channels * plane;
-      for (int64_t oh = 0; oh < height; ++oh) {
-        __m512 lo, hi;
-        LoadTapRows(xc, oh, height, width, &lo, &hi);
-        for (int64_t ow = 0; ow < width; ++ow) {
-          const __m512 taps = _mm512_permutex2var_ps(
-              lo, _mm512_load_si512(tap.idx[ow]), hi);
-          const int64_t p = oh * width + ow;
-          for (int r = 0; r < kRows; ++r) {
-            const __m512 gv = _mm512_set1_ps(g[r * plane + p]);
-            acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(gv, taps));
-          }
-        }
-      }
-    }
-    for (int r = 0; r < kRows; ++r) {
-      _mm512_mask_storeu_ps(wg + r * k + ic * 9, kTapLanes, acc[r]);
-    }
-  }
-}
-
-// ConvBlock's fused kernels. A plane of kRegs·16 conv outputs (8x8: 4
-// registers, one row pair each; 4x4: 1 register, two row pairs) is whole
-// row pairs per register, and the flat conv output of consecutive
-// channels is consecutive registers, so every 4 registers of a channel
-// block pool as one 2x2 pool step of 16 outputs, exactly the 64 floats
-// MaxPool2d's kernel would load there.
+// A plane of kRegs·16 conv outputs (8x8: 4 registers, one row pair each;
+// 4x4: 1 register, two row pairs) is whole row pairs per register, and the
+// flat conv output of consecutive channels is consecutive registers, so
+// every 4 registers of a channel block pool as one 2x2 pool step of 16
+// outputs.
 
 // Pooled outputs and codes of channels [oc0, oc0 + kRows) of every sample:
-// `w` and `bias` as in Conv3x3ForwardAvx512, `y` and `codes` at channel
-// oc0's pooled row in sample 0. Per register, the tap chain, + bias after
-// it, then ReLU as max_ps(+0.0, v), which is `v < 0 ? 0 : v` bit for bit:
-// it returns its second operand on a tie of zeros and on a NaN. The code is
-// the scan's winner, plus kDeadBit where the maximum is <= 0 (_CMP_LE_OQ is
-// false on a NaN): there ReLU's backward passes +0.0.
+// `w` and `bias` point at channel oc0's weight row and bias, `y` and
+// `codes` at its pooled row in sample 0. Per register, the tap chain,
+// + bias after it, then ReLU as max_ps(+0.0, v), which is `v < 0 ? 0 : v`
+// bit for bit: it returns its second operand on a tie of zeros and on a
+// NaN. The code is the scan's winner, plus kDeadBit where the maximum is
+// <= 0 (_CMP_LE_OQ is false on a NaN): there ReLU's backward passes +0.0.
 constexpr int kDeadBit = 4;
 
 template <int kRows, int kRegs>
@@ -259,15 +302,14 @@ __attribute__((target("avx512f"))) void ConvBlockForwardAvx512(
     float* y, uint8_t* codes) {
   constexpr int kCount = kRows * kRegs;
   const int64_t plane = height * width;
-  const TapMasks<kRegs> masks(height, width, ColumnMasks(width), 0);
-  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
+  const TapMasks<kRegs> masks(height, width);
+  const Pool2x2Lanes lanes = MakePool2x2Lanes(width);
   const __m512 zero = _mm512_setzero_ps();
   for (int64_t n = 0; n < batch; ++n) {
     const float* xn = x + n * in_channels * plane;
     const int64_t out0 = n * out_channels * plane / 4;
     __m512 acc[kCount];
-    Conv3x3Chains<kRows, kRegs>(xn, in_channels, plane, width, masks, 0, w,
-                                acc);
+    Conv3x3Chains<kRows, kRegs>(xn, in_channels, plane, width, masks, w, acc);
     for (int i = 0; i < kCount; ++i) {
       acc[i] = _mm512_max_ps(
           zero, _mm512_add_ps(acc[i], _mm512_set1_ps(bias[i / kRegs])));
@@ -277,12 +319,11 @@ __attribute__((target("avx512f"))) void ConvBlockForwardAvx512(
                            g + 2 < kCount ? acc[g + 2] : zero,
                            g + 3 < kCount ? acc[g + 3] : zero};
       __m512i code;
-      const __m512 best = internal::Pool2x2Scan(v, lanes, &code);
+      const __m512 best = Pool2x2Scan(v, lanes, &code);
       const __mmask16 dead = _mm512_cmp_ps_mask(best, zero, _CMP_LE_OQ);
       code = _mm512_mask_or_epi32(code, dead, code,
                                   _mm512_set1_epi32(kDeadBit));
-      const __mmask16 live =
-          internal::PoolLaneMask(4 * std::min(4, kCount - g));
+      const __mmask16 live = LanesBelow(4 * (kCount - g));
       _mm512_mask_storeu_ps(y + out0 + 4 * g, live, best);
       _mm512_mask_cvtepi32_storeu_epi8(codes + out0 + 4 * g, live, code);
     }
@@ -303,7 +344,7 @@ template <int kRegsPerRow, bool kWriteGradient>
 __attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
     const float* gp, const uint8_t* codes, int64_t outputs, int64_t width,
     int64_t out_channels, float* gy, float* bias_grad) {
-  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
+  const Pool2x2Lanes lanes = MakePool2x2Lanes(width);
   const int64_t rows = 4 * outputs / (16 * kRegsPerRow);
   // 64 pooled outputs per step: 16 registers of conv-output gradient, 4
   // rows at 8x8 and 16 at 4x4.
@@ -316,7 +357,7 @@ __attribute__((target("avx512f"))) void ConvBlockBackwardAvx512(
         for (int k = 0; k < 4; ++k) d[4 * q + k] = _mm512_setzero_ps();
         continue;
       }
-      internal::Pool2x2Scatter(gp + at, codes + at, n, lanes, d + 4 * q);
+      Pool2x2Scatter(gp + at, codes + at, n, lanes, d + 4 * q);
       if constexpr (kWriteGradient) {
         for (int k = 0; k < 4; ++k) {
           _mm512_mask_storeu_ps(gy + 4 * at + 16 * k,
@@ -456,10 +497,13 @@ __attribute__((target("avx512f"))) void BuildWinnerLists(
 
 // dW rows [oc0, oc0 + kRows) over the whole batch from the winner lists of
 // a kWidth x kWidth plane: `pos`/`grad` point at channel oc0's list in
-// sample 0, `wg` at its gradient row. The chains are
-// Conv3x3WeightGradAvx512's with the non-winner terms left out: per (n, ic)
-// the taps of every position go to a table once, then each row's list adds
-// (0.0f + g)·taps in ascending position.
+// sample 0, `wg` at its gradient row. Each (oc, tap) accumulator is loaded
+// once, runs its chain over the whole batch and is stored once; accumulate
+// mode continues a GEMM chain through C, so this is Conv2d's per-sample
+// SgemmNT chain (dW += gy @ colᵀ, operand order included) with the
+// non-winner terms left out. Per (n, ic) the taps of every position go to a
+// table once, then each row's list adds (0.0f + g)·taps in ascending
+// position.
 template <int kRows, int kWidth>
 __attribute__((target("avx512f"))) void ConvBlockWeightGradAvx512(
     const float* x, const int32_t* pos, const float* grad, int64_t batch,
@@ -506,15 +550,16 @@ bool DetectAvx512() { return __builtin_cpu_supports("avx512f") != 0; }
 bool DetectAvx512() { return false; }
 #endif  // FATS_CONV_X86
 
-// Resolved once at static-init time; a pure function of the host CPU. Both
-// paths compute the same bits, so the choice never shows in a result.
+// Resolved once at static-init time; a pure function of the host CPU. The
+// fused and unfused ConvBlock compute the same bits, so the choice never
+// shows in a result.
 const bool kUseAvx512 = DetectAvx512();
 
 }  // namespace
 
 namespace internal {
 
-bool Conv3x3UsesAvx512() { return kUseAvx512; }
+bool ConvBlockUsesAvx512() { return kUseAvx512; }
 
 }  // namespace internal
 
@@ -531,9 +576,7 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t height,
       out_width_(width + 2 * padding - kernel_size + 1),
       weight_("conv_weight",
               Tensor({out_channels, in_channels * kernel_size * kernel_size})),
-      bias_("conv_bias", Tensor({out_channels})),
-      conv3x3_kernel_(kUseAvx512 && kernel_size == 3 && padding == 1 &&
-                      width > 0 && 16 % width == 0 && 3 * width < 32) {
+      bias_("conv_bias", Tensor({out_channels})) {
   FATS_CHECK_GT(out_height_, 0) << "kernel larger than padded input";
   FATS_CHECK_GT(out_width_, 0);
   InitHeNormal(&weight_.value, in_channels * kernel_size * kernel_size, rng);
@@ -609,6 +652,18 @@ void Conv2d::Col2ImAdd(const float* col, float* gx) const {
   }
 }
 
+Tensor& Conv2d::BuildColumns(const Tensor& input, Workspace* ws) {
+  const int64_t batch = input.dim(0);
+  const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
+  const int64_t P = out_height_ * out_width_;
+  Tensor& col = ws->Get(this, kCol, batch, K, P);
+  for (int64_t n = 0; n < batch; ++n) {
+    Im2Col(input.data() + n * in_channels_ * height_ * width_,
+           col.data() + n * K * P);
+  }
+  return col;
+}
+
 const Tensor& Conv2d::Forward(const Tensor& input, Workspace* ws) {
   FATS_CHECK_EQ(input.rank(), 2);
   FATS_CHECK_EQ(input.dim(1), in_channels_ * height_ * width_) << ToString();
@@ -618,24 +673,12 @@ const Tensor& Conv2d::Forward(const Tensor& input, Workspace* ws) {
   const int64_t P = out_height_ * out_width_;
   Tensor& out = ws->Get(this, kOut, batch, out_channels_ * P);
   const float* bp = bias_.value.data();
-#if FATS_CONV_X86
-  if (conv3x3_kernel_) {
-    ForEachOcBlock<kOcBlock>(out_channels_, [&](int64_t oc0, auto rows) {
-      Conv3x3ForwardAvx512<decltype(rows)::value>(
-          input.data(), batch, in_channels_, out_channels_, height_, width_,
-          weight_.value.data() + oc0 * K, bp + oc0, out.data() + oc0 * P);
-    });
-    return out;
-  }
-#endif
-  Tensor& col = ws->Get(this, kCol, batch, K, P);  // kept for Backward
+  const Tensor& col = BuildColumns(input, ws);  // kept for Backward
   for (int64_t n = 0; n < batch; ++n) {
-    float* col_n = col.data() + n * K * P;
-    Im2Col(input.data() + n * in_channels_ * height_ * width_, col_n);
     float* y = out.data() + n * out_channels_ * P;
     // y (oc x P) = W (oc x K) @ col (K x P).
-    gemm::SgemmNN(out_channels_, P, K, weight_.value.data(), K, col_n, P, y, P,
-                  /*accumulate=*/false);
+    gemm::SgemmNN(out_channels_, P, K, weight_.value.data(), K,
+                  col.data() + n * K * P, P, y, P, /*accumulate=*/false);
     for (int64_t oc = 0; oc < out_channels_; ++oc) {
       float* yrow = y + oc * P;
       const float b = bp[oc];
@@ -680,17 +723,6 @@ void Conv2d::AccumulateWeightGrad(const Tensor& grad_output, Workspace* ws) {
   FATS_CHECK_EQ(grad_output.dim(1), out_channels_ * out_height_ * out_width_);
   const int64_t K = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t P = out_height_ * out_width_;
-#if FATS_CONV_X86
-  if (conv3x3_kernel_) {
-    ForEachOcBlock<kOcBlock>(out_channels_, [&](int64_t oc0, auto rows) {
-      Conv3x3WeightGradAvx512<decltype(rows)::value>(
-          cached_input_->data(), grad_output.data() + oc0 * P, batch,
-          in_channels_, out_channels_, height_, width_,
-          weight_.grad.data() + oc0 * K);
-    });
-    return;
-  }
-#endif
   const Tensor& col = ws->Peek(this, kCol);
   FATS_CHECK_EQ(col.size(), batch * K * P) << "Backward before Forward";
   for (int64_t n = 0; n < batch; ++n) {
@@ -754,8 +786,8 @@ ConvBlock::ConvBlock(int64_t in_channels, int64_t out_channels,
     : conv_(in_channels, out_channels, height, width, kernel_size, padding,
             rng),
       pool_(out_channels, conv_.out_height(), conv_.out_width()),
-      fused_(conv_.conv3x3_kernel_ && height == width &&
-             (width == 8 || width == 4)) {}
+      fused_(kUseAvx512 && kernel_size == 3 && padding == 1 &&
+             height == width && (width == 8 || width == 4)) {}
 
 const Tensor& ConvBlock::Forward(const Tensor& input, Workspace* ws) {
 #if FATS_CONV_X86
@@ -828,6 +860,7 @@ const Tensor* ConvBlock::FusedBackwardParameters(const Tensor& grad_output,
           conv_.out_channels_, nullptr, bias_grad);
     }
     if (!winners_only) {
+      conv_.BuildColumns(x, ws);
       conv_.AccumulateWeightGrad(*grad_conv, ws);
       return;
     }

@@ -18,23 +18,14 @@ namespace fats {
 /// Convolution with stride 1 and symmetric zero padding. The input tensor is
 /// (batch, in_channels * height * width) in CHW order.
 ///
-/// On AVX-512F hosts (decided once, at static init), a 3x3, padding-1 layer
-/// whose width w satisfies 16 % w == 0 and 3·w < 32 (w in {1, 2, 4, 8}: the
-/// zoo's 8x8 first and 4x4 second conv) runs two direct kernels. Forward
-/// reads every tap straight from the input, 16 output positions per
-/// register; BackwardParameters keeps each (oc, tap) weight-gradient chain
-/// in a register across the whole batch. Neither builds a column matrix; the
-/// layer caches its input by reference (module.h).
-///
-/// Every other shape and host runs im2col + GEMM: each sample's receptive
-/// fields are unrolled into a (K x P) column matrix (K = in_ch·k²,
-/// P = out_h·out_w, a Workspace slot kept for the backward pass), forward is
-/// one SgemmNN per sample and dW one SgemmNT per sample.
-///
-/// Both paths compute the GEMM contract's chains (tensor/gemm.h), so they
-/// give the same bits (DESIGN.md §7.2). Backward adds the input gradient on
-/// either path as one SgemmTN (dcol) per sample and a col2im scatter;
-/// BackwardParameters skips it.
+/// im2col + GEMM on every host: each sample's receptive fields are unrolled
+/// into a (K x P) column matrix (K = in_ch·k², P = out_h·out_w, a Workspace
+/// slot kept for the backward pass), forward is one SgemmNN per sample and
+/// dW one SgemmNT per sample, so every value is a chain of the GEMM
+/// contract (tensor/gemm.h, DESIGN.md §7.2). Backward adds the input
+/// gradient as one SgemmTN (dcol) per sample and a col2im scatter;
+/// BackwardParameters skips it. This is the reference that ConvBlock's
+/// fused conv is pinned to.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t height,
@@ -55,10 +46,13 @@ class Conv2d : public Module {
 
  private:
   // ConvBlock's fused path runs its own forward, bias sums and
-  // winners-only weight gradient, and the weight and input gradients below.
+  // winners-only weight gradient, and the column matrix, weight and input
+  // gradients below.
   friend class ConvBlock;
 
   void Im2Col(const float* x, float* col) const;
+  // Every sample's column matrix of `input`, in the kCol Workspace slot.
+  Tensor& BuildColumns(const Tensor& input, Workspace* ws);
   void Col2ImAdd(const float* col, float* gx) const;
   // The two halves of BackwardParameters: db and dW.
   void AccumulateBiasGrad(const Tensor& grad_output);
@@ -76,8 +70,6 @@ class Conv2d : public Module {
   int64_t out_width_;
   Parameter weight_;  // (out_ch, in_ch * k * k)
   Parameter bias_;    // (out_ch)
-  // The 3x3 kernels run this layer (host and shape allow it).
-  bool conv3x3_kernel_;
   const Tensor* cached_input_ = nullptr;  // borrowed; alive until Backward
 };
 
@@ -85,9 +77,10 @@ class Conv2d : public Module {
 /// Parameters() are the conv's {weight, bias}, so the flat parameter layout
 /// is the triple's.
 ///
-/// On AVX-512F hosts (decided at construction, like Conv2d's 3x3 kernels),
+/// On AVX-512F hosts (decided at construction, from the CPU and the shape),
 /// a 3x3, padding-1 conv over an 8x8 or a 4x4 plane runs fused. Forward
-/// runs Conv2d's tap chains for a whole plane in registers, adds the bias,
+/// reads every tap straight from the input and runs Conv2d's GEMM chains
+/// for a whole plane in registers, with no column matrix, adds the bias,
 /// applies ReLU as max(+0.0, x) and pools the registers, writing only the
 /// pooled output and a one-byte code per output: the winning window
 /// position, plus a dead bit when the maximum is <= 0 (so the ReLU passed
@@ -104,7 +97,8 @@ class Conv2d : public Module {
 /// round-to-nearest a chain that does not start at −0.0 never reaches it.
 /// So this path runs only when every input is finite and no starting
 /// weight-gradient value is −0.0 (training always passes both guards);
-/// otherwise Conv2d's dW kernel runs over the dense conv-output gradient.
+/// otherwise Conv2d's column matrix and SgemmNT run over the dense
+/// conv-output gradient.
 /// Every value equals the triple's, bit for bit (DESIGN.md §7.2).
 ///
 /// Every other shape and host runs the Conv2d, ReLU and MaxPool2d layers in
@@ -151,9 +145,9 @@ class ConvBlock : public Module {
 
 namespace internal {
 
-/// True when eligible Conv2d layers run the AVX-512F 3x3 kernels, and
-/// eligible ConvBlock layers the fused kernels, on this host.
-bool Conv3x3UsesAvx512();
+/// True when eligible ConvBlock layers run the fused AVX-512F kernels on
+/// this host.
+bool ConvBlockUsesAvx512();
 
 }  // namespace internal
 

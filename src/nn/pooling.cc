@@ -1,83 +1,16 @@
 #include "nn/pooling.h"
 
-#include <algorithm>
-
 #include "util/string_util.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FATS_POOL_X86 1
-#include "nn/pool2x2_avx512.h"
-#endif
 
 namespace fats {
 
 namespace {
 enum Slot { kOut, kGradIn };
 
-// BackwardAvx512 loads 16 codes at a time; the slack keeps a load that
-// starts at the last live code inside the buffer.
-constexpr size_t kCodeSlack = 15;
-
-#if FATS_POOL_X86
-// Lanes [0, n - 16·k) of register k of a run of n floats, clamped to [0, 16].
-inline __mmask16 RegisterMask(int64_t n, int64_t k) {
-  return internal::PoolLaneMask(std::clamp<int64_t>(n - 16 * k, 0, 16));
-}
-
-// Widths that divide 16 (every zoo model's 8x8 conv output, then 4x4):
-// 16 consecutive outputs are whole row pairs, and read and write 64
-// consecutive input floats, held in four registers (pool2x2_avx512.h).
-__attribute__((target("avx512f"))) void ForwardAvx512(
-    const float* x, int64_t outputs, int64_t width, float* y,
-    uint8_t* codes) {
-  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
-  for (int64_t o = 0; o < outputs; o += 16) {
-    const int64_t n = std::min<int64_t>(16, outputs - o);
-    const float* src = x + 4 * o;
-    __m512 v[4];
-    for (int k = 0; k < 4; ++k) {
-      v[k] = _mm512_maskz_loadu_ps(RegisterMask(4 * n, k), src + 16 * k);
-    }
-    __m512i code;
-    const __m512 best = internal::Pool2x2Scan(v, lanes, &code);
-    _mm512_mask_storeu_ps(y + o, internal::PoolLaneMask(n), best);
-    _mm512_mask_cvtepi32_storeu_epi8(codes + o, internal::PoolLaneMask(n),
-                                     code);
-  }
-}
-
-__attribute__((target("avx512f"))) void BackwardAvx512(
-    const float* gy, const uint8_t* codes, int64_t outputs, int64_t width,
-    float* gx) {
-  const internal::Pool2x2Lanes lanes = internal::MakePool2x2Lanes(width);
-  for (int64_t o = 0; o < outputs; o += 16) {
-    const int64_t n = std::min<int64_t>(16, outputs - o);
-    __m512 dense[4];
-    internal::Pool2x2Scatter(gy + o, codes + o, n, lanes, dense);
-    float* dst = gx + 4 * o;
-    for (int k = 0; k < 4; ++k) {
-      _mm512_mask_storeu_ps(dst + 16 * k, RegisterMask(4 * n, k), dense[k]);
-    }
-  }
-}
-
-bool DetectAvx512() { return __builtin_cpu_supports("avx512f") != 0; }
-#else
-bool DetectAvx512() { return false; }
-#endif
-
-// Resolved once at static-init time; a pure function of the host CPU. Both
-// paths compute the same bits, so the choice never shows in a result.
-const bool kUseAvx512 = DetectAvx512();
-
-}  // namespace
-
-namespace internal {
-
-bool MaxPool2x2UsesAvx512() { return kUseAvx512; }
-
-void MaxPool2x2ForwardPortable(const float* x, int64_t row_pairs,
-                               int64_t width, float* y, uint8_t* codes) {
+// The two passes over `row_pairs` pairs of `width`-float rows (width even);
+// `y`, `gy` and `codes` hold `row_pairs * width / 2` elements.
+void ForwardRows(const float* x, int64_t row_pairs, int64_t width, float* y,
+                 uint8_t* codes) {
   const int64_t half = width / 2;
   for (int64_t r = 0; r < row_pairs; ++r) {
     const float* top = x + r * 2 * width;
@@ -101,8 +34,8 @@ void MaxPool2x2ForwardPortable(const float* x, int64_t row_pairs,
   }
 }
 
-void MaxPool2x2BackwardPortable(const float* gy, const uint8_t* codes,
-                                int64_t row_pairs, int64_t width, float* gx) {
+void BackwardRows(const float* gy, const uint8_t* codes, int64_t row_pairs,
+                  int64_t width, float* gx) {
   const int64_t half = width / 2;
   for (int64_t r = 0; r < row_pairs; ++r) {
     float* top = gx + r * 2 * width;
@@ -118,7 +51,7 @@ void MaxPool2x2BackwardPortable(const float* gy, const uint8_t* codes,
   }
 }
 
-}  // namespace internal
+}  // namespace
 
 MaxPool2d::MaxPool2d(int64_t channels, int64_t height, int64_t width)
     : channels_(channels),
@@ -137,17 +70,9 @@ const Tensor& MaxPool2d::Forward(const Tensor& input, Workspace* ws) {
   cached_batch_ = batch;
   Tensor& out =
       ws->Get(this, kOut, batch, channels_ * out_height_ * out_width_);
-  codes_.resize(static_cast<size_t>(out.size()) + kCodeSlack);
-#if FATS_POOL_X86
-  if (kUseAvx512 && 16 % width_ == 0) {
-    ForwardAvx512(input.data(), out.size(), width_, out.data(),
-                  codes_.data());
-    return out;
-  }
-#endif
-  internal::MaxPool2x2ForwardPortable(input.data(),
-                                      batch * channels_ * out_height_,
-                                      width_, out.data(), codes_.data());
+  codes_.resize(static_cast<size_t>(out.size()));
+  ForwardRows(input.data(), batch * channels_ * out_height_, width_,
+              out.data(), codes_.data());
   return out;
 }
 
@@ -157,16 +82,9 @@ const Tensor& MaxPool2d::Backward(const Tensor& grad_output, Workspace* ws) {
                 cached_batch_ * channels_ * out_height_ * out_width_);
   Tensor& grad_input =
       ws->Get(this, kGradIn, cached_batch_, channels_ * height_ * width_);
-#if FATS_POOL_X86
-  if (kUseAvx512 && 16 % width_ == 0) {
-    BackwardAvx512(grad_output.data(), codes_.data(), grad_output.size(),
-                   width_, grad_input.data());
-    return grad_input;
-  }
-#endif
-  internal::MaxPool2x2BackwardPortable(
-      grad_output.data(), codes_.data(),
-      cached_batch_ * channels_ * out_height_, width_, grad_input.data());
+  BackwardRows(grad_output.data(), codes_.data(),
+               cached_batch_ * channels_ * out_height_, width_,
+               grad_input.data());
   return grad_input;
 }
 

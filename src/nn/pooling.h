@@ -23,11 +23,8 @@ namespace fats {
 /// one-byte code per output. Backward writes every 2x2 block whole:
 /// `0.0f + g` at the coded position, `+0.0f` at the other three, which is
 /// the bit pattern of scattering g into a zeroed gradient (a −0.0 upstream
-/// gradient arrives as +0.0). On AVX-512F hosts (decided once, at static
-/// init) widths that divide 16 run a vector kernel, 16 outputs per
-/// register; other widths, and other hosts, run the portable loop. Both
-/// compute the same bits (DESIGN.md §7.2). The vector kernels' register core
-/// (pool2x2_avx512.h) is shared with ConvBlock's fused epilogue.
+/// gradient arrives as +0.0). One portable loop runs on every host; it is
+/// the reference that ConvBlock's fused pool is pinned to (DESIGN.md §7.2).
 class MaxPool2d : public Module {
  public:
   MaxPool2d(int64_t channels, int64_t height, int64_t width);
@@ -49,26 +46,9 @@ class MaxPool2d : public Module {
   int64_t out_height_;
   int64_t out_width_;
   int64_t cached_batch_ = 0;
-  // In-window argmax code per output element, plus slack for the vector
-  // path's whole-register code loads.
-  std::vector<uint8_t> codes_;
+  std::vector<uint8_t> codes_;  // in-window argmax code per output element
 };
 
-namespace internal {
-
-/// True when MaxPool2d runs the AVX-512F kernels on this host.
-bool MaxPool2x2UsesAvx512();
-
-/// The portable 2x2 kernels, same contract as MaxPool2d's passes. `x`/`gx`
-/// hold `row_pairs` pairs of `width`-float rows (width even); `y`, `gy` and
-/// `codes` hold `row_pairs * width / 2` elements. Exposed so tests reach them
-/// on hosts where MaxPool2d dispatches to the vector path.
-void MaxPool2x2ForwardPortable(const float* x, int64_t row_pairs,
-                               int64_t width, float* y, uint8_t* codes);
-void MaxPool2x2BackwardPortable(const float* gy, const uint8_t* codes,
-                                int64_t row_pairs, int64_t width, float* gx);
-
-}  // namespace internal
 }  // namespace fats
 
 #endif  // FATS_NN_POOLING_H_

@@ -47,6 +47,7 @@ enum class Fill {
   kNegZeroLane,    // one −0.0 starting dW lane, every window dead
   kInfInput,       // one +Inf and one −Inf input, positions set by the case
   kAlternating,    // winners alternate between bottom and top rows
+  kNegZeroLive,    // −0.0 gradients, every window live, every input < 0
 };
 
 struct Data {
@@ -151,6 +152,18 @@ Data MakeData(const BlockShape& s, int64_t batch, Fill fill, int64_t where,
       }
       break;
     }
+    case Fill::kNegZeroLive:
+      // Zero weights and positive biases: every window live, its winner
+      // top-left. Every input negative and every gradient −0.0, so each
+      // centre-tap chain adds only fl(+0.0·x) = −0.0 terms and stays −0.0,
+      // but one fl(−0.0·x) = +0.0 would end at +0.0: the conv-output
+      // gradient at a winner must be 0.0f + g, never g.
+      for (float& f : d.w) f = 0.0f;
+      for (float& f : d.b) f = 0.5f;
+      for (float& f : d.x) f = -1.0f - std::fabs(f);
+      for (float& f : d.gp) f = -0.0f;
+      for (float& f : d.wgrad0) f = -0.0f;
+      break;
     default:
       break;
   }
@@ -253,8 +266,8 @@ Path CheckBlock(const BlockShape& s, int64_t batch, const Data& d,
 // Every fill at every batch in [1, 16]; a NaN input at each position of a
 // sample plane (cycling through channels and samples); a non-finite weight
 // at each tap of the first input channel. The fills added with the winners
-// path (a −0.0 starting lane, ±Inf inputs, alternating winners) run at
-// batches 1, 3 and 16.
+// path (a −0.0 starting lane, ±Inf inputs, alternating winners, −0.0
+// gradients through live windows) run at batches 1, 3 and 16.
 void CheckAllFills(const BlockShape& s, bool want_fused) {
   RngStream rng(uint64_t{2027});
   const int64_t plane = s.height * s.width;
@@ -290,6 +303,7 @@ void CheckAllFills(const BlockShape& s, bool want_fused) {
         check(Fill::kInfInput, (n * s.in_ch + ic) * plane + q);
       }
       check(Fill::kAlternating, 0);
+      check(Fill::kNegZeroLive, 0);
     }
     for (int64_t t = 0; t < 9; ++t) {
       const int64_t oc = t % s.out_ch;
@@ -317,7 +331,7 @@ const BlockShape kUnfused[] = {
 
 TEST(ConvBlockTest, FusedShapesMatchTripleBitwise) {
   for (const BlockShape& s : kFused) {
-    CheckAllFills(s, internal::Conv3x3UsesAvx512());
+    CheckAllFills(s, internal::ConvBlockUsesAvx512());
   }
 }
 

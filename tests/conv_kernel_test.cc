@@ -1,9 +1,9 @@
 // Conv2d kernel contract (nn/conv2d.h, DESIGN.md §7.2).
 //
-// Whichever path a layer runs — the 3x3 kernels that read taps straight from
-// the input, or im2col + GEMM — its Forward, BackwardParameters and Backward
-// must reproduce, bit for bit, the column-matrix formulation spelled out
-// here with the canonical ReferenceSgemm{NN,NT,TN} loops: per sample,
+// A layer's Forward, BackwardParameters and Backward (im2col + the pinned
+// GEMMs, on every host) must reproduce, bit for bit, the column-matrix
+// formulation spelled out here with the canonical ReferenceSgemm{NN,NT,TN}
+// loops: per sample,
 // y = W @ col + b, dW += gy @ colᵀ, db += the striped row sums of gy, and
 // dcol = Wᵀ @ gy scattered back onto the input gradient.
 
@@ -191,8 +191,7 @@ Data MakeData(const ConvShape& s, int64_t batch, Fill fill, int64_t where,
 
 // Runs Forward, BackwardParameters and Backward on a fresh layer and checks
 // each against the oracle bitwise. Returns the number of workspace slots
-// Forward creates: 1 (the output) on the 3x3 kernels, 2 with the column
-// matrix on the generic path.
+// Forward creates: the output and the column matrix.
 size_t CheckLayer(const ConvShape& s, int64_t batch, const Data& d,
                   const std::string& where) {
   RngStream init(uint64_t{7});
@@ -237,7 +236,7 @@ size_t CheckLayer(const ConvShape& s, int64_t batch, const Data& d,
 // Every fill; a NaN input at each position of a sample plane (and so next
 // to every edge of the halo), cycling through channels and samples; a
 // non-finite weight at each tap of the first input channel.
-void CheckAllFills(const ConvShape& s, int64_t batch, size_t want_slots) {
+void CheckAllFills(const ConvShape& s, int64_t batch) {
   RngStream rng(uint64_t{2026});
   const int64_t plane = s.height * s.width;
   const int64_t taps = s.kernel * s.kernel;
@@ -247,7 +246,7 @@ void CheckAllFills(const ConvShape& s, int64_t batch, size_t want_slots) {
     const std::string desc = Describe(s, batch) + " fill " +
                              std::to_string(static_cast<int>(fill)) +
                              " at " + std::to_string(where);
-    EXPECT_EQ(CheckLayer(s, batch, d, desc), want_slots) << desc;
+    EXPECT_EQ(CheckLayer(s, batch, d, desc), 2u) << desc;
   };
   check(Fill::kGaussian, 0);
   check(Fill::kSignedZero, 0);
@@ -265,8 +264,8 @@ void CheckAllFills(const ConvShape& s, int64_t batch, size_t want_slots) {
 
 const int64_t kBatches[] = {1, 3, 16};
 
-// 3x3, padding 1, widths 8 and 4: the 3x3 kernels on AVX-512F hosts. (5, 8)
-// leaves a partial last register of outputs, and (3, 4) has fewer than 16.
+// 3x3, padding 1, widths 8 and 4: the zoo's two convs, a 5x8 plane (40
+// outputs, not a multiple of 16) and a 3x4 plane (fewer than 16 outputs).
 const ConvShape kEligible[] = {
     {1, 6, 8, 8, 3, 1},
     {6, 12, 4, 4, 3, 1},
@@ -274,8 +273,8 @@ const ConvShape kEligible[] = {
     {3, 2, 3, 4, 3, 1},
 };
 
-// Width 5 (does not divide 16), a 5x5 kernel, padding 0 and width 16
-// (3·16 taps do not fit two registers): always im2col + GEMM.
+// Width 5, a 5x5 kernel, padding 0 and width 16: shapes outside the zoo's
+// 3x3 convs, on the same im2col + GEMM path.
 const ConvShape kIneligible[] = {
     {2, 3, 5, 5, 3, 1},
     {1, 4, 8, 8, 5, 2},
@@ -284,15 +283,14 @@ const ConvShape kIneligible[] = {
 };
 
 TEST(Conv2dKernelTest, EligibleShapesMatchReferenceBitwise) {
-  const size_t slots = internal::Conv3x3UsesAvx512() ? 1 : 2;
   for (const ConvShape& s : kEligible) {
-    for (int64_t batch : kBatches) CheckAllFills(s, batch, slots);
+    for (int64_t batch : kBatches) CheckAllFills(s, batch);
   }
 }
 
 TEST(Conv2dKernelTest, IneligibleShapesTakeGenericPathAndMatch) {
   for (const ConvShape& s : kIneligible) {
-    for (int64_t batch : kBatches) CheckAllFills(s, batch, 2);
+    for (int64_t batch : kBatches) CheckAllFills(s, batch);
   }
 }
 

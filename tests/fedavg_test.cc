@@ -113,15 +113,6 @@ TEST(FedAvgTest, ClampsKToActiveClients) {
   EXPECT_EQ(trainer.log().records().size(), 2u);
 }
 
-TEST(FedAvgTest, WithReplacementModeRuns) {
-  FederatedDataset data = TinyImageData(4, 10);
-  FedAvgOptions options = SmallOptions();
-  options.sample_clients_with_replacement = true;
-  FedAvgTrainer trainer(TinyModelSpec(), options, &data);
-  trainer.RunRounds(3);
-  EXPECT_EQ(trainer.log().records().size(), 3u);
-}
-
 TEST(FedAvgTest, BumpGenerationChangesTrajectory) {
   FederatedDataset data_a = TinyImageData(4, 10);
   FederatedDataset data_b = TinyImageData(4, 10);

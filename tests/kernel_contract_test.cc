@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "nn/conv2d.h"
-#include "nn/pooling.h"
 #include "rng/philox.h"
 #include "rng/rng_stream.h"
 #include "util/thread_pool.h"
@@ -370,14 +369,13 @@ TEST(KernelContract, ReportsDispatchPath) {
   if (avx512) {
     EXPECT_TRUE(avx2);  // avx512f implies avx2 on every real CPU
   }
-  // The bulk Philox, 2x2 max-pool and 3x3 conv kernels dispatch on the
-  // same CPU feature.
+  // The bulk Philox and the fused conv block dispatch on the same CPU
+  // feature.
   EXPECT_EQ(internal::PhiloxFillUsesAvx512(), avx512);
-  EXPECT_EQ(internal::MaxPool2x2UsesAvx512(), avx512);
-  EXPECT_EQ(internal::Conv3x3UsesAvx512(), avx512);
+  EXPECT_EQ(internal::ConvBlockUsesAvx512(), avx512);
   SUCCEED() << "micro-kernel: "
             << (avx512 ? "AVX-512" : (avx2 ? "AVX2" : "generic"))
-            << "; Philox bulk, 2x2 max-pool and 3x3 conv: "
+            << "; Philox bulk and fused conv block: "
             << (avx512 ? "AVX-512" : "portable");
 }
 

@@ -1,11 +1,10 @@
 // 2x2 max-pool kernel contract (nn/pooling.h, DESIGN.md §7.2).
 //
-// The dispatched kernels (MaxPool2d's Forward/Backward) and the portable
-// internal:: loops must reproduce, bit for bit, the generic window loop the
-// layer used to run: a scan of each window in top-left, top-right,
-// bottom-left, bottom-right order keeping a strictly greater candidate, and
-// a backward that scatters each upstream gradient into a zeroed input
-// gradient at that argmax. The loop is kept here as the oracle.
+// MaxPool2d's Forward/Backward must reproduce, bit for bit, the generic
+// window loop the layer used to run: a scan of each window in top-left,
+// top-right, bottom-left, bottom-right order keeping a strictly greater
+// candidate, and a backward that scatters each upstream gradient into a
+// zeroed input gradient at that argmax. The loop is kept here as the oracle.
 
 #include "nn/pooling.h"
 
@@ -25,7 +24,6 @@ namespace {
 
 struct Oracle {
   std::vector<float> y;
-  std::vector<uint8_t> codes;  // in-window position of each argmax
   std::vector<float> gx;
 };
 
@@ -38,7 +36,6 @@ Oracle ReferencePool(const std::vector<float>& input,
   const int64_t out_width = width / window;
   Oracle o;
   o.y.assign(grad_output.size(), 0.0f);
-  o.codes.assign(grad_output.size(), 0);
   std::vector<int64_t> argmax(grad_output.size(), 0);
   for (int64_t n = 0; n < batch; ++n) {
     const float* x = input.data() + n * channels * height * width;
@@ -48,7 +45,6 @@ Oracle ReferencePool(const std::vector<float>& input,
         for (int64_t ow = 0; ow < out_width; ++ow) {
           float best = xc[(oh * window) * width + ow * window];
           int64_t best_idx = (oh * window) * width + ow * window;
-          int64_t best_pos = 0;
           for (int64_t dh = 0; dh < window; ++dh) {
             for (int64_t dw = 0; dw < window; ++dw) {
               const int64_t idx =
@@ -57,14 +53,11 @@ Oracle ReferencePool(const std::vector<float>& input,
               const bool better = v > best;
               best = better ? v : best;
               best_idx = better ? idx : best_idx;
-              best_pos = better ? dh * window + dw : best_pos;
             }
           }
           const int64_t out_idx =
               ((n * channels + c) * out_height + oh) * out_width + ow;
           o.y[static_cast<size_t>(out_idx)] = best;
-          o.codes[static_cast<size_t>(out_idx)] =
-              static_cast<uint8_t>(best_pos);
           argmax[static_cast<size_t>(out_idx)] =
               n * channels * height * width + c * height * width + best_idx;
         }
@@ -147,9 +140,8 @@ struct Geometry {
   int64_t batch, channels;
 };
 
-// Widths 2-16 take the vector path on AVX-512F hosts, the rest the portable
-// loop; geometries whose output count is not a multiple of 16 run the
-// vector path's masked tail.
+// Widths and heights 2-64; output counts that are and are not multiples of
+// 16.
 const int64_t kSides[] = {2, 4, 8, 16, 30, 32, 34, 64};
 const Geometry kGeometries[] = {{1, 1}, {3, 5}, {2, 7}};
 
@@ -178,7 +170,7 @@ void ForEachCase(Fn&& fn) {
   }
 }
 
-TEST(MaxPool2x2KernelTest, DispatchedMatchesReferenceLoop) {
+TEST(MaxPool2x2KernelTest, MatchesReferenceLoop) {
   ForEachCase([](const Geometry& g, int64_t h, int64_t w,
                  const std::vector<float>& x, const std::vector<float>& gy,
                  const Oracle& want, const std::string& where) {
@@ -195,25 +187,6 @@ TEST(MaxPool2x2KernelTest, DispatchedMatchesReferenceLoop) {
     EXPECT_TRUE(BitwiseEqual(y.data(), want.y)) << where;
     const Tensor& gx = pool.Backward(grad, &ws);
     ASSERT_EQ(static_cast<size_t>(gx.size()), want.gx.size()) << where;
-    EXPECT_TRUE(BitwiseEqual(gx.data(), want.gx)) << where;
-  });
-}
-
-TEST(MaxPool2x2KernelTest, PortableMatchesReferenceLoop) {
-  ForEachCase([](const Geometry& g, int64_t h, int64_t w,
-                 const std::vector<float>& x, const std::vector<float>& gy,
-                 const Oracle& want, const std::string& where) {
-    const int64_t row_pairs = g.batch * g.channels * h / 2;
-    std::vector<float> y(want.y.size());
-    std::vector<uint8_t> codes(want.codes.size());
-    internal::MaxPool2x2ForwardPortable(x.data(), row_pairs, w, y.data(),
-                                        codes.data());
-    EXPECT_TRUE(BitwiseEqual(y.data(), want.y)) << where;
-    EXPECT_EQ(codes, want.codes) << where;
-    // Poisoned, so a position the kernel fails to write shows.
-    std::vector<float> gx(want.gx.size(), 7.0f);
-    internal::MaxPool2x2BackwardPortable(gy.data(), codes.data(), row_pairs,
-                                         w, gx.data());
     EXPECT_TRUE(BitwiseEqual(gx.data(), want.gx)) << where;
   });
 }

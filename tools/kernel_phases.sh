@@ -24,12 +24,10 @@ KERNELS=(
   'gemm::.*SmallGemm[A-Za-z0-9]*(<[0-9]+>)?\('
   'gemm::Sgemm(NN|NT|TN)\('
   'Conv2d::(Forward|Backward|BackwardParameters|Im2Col|Col2ImAdd)\('
-  'Conv3x3(Forward|WeightGrad)Avx512<[0-9]+>\('
   'ConvBlock(Forward|Backward|WeightGrad)Avx512<[0-9a-z, ]+>\('
   'BuildWinnerLists<[0-9]+>\('
   'ConvBlock::(Forward|Backward|BackwardParameters|FusedBackwardParameters)\('
   'MaxPool2d::(Forward|Backward)\('
-  '::(Forward|Backward)Avx512\('
   'ReLU::(Forward|Backward)\('
   'Linear::(Forward|Backward|BackwardParameters)\('
   'PhiloxGroupAvx512\(|PhiloxEngine::Fill\('
