@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,7 +23,6 @@
 #include "nn/lstm.h"
 #include "nn/model_zoo.h"
 #include "nn/pooling.h"
-#include "nn/weight_pack.h"
 #include "nn/workspace.h"
 #include "rng/philox.h"
 #include "rng/sampling.h"
@@ -345,70 +343,6 @@ void BM_ModelSgdStepMlp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelSgdStepMlp);
-
-// Fused cross-client batching: K replicas of the round model run one local
-// step each against a shared WeightPack (packed once per round) vs. each
-// replica re-packing inside every Forward/Backward. The pair is the
-// per-round cost the trainer's fused_round_pack_ path saves.
-constexpr int64_t kPackedBatchClients = 8;
-
-void RunClientBatchStep(std::vector<std::unique_ptr<Model>>* clients,
-                        const Tensor& x, const std::vector<int64_t>& y,
-                        const Tensor& params) {
-  for (auto& client : *clients) {
-    client->SetParameters(params);
-    double loss = client->ComputeLossAndGradients(x, y);
-    client->SgdStep(0.05);
-    benchmark::DoNotOptimize(loss);
-  }
-}
-
-void PackedBatchBench(benchmark::State& state, bool shared_pack) {
-  ModelSpec spec;
-  spec.kind = ModelKind::kMlp;
-  spec.input_dim = 256;
-  spec.hidden_dims = {128, 64};
-  spec.num_classes = 10;
-  Model donor(spec, 7);
-  const Tensor params = donor.GetParameters();
-  std::vector<std::unique_ptr<Model>> clients;
-  clients.reserve(kPackedBatchClients);
-  for (int64_t k = 0; k < kPackedBatchClients; ++k) {
-    clients.push_back(std::make_unique<Model>(spec, 7));
-  }
-  WeightPack pack;
-  Tensor x({32, 256});
-  FillPattern(&x, 19, 0.01f);
-  std::vector<int64_t> y(32);
-  for (size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int64_t>(i % 10);
-  for (auto _ : state) {
-    if (shared_pack) {
-      donor.SetParameters(params);
-      donor.PackSharedWeights(&pack);
-      for (auto& client : clients) client->BindSharedWeightPack(&pack);
-    }
-    RunClientBatchStep(&clients, x, y, params);
-    if (shared_pack) {
-      for (auto& client : clients) client->BindSharedWeightPack(nullptr);
-    }
-  }
-  const int64_t macs = 32 * (256 * 128 + 128 * 64 + 64 * 10);
-  state.SetItemsProcessed(state.iterations() * kPackedBatchClients * 2 * 3 *
-                          macs);
-  state.SetBytesProcessed(state.iterations() * kPackedBatchClients *
-                          donor.NumParameters() *
-                          static_cast<int64_t>(sizeof(float)));
-}
-
-void BM_ClientBatchSharedPack(benchmark::State& state) {
-  PackedBatchBench(state, /*shared_pack=*/true);
-}
-BENCHMARK(BM_ClientBatchSharedPack);
-
-void BM_ClientBatchPerCallPack(benchmark::State& state) {
-  PackedBatchBench(state, /*shared_pack=*/false);
-}
-BENCHMARK(BM_ClientBatchPerCallPack);
 
 // The 2x2 max-pool of the train_cnn step's first block as the unfused
 // ConvBlock runs it (hosts without AVX-512F): 6 channels of 8x8 conv output

@@ -133,7 +133,7 @@ Status FatsTrainer::RedrawRound(int64_t round, int64_t t_last) {
 }
 
 std::vector<double> FatsTrainer::RunLocalSteps(
-    bool round_start, const std::vector<int64_t>& participants,
+    const std::vector<int64_t>& participants,
     const std::vector<const std::vector<int64_t>*>& batches,
     const std::vector<int64_t>& dropped,
     std::map<int64_t, Tensor>* local_params) {
@@ -147,16 +147,6 @@ std::vector<double> FatsTrainer::RunLocalSteps(
   std::vector<Tensor*> params(n_part);
   for (size_t i = 0; i < n_part; ++i) {
     params[i] = &local_params->at(participants[i]);
-  }
-  // Fused round-start batching: at t == round start every participant's
-  // start parameters ARE the broadcast global model, so all K clients'
-  // GEMMs can share one weight pack, built once here instead of once per
-  // client per call. Mid-round iterations start from diverged per-client
-  // weights, so the pack is cleared before their dispatch. Bit-identical
-  // either way (gemm::SgemmPackedB).
-  const bool share_round_pack = fused_round_pack_ && n_part > 0 && round_start;
-  if (share_round_pack) {
-    runner_.SetSharedWeights(*params[0]);
   }
   runner_.ForEachClient(
       static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
@@ -173,7 +163,6 @@ std::vector<double> FatsTrainer::RunLocalSteps(
         }
         m->GetParametersInto(params[s]);
       });
-  if (share_round_pack) runner_.ClearSharedWeights();
   return losses;
 }
 
@@ -226,8 +215,8 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
         FATS_CHECK(batches[i] != nullptr) << "missing mini-batch (" << t
                                           << ", " << participants[i] << ")";
       }
-      const std::vector<double> losses = RunLocalSteps(
-          t == r0_start, participants, batches, no_retries, &local_params);
+      const std::vector<double> losses =
+          RunLocalSteps(participants, batches, no_retries, &local_params);
       for (double loss : losses) {
         loss_sum += loss;
         ++loss_count;
@@ -309,8 +298,8 @@ void FatsTrainer::RunPass(int64_t t0, int64_t t_end, TrainPassKind pass) {
         dropped[i] = availability_.DroppedAttempts(r, t, client);
       }
     }
-    const std::vector<double> losses = RunLocalSteps(
-        round_start, participants, batches, dropped, &local_params);
+    const std::vector<double> losses =
+        RunLocalSteps(participants, batches, dropped, &local_params);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
       if (dropped[i] > 0) {

@@ -220,15 +220,6 @@ class FatsTrainer {
   /// entries: at most (E−1)·|participants| per entry.
   int64_t prefix_steps() const { return prefix_steps_; }
 
-  /// Fused round-start batching (on by default): at every round-start
-  /// iteration — where all participants provably start their local step
-  /// from the broadcast global model — the K clients' forward/backward
-  /// GEMMs share one per-layer weight pack, packed once on the main thread
-  /// (DESIGN.md §7.6). Results are bit-identical either way; the switch
-  /// exists as a diagnostics escape hatch and for A/B exactness tests.
-  void set_fused_round_pack(bool on) { fused_round_pack_ = on; }
-  bool fused_round_pack() const { return fused_round_pack_; }
-
  private:
   /// Emits the iteration-commit mark for iteration `t` to the sink, if any.
   void NotifyIterationComplete(int64_t t, int64_t t_end, TrainPassKind pass);
@@ -236,12 +227,11 @@ class FatsTrainer {
   /// STEP 2's dispatch, shared by the pass loop and the mid-round prefix
   /// rebuild: one local SGD step per participant i from
   /// (*local_params)[participants[i]] on *batches[i], executed
-  /// 1 + dropped[i] times, on the client runner. `round_start` enables the
-  /// fused round pack. Each participant's entry becomes its local model
-  /// after the last attempt, written in place; returns the losses in
-  /// participant order.
+  /// 1 + dropped[i] times, on the client runner. Each participant's entry
+  /// becomes its local model after the last attempt, written in place;
+  /// returns the losses in participant order.
   std::vector<double> RunLocalSteps(
-      bool round_start, const std::vector<int64_t>& participants,
+      const std::vector<int64_t>& participants,
       const std::vector<const std::vector<int64_t>*>& batches,
       const std::vector<int64_t>& dropped,
       std::map<int64_t, Tensor>* local_params);
@@ -263,7 +253,6 @@ class FatsTrainer {
   int64_t b_;
   uint64_t generation_ = 0;
   bool recomputation_mode_ = false;
-  bool fused_round_pack_ = true;
   int64_t local_iterations_executed_ = 0;
   int64_t trained_through_ = 0;
   int64_t dropout_retries_ = 0;

@@ -19,25 +19,4 @@ void ParallelClientRunner::ForEachClient(
   });
 }
 
-void ParallelClientRunner::SetSharedWeights(const Tensor& params) {
-  // Replica 0 is the donor: load the shared start parameters and pack its
-  // layer weights in definition order. Safe because no dispatch is in
-  // flight, and harmless because every task overwrites its replica's
-  // parameters (with these same values, per the caller's contract) anyway.
-  replicas_[0]->SetParameters(params);
-  replicas_[0]->PackSharedWeights(&shared_pack_);
-  for (auto& replica : replicas_) {
-    replica->BindSharedWeightPack(&shared_pack_);
-  }
-  shared_pack_bound_ = true;
-}
-
-void ParallelClientRunner::ClearSharedWeights() {
-  if (!shared_pack_bound_) return;
-  for (auto& replica : replicas_) {
-    replica->BindSharedWeightPack(nullptr);
-  }
-  shared_pack_bound_ = false;
-}
-
 }  // namespace fats

@@ -36,8 +36,6 @@
 #include <vector>
 
 #include "nn/model_zoo.h"
-#include "nn/weight_pack.h"
-#include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
 namespace fats {
@@ -67,25 +65,9 @@ class ParallelClientRunner {
   void ForEachClient(int64_t n,
                      const std::function<void(int64_t, Model*)>& fn);
 
-  /// Fused cross-client batching (DESIGN.md §7.6): packs `params`'s weight
-  /// matrices ONCE on the calling thread and binds the pack to every
-  /// replica, so the next ForEachClient's per-client GEMMs all consume the
-  /// shared panels instead of re-packing per client per call. Caller's
-  /// contract: every task of that ForEachClient must set its replica's
-  /// parameters to exactly `params` before its (single) local step — true
-  /// at a round-start iteration, where all participants start from the
-  /// broadcast global model. Results are bit-identical with or without the
-  /// pack. Call ClearSharedWeights before any dispatch where the invariant
-  /// no longer holds. The pack's buffers are reused across rounds, so the
-  /// steady-state pack-bind-run cycle allocates nothing.
-  void SetSharedWeights(const Tensor& params);
-  void ClearSharedWeights();
-
  private:
   std::vector<std::unique_ptr<Model>> replicas_;
   ThreadPool pool_;
-  WeightPack shared_pack_;
-  bool shared_pack_bound_ = false;
 };
 
 }  // namespace fats

@@ -28,7 +28,6 @@ state::HistoryLogOptions LogOptions(const StateStoreOptions& options,
                                     state::SegmentSpiller* spiller) {
   state::HistoryLogOptions log;
   log.block_span = options.block_iters;
-  log.max_open_blocks = options.max_open_blocks;
   log.resident_sealed_blocks = options.resident_sealed_blocks;
   log.decoded_cache_blocks = options.decoded_cache_blocks;
   log.spiller = spiller;

@@ -67,9 +67,6 @@ namespace fats {
 struct StateStoreOptions {
   /// Iterations (rounds, for selections) per history block.
   int64_t block_iters = 32;
-  /// Decoded, writable blocks kept per log (training head + one reopened
-  /// block for substitution writes).
-  int64_t max_open_blocks = 2;
   /// Compressed blobs kept resident per log before spilling. Without a
   /// spill dir, sealed blobs always stay resident ("compressed only").
   int64_t resident_sealed_blocks = 8;

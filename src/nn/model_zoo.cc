@@ -133,18 +133,7 @@ std::unique_ptr<Sequential> BuildNetwork(const ModelSpec& spec,
 Model::Model(const ModelSpec& spec, uint64_t init_seed)
     : spec_(spec),
       network_(BuildNetwork(spec, init_seed)),
-      params_(network_->Parameters()) {
-  size_t next_slot = 0;
-  network_->AssignPackSlots(&next_slot);
-}
-
-void Model::PackSharedWeights(WeightPack* pack) const {
-  network_->PackSharedWeights(pack);
-}
-
-void Model::BindSharedWeightPack(const WeightPack* pack) {
-  ws_.set_shared_weight_pack(pack);
-}
+      params_(network_->Parameters()) {}
 
 double Model::ComputeLossAndGradients(const Tensor& inputs,
                                       const std::vector<int64_t>& labels) {

@@ -113,14 +113,6 @@ class Model {
   const ModelSpec& spec() const { return spec_; }
   Sequential* network() { return network_.get(); }
 
-  // Round-shared weight packs (nn/weight_pack.h): pack this model's current
-  // weights into the definition-order slots / point this model's workspace
-  // at a pack produced by a same-spec model. Binding nullptr unbinds. The
-  // binder owns validity: the pack must equal the weights this model carries
-  // through its next Forward/Backward (one local step).
-  void PackSharedWeights(WeightPack* pack) const;
-  void BindSharedWeightPack(const WeightPack* pack);
-
   /// The model-owned tensor arena every Forward/Backward runs against. One
   /// arena per Model means one arena per ParallelClientRunner worker slot
   /// (workers own Model replicas), so arenas are never shared across

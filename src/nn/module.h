@@ -43,8 +43,6 @@
 
 namespace fats {
 
-struct WeightPack;
-
 /// A trainable tensor with its gradient accumulator.
 struct Parameter {
   std::string name;
@@ -98,22 +96,6 @@ class Module {
   void ZeroGrad() {
     for (Parameter* p : Parameters()) p->grad.SetZero();
   }
-
-  // --- Round-shared weight packs (nn/weight_pack.h, DESIGN.md §7.6) ---
-  //
-  // Layers whose GEMMs can consume a prepacked weight operand claim a slot
-  // in the definition-order walk and fill it on the donor side; everything
-  // else inherits the no-ops. Containers forward the walk to their children
-  // so the slot order is a pure function of the architecture.
-
-  /// Claims pack slots for this subtree; `next_slot` advances across the
-  /// walk. Called once at model construction.
-  virtual void AssignPackSlots(size_t* next_slot) { (void)next_slot; }
-
-  /// Donor side: packs this subtree's current weights into the assigned
-  /// slots, growing `pack->entries` as needed (capacity is reused, so
-  /// repacking the same architecture allocates nothing at steady state).
-  virtual void PackSharedWeights(WeightPack* pack) const { (void)pack; }
 
  private:
   Workspace* ScratchWorkspace();

@@ -69,14 +69,6 @@ class Sequential : public Module {
     return f;
   }
 
-  void AssignPackSlots(size_t* next_slot) override {
-    for (auto& layer : layers_) layer->AssignPackSlots(next_slot);
-  }
-
-  void PackSharedWeights(WeightPack* pack) const override {
-    for (const auto& layer : layers_) layer->PackSharedWeights(pack);
-  }
-
   size_t num_layers() const { return layers_.size(); }
   Module* layer(size_t i) { return layers_[i].get(); }
 

@@ -27,8 +27,6 @@
 
 namespace fats {
 
-struct WeightPack;
-
 class Workspace {
  public:
   Workspace() = default;
@@ -54,15 +52,6 @@ class Workspace {
   /// test asserts this stops increasing after warm-up.
   int64_t grow_events() const { return grow_events_; }
 
-  /// Round-shared prepacked weights (nn/weight_pack.h), or nullptr. Bound
-  /// by the client runner for iterations where every bound model provably
-  /// carries the packed weights; layers that own a pack slot consume the
-  /// pack when present, bit-identically to packing in-call. Rides on the
-  /// Workspace because the arena is exactly the per-replica, never-shared
-  /// context every Forward/Backward already receives.
-  const WeightPack* shared_weight_pack() const { return shared_pack_; }
-  void set_shared_weight_pack(const WeightPack* pack) { shared_pack_ = pack; }
-
  private:
   struct Key {
     const void* owner;
@@ -87,7 +76,6 @@ class Workspace {
 
   std::unordered_map<Key, Tensor, KeyHash> slots_;
   int64_t grow_events_ = 0;
-  const WeightPack* shared_pack_ = nullptr;
 };
 
 }  // namespace fats

@@ -297,13 +297,9 @@ void MacroKernelRowBand(int64_t ic, int64_t mc, int64_t jc, int64_t nc,
 
 // Shared driver. a_trans/b_trans select the TN/NT storage interpretations;
 // packing absorbs the transpose, so one macro-kernel serves all variants.
-// When `packed` is non-null it supplies B's panels (b/ldb/b_trans unused);
-// the panel bytes are identical to what PackB would produce, so the packed
-// and packing paths are bit-identical.
 void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
                  bool a_trans, const float* b, int64_t ldb, bool b_trans,
-                 const PackedB* packed, float* c, int64_t ldc,
-                 bool accumulate) {
+                 float* c, int64_t ldc, bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
@@ -314,27 +310,18 @@ void SgemmDriver(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     return;
   }
   thread_local std::vector<float> bp_buf;
-  const int64_t num_pc_blocks = (k + kKc - 1) / kKc;
   for (int64_t jc = 0; jc < n; jc += kNc) {
     const int64_t nc = std::min(kNc, n - jc);
     for (int64_t pc = 0; pc < k; pc += kKc) {
       const int64_t kc = std::min(kKc, k - pc);
-      const float* bp_block;
-      if (packed != nullptr) {
-        const size_t block_idx = static_cast<size_t>(
-            (jc / kNc) * num_pc_blocks + (pc / kKc));
-        bp_block = packed->panels.data() + packed->block_offsets[block_idx];
-      } else {
-        bp_buf.resize(static_cast<size_t>(RoundUp(nc, kNr) * kc));
-        PackB(b, ldb, b_trans, pc, jc, kc, nc, bp_buf.data());
-        bp_block = bp_buf.data();
-      }
+      bp_buf.resize(static_cast<size_t>(RoundUp(nc, kNr) * kc));
+      PackB(b, ldb, b_trans, pc, jc, kc, nc, bp_buf.data());
       // The chain head: the first k-block starts accumulators at +0.0f
       // unless the caller asked to continue from C.
       const bool first = (pc == 0) && !accumulate;
       for (int64_t ic = 0; ic < m; ic += kMc) {
         MacroKernelRowBand(ic, std::min(kMc, m - ic), jc, nc, pc, kc, a, lda,
-                           a_trans, bp_block, c, ldc, first);
+                           a_trans, bp_buf.data(), c, ldc, first);
       }
     }
   }
@@ -428,7 +415,7 @@ void SgemmNN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   }
 #endif
   SgemmDriver(m, n, k, a, lda, /*a_trans=*/false, b, ldb, /*b_trans=*/false,
-              /*packed=*/nullptr, c, ldc, accumulate);
+              c, ldc, accumulate);
 }
 
 void SgemmNT(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
@@ -452,7 +439,7 @@ void SgemmNT(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   }
 #endif
   SgemmDriver(m, n, k, a, lda, /*a_trans=*/false, b, ldb, /*b_trans=*/true,
-              /*packed=*/nullptr, c, ldc, accumulate);
+              c, ldc, accumulate);
 }
 
 void SgemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
@@ -466,78 +453,7 @@ void SgemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   }
 #endif
   SgemmDriver(m, n, k, a, lda, /*a_trans=*/true, b, ldb, /*b_trans=*/false,
-              /*packed=*/nullptr, c, ldc, accumulate);
-}
-
-// --- Prepacked B ----------------------------------------------------------
-
-void PackBMatrix(int64_t n, int64_t k, const float* b, int64_t ldb,
-                 bool b_trans, PackedB* out) {
-  FATS_CHECK_GE(n, 1) << "PackBMatrix: n must be positive";
-  FATS_CHECK_GE(k, 1) << "PackBMatrix: k must be positive";
-  out->n = n;
-  out->k = k;
-  const int64_t num_pc_blocks = (k + kKc - 1) / kKc;
-  const int64_t num_jc_blocks = (n + kNc - 1) / kNc;
-  out->block_offsets.resize(
-      static_cast<size_t>(num_jc_blocks * num_pc_blocks));
-  // First pass: lay out block offsets (panels are padded to kNr columns, so
-  // block sizes depend only on the shape).
-  int64_t total = 0;
-  for (int64_t jc = 0; jc < n; jc += kNc) {
-    const int64_t nc = std::min(kNc, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKc) {
-      const int64_t kc = std::min(kKc, k - pc);
-      out->block_offsets[static_cast<size_t>((jc / kNc) * num_pc_blocks +
-                                             (pc / kKc))] = total;
-      total += RoundUp(nc, kNr) * kc;
-    }
-  }
-  out->panels.resize(static_cast<size_t>(total));
-  for (int64_t jc = 0; jc < n; jc += kNc) {
-    const int64_t nc = std::min(kNc, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKc) {
-      const int64_t kc = std::min(kKc, k - pc);
-      float* bp = out->panels.data() +
-                  out->block_offsets[static_cast<size_t>(
-                      (jc / kNc) * num_pc_blocks + (pc / kKc))];
-      PackB(b, ldb, b_trans, pc, jc, kc, nc, bp);
-    }
-  }
-  // Dense (k x n) mirror for the small-GEMM fast path. Only worth storing
-  // when some m could make a call eligible (m >= 1 => m*n*k >= n*k); hosts
-  // without the fast path skip it entirely.
-  out->rowmajor.clear();
-#if defined(FATS_GEMM_X86)
-  if (kUseAvx512 && n * k <= kSmallGemmFlopLimit) {
-    out->rowmajor.resize(static_cast<size_t>(n * k));
-    for (int64_t kk = 0; kk < k; ++kk) {
-      for (int64_t j = 0; j < n; ++j) {
-        out->rowmajor[static_cast<size_t>(kk * n + j)] =
-            b_trans ? b[j * ldb + kk] : b[kk * ldb + j];
-      }
-    }
-  }
-#endif
-}
-
-void SgemmPackedB(int64_t m, int64_t n, int64_t k, const float* a,
-                  int64_t lda, const PackedB& b, float* c, int64_t ldc,
-                  bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k > 0) {
-    FATS_CHECK_EQ(b.n, n) << "SgemmPackedB: pack shape mismatch";
-    FATS_CHECK_EQ(b.k, k) << "SgemmPackedB: pack shape mismatch";
-  }
-#if defined(FATS_GEMM_X86)
-  if (SmallGemmEligible(m, n, k) && !b.rowmajor.empty()) {
-    SmallGemmAvx512(m, n, k, a, lda, /*a_trans=*/false, b.rowmajor.data(), n,
-                    c, ldc, accumulate);
-    return;
-  }
-#endif
-  SgemmDriver(m, n, k, a, lda, /*a_trans=*/false, /*b=*/nullptr, /*ldb=*/0,
-              /*b_trans=*/false, &b, c, ldc, accumulate);
+              c, ldc, accumulate);
 }
 
 void ReferenceSgemmNN(int64_t m, int64_t n, int64_t k, const float* a,

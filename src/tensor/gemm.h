@@ -16,8 +16,9 @@
 //
 //   * results are bit-identical to the Reference* triple loops below (the
 //     canonical order that defines the contract),
-//   * results are independent of blocking parameters, ISA path (generic vs
-//     AVX2), the calling thread, and run-to-run,
+//   * results are independent of blocking parameters, ISA path (generic,
+//     AVX2, AVX-512, or the AVX-512 small-GEMM path), the calling thread,
+//     and run-to-run,
 //   * NaN/Inf propagate exactly as in the reference (no data-dependent
 //     skips; see DESIGN.md §7.2).
 //
@@ -33,7 +34,6 @@
 #define FATS_TENSOR_GEMM_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace fats {
 namespace gemm {
@@ -52,44 +52,6 @@ void SgemmNT(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void SgemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate);
-
-// --- Prepacked B operands --------------------------------------------------
-//
-// PackB'ing the weight matrix is O(k*n) copy work the blocked driver repeats
-// on every call. When many GEMMs share one B (the K sampled clients of a
-// round all multiplying by the same round-start weights), packing once and
-// reusing the panels removes that work from every call. The packed panels
-// are byte-identical to what the driver would pack internally, and the
-// small-GEMM fast path consumes the dense row-major mirror instead of
-// re-transposing, so prepacked calls are bit-identical to their unpacked
-// counterparts — pinned by tests/kernel_contract_test.cc.
-struct PackedB {
-  int64_t n = 0;
-  int64_t k = 0;
-  // kNr-column panels in the blocked driver's (jc outer, pc inner) block
-  // order; block_offsets[jc_idx * num_pc_blocks + pc_idx] locates each
-  // block's first float in `panels`.
-  std::vector<float> panels;
-  std::vector<int64_t> block_offsets;
-  // Dense (k x n) row-major mirror, filled only when the small-GEMM fast
-  // path can consume it; empty otherwise.
-  std::vector<float> rowmajor;
-};
-
-/// Packs logical B (k x n) for reuse across SgemmPackedB calls. With
-/// b_trans=false, b is stored (k x n) with row stride ldb (the SgemmNN
-/// layout); with b_trans=true, b is stored (n x k) (the SgemmNT layout).
-/// Reuses `out`'s capacity: repacking the same shape allocates nothing.
-void PackBMatrix(int64_t n, int64_t k, const float* b, int64_t ldb,
-                 bool b_trans, PackedB* out);
-
-/// C (m x n) = [C if accumulate else 0] + A (m x k) @ B, with B captured by
-/// PackBMatrix. Bit-identical to SgemmNN (b_trans=false at pack time) /
-/// SgemmNT (b_trans=true) on the original operand, on every dispatch path.
-/// Many threads may read one PackedB concurrently.
-void SgemmPackedB(int64_t m, int64_t n, int64_t k, const float* a,
-                  int64_t lda, const PackedB& b, float* c, int64_t ldc,
-                  bool accumulate);
 
 // Canonical-order reference kernels: straightforward i-j-k triple loops that
 // *define* the deterministic contract. The blocked kernels above must match

@@ -66,15 +66,6 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void MatMulPackedBInto(const Tensor& a, const gemm::PackedB& b, Tensor* c) {
-  FATS_CHECK_EQ(a.rank(), 2);
-  FATS_CHECK_EQ(a.dim(1), b.k) << "MatMulPackedBInto: inner dims differ";
-  const int64_t m = a.dim(0);
-  c->ResizeTo(m, b.n);
-  gemm::SgemmPackedB(m, b.n, b.k, a.data(), b.k, b, c->data(), b.n,
-                     /*accumulate=*/false);
-}
-
 void MatMulTransposeBInto(const Tensor& a, const Tensor& b, Tensor* c) {
   const MatMulDims d = CheckNT(a, b);
   c->ResizeTo(d.m, d.n);

@@ -16,7 +16,6 @@
 #ifndef FATS_TENSOR_TENSOR_OPS_H_
 #define FATS_TENSOR_TENSOR_OPS_H_
 
-#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace fats {
@@ -30,12 +29,6 @@ void AddMatMulInto(const Tensor& a, const Tensor& b, Tensor* c);
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 void MatMulTransposeBInto(const Tensor& a, const Tensor& b, Tensor* c);
 void AddMatMulTransposeBInto(const Tensor& a, const Tensor& b, Tensor* c);
-
-/// C = A (m x k) * B where B was captured by gemm::PackBMatrix. Bit-identical
-/// to MatMulInto (B packed from (k x n) storage) / MatMulTransposeBInto
-/// (B packed from (n x k) storage) on the original operand; used by layers
-/// consuming a round-shared WeightPack.
-void MatMulPackedBInto(const Tensor& a, const gemm::PackedB& b, Tensor* c);
 
 /// C = A^T (k x m -> m x k view) * B (k x n): i.e. C = A.T @ B for A (k x m).
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b);

@@ -190,12 +190,10 @@ TEST(KernelContract, EmptyKDimension) {
 // FATS runs in parallel across clients, not inside a GEMM:
 // ParallelClientRunner trains the sampled clients of a round on pool
 // workers, and every worker calls the serial kernels on its own operands.
-// With the fused round pack (num_threads > 1) all workers also read one
-// shared PackedB. The contract is that a call made on a worker, while the
-// other workers make theirs, is bitwise the single-threaded call. Packing
-// scratch is thread_local, so no worker sees another's buffers; each task
-// below writes only its own output. Under tsan these tests also race-check
-// that scratch.
+// The contract is that a call made on a worker, while the other workers
+// make theirs, is bitwise the single-threaded call. Packing scratch is
+// thread_local, so no worker sees another's buffers; each task below writes
+// only its own output. Under tsan these tests also race-check that scratch.
 
 // Both sides of the small-GEMM threshold, prime tails, and row counts that
 // leave a partial macro-kernel row block.
@@ -312,48 +310,6 @@ TEST_P(ParallelKernelContract, NonFinitePropagationMatchesSerial) {
     bool saw_nan = false;
     for (float x : c) saw_nan |= std::isnan(x);
     EXPECT_TRUE(saw_nan) << "task=" << task;
-  }
-}
-
-// Prepacked B must be bit-identical to packing inside the call, for both
-// storage layouts, and repacking into the same PackedB (the per-round reuse
-// pattern) must behave like a fresh pack. Every worker then reads the one
-// shared pack concurrently, as the fused round pack does at
-// num_threads > 1, and must get the same bits.
-TEST_P(ParallelKernelContract, PackedBBitwiseMatchesUnpacked) {
-  const int64_t threads = GetParam();
-  ThreadPool pool(threads);
-  RngStream rng(uint64_t{400} + static_cast<uint64_t>(threads));
-  gemm::PackedB pack_nn;  // reused across shapes: exercises repacking
-  gemm::PackedB pack_nt;
-  for (const ConcurrentCase& cc : MakeConcurrentCases(&rng)) {
-    const Shape& s = cc.s;
-    gemm::PackBMatrix(s.n, s.k, cc.b.data(), s.n, /*b_trans=*/false,
-                      &pack_nn);
-    gemm::PackBMatrix(s.n, s.k, cc.bt.data(), s.k, /*b_trans=*/true,
-                      &pack_nt);
-    const VariantOutputs unpacked = RunAllVariants(cc);
-
-    std::vector<VariantOutputs> per_task(static_cast<size_t>(threads),
-                                         VariantOutputs{cc.c0, cc.c0, {}});
-    pool.ParallelFor(threads, [&](int64_t task, int64_t /*worker*/) {
-      VariantOutputs& out = per_task[static_cast<size_t>(task)];
-      gemm::SgemmPackedB(s.m, s.n, s.k, cc.a.data(), s.k, pack_nn,
-                         out.nn.data(), s.n, cc.accumulate);
-      gemm::SgemmPackedB(s.m, s.n, s.k, cc.a.data(), s.k, pack_nt,
-                         out.nt.data(), s.n, cc.accumulate);
-    });
-    for (int64_t task = 0; task < threads; ++task) {
-      const VariantOutputs& got = per_task[static_cast<size_t>(task)];
-      EXPECT_TRUE(BitwiseEqual(unpacked.nn, got.nn))
-          << "NN-packed threads=" << threads << " task=" << task
-          << " m=" << s.m << " n=" << s.n << " k=" << s.k
-          << " accumulate=" << cc.accumulate;
-      EXPECT_TRUE(BitwiseEqual(unpacked.nt, got.nt))
-          << "NT-packed threads=" << threads << " task=" << task
-          << " m=" << s.m << " n=" << s.n << " k=" << s.k
-          << " accumulate=" << cc.accumulate;
-    }
   }
 }
 

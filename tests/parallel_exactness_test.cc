@@ -110,32 +110,6 @@ TEST(ParallelExactnessTest, TrainingIsBitIdentical) {
   ExpectIdenticalState(serial.trainer.get(), parallel.trainer.get());
 }
 
-TEST(ParallelExactnessTest, FusedRoundPackIsBitIdentical) {
-  // A/B over the round-start shared weight pack (DESIGN.md §7.6): routing
-  // the clients' GEMMs through one pre-packed weight buffer must be
-  // invisible to every recorded bit, serial and parallel alike — in the
-  // forward pass AND in ReplayFrom, which sample unlearning exercises.
-  for (int64_t threads : {1, 4}) {
-    TrainerRun packed = MakeRun(threads);
-    TrainerRun unpacked = MakeRun(threads);
-    ASSERT_TRUE(packed.trainer->fused_round_pack()) << "expected default-on";
-    unpacked.trainer->set_fused_round_pack(false);
-    packed.trainer->Train();
-    unpacked.trainer->Train();
-    ExpectIdenticalState(unpacked.trainer.get(), packed.trainer.get());
-
-    const std::vector<UnlearningRequest> requests =
-        SampleRequests({{0, 0}, {2, 2}}, packed.trainer->trained_through());
-    UnlearningService service_p(packed.trainer.get());
-    UnlearningService service_u(unpacked.trainer.get());
-    auto outcome_p = service_p.ExecuteStream(requests);
-    auto outcome_u = service_u.ExecuteStream(requests);
-    ASSERT_TRUE(outcome_p.ok()) << outcome_p.status().message();
-    ASSERT_TRUE(outcome_u.ok()) << outcome_u.status().message();
-    ExpectIdenticalState(unpacked.trainer.get(), packed.trainer.get());
-  }
-}
-
 TEST(ParallelExactnessTest, SampleUnlearningReplayIsBitIdentical) {
   TrainerRun serial = MakeRun(1);
   TrainerRun parallel = MakeRun(4);

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "nn/model_zoo.h"
-#include "nn/weight_pack.h"
 #include "nn/workspace.h"
 #include "tensor/tensor.h"
 
@@ -185,54 +184,6 @@ TEST(WorkspaceAllocTest, SetStepGetParametersCycleIsAllocationFree) {
       << "a warm set-params, step, get-params cycle heap-allocated";
   EXPECT_EQ(model.workspace()->grow_events(), grow_before);
   EXPECT_EQ(params.size(), model.NumParameters());
-}
-
-// The fused cross-client round cycle (DESIGN.md §7.6): pack the broadcast
-// weights once, bind the pack to a client replica, run its local step
-// against the shared panels, unbind. After warm-up the whole cycle must be
-// allocation-free — the pack's panel buffers, like arena slots, are sized
-// once and refilled in place every round.
-TEST(WorkspaceAllocTest, FusedSharedPackRoundIsAllocationFree) {
-  ModelSpec spec;
-  spec.kind = ModelKind::kMlp;
-  spec.input_dim = 64;
-  spec.hidden_dims = {32, 16};
-  spec.num_classes = 10;
-  Model donor(spec, 7);
-  Model client(spec, 8);
-  Tensor x({8, 64});
-  for (int64_t i = 0; i < x.size(); ++i) {
-    x[i] = 0.01f * static_cast<float>(i % 19);
-  }
-  std::vector<int64_t> y(8);
-  for (size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int64_t>(i % 10);
-
-  WeightPack pack;
-  const Tensor params = donor.GetParameters();
-  auto run_round = [&] {
-    donor.SetParameters(params);
-    donor.PackSharedWeights(&pack);
-    client.BindSharedWeightPack(&pack);
-    client.SetParameters(params);
-    client.ComputeLossAndGradients(x, y);
-    client.SgdStep(0.05);
-    client.BindSharedWeightPack(nullptr);
-  };
-  for (int r = 0; r < 3; ++r) run_round();  // warm-up sizes pack + arena
-  ASSERT_FALSE(pack.entries.empty());
-
-  const int64_t grow_before =
-      donor.workspace()->grow_events() + client.workspace()->grow_events();
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  for (int r = 0; r < 5; ++r) run_round();
-  g_counting.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0)
-      << "a steady-state pack-bind-step round heap-allocated";
-  EXPECT_EQ(donor.workspace()->grow_events() +
-                client.workspace()->grow_events(),
-            grow_before)
-      << "workspace slots grew during warm fused rounds";
 }
 
 // A batch-size change is allowed to grow slots once; returning to the old

@@ -148,9 +148,8 @@ fi
 
 echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
 # kernel_contract_test calls the serial GEMM kernels concurrently from 1/2/4/7
-# pool workers (the concurrent-caller contract: thread-local packing scratch,
-# one shared PackedB), so it is race-checked on every preset, not just the
-# full tsan leg. crash_matrix_test runs with TSan's default die_after_fork:
+# pool workers (the concurrent-caller contract: thread-local packing scratch),
+# so it is race-checked on every preset, not just the full tsan leg. crash_matrix_test runs with TSan's default die_after_fork:
 # its forked children must start no thread, which holds because the journal
 # writes synchronously on the training thread.
 if [[ "$PRESET" == "tsan" ]]; then
