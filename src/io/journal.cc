@@ -79,6 +79,14 @@ Result<JournalScan> ScanJournal(const std::string& path) {
     }
     const uint32_t length = GetU32(blob.data() + pos);
     const uint32_t expected_crc = GetU32(blob.data() + pos + 4);
+    // Append never writes an empty record, and eight zero bytes would pass
+    // as one (the CRC-32 of no bytes is 0): zeros are what a power loss
+    // leaves where a file's new size reached the device before its data.
+    if (length == 0) {
+      scan.torn_tail = true;
+      scan.tail_detail = "zero-length frame";
+      break;
+    }
     if (length > kMaxRecordBytes) {
       scan.torn_tail = true;
       scan.tail_detail = "frame length exceeds sanity bound";
@@ -161,6 +169,9 @@ Status JournalWriter::Append(std::string_view payload) {
     status_ = Status::IoError("journal already closed: " + path_);
     return status_;
   }
+  if (payload.empty()) {
+    return Status::InvalidArgument("empty journal record refused: " + path_);
+  }
   static const bool registered = failpoint::RegisterSite("journal.append");
   (void)registered;
   failpoint::Triggered triggered = failpoint::Triggered::kNone;
@@ -185,9 +196,8 @@ Status JournalWriter::Append(std::string_view payload) {
     (void)::fsync(::fileno(file_));
     std::_Exit(failpoint::kCrashExitCode);
   }
-  ok = ok && (payload.empty() ||
-              std::fwrite(payload.data(), 1, payload.size(), file_) ==
-                  payload.size());
+  ok = ok && std::fwrite(payload.data(), 1, payload.size(), file_) ==
+                  payload.size();
   // Push the frame into the page cache so it survives process death; only
   // Sync() pushes further to the device.
   ok = ok && std::fflush(file_) == 0;

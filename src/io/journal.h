@@ -15,11 +15,12 @@
 //     u32       CRC-32 of the payload (polynomial 0xEDB88320)
 //     bytes     payload
 //
-// All integers little-endian. A record is valid only if its full payload is
-// present and the CRC matches; ScanJournal stops at the first invalid frame
-// and reports everything before it, so a write torn by a crash (detected by
-// the CRC, or by a length running past EOF) costs exactly the uncommitted
-// tail, never the file.
+// All integers little-endian. A record is valid only if its payload is
+// non-empty, fully present and matches the CRC; ScanJournal stops at the
+// first invalid frame and reports everything before it, so a write torn by
+// a crash (detected by the CRC, by a length running past EOF, or by the
+// zero length of a zero-filled tail) costs exactly the uncommitted tail,
+// never the file.
 //
 // Durability discipline: Append pushes each frame to the OS with fflush
 // (surviving process death); Sync additionally fsyncs to the device
@@ -85,7 +86,9 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
 
   /// Appends one framed record and hands it to the OS (fflush). The first
-  /// failure latches into status() and makes all later calls no-ops.
+  /// write failure latches into status() and makes all later calls no-ops.
+  /// An empty payload is refused without latching (nothing is written): a
+  /// zero-length frame is indistinguishable from a zero-filled torn tail.
   Status Append(std::string_view payload);
 
   /// fsyncs the file to the device.

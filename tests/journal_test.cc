@@ -153,19 +153,21 @@ TEST(JournalTest, AppendScanRoundtrip) {
         JournalWriter::OpenForAppend(path, kHeaderBytes);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     ASSERT_TRUE((*writer)->Append("alpha").ok());
-    ASSERT_TRUE((*writer)->Append("").ok());
+    // An empty record would scan like a zero-filled torn tail: refused,
+    // without writing a byte or latching an error.
+    EXPECT_EQ((*writer)->Append("").code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE((*writer)->status().ok());
     ASSERT_TRUE((*writer)->Append(binary_payload).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
   Result<JournalScan> scan = ScanJournal(path);
   ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), 3u);
+  ASSERT_EQ(scan->records.size(), 2u);
   EXPECT_EQ(scan->records[0], "alpha");
-  EXPECT_EQ(scan->records[1], "");
-  EXPECT_EQ(scan->records[2], binary_payload);
+  EXPECT_EQ(scan->records[1], binary_payload);
   EXPECT_FALSE(scan->torn_tail);
-  EXPECT_EQ(scan->record_ends.size(), 3u);
+  EXPECT_EQ(scan->record_ends.size(), 2u);
   EXPECT_EQ(scan->record_ends.back(), scan->valid_bytes);
 }
 
@@ -232,6 +234,19 @@ TEST(JournalTest, InsaneFrameLengthRejected) {
   EXPECT_TRUE(scan->records.empty());
   EXPECT_EQ(scan->valid_bytes, kHeaderBytes);
   EXPECT_TRUE(scan->torn_tail);
+}
+
+TEST(JournalTest, ZeroFilledTailIsTorn) {
+  const std::string path = TempPath("jrn_zeros.jrn");
+  const std::string blob = ThreeRecordJournal(path);
+  // Eight zero bytes frame an empty payload whose CRC-32 (0) matches.
+  WriteFile(path, blob + std::string(64, '\0'));
+  Result<JournalScan> scan = ScanJournal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records.size(), 3u);
+  EXPECT_EQ(scan->valid_bytes, static_cast<int64_t>(blob.size()));
+  EXPECT_TRUE(scan->torn_tail);
+  EXPECT_EQ(scan->tail_detail, "zero-length frame");
 }
 
 TEST(JournalTest, NonJournalFileRejected) {
@@ -389,6 +404,35 @@ TEST(DurableJournalTest, RecoversBitExactlyFromTruncatedTail) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(env.trainer->trained_through(), env.config.total_iters_t());
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
+}
+
+// What a power loss leaves when a file's size reached the device before
+// its data: the unsynced tail reads back as zeros.
+TEST(DurableJournalTest, RecoversBitExactlyFromZeroFilledTail) {
+  const std::string ref_ckpt = TempPath("djrn_zref.ckpt");
+  const std::string ref_jrn = TempPath("djrn_zref.jrn");
+  const Tensor reference = RunDurable(ref_ckpt, ref_jrn);
+
+  const std::string ckpt = TempPath("djrn_zeros.ckpt");
+  const std::string jrn = TempPath("djrn_zeros.jrn");
+  (void)RunDurable(ckpt, jrn);
+
+  const std::string blob = ReadFile(jrn);
+  ASSERT_GT(blob.size(), 100u);
+  const size_t keep = blob.size() / 2;
+  // Zero the whole tail past a cut, and only append zeros to a complete
+  // journal: both land on a committed prefix.
+  for (const std::string& damaged :
+       {blob.substr(0, keep) + std::string(blob.size() - keep, '\0'),
+        blob + std::string(64, '\0')}) {
+    WriteFile(jrn, damaged);
+    Env env = MakeEnv();
+    Result<std::unique_ptr<DurableTrainingSession>> session =
+        DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(env.trainer->trained_through(), env.config.total_iters_t());
+    EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
+  }
 }
 
 TEST(DurableJournalTest, CleanReopenDoesNotRetrain) {
