@@ -32,6 +32,12 @@ uint32_t GetU32(const char* in) {
          static_cast<uint32_t>(static_cast<unsigned char>(in[3])) << 24;
 }
 
+internal::SyncObserver sync_observer = nullptr;
+
+void ReportSynced(const std::string& path, int64_t synced_bytes) {
+  if (sync_observer != nullptr) sync_observer(path, synced_bytes);
+}
+
 Status SyncFile(std::FILE* file, const std::string& path) {
   FATS_FAILPOINT_STATUS("journal.sync_file");
   if (std::fflush(file) != 0) {
@@ -137,6 +143,7 @@ Status JournalWriter::Create(const std::string& path) {
     std::remove(tmp_path.c_str());
     return Status::IoError("cannot rename journal into place: " + path);
   }
+  ReportSynced(path, kHeaderBytes);
   return Status::OK();
 }
 
@@ -156,7 +163,8 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::OpenForAppend(
   if (file == nullptr) {
     return Status::IoError("cannot open journal for append: " + path);
   }
-  return std::unique_ptr<JournalWriter>(new JournalWriter(file, path));
+  return std::unique_ptr<JournalWriter>(
+      new JournalWriter(file, path, valid_bytes));
 }
 
 // Destructor cannot surface a Status; callers needing the sync result must
@@ -205,6 +213,13 @@ Status JournalWriter::Append(std::string_view payload) {
     status_ = Status::IoError("journal append failed: " + path_);
     return status_;
   }
+  size_ += static_cast<int64_t>(sizeof(frame) + payload.size());
+  return Status::OK();
+}
+
+Status JournalWriter::SyncToDevice() {
+  FATS_RETURN_NOT_OK(SyncFile(file_, path_));
+  ReportSynced(path_, size_);
   return Status::OK();
 }
 
@@ -215,14 +230,14 @@ Status JournalWriter::Sync() {
     return status_;
   }
   FATS_FAILPOINT("journal.sync");
-  Status synced = SyncFile(file_, path_);
+  Status synced = SyncToDevice();
   if (!synced.ok()) status_ = synced;
   return synced;
 }
 
 Status JournalWriter::Close() {
   if (file_ == nullptr) return status_;
-  Status synced = status_.ok() ? SyncFile(file_, path_) : status_;
+  Status synced = status_.ok() ? SyncToDevice() : status_;
   if (std::fclose(file_) != 0 && synced.ok()) {
     synced = Status::IoError("journal close failed: " + path_);
   }
@@ -233,6 +248,10 @@ Status JournalWriter::Close() {
 
 bool SweepOrphanTmp(const std::string& path) {
   return std::remove((path + ".tmp").c_str()) == 0;
+}
+
+void internal::SetSyncObserver(SyncObserver observer) {
+  sync_observer = observer;
 }
 
 }  // namespace fats

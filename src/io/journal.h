@@ -101,17 +101,33 @@ class JournalWriter {
   const std::string& path() const { return path_; }
 
  private:
-  JournalWriter(std::FILE* file, std::string path)
-      : file_(file), path_(std::move(path)) {}
+  JournalWriter(std::FILE* file, std::string path, int64_t size)
+      : file_(file), path_(std::move(path)), size_(size) {}
+
+  /// fsyncs and reports the durable size to the sync observer.
+  Status SyncToDevice();
 
   std::FILE* file_ = nullptr;
   std::string path_;
+  /// Bytes in the file: the append offset plus everything appended since.
+  int64_t size_ = 0;
   Status status_;
 };
 
 /// Removes the stale `<path>.tmp` a crash between tmp-write and rename may
 /// have stranded next to `path`. Returns true if one was removed.
 bool SweepOrphanTmp(const std::string& path);
+
+namespace internal {
+
+/// Test hook, unset in production: called after every successful fsync of a
+/// journal segment (Create's, Sync's and Close's) with the segment's path
+/// and the file size that fsync made durable. The crash matrix records it
+/// to simulate a power loss, which keeps only those bytes. nullptr clears.
+using SyncObserver = void (*)(const std::string& path, int64_t synced_bytes);
+void SetSyncObserver(SyncObserver observer);
+
+}  // namespace internal
 
 }  // namespace fats
 

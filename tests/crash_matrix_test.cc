@@ -8,7 +8,9 @@
 // Children are forked (num_threads stays 1, so the process is single-
 // threaded and fork-safe) and die via std::_Exit inside the failpoint, so
 // only bytes already fflush'd to the OS survive — exactly the durability
-// contract the journal claims.
+// contract the journal claims against a kill. The power-loss rows go
+// further: before recovery every journal segment loses what its last fsync
+// did not cover.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -17,10 +19,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/unlearning_service.h"
+#include "io/journal.h"
 #include "io/train_journal.h"
 #include "test_workloads.h"
 #include "util/failpoint.h"
@@ -100,6 +107,11 @@ struct Reference {
   std::vector<UnlearningRequest> requests;
   Tensor unlearned;
   ServiceFlushStats stats;
+  // A later flush on top of `unlearned`: one more used sample. The power-
+  // loss rows crash inside it to check that the earlier, acknowledged
+  // flush survives.
+  UnlearningRequest later_request;
+  Tensor unlearned_twice;
 };
 
 // First sample with a recorded use, so unlearning it forces re-computation.
@@ -153,6 +165,14 @@ const Reference& GetReference() {
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
     ref->stats = *stats;
     ref->unlearned = env.trainer->global_params();
+    ref->later_request = {.kind = UnlearningRequest::Kind::kSample,
+                          .sample = PickUsedSample(*env.trainer),
+                          .request_iter = kTotal};
+    Result<ServiceFlushStats> later =
+        UnlearningService(env.trainer.get())
+            .ExecuteStream({ref->later_request});
+    EXPECT_TRUE(later.ok()) << later.status().ToString();
+    ref->unlearned_twice = env.trainer->global_params();
     return ref;
   }();
   return *kRef;
@@ -187,26 +207,17 @@ int ForkAndReap(Fn child) {
   return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
 }
 
-// Recovers from whatever the crashed child left behind, finishes training,
-// and requires bit-identical state plus bit-identical subsequent
-// unlearning.
-void ExpectRecoversExactly(const std::string& ckpt, const std::string& jrn,
-                           const std::string& label,
-                           const std::string& spill_dir = "") {
+// Requires `trainer`, trained through kTotal, to hold the uninterrupted
+// run's model, log and ledger, and the reference flush on top of it to
+// match bit for bit.
+void ExpectTrainedAndUnlearnedExactly(FatsTrainer* trainer,
+                                      const std::string& label) {
   const Reference& ref = GetReference();
-  Env env = MakeEnv("", spill_dir);
-  Result<std::unique_ptr<DurableTrainingSession>> session =
-      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
-  ASSERT_TRUE(session.ok()) << label << ": " << session.status().ToString();
-  env.trainer->TrainUntil(kTotal);
-  ASSERT_TRUE((*session)->status().ok())
-      << label << ": " << (*session)->status().ToString();
-
-  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.trained))
+  EXPECT_TRUE(trainer->global_params().BitwiseEquals(ref.trained))
       << label << ": recovered model differs from uninterrupted run";
-  EXPECT_EQ(env.trainer->trained_through(), kTotal) << label;
-  EXPECT_EQ(env.trainer->log().ToCsv(), ref.trained_log_csv) << label;
-  const CommSnapshot comm = Snapshot(env.trainer.get());
+  EXPECT_EQ(trainer->trained_through(), kTotal) << label;
+  EXPECT_EQ(trainer->log().ToCsv(), ref.trained_log_csv) << label;
+  const CommSnapshot comm = Snapshot(trainer);
   EXPECT_EQ(comm.rounds, ref.trained_comm.rounds) << label;
   EXPECT_EQ(comm.uplink, ref.trained_comm.uplink) << label;
   EXPECT_EQ(comm.downlink, ref.trained_comm.downlink) << label;
@@ -215,15 +226,30 @@ void ExpectRecoversExactly(const std::string& ckpt, const std::string& jrn,
   EXPECT_EQ(comm.retransmit_bytes, ref.trained_comm.retransmit_bytes)
       << label;
 
-  Result<ServiceFlushStats> stats =
-      FlushReferenceRequests(env.trainer.get(), ref);
+  Result<ServiceFlushStats> stats = FlushReferenceRequests(trainer, ref);
   ASSERT_TRUE(stats.ok()) << label << ": " << stats.status().ToString();
   EXPECT_EQ(stats->triggered_requests, ref.stats.triggered_requests) << label;
   EXPECT_EQ(stats->replay_start_iteration, ref.stats.replay_start_iteration)
       << label;
   EXPECT_EQ(stats->redrawn_rounds, ref.stats.redrawn_rounds) << label;
-  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned))
+  EXPECT_TRUE(trainer->global_params().BitwiseEquals(ref.unlearned))
       << label << ": unlearning after recovery differs";
+}
+
+// Recovers from whatever the crashed child left behind, finishes training,
+// and requires bit-identical state plus bit-identical subsequent
+// unlearning.
+void ExpectRecoversExactly(const std::string& ckpt, const std::string& jrn,
+                           const std::string& label,
+                           const std::string& spill_dir = "") {
+  Env env = MakeEnv("", spill_dir);
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_TRUE(session.ok()) << label << ": " << session.status().ToString();
+  env.trainer->TrainUntil(kTotal);
+  ASSERT_TRUE((*session)->status().ok())
+      << label << ": " << (*session)->status().ToString();
+  ExpectTrainedAndUnlearnedExactly(env.trainer.get(), label);
 }
 
 TEST(CrashMatrixTest, KillAtEveryFailpointRecoversBitExactly) {
@@ -275,6 +301,219 @@ TEST(CrashMatrixTest, KillAtEveryFailpointRecoversBitExactly) {
       ExpectRecoversExactly(ckpt, jrn, label);
     }
   }
+}
+
+// ----- Power loss -----
+//
+// A kill keeps every byte the journal handed to the OS; a power loss keeps
+// only what an fsync made durable. The model here: a segment keeps exactly
+// the bytes its last completed fsync covered, and the rest of the file is
+// either gone (its size never reached the device) or zeros (the size did,
+// the data did not). Renames of fsynced files, as segment creation and the
+// checkpoint save do, are taken to be durable.
+
+enum class PowerLoss { kCut, kZeroFill };
+
+// The forked child's record of what is durable: a "<bytes> <path>" line per
+// journal fsync and an "ack <n>" line once flush n has returned to its
+// caller. Each line is appended with its own fopen/fclose, so it reaches
+// the OS before any kill.
+std::string g_sidecar;
+
+void AppendSidecarLine(const std::string& line) {
+  std::FILE* file = std::fopen(g_sidecar.c_str(), "a");
+  if (file == nullptr) std::_Exit(94);
+  std::fputs((line + "\n").c_str(), file);
+  std::fclose(file);
+}
+
+void RecordSync(const std::string& path, int64_t synced_bytes) {
+  AppendSidecarLine(std::to_string(synced_bytes) + " " + path);
+}
+
+struct SidecarLog {
+  std::map<std::string, int64_t> synced_bytes;  // last fsync per segment
+  int acked_flushes = 0;
+};
+
+SidecarLog ReadSidecar(const std::string& path) {
+  SidecarLog log;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t space = line.find(' ');
+    if (space == std::string::npos) continue;
+    const std::string head = line.substr(0, space);
+    const std::string tail = line.substr(space + 1);
+    if (head == "ack") {
+      log.acked_flushes = std::stoi(tail);
+    } else {
+      log.synced_bytes[tail] = std::stoll(head);
+    }
+  }
+  return log;
+}
+
+// Drops (kCut) or zeroes (kZeroFill) every segment's unsynced tail.
+void LosePower(const SidecarLog& log, PowerLoss mode) {
+  for (const auto& [path, synced] : log.synced_bytes) {
+    if (!std::filesystem::exists(path)) continue;
+    const auto size = static_cast<int64_t>(std::filesystem::file_size(path));
+    ASSERT_LE(synced, size) << path;
+    if (mode == PowerLoss::kCut) {
+      std::filesystem::resize_file(path, static_cast<uintmax_t>(synced));
+      continue;
+    }
+    std::string blob;
+    {
+      std::ifstream in(path, std::ios::binary);
+      blob.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    }
+    std::fill(blob.begin() + synced, blob.end(), '\0');
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+}
+
+// The power-loss scenario: the kill matrix's durable training (train to
+// kHalf, rotate, train to kTotal), then the reference flush and the later
+// flush, each acknowledged in the sidecar once it returns.
+int RunPowerLossChild(const std::string& ckpt, const std::string& jrn,
+                      const std::string& fault_spec,
+                      const std::string& sidecar) {
+  g_sidecar = sidecar;
+  internal::SetSyncObserver(&RecordSync);
+  const Reference& ref = GetReference();
+  Env env = MakeEnv(fault_spec);
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  if (!session.ok()) return 90;
+  env.trainer->TrainUntil(kHalf);
+  if (!(*session)->Checkpoint().ok()) return 91;
+  env.trainer->TrainUntil(kTotal);
+  if (!FlushReferenceRequests(env.trainer.get(), ref).ok()) return 93;
+  AppendSidecarLine("ack 1");
+  if (!UnlearningService(env.trainer.get())
+           .ExecuteStream({ref.later_request})
+           .ok()) {
+    return 93;
+  }
+  AppendSidecarLine("ack 2");
+  return (*session)->status().ok() ? 0 : 92;
+}
+
+// Recovers after a power loss. The state must be a committed prefix: some
+// point of training, or the end of the first or second flush, never less
+// than the flushes the child acknowledged. Finishing the scenario from
+// there must match the uninterrupted run bit for bit.
+void ExpectPowerLossRecovery(const std::string& ckpt, const std::string& jrn,
+                             int acked_flushes, const std::string& label) {
+  const Reference& ref = GetReference();
+  Env env = MakeEnv();
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_TRUE(session.ok()) << label << ": " << session.status().ToString();
+  const Tensor& params = env.trainer->global_params();
+  const int flushes_kept = params.BitwiseEquals(ref.unlearned_twice) ? 2
+                           : params.BitwiseEquals(ref.unlearned)     ? 1
+                                                                     : 0;
+  EXPECT_GE(flushes_kept, acked_flushes)
+      << label << ": an acknowledged flush was lost";
+  // The data-side deletions are the caller's to keep: re-apply the kept
+  // flushes' to the fresh dataset, as a server would after a restart.
+  std::vector<UnlearningRequest> kept;
+  if (flushes_kept >= 1) kept = ref.requests;
+  if (flushes_kept == 2) kept.push_back(ref.later_request);
+  for (const UnlearningRequest& request : kept) {
+    const Status removed =
+        request.kind == UnlearningRequest::Kind::kSample
+            ? env.data.RemoveSample(request.sample)
+            : env.data.RemoveClient(request.client);
+    ASSERT_TRUE(removed.ok()) << label << ": " << removed.ToString();
+  }
+  if (flushes_kept == 0) {
+    env.trainer->TrainUntil(kTotal);
+    ExpectTrainedAndUnlearnedExactly(env.trainer.get(), label);
+  }
+  EXPECT_EQ(env.trainer->trained_through(), kTotal) << label;
+  if (flushes_kept < 2) {
+    Result<ServiceFlushStats> later =
+        UnlearningService(env.trainer.get())
+            .ExecuteStream({ref.later_request});
+    ASSERT_TRUE(later.ok()) << label << ": " << later.status().ToString();
+  }
+  EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(ref.unlearned_twice))
+      << label << ": the scenario finished after recovery differs";
+  EXPECT_TRUE((*session)->status().ok())
+      << label << ": " << (*session)->status().ToString();
+}
+
+TEST(CrashMatrixTest, PowerLossAtEveryFailpointKeepsTheSyncedPrefix) {
+  const Reference& ref = GetReference();
+  ASSERT_FALSE(ref.unlearned.BitwiseEquals(ref.trained));
+  ASSERT_FALSE(ref.unlearned_twice.BitwiseEquals(ref.unlearned));
+  // Cross every site of the scenario once in-process (registering it),
+  // which doubles as the check that the durable scenario with both
+  // flushes lands on the reference.
+  {
+    const std::string ckpt = TempPath("cm_pl_reg.ckpt");
+    const std::string jrn = TempPath("cm_pl_reg.jrn");
+    const std::string sidecar = TempPath("cm_pl_reg.sync");
+    RemoveDurableFiles(ckpt, jrn);
+    std::remove(sidecar.c_str());
+    ASSERT_EQ(RunPowerLossChild(ckpt, jrn, "", sidecar), 0);
+    internal::SetSyncObserver(nullptr);
+    EXPECT_EQ(ReadSidecar(sidecar).acked_flushes, 2);
+  }
+
+  // Every hit of every site, until the scenario no longer reaches it.
+  constexpr int kMaxHits = 1000;
+  int scenario = 0;
+  int rows = 0;
+  bool any_lost_bytes = false;
+  bool any_acked_flush = false;
+  for (const std::string& site : failpoint::RegisteredSites()) {
+    for (int hit = 1;; ++hit) {
+      ASSERT_LT(hit, kMaxHits) << site << " never stopped firing";
+      bool reached = false;
+      for (PowerLoss mode : {PowerLoss::kCut, PowerLoss::kZeroFill}) {
+        const std::string label =
+            site + ":" + std::to_string(hit) + ":crash, power loss " +
+            (mode == PowerLoss::kCut ? "(cut)" : "(zero-fill)");
+        const std::string tag = "cm_pl_" + std::to_string(scenario++);
+        const std::string ckpt = TempPath(tag + ".ckpt");
+        const std::string jrn = TempPath(tag + ".jrn");
+        const std::string sidecar = TempPath(tag + ".sync");
+        RemoveDurableFiles(ckpt, jrn);
+        std::remove(sidecar.c_str());
+        const std::string spec = site + ":" + std::to_string(hit) + ":crash";
+        const int code = ForkAndReap(
+            [&] { return RunPowerLossChild(ckpt, jrn, spec, sidecar); });
+        ASSERT_TRUE(code == 0 || code == failpoint::kCrashExitCode)
+            << label << " exited with " << code;
+        reached = code == failpoint::kCrashExitCode;
+        if (!reached) break;
+        const SidecarLog log = ReadSidecar(sidecar);
+        ASSERT_TRUE(!std::filesystem::exists(jrn) ||
+                    log.synced_bytes.count(jrn) == 1)
+            << label << ": a journal segment exists that was never synced";
+        if (std::filesystem::exists(jrn) &&
+            static_cast<int64_t>(std::filesystem::file_size(jrn)) >
+                log.synced_bytes.at(jrn)) {
+          any_lost_bytes = true;
+        }
+        any_acked_flush |= log.acked_flushes > 0;
+        LosePower(log, mode);
+        ExpectPowerLossRecovery(ckpt, jrn, log.acked_flushes, label);
+        ++rows;
+      }
+      if (!reached) break;
+    }
+  }
+  EXPECT_GT(rows, 100) << "the power-loss matrix crossed too few sites";
+  EXPECT_TRUE(any_lost_bytes) << "no power loss dropped an unsynced byte";
+  EXPECT_TRUE(any_acked_flush) << "no crash came after an acknowledged flush";
 }
 
 TEST(CrashMatrixTest, TornJournalWritesRecoverBitExactly) {
