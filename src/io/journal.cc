@@ -219,6 +219,7 @@ Status JournalWriter::Append(std::string_view payload) {
 
 Status JournalWriter::SyncToDevice() {
   FATS_RETURN_NOT_OK(SyncFile(file_, path_));
+  synced_size_ = size_;
   ReportSynced(path_, size_);
   return Status::OK();
 }

@@ -25,10 +25,11 @@
 // Durability discipline: Append pushes each frame to the OS with fflush
 // (surviving process death); Sync additionally fsyncs to the device
 // (surviving power loss). Callers choose the cadence — the training session
-// syncs at every training round boundary and once per unlearning operation,
-// at its commit. Segment creation goes through a sibling `<path>.tmp` +
-// rename so a torn header can never occupy the journal path; SweepOrphanTmp
-// removes the `.tmp` a crash may strand.
+// syncs once per unlearning operation, at its commit, on rotation and on
+// close, and at a training round boundary only once unsynced_bytes()
+// reaches a fixed cap (io/train_journal.h). Segment creation goes through a
+// sibling `<path>.tmp` + rename so a torn header can never occupy the
+// journal path; SweepOrphanTmp removes the `.tmp` a crash may strand.
 //
 // This module performs the raw file writes for the durable path and is the
 // one place in src/{core,fl,io} sanctioned to do so (the `raw-io` lint rule
@@ -94,6 +95,9 @@ class JournalWriter {
   /// fsyncs the file to the device.
   Status Sync();
 
+  /// Bytes appended since the last successful Sync (or since the open).
+  int64_t unsynced_bytes() const { return size_ - synced_size_; }
+
   /// Flushes, syncs, and closes. Safe to call twice.
   Status Close();
 
@@ -102,7 +106,10 @@ class JournalWriter {
 
  private:
   JournalWriter(std::FILE* file, std::string path, int64_t size)
-      : file_(file), path_(std::move(path)), size_(size) {}
+      : file_(file),
+        path_(std::move(path)),
+        size_(size),
+        synced_size_(size) {}
 
   /// fsyncs and reports the durable size to the sync observer.
   Status SyncToDevice();
@@ -111,6 +118,8 @@ class JournalWriter {
   std::string path_;
   /// Bytes in the file: the append offset plus everything appended since.
   int64_t size_ = 0;
+  /// size_ as of the last successful fsync (or the open).
+  int64_t synced_size_ = 0;
   Status status_;
 };
 

@@ -399,9 +399,10 @@ DurableTrainingSession::~DurableTrainingSession() {
   if (trainer_ != nullptr && trainer_->event_sink() == this) {
     trainer_->set_event_sink(nullptr);
   }
-  // Destructor cannot surface the close Status. Nothing durable is lost
-  // here: every training round boundary, closed unlearning bracket and
-  // rotation has already fsynced, and status() holds the first earlier
+  // Destructor cannot surface the close Status. Nothing acknowledged is
+  // lost if Close's sync fails: every closed unlearning bracket and
+  // rotation has already fsynced, the training rounds since the last sync
+  // are re-computed on recovery, and status() holds the first earlier
   // failure.
   // fats-lint: allow(discarded-status)
   if (writer_ != nullptr) (void)writer_->Close();
@@ -510,8 +511,11 @@ void DurableTrainingSession::OnIterationComplete(const IterationMark& mark) {
   w.I64(mark.comm_retransmit_bytes);
   AppendRecord(w.str());
   // Inside an unlearning bracket nothing is committed before kOpEnd, whose
-  // sync makes the whole operation durable at once.
-  if (!in_op_ && mark.iteration % trainer_->config().local_iters_e == 0) {
+  // sync makes the whole operation durable at once. Outside one, a round
+  // boundary syncs only a tail of at least kRoundSyncTailBytes.
+  if (!in_op_ && mark.iteration % trainer_->config().local_iters_e == 0 &&
+      writer_ != nullptr &&
+      writer_->unsynced_bytes() >= kRoundSyncTailBytes) {
     SyncJournal();
   }
 }

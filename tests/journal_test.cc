@@ -449,6 +449,88 @@ TEST(DurableJournalTest, CleanReopenDoesNotRetrain) {
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
 }
 
+// Training rounds acknowledge nothing, so a training call whose journal
+// tail stays under the cap fsyncs nothing at all.
+TEST(DurableJournalTest, TrainingUnderTheSyncCapDoesNotSync) {
+  const std::string ckpt = TempPath("djrn_nosync.ckpt");
+  const std::string jrn = TempPath("djrn_nosync.jrn");
+  for (const std::string& p : {ckpt, ckpt + ".tmp", jrn, jrn + ".tmp"}) {
+    std::remove(p.c_str());
+  }
+  Env env = MakeEnv();
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // Any fsync from here on would fail and latch into the session.
+  ASSERT_TRUE(failpoint::ArmFromSpec("journal.sync_file:1:error").ok());
+  env.trainer->TrainUntil(env.config.total_iters_t());
+  failpoint::DisarmAll();
+  EXPECT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
+  EXPECT_EQ(env.trainer->trained_through(), env.config.total_iters_t());
+}
+
+// Collects the file sizes the journal's fsyncs make durable while in scope.
+class SyncedSizes {
+ public:
+  SyncedSizes() {
+    current_ = &sizes_;
+    internal::SetSyncObserver(&Record);
+  }
+  ~SyncedSizes() {
+    internal::SetSyncObserver(nullptr);
+    current_ = nullptr;
+  }
+  SyncedSizes(const SyncedSizes&) = delete;
+  SyncedSizes& operator=(const SyncedSizes&) = delete;
+  const std::vector<int64_t>& sizes() const { return sizes_; }
+
+ private:
+  static void Record(const std::string&, int64_t synced_bytes) {
+    current_->push_back(synced_bytes);
+  }
+  static inline std::vector<int64_t>* current_ = nullptr;
+  std::vector<int64_t> sizes_;
+};
+
+TEST(DurableJournalTest, RoundBoundarySyncsOncePerCrossingOfTheCap) {
+  const std::string ckpt = TempPath("djrn_cap.ckpt");
+  const std::string jrn = TempPath("djrn_cap.jrn");
+  for (const std::string& p : {ckpt, ckpt + ".tmp", jrn, jrn + ".tmp"}) {
+    std::remove(p.c_str());
+  }
+  // Logistic regression over 50000 features journals a ~400 KB global
+  // model per round, so the unsynced tail crosses the 1 MiB cap every
+  // two or three rounds.
+  constexpr int64_t kDim = 50000;
+  constexpr int64_t kRounds = 7;
+  FederatedDataset data = TinyImageData(5, 8, 2, kDim);
+  const FatsConfig config = TinyFatsConfig(5, 8, kRounds, 2);
+  FatsTrainer trainer(TinyModelSpec(2, kDim), config, &data);
+
+  SyncedSizes synced;
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, &trainer);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_FALSE(synced.sizes().empty());
+  // A round boundary syncs exactly when the bytes written since the last
+  // sync reach the cap, and then makes the whole file durable.
+  std::vector<int64_t> expected = synced.sizes();
+  int64_t crossings = 0;
+  for (int64_t round = 1; round <= kRounds; ++round) {
+    trainer.TrainUntil(round * config.local_iters_e);
+    const auto size = static_cast<int64_t>(ReadFile(jrn).size());
+    if (size - expected.back() >=
+        DurableTrainingSession::kRoundSyncTailBytes) {
+      expected.push_back(size);
+      ++crossings;
+    }
+    EXPECT_EQ(synced.sizes(), expected) << "after round " << round;
+  }
+  EXPECT_GE(crossings, 2);
+  EXPECT_LT(crossings, kRounds) << "every round crossed the cap";
+  EXPECT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
+}
+
 // The sample training used earliest, so deleting it replays every round.
 SampleRef OldestUsedSample(const FatsTrainer& trainer) {
   SampleRef oldest{-1, -1};
