@@ -32,6 +32,11 @@ KERNELS=(
   'Linear::(Forward|Backward|BackwardParameters)\('
   'PhiloxGroupAvx512\(|PhiloxEngine::Fill\('
   'fats::Crc32\(|Crc32Portable\('
+  # Per-step glue around the kernels: it moves with every relink too.
+  'fats::(SoftmaxRowsInto|AddRowwise|AddSumRowsInto)\('
+  'fats::(MatMulInto|MatMulTransposeBInto)\('
+  'fats::(ApplySgdStep|FlattenParametersInto|UnflattenParameters)\('
+  'Model::ComputeLossAndGradients\(|ClientRuntime::Step\(|Workspace::Get\('
 )
 
 # Prints "<phase>\t<name>" for every matching defined text symbol.
