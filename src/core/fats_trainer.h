@@ -180,12 +180,16 @@ class FatsTrainer {
   Status RedrawRound(int64_t round, int64_t t_last);
 
   /// Unlearning-operation brackets, forwarded to the sink. Everything
-  /// between Begin and End is atomic under crash recovery.
+  /// between Begin and End is atomic under crash recovery. The bracket is
+  /// also the store's hold scope: history blocks the operation reopens stay
+  /// decoded until End, which seals them once.
   void NotifyUnlearnBegin() {
+    store_.BeginHold();
     if (sink_ != nullptr) sink_->OnUnlearnBegin();
   }
   void NotifyUnlearnEnd() {
     if (sink_ != nullptr) sink_->OnUnlearnEnd();
+    store_.EndHold();
   }
 
   /// Dropped client executions retried so far (see fl/availability.h).

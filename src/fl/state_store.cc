@@ -225,6 +225,16 @@ std::vector<std::pair<int64_t, int64_t>> StateStore::MinibatchKeys() const {
   return minibatches_.Keys();
 }
 
+void StateStore::BeginHold() {
+  minibatches_.BeginHold();
+  selections_.BeginHold();
+}
+
+void StateStore::EndHold() {
+  minibatches_.EndHold();
+  selections_.EndHold();
+}
+
 void StateStore::Clear() {
   minibatches_.Clear();
   selections_.Clear();

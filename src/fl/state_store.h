@@ -143,6 +143,14 @@ class StateStore {
   /// leaking it. `local_iters_e` is E (round length in iterations).
   void TruncateFromIteration(int64_t from_iter, int64_t local_iters_e);
 
+  /// Opens / closes the hold scope of both history logs (see
+  /// state::HistoryLog::BeginHold): between the two, every cold block a
+  /// record mutation reopens stays decoded, so an unlearning flush decodes
+  /// and reseals each such block once. EndHold seals back down to the
+  /// open-block budget. Values read back are the same either way.
+  void BeginHold();
+  void EndHold();
+
   // ----- enumeration (checkpointing and diagnostics) -----
 
   /// Sorted rounds with a recorded client selection.

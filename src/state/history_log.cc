@@ -85,7 +85,7 @@ void HistoryLog::TruncateFrom(int64_t k1_from, const Visitor& on_erase) {
       --size_;
     }
     if (block.count == 0) {
-      --open_count_;  // the reopened block is erased, not kept
+      ReleaseBlockStorage(&block);  // the reopened block is erased, not kept
       it = blocks_.erase(blocks_.find(bid));
     } else {
       it = std::next(blocks_.find(bid));
@@ -122,6 +122,23 @@ void HistoryLog::Clear() {
   open_count_ = 0;
   sealed_count_ = 0;
   spilled_count_ = 0;
+  held_count_ = 0;
+}
+
+void HistoryLog::BeginHold() {
+  FATS_CHECK(!holding_);
+  holding_ = true;
+}
+
+void HistoryLog::EndHold() {
+  FATS_CHECK(holding_);
+  holding_ = false;
+  for (auto& [bid, block] : blocks_) {
+    (void)bid;
+    block.held = false;
+  }
+  held_count_ = 0;
+  EnforceBudgets(-1);
 }
 
 int64_t HistoryLog::ApproxResidentBytes() const {
@@ -231,6 +248,8 @@ void HistoryLog::ReleaseBlockStorage(Block* block) {
   switch (block->tier) {
     case Tier::kOpen:
       --open_count_;
+      if (block->held) --held_count_;
+      block->held = false;
       break;
     case Tier::kSealedResident:
       --sealed_count_;
@@ -261,6 +280,9 @@ HistoryLog::Block& HistoryLog::OpenBlockFor(int64_t bid) {
   ++open_count_;
   block.records = std::move(records);
   block.touch = ++tick_;
+  block.held = holding_;
+  held_count_ += holding_ ? 1 : 0;
+  ++blocks_reopened_;
   decoded_.erase(bid);
   decoded_ticks_.erase(bid);
   return block;
@@ -289,11 +311,13 @@ void HistoryLog::SpillBlock(Block* block) {
 }
 
 void HistoryLog::EnforceBudgets(int64_t protect_bid) {
-  while (open_count_ > options_.max_open_blocks) {
+  while (open_count_ - held_count_ > options_.max_open_blocks) {
     int64_t victim = -1;
     uint64_t oldest = 0;
     for (const auto& [bid, block] : blocks_) {
-      if (block.tier != Tier::kOpen || bid == protect_bid) continue;
+      if (block.tier != Tier::kOpen || block.held || bid == protect_bid) {
+        continue;
+      }
       if (victim < 0 || block.touch < oldest) {
         victim = bid;
         oldest = block.touch;

@@ -11,7 +11,8 @@
 //                    an mmap-backed CRC-framed segment file
 //
 // Writes land in the open block for their k1; when the number of open
-// blocks exceeds the budget the least-recently-written one is sealed, and
+// blocks outside a hold scope's marks (below) exceeds the budget the
+// least-recently-written such block is sealed, and
 // when sealed-resident blobs exceed their budget the coldest (smallest k1)
 // is spilled. Reads of sealed/spilled blocks decode into a small LRU cache
 // of hot blocks. Every transition is lossless and deterministic — the codec
@@ -19,9 +20,16 @@
 // block is open, compressed, or reloaded from disk. That invariance is the
 // contract FATS replay depends on (DESIGN.md §7.8).
 //
-// Substitution writes and truncation reopen cold blocks transparently;
-// TruncateFrom releases whole-block spill refs so the spiller can reclaim
-// segment files (truncate-and-retrain reuses, never leaks, spill space).
+// Substitution writes and truncation reopen cold blocks transparently.
+// Inside a hold scope (BeginHold/EndHold, one unlearning flush) a block
+// that a write reopens from the sealed or spilled tier is held: it stays
+// open, outside the open budget, until EndHold seals back down to
+// `max_open_blocks`. A flush whose writes sweep the same cold blocks again
+// and again thus decodes and seals each of them once. Blocks created inside
+// the scope are not held, so a flush keeps at most (blocks it reopened +
+// `max_open_blocks`) decoded. TruncateFrom releases whole-block spill refs
+// so the spiller can reclaim segment files (truncate-and-retrain reuses,
+// never leaks, spill space).
 //
 // Block blob format (self-delimiting, little-endian):
 //   version:u8(1) n:varint
@@ -58,7 +66,8 @@ struct HistoryLogOptions {
   /// Consecutive k1 values per block.
   int64_t block_span = 32;
   /// Decoded, writable blocks kept resident (the training head plus one
-  /// reopened block for substitution writes).
+  /// reopened block for substitution writes). Blocks held by an open hold
+  /// scope do not count against it.
   int64_t max_open_blocks = 2;
   /// Sealed blobs kept resident before spilling (ignored without a
   /// spiller: blobs then stay resident — "compressed only" mode).
@@ -104,6 +113,13 @@ class HistoryLog {
 
   void Clear();
 
+  /// Opens the hold scope: until EndHold, a cold block that Save or
+  /// TruncateFrom reopens stays open instead of being resealed under the
+  /// open budget. Scopes do not nest.
+  void BeginHold();
+  /// Closes the hold scope and seals (and spills) back down to the budgets.
+  void EndHold();
+
   int64_t size() const { return size_; }
 
   /// Approximate resident bytes: decoded open blocks at record cost, sealed
@@ -114,6 +130,8 @@ class HistoryLog {
   int64_t num_open_blocks() const { return open_count_; }
   int64_t num_sealed_blocks() const { return sealed_count_; }
   int64_t num_spilled_blocks() const { return spilled_count_; }
+  /// Cold blocks decoded back into the open tier for writes, ever.
+  int64_t blocks_reopened() const { return blocks_reopened_; }
   int64_t decoded_cache_size() const {
     return static_cast<int64_t>(decoded_.size());
   }
@@ -131,6 +149,7 @@ class HistoryLog {
     SegmentSpiller::BlockRef ref;  // kSpilled
     int64_t count = 0;
     uint64_t touch = 0;  // recency of the last write (open blocks)
+    bool held = false;   // reopened inside the hold scope (open blocks)
   };
 
   static std::string EncodeBlock(const std::map<Key, Value>& records,
@@ -150,8 +169,8 @@ class HistoryLog {
   void SealBlock(int64_t bid, Block* block);
   void SpillBlock(Block* block);
   /// Seals least-recently-written open blocks past the open budget (never
-  /// `protect_bid`), then spills the coldest sealed blobs past the resident
-  /// budget. Called after every mutation.
+  /// `protect_bid` or a held block), then spills the coldest sealed blobs
+  /// past the resident budget. Called after every mutation.
   void EnforceBudgets(int64_t protect_bid);
   /// Decoded view of a cold block through the LRU read cache.
   const std::map<Key, Value>& DecodedFor(int64_t bid,
@@ -164,6 +183,9 @@ class HistoryLog {
   int64_t sealed_count_ = 0;
   int64_t spilled_count_ = 0;
   int64_t spill_errors_ = 0;
+  int64_t blocks_reopened_ = 0;
+  bool holding_ = false;
+  int64_t held_count_ = 0;
   // Read-side decoded cache; mutated by const Gets, never observable in
   // record values (decode is bit-exact).
   mutable std::map<int64_t, std::map<Key, Value>> decoded_;
