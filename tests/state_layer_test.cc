@@ -157,6 +157,148 @@ TEST(HistoryLogTest, WorksWithoutSpillerCompressedOnly) {
   }
 }
 
+// A flush's substitution writes: `sweeps` ascending passes over the 12
+// blocks of keys t = 0..23 (span 2), each rewriting two or three records
+// per block, with values that differ from sweep to sweep.
+void SubstitutionSweep(int64_t sweep, state::HistoryLog* log) {
+  for (int64_t t = sweep % 2; t < 24; t += 2) {
+    for (int64_t k = 0; k < 3; ++k) {
+      if ((t + k + sweep) % 4 == 0) continue;
+      log->Save(t, k, {sweep, t, k});
+    }
+  }
+}
+
+void ExpectSameRecords(const state::HistoryLog& a, const state::HistoryLog& b,
+                       const std::string& where) {
+  ASSERT_EQ(a.Keys(), b.Keys()) << where;
+  for (const auto& [k1, k2] : a.Keys()) {
+    ASSERT_NE(a.Get(k1, k2), nullptr) << where;
+    ASSERT_NE(b.Get(k1, k2), nullptr) << where;
+    EXPECT_EQ(*a.Get(k1, k2), *b.Get(k1, k2))
+        << where << ": t=" << k1 << " k=" << k2;
+  }
+}
+
+state::HistoryLogOptions SweepLogOptions(state::SegmentSpiller* spiller) {
+  state::HistoryLogOptions options;
+  options.block_span = 2;
+  options.max_open_blocks = 2;
+  options.resident_sealed_blocks = 2;
+  options.decoded_cache_blocks = 2;
+  options.spiller = spiller;
+  return options;
+}
+
+TEST(HistoryLogTest, HoldScopeReopensEachColdBlockOnce) {
+  const std::string dir_held = FreshDir("histlog_hold");
+  const std::string dir_plain = FreshDir("histlog_hold_plain");
+  state::SegmentSpiller spiller_held({dir_held, 256});
+  state::SegmentSpiller spiller_plain({dir_plain, 256});
+  ASSERT_TRUE(spiller_held.Open().ok());
+  ASSERT_TRUE(spiller_plain.Open().ok());
+  state::HistoryLog held(SweepLogOptions(&spiller_held));
+  state::HistoryLog plain(SweepLogOptions(&spiller_plain));
+  for (state::HistoryLog* log : {&held, &plain}) {
+    for (int64_t t = 0; t < 24; ++t) {
+      for (int64_t k = 0; k < 3; ++k) log->Save(t, k, ListFor(t, k));
+    }
+  }
+  // 12 blocks: the 2 newest open, 10 cold, some of them on disk.
+  ASSERT_EQ(held.num_open_blocks(), 2);
+  ASSERT_EQ(held.num_sealed_blocks() + held.num_spilled_blocks(), 10);
+  ASSERT_GE(held.num_spilled_blocks(), 8);
+  const int64_t reopened_before = held.blocks_reopened();
+
+  held.BeginHold();
+  for (int64_t sweep = 0; sweep < 6; ++sweep) {
+    SubstitutionSweep(sweep, &held);
+    SubstitutionSweep(sweep, &plain);
+    const std::string where = "sweep " + std::to_string(sweep);
+    // Every touched block is open, and each cold one was decoded once.
+    EXPECT_EQ(held.num_open_blocks(), 12) << where;
+    EXPECT_EQ(held.blocks_reopened() - reopened_before, 10) << where;
+    EXPECT_LE(held.num_open_blocks(),
+              held.blocks_reopened() - reopened_before + 2)
+        << where;
+    ExpectSameRecords(held, plain, where);
+  }
+  // Without the scope the same sweeps reopen the cold blocks again and
+  // again.
+  EXPECT_GT(plain.blocks_reopened(), 6 * 10);
+  held.EndHold();
+
+  EXPECT_LE(held.num_open_blocks(), 2);
+  EXPECT_EQ(held.num_open_blocks(), plain.num_open_blocks());
+  EXPECT_GE(held.num_spilled_blocks(), 8);
+  EXPECT_EQ(held.spill_errors(), 0);
+  ExpectSameRecords(held, plain, "after the scope");
+}
+
+TEST(HistoryLogTest, HoldScopeStillSealsBlocksItCreates) {
+  const std::string dir = FreshDir("histlog_hold_append");
+  state::SegmentSpiller spiller({dir, 256});
+  ASSERT_TRUE(spiller.Open().ok());
+  state::HistoryLog log(SweepLogOptions(&spiller));
+  for (int64_t t = 0; t < 24; ++t) log.Save(t, 0, ListFor(t, 0));
+
+  log.BeginHold();
+  // Reopen two cold blocks, then append 60 new blocks in ascending order
+  // (a client removal's redrawn rounds): only the reopened two are held.
+  log.Save(1, 0, {1});
+  log.Save(5, 0, {5});
+  ASSERT_EQ(log.blocks_reopened(), 2);
+  for (int64_t t = 24; t < 144; ++t) {
+    log.Save(t, 0, ListFor(t, 0));
+    ASSERT_LE(log.num_open_blocks(), 2 + 2) << "t=" << t;
+  }
+  EXPECT_EQ(log.blocks_reopened(), 2);
+  EXPECT_GE(log.num_spilled_blocks(), 50);
+  log.EndHold();
+  EXPECT_LE(log.num_open_blocks(), 2);
+
+  EXPECT_EQ(*log.Get(1, 0), (std::vector<int64_t>{1}));
+  EXPECT_EQ(*log.Get(5, 0), (std::vector<int64_t>{5}));
+  for (int64_t t = 0; t < 144; ++t) {
+    if (t == 1 || t == 5) continue;
+    ASSERT_NE(log.Get(t, 0), nullptr) << "t=" << t;
+    EXPECT_EQ(*log.Get(t, 0), ListFor(t, 0)) << "t=" << t;
+  }
+}
+
+TEST(HistoryLogTest, TruncationReleasesHeldBlocks) {
+  const std::string dir = FreshDir("histlog_hold_trunc");
+  state::SegmentSpiller spiller({dir, 256});
+  ASSERT_TRUE(spiller.Open().ok());
+  state::HistoryLog log(SweepLogOptions(&spiller));
+  for (int64_t t = 0; t < 24; ++t) {
+    if (t != 6) log.Save(t, 0, ListFor(t, 0));
+  }
+
+  log.BeginHold();
+  for (int64_t t = 1; t < 20; t += 2) log.Save(t, 0, {t});
+  ASSERT_EQ(log.num_open_blocks(), 12);
+  // The cut drops six held blocks and the two open head blocks, and empties
+  // the held straddling block {7}: three held blocks remain.
+  log.TruncateFrom(7, nullptr);
+  EXPECT_EQ(log.num_open_blocks(), 3);
+  // The held marks left with the blocks: new blocks seal under the budget.
+  for (int64_t t = 7; t < 40; ++t) {
+    log.Save(t, 0, ListFor(t, 0));
+    ASSERT_LE(log.num_open_blocks(), 3 + 2) << "t=" << t;
+  }
+  log.EndHold();
+  EXPECT_LE(log.num_open_blocks(), 2);
+  EXPECT_EQ(log.Get(6, 0), nullptr);
+  for (int64_t t = 0; t < 40; ++t) {
+    if (t == 6) continue;
+    ASSERT_NE(log.Get(t, 0), nullptr) << "t=" << t;
+    EXPECT_EQ(*log.Get(t, 0), t < 7 && t % 2 == 1 ? std::vector<int64_t>{t}
+                                                  : ListFor(t, 0))
+        << "t=" << t;
+  }
+}
+
 // --- SegmentSpiller ---
 
 TEST(SegmentSpillerTest, RoundTripsAndValidatesFrames) {
@@ -314,6 +456,59 @@ TEST(StateStorePropertyTest, IndicesConsistentAcrossTierLifecycle) {
   store.Clear();
   ASSERT_TRUE(store.IndicesConsistentWithRecords());
   EXPECT_EQ(store.SpilledBytes(), 0);
+}
+
+// An unlearning flush's mutations inside the store's hold scope: repeated
+// substitution sweeps over cold history, then a truncation and a redraw.
+// The index stays consistent throughout, and every record matches the same
+// mutations made without the scope.
+TEST(StateStoreSpillTest, HoldScopeKeepsRecordsAndIndices) {
+  const int64_t e = 2;
+  StateStore held(TinyStoreOptions(FreshDir("store_hold")));
+  StateStore plain(TinyStoreOptions(FreshDir("store_hold_plain")));
+  auto record_rounds = [e](StateStore* store, int64_t from, int64_t to,
+                           int64_t salt) {
+    for (int64_t r = from; r <= to; ++r) {
+      store->SaveClientSelection(r, {r % 3, (r + salt) % 4});
+      for (int64_t i = 1; i <= e; ++i) {
+        const int64_t t = (r - 1) * e + i;
+        store->SaveMinibatch(t, r % 3, {t % 5, t % 5 + 2});
+      }
+    }
+  };
+  record_rounds(&held, 1, 24, 0);
+  record_rounds(&plain, 1, 24, 0);
+  ASSERT_GT(held.SpilledBytes(), 0);
+
+  held.BeginHold();
+  for (int64_t sweep = 0; sweep < 4; ++sweep) {
+    for (StateStore* store : {&held, &plain}) {
+      for (int64_t r = 1 + sweep % 2; r <= 24; r += 2) {
+        store->SaveMinibatch((r - 1) * e + 1, r % 3, {sweep, sweep + 7});
+      }
+    }
+    ASSERT_TRUE(held.IndicesConsistentWithRecords()) << "sweep " << sweep;
+  }
+  for (StateStore* store : {&held, &plain}) {
+    store->TruncateFromIteration(27, e);
+    record_rounds(store, 14, 30, 1);
+  }
+  ASSERT_TRUE(held.IndicesConsistentWithRecords());
+  held.EndHold();
+  ASSERT_TRUE(held.IndicesConsistentWithRecords());
+
+  ASSERT_EQ(held.MinibatchKeys(), plain.MinibatchKeys());
+  for (const auto& [iter, client] : held.MinibatchKeys()) {
+    EXPECT_EQ(*held.GetMinibatch(iter, client),
+              *plain.GetMinibatch(iter, client))
+        << "t=" << iter << " client=" << client;
+  }
+  ASSERT_EQ(held.SelectionRounds(), plain.SelectionRounds());
+  for (int64_t round : held.SelectionRounds()) {
+    EXPECT_EQ(*held.GetClientSelection(round),
+              *plain.GetClientSelection(round))
+        << "round " << round;
+  }
 }
 
 TEST(StateStoreGuardsTest, EmptyPostingListsReturnSentinels) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <utility>
@@ -323,6 +324,114 @@ TEST(ServiceFlushTest, CoalescedMixedQueueBitIdenticalToSequential) {
 
   ExpectIdenticalTrainerState(sequential.trainer.get(),
                               coalesced.trainer.get());
+}
+
+// A flush over spilled history with one iteration per block. The sample
+// deletions' posting lists interleave across cold blocks, which the flush
+// reopens and keeps decoded until its bracket closes; the client removal
+// then truncates some of those blocks and redraws new ones, and a last
+// deletion reopens redrawn history. The result must match the resident
+// one-request-at-a-time reference bit for bit.
+TEST(ServiceFlushTest, InterleavedFlushOnSpilledBlocksMatchesSequential) {
+  Harness sequential = MakeTrained(8, 8, /*rounds=*/6, /*e=*/2);
+  Harness coalesced;
+  coalesced.data = TinyImageData(8, 8);
+  coalesced.config = TinyFatsConfig(8, 8, 6, 2);
+  coalesced.config.state_spill_dir =
+      testing::TempDir() + "/flush_interleaved_spill";
+  std::filesystem::remove_all(coalesced.config.state_spill_dir);
+  coalesced.config.state_block_iters = 1;
+  coalesced.config.state_resident_sealed_blocks = 1;
+  coalesced.config.state_decoded_cache_blocks = 2;
+  coalesced.trainer = std::make_unique<FatsTrainer>(
+      TinyModelSpec(), coalesced.config, &coalesced.data);
+  coalesced.trainer->Train();
+  ASSERT_GT(coalesced.trainer->store().SpilledBytes(), 0);
+  ExpectIdenticalTrainerState(sequential.trainer.get(),
+                              coalesced.trainer.get());
+  const int64_t t_max = sequential.trainer->trained_through();
+  const StateStore& store = sequential.trainer->store();
+
+  // The removed client is the one that joins last, so the truncation keeps
+  // a prefix of the history the deletions reopen.
+  int64_t removed = -1;
+  for (int64_t k = 0; k < 8; ++k) {
+    if (removed == -1 ||
+        store.EarliestClientRound(k) > store.EarliestClientRound(removed)) {
+      removed = k;
+    }
+  }
+  ASSERT_GT(store.EarliestClientRound(removed), 1);
+
+  // Deletions of samples used at least twice, from the other clients: the
+  // first two have interleaving posting lists, and the four together touch
+  // at least four blocks.
+  std::vector<SampleRef> candidates;
+  for (int64_t k = 0; k < 8; ++k) {
+    for (int64_t i = 0; i < 8; ++i) {
+      const std::vector<int64_t>* uses = store.SampleUses({k, i});
+      if (k != removed && uses != nullptr && uses->size() >= 2) {
+        candidates.push_back({k, i});
+      }
+    }
+  }
+  auto interleave = [&store](const SampleRef& a, const SampleRef& b) {
+    const std::vector<int64_t>& uses_a = *store.SampleUses(a);
+    const std::vector<int64_t>& uses_b = *store.SampleUses(b);
+    return uses_a.front() < uses_b.back() && uses_b.front() < uses_a.back();
+  };
+  std::vector<SampleRef> targets;
+  for (size_t a = 0; a < candidates.size() && targets.empty(); ++a) {
+    for (size_t b = a + 1; b < candidates.size(); ++b) {
+      if (interleave(candidates[a], candidates[b])) {
+        targets = {candidates[a], candidates[b]};
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(targets.size(), 2u) << "no two posting lists interleave";
+  for (const SampleRef& ref : candidates) {
+    if (targets.size() < 4 && ref != targets[0] && ref != targets[1]) {
+      targets.push_back(ref);
+    }
+  }
+  ASSERT_EQ(targets.size(), 4u);
+  std::set<int64_t> touched;
+  for (const SampleRef& ref : targets) {
+    touched.insert(store.SampleUses(ref)->begin(),
+                   store.SampleUses(ref)->end());
+  }
+  ASSERT_GE(touched.size(), 4u) << "the deletions touch too few blocks";
+
+  const std::vector<UnlearningRequest> requests = {
+      SampleReq(targets[0].client, targets[0].index, t_max),
+      SampleReq(targets[1].client, targets[1].index, t_max),
+      SampleReq(targets[2].client, targets[2].index, t_max),
+      ClientReq(removed, t_max),
+      SampleReq(targets[3].client, targets[3].index, t_max),
+  };
+  ApplySequentially(sequential.trainer.get(), requests);
+  UnlearningService service(coalesced.trainer.get());
+  Result<ServiceFlushStats> stats = service.ExecuteStream(requests);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->replays, 1);
+  EXPECT_GT(stats->redrawn_rounds, 0);
+
+  ExpectIdenticalTrainerState(sequential.trainer.get(),
+                              coalesced.trainer.get());
+  for (int64_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(store.EarliestClientRound(k),
+              coalesced.trainer->store().EarliestClientRound(k));
+    for (int64_t i = 0; i < 8; ++i) {
+      const std::vector<int64_t>* a = store.SampleUses({k, i});
+      const std::vector<int64_t>* b =
+          coalesced.trainer->store().SampleUses({k, i});
+      ASSERT_EQ(a == nullptr, b == nullptr) << "client " << k << " i " << i;
+      if (a != nullptr) {
+        EXPECT_EQ(*a, *b) << "client " << k << " i " << i;
+      }
+    }
+  }
 }
 
 TEST(ServiceFlushTest, OneReplayFromEarliestAffectedIteration) {
