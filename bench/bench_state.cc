@@ -1,6 +1,7 @@
 // Benchmarks (google-benchmark) for the million-client state layer: index
-// codec throughput, tiered history-log append and cold-read costs, sharded
-// deterministic tree aggregation, and lazy shard materialization.
+// codec throughput, tiered history-log append, cold-read and flush-rewrite
+// costs, sharded deterministic tree aggregation, and lazy shard
+// materialization.
 //
 // Feeds the bench-regression smoke: tools/ci.sh runs this binary with
 // --benchmark_out=BENCH_state_current.json and tools/bench_check compares
@@ -168,6 +169,49 @@ void BM_HistoryLogColdRead(benchmark::State& state) {
 }
 BENCHMARK(BM_HistoryLogColdRead)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// An unlearning flush's substitution writes: 25 sealed blocks of history
+// (span 32, 8 clients per iteration) behind a two-block training head, and
+// 25 ascending sweeps (one per request) that rewrite one or two records in
+// every block, all inside one hold scope. Each iteration is one flush, and
+// EndHold reseals the blocks it reopened, so every iteration starts from
+// the same tiers. reopens_per_flush counts cold-block decodes for writes:
+// at most one per swept block with the hold (EndHold leaves the two most
+// recently written open), one per block per sweep without it.
+void BM_HistoryLogFlushRewrite(benchmark::State& state) {
+  constexpr int64_t kSpan = 32;
+  constexpr int64_t kClients = 8;
+  constexpr int64_t kColdBlocks = 25;
+  constexpr int64_t kSweeps = 25;
+  state::HistoryLogOptions options;
+  options.block_span = kSpan;
+  HistoryLog log(options);
+  const std::vector<int64_t> batch = SortedBatch(16, 5);
+  for (int64_t t = 0; t < (kColdBlocks + 2) * kSpan; ++t) {
+    for (int64_t k = 0; k < kClients; ++k) log.Save(t, k, batch);
+  }
+  const std::vector<int64_t> redrawn = SortedBatch(16, 6);
+  int64_t writes = 0;
+  const int64_t reopened_before = log.blocks_reopened();
+  for (auto _ : state) {
+    log.BeginHold();
+    for (int64_t sweep = 0; sweep < kSweeps; ++sweep) {
+      for (int64_t block = 0; block < kColdBlocks; ++block) {
+        for (int64_t j = 0; j <= (sweep + block) % 2; ++j) {
+          const int64_t t = block * kSpan + (sweep * 7 + j * 13) % kSpan;
+          log.Save(t, (sweep + j) % kClients, redrawn);
+          ++writes;
+        }
+      }
+    }
+    log.EndHold();
+  }
+  state.counters["reopens_per_flush"] =
+      static_cast<double>(log.blocks_reopened() - reopened_before) /
+      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(writes);
+}
+BENCHMARK(BM_HistoryLogFlushRewrite)->Unit(benchmark::kMillisecond);
 
 // Sharded deterministic aggregation: K client updates reduced to one
 // tensor. Worker count is the sweep — the result is bit-identical across
